@@ -33,6 +33,7 @@ _TOKEN = re.compile(
 _FUNCTIONS: Dict[str, Callable] = {
     "exp": np.exp,
     "tanh": np.tanh,
+    "cosh": np.cosh,
     "abs": np.abs,
 }
 

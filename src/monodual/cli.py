@@ -254,21 +254,37 @@ def _cmd_dualgen(args) -> int:
     return EXIT_OK
 
 
+def _number(value, name: str, kind=float):
+    """``kind(value)``; a value that is not a number is malformed input."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"{name!r} must be a number, got {value!r}") from exc
+
+
+def _field(doc: dict, key: str, kind=float, where: str = "simulation input"):
+    if key not in doc:
+        raise InputFormatError(f"{where} needs {key!r}")
+    return _number(doc[key], key, kind)
+
+
+def _sim_lattice(doc: dict) -> Lattice:
+    lat_doc = doc.get("lattice")
+    if not isinstance(lat_doc, dict):
+        raise InputFormatError("simulating a model needs a 'lattice' object")
+    return Lattice(
+        h=_field(lat_doc, "h", float, "'lattice'"),
+        lo=_field(lat_doc, "lo", int, "'lattice'"),
+        hi=_field(lat_doc, "hi", int, "'lattice'"),
+        boundary=lat_doc.get("boundary", "absorb"),
+    )
+
+
 def _sim_chain(doc: dict, args) -> RateMatrix:
     if "chain" in doc:
         return ratematrix_from_dict(doc["chain"])
     if "model" in doc:
-        model = model_from_dict(doc["model"])
-        lat_doc = doc.get("lattice")
-        if not isinstance(lat_doc, dict):
-            raise InputFormatError("simulating a model needs a 'lattice' object")
-        lat = Lattice(
-            h=float(lat_doc["h"]),
-            lo=int(lat_doc["lo"]),
-            hi=int(lat_doc["hi"]),
-            boundary=lat_doc.get("boundary", "absorb"),
-        )
-        return discretize(model, lat)
+        return discretize(model_from_dict(doc["model"]), _sim_lattice(doc))
     raise InputFormatError("simulation input needs 'chain' or 'model'")
 
 
@@ -278,17 +294,24 @@ def _cmd_simulate(args) -> int:
         raise InputFormatError("simulation input needs an 'op' field")
     op = doc["op"]
     t = args.t if args.t is not None else doc.get("t")
-    reps = args.reps if args.reps is not None else doc.get("reps", 10000)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    threads = args.threads if args.threads is not None else doc.get("threads", 1)
+    reps = _number(args.reps if args.reps is not None else doc.get("reps", 10000),
+                   "reps", int)
+    seed = _number(args.seed if args.seed is not None else doc.get("seed", 0),
+                   "seed", int)
+    threads = _number(
+        args.threads if args.threads is not None else doc.get("threads", 1),
+        "threads", int,
+    )
     if op in ("survival", "duality", "path") and t is None:
         raise InputFormatError(f"op {op!r} needs a horizon --t")
+    if t is not None:
+        t = _number(t, "t")
 
     if op == "survival":
         rm = _sim_chain(doc, args)
         est = mc_survival(
-            rm, int(doc["x0"]), int(doc["y"]), float(t),
-            int(reps), int(seed), threads=int(threads),
+            rm, _field(doc, "x0", int), _field(doc, "y", int), t,
+            reps, seed, threads=threads,
         )
         _emit_json(
             {"command": "simulate", "ok": True, "report": est.to_dict()}, args.out
@@ -299,10 +322,13 @@ def _cmd_simulate(args) -> int:
         pairs = doc.get("pairs")
         if not pairs:
             raise InputFormatError("duality simulation needs 'pairs'")
-        report = mc_duality_check(
-            rm, [(int(x), int(y)) for x, y in pairs], float(t),
-            int(reps), int(seed), threads=int(threads),
-        )
+        try:
+            pairs = [(int(x), int(y)) for x, y in pairs]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputFormatError(
+                f"'pairs' must be a list of [x, y] states, got {pairs!r}"
+            ) from exc
+        report = mc_duality_check(rm, pairs, t, reps, seed, threads=threads)
         _emit_json(
             {"command": "simulate", "ok": report.ok, "report": report.to_dict()},
             args.out,
@@ -312,21 +338,15 @@ def _cmd_simulate(args) -> int:
         if "model" not in doc:
             raise InputFormatError("growth simulation operates on a model")
         model = model_from_dict(doc["model"])
-        lat_doc = doc.get("lattice")
-        if not isinstance(lat_doc, dict):
-            raise InputFormatError("growth simulation needs a 'lattice' object")
-        lat = Lattice(
-            h=float(lat_doc["h"]), lo=int(lat_doc["lo"]), hi=int(lat_doc["hi"]),
-            boundary=lat_doc.get("boundary", "absorb"),
-        )
+        lat = _sim_lattice(doc)
         c = doc.get("c", model.growth_c)
         if c is None:
             raise InputFormatError("growth simulation needs 'c' or model growth_c")
         if t is None:
             raise InputFormatError("growth simulation needs a horizon --t")
         report = mc_growth_bound(
-            model, lat, float(doc["x0"]), float(t), float(c),
-            int(reps), int(seed), threads=int(threads),
+            model, lat, _field(doc, "x0"), t, _number(c, "c"),
+            reps, seed, threads=threads,
         )
         _emit_json(
             {"command": "simulate", "ok": report.ok, "report": report.to_dict()},
@@ -335,7 +355,7 @@ def _cmd_simulate(args) -> int:
         return EXIT_OK if report.ok else EXIT_CHECK_FAILED
     if op == "path":
         rm = _sim_chain(doc, args)
-        path = sample_path(rm, int(doc["x0"]), float(t), int(seed))
+        path = sample_path(rm, _field(doc, "x0", int), t, seed)
         _emit_json(
             {"command": "simulate", "ok": True, "report": path.to_dict()}, args.out
         )

@@ -19,6 +19,7 @@ normal approximation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -289,7 +290,10 @@ def _simulate(
             _run_rows(dyn, start_index, t_end, block, chunk, seed, salt,
                       out_state, out_killed, out_hit)
     else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        # the chunk split follows `threads`, so results do not depend on how
+        # many of the chunks run at once
+        workers = min(len(chunks), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_rows, dyn, start_index, t_end, block, chunk,
                             seed, salt, out_state, out_killed, out_hit)

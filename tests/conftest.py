@@ -15,8 +15,10 @@ import numpy as np
 from monodual.qmatrix import BOUNDARY_POLICIES, RateMatrix
 
 
-def random_monotone_ratematrix(rng, max_states=12, band=4, boundary=None):
-    n_states = int(rng.integers(3, max_states + 1))
+def random_monotone_ratematrix(rng, max_states=12, band=4, boundary=None,
+                               n_states=None):
+    if n_states is None:
+        n_states = int(rng.integers(3, max_states + 1))
     lo = int(rng.integers(-6, 4))
     hi = lo + n_states - 1
     band = int(min(band, n_states - 1))

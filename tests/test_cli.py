@@ -95,6 +95,11 @@ class TestChecks:
         assert code == 1
         assert doc["error"]["type"] == "GrowthViolated"
 
+    def test_validate_model_with_cosh(self, capsys, files):
+        path = files("cosh.json", {"G": "cosh(x)"})
+        code, doc = run_json(capsys, ["validate", "--in", path])
+        assert code == 0 and doc["ok"] is True
+
     def test_duality_check(self, capsys, chain_file):
         code, doc = run_json(capsys, ["duality", "--in", chain_file, "--t", "0.5"])
         assert code == 0
@@ -290,6 +295,27 @@ class TestSimulate:
         path = files("sim.json", {"t": 1.0})
         code, _doc = run_json(capsys, ["simulate", "--in", path])
         assert code == 2
+
+    @pytest.mark.parametrize("field", ["x0", "y", "lattice.h", "reps", "pairs"])
+    def test_malformed_job_is_parse_error(self, capsys, files, field):
+        doc_in = {
+            "op": "survival",
+            "model": MODEL_DOC,
+            "lattice": {"h": 0.5, "lo": -4, "hi": 4},
+            "x0": 0, "y": 2, "t": 0.5, "reps": 1000, "seed": 2,
+        }
+        if field == "reps":
+            doc_in["reps"] = "many"
+        elif field == "pairs":
+            doc_in.update(op="duality", pairs=[[0, "top"]])
+        elif field == "lattice.h":
+            del doc_in["lattice"]["h"]
+        else:
+            del doc_in[field]
+        path = files("sim.json", doc_in)
+        code, doc = run_json(capsys, ["simulate", "--in", path])
+        assert code == 2
+        assert doc["error"]["type"] == "InputFormatError"
 
 
 class TestErrorPaths:

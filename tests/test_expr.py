@@ -33,6 +33,7 @@ def test_unary_minus_binds_below_power():
 def test_functions_and_constants():
     assert parse_expression("exp(1)")(0.0) == pytest.approx(math.e)
     assert parse_expression("tanh(0)")(0.0) == 0.0
+    assert parse_expression("cosh(0)")(0.0) == 1.0
     assert parse_expression("abs(-3)")(0.0) == 3.0
     assert parse_expression("pi")(0.0) == pytest.approx(math.pi)
     assert parse_expression("e")(0.0) == pytest.approx(math.e)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from monodual import qmatrix
 from monodual.errors import (
     DualRateNegative,
     InputFormatError,
@@ -25,6 +26,34 @@ from monodual.qmatrix import (
 )
 
 from conftest import birth_death, random_monotone_ratematrix
+
+
+def reference_generator(rm):
+    """The scalar loop the vectorized effective_generator must reproduce."""
+    n_states = rm.n_states
+    q = np.zeros((n_states, n_states))
+    kill = np.zeros(n_states)
+    for (n, m), r in rm.rates.items():
+        if r == 0.0:
+            continue
+        i = n - rm.lo
+        tgt = n + m
+        if rm.lo <= tgt <= rm.hi:
+            j = tgt - rm.lo
+            q[i, j] += r
+            q[i, i] -= r
+        elif rm.boundary == "kill":
+            kill[i] += r
+            q[i, i] -= r
+        else:
+            j = 0 if tgt < rm.lo else n_states - 1
+            if j != i:
+                q[i, j] += r
+                q[i, i] -= r
+    if rm.boundary == "absorb":
+        q[0, :] = 0.0
+        q[n_states - 1, :] = 0.0
+    return q, kill
 
 
 class TestRateMatrixStructure:
@@ -96,6 +125,28 @@ class TestEffectiveGenerator:
         # jump from 3 past the edge clamps onto 3 itself and is dropped
         assert q[3, 3] == -0.4 and q[3, 2] == 0.4
         assert q[2, 3] == 0.7
+
+    def test_matches_scalar_reference(self):
+        # offsets reach well past the window, so several rates of one source
+        # clamp onto the same edge entry and their sum order matters
+        rng = np.random.default_rng(2024)
+        for trial in range(60):
+            n_states = int(rng.integers(1, 9))
+            lo = int(rng.integers(-5, 5))
+            rates = {}
+            for n in range(lo, lo + n_states):
+                for m in rng.choice(np.arange(-12, 13), size=8, replace=False):
+                    if m != 0:
+                        r = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 3.0)
+                        rates[(n, int(m))] = float(r)
+            if trial % 2:
+                rates[(lo, 10 ** 30)] = 0.3  # beyond int64
+            for boundary in ("absorb", "reflect", "kill"):
+                rm = RateMatrix(lo, lo + n_states - 1, boundary, rates)
+                q, kill = effective_generator(rm)
+                q_ref, kill_ref = reference_generator(rm)
+                assert np.array_equal(q, q_ref), (trial, boundary)
+                assert np.array_equal(kill, kill_ref), (trial, boundary)
 
     def test_from_dense_round_trip(self):
         rm = birth_death(0, 3, up=1.25, down=0.5, boundary="kill")
@@ -200,6 +251,24 @@ class TestDual:
         with pytest.raises(DualRateNegative):
             dual_qmatrix(rm, require_monotone=False)
 
+    def test_band_kept_without_residue(self):
+        # non-dyadic band-2 product-family chain: the dual uses no offset
+        # beyond the forward band, so nothing is left of rounding residue
+        rng = np.random.default_rng(31)
+        rm = random_monotone_ratematrix(
+            rng, band=2, boundary="reflect", n_states=60
+        )
+        assert all(abs(m) <= 2 for (_n, m) in rm.rates)
+        dual = dual_qmatrix(rm)
+        assert dual.rates and all(abs(m) <= 2 for (_n, m) in dual.rates)
+        q, kill = effective_generator(rm)
+        qd, _ = effective_generator(dual)
+        assert np.all(kill == 0.0)
+        n = rm.n_states
+        F = (np.arange(n)[:, None] >= np.arange(n)[None, :]).astype(float)
+        scale = np.max(-np.diag(q))
+        assert np.max(np.abs(q @ F - F @ qd.T)) <= 1e-12 * scale
+
     def test_dual_identity_is_algebraic(self, rng=np.random.default_rng(7)):
         # Q F = F Q~^T holds entrywise for the tail-difference dual
         rm = random_monotone_ratematrix(rng, max_states=9, band=3)
@@ -214,13 +283,30 @@ class TestDual:
 
 
 class TestTransitionMatrix:
-    def test_matches_scipy_expm(self):
+    def test_matches_scipy_expm(self, monkeypatch):
+        # density limits 0 and 1 force the dense and the CSR branch
         rm = birth_death(0, 10, up=1.3, down=0.7, boundary="kill")
         q, _ = effective_generator(rm)
-        for t in (0.1, 0.7, 3.0):
-            tm = transition_matrix(rm, t)
-            ref = scipy.linalg.expm(q * t)
-            assert np.max(np.abs(tm.P - ref)) < 1e-11
+        for density in (0.0, 1.0):
+            monkeypatch.setattr(qmatrix, "SPARSE_DENSITY", density)
+            for t in (0.1, 0.7, 3.0):
+                tm = transition_matrix(rm, t)
+                ref = scipy.linalg.expm(q * t)
+                assert np.max(np.abs(tm.P - ref)) < 1e-11
+                assert tm.terms > 0 and tm.halvings == 0
+                assert 0.0 < tm.error_bound <= qmatrix.EXPM_TOL
+
+    def test_reports_missed_tolerance(self):
+        # 19 halvings push the per-step tolerance under the 1e-15 floor of
+        # the series cut, so tol=1e-12 cannot be met; the report says so
+        rm = birth_death(0, 6, up=1e7, down=8e6, boundary="kill")
+        q, _ = effective_generator(rm)
+        tm = transition_matrix(rm, 1.0)
+        assert tm.halvings == 19
+        assert tm.error_bound > qmatrix.EXPM_TOL
+        err = np.max(np.abs(tm.P - scipy.linalg.expm(q)))
+        assert err > qmatrix.EXPM_TOL
+        assert set(tm.to_dict()) == {"lo", "hi", "t", "P", "defect"}
 
     def test_large_rate_uses_halving(self):
         rm = birth_death(0, 6, up=100.0, down=80.0, boundary="kill")

@@ -52,6 +52,38 @@ class TestSurvival:
         c = mc_survival(rm, threads=8, **kw)
         assert a.to_dict() == b.to_dict() == c.to_dict()
 
+    def test_worker_threads_capped_at_cpu_count(self, monkeypatch):
+        # a recording stand-in for the executor runs chunks inline, so no
+        # thread is started; the chunk split still follows `threads`
+        from concurrent.futures import Future
+
+        from monodual import simulate
+
+        seen = {}
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                seen["max_workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                seen["chunks"] = seen.get("chunks", 0) + 1
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        kw = dict(x0=10, y=12, t=1.0, reps=5_000, seed=42)
+        capped = mc_survival(drift_chain(), threads=64, **kw)
+        assert seen == {"max_workers": 2, "chunks": 64}
+        assert capped.to_dict() == mc_survival(drift_chain(), **kw).to_dict()
+
     def test_seed_changes_value(self):
         rm = drift_chain()
         a = mc_survival(rm, x0=10, y=12, t=1.0, reps=50_000, seed=42)
