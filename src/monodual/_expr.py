@@ -204,3 +204,11 @@ def parse_expression(source: str, variables: Sequence[str] = ("x",)) -> Expressi
     if not isinstance(source, str):
         raise InputFormatError(f"expected an expression string, got {source!r}")
     return Expression(source, variables)
+
+
+def number(value, name: str, kind=float):
+    """``kind(value)``; a value that is not a number is malformed input."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"{name!r} must be a number, got {value!r}") from exc

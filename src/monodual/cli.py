@@ -5,8 +5,9 @@ monotone, duality, simulate, boundary) emit an envelope
 {"command", "ok", "report"} and exit 1 when the check fails.  Transforms
 (dual, discretize, evolve, dualgen) emit the produced artifact as a bare
 document so outputs can feed straight back into --in.  Exit codes:
-0 success, 1 a check failed, 2 unreadable or malformed input, 3 internal
-failure (quadrature breakdown, unresolved tail mass, bugs).
+0 success, else the ``exit_code`` of the raised error class: 1 a check
+failed, 2 unreadable or malformed input, 3 internal failure (quadrature
+breakdown, unresolved tail mass, bugs).
 
 Input sniffing: a JSON document with a "rates" field is a rate matrix;
 anything else is a model description.  Commands that accept both pick
@@ -25,20 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DualRateNegative,
-    GrowthViolated,
-    InputFormatError,
-    MomentUnbounded,
-    MonodualError,
-    NegativeDualDensity,
-    NegativeRate,
-    NotMonotone,
-    QuadratureFailure,
-    TailMassUnresolved,
-    UnsupportedKernelCase,
-    WindowEscape,
-)
+from ._expr import number
+from .errors import InputFormatError, MonodualError, NotMonotone
 from .generator import (
     Lattice,
     LevyModel,
@@ -68,20 +57,7 @@ from .simulate import (
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_PARSE_ERROR = 2
 EXIT_INTERNAL = 3
-
-_PARSE_ERRORS = (InputFormatError, NegativeRate)
-_CHECK_ERRORS = (
-    NotMonotone,
-    DualRateNegative,
-    NegativeDualDensity,
-    GrowthViolated,
-    MomentUnbounded,
-    WindowEscape,
-)
-_INTERNAL_ERRORS = (QuadratureFailure, TailMassUnresolved, UnsupportedKernelCase)
-
 
 def _read_json(path: str) -> dict:
     try:
@@ -254,18 +230,10 @@ def _cmd_dualgen(args) -> int:
     return EXIT_OK
 
 
-def _number(value, name: str, kind=float):
-    """``kind(value)``; a value that is not a number is malformed input."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputFormatError(f"{name!r} must be a number, got {value!r}") from exc
-
-
 def _field(doc: dict, key: str, kind=float, where: str = "simulation input"):
     if key not in doc:
         raise InputFormatError(f"{where} needs {key!r}")
-    return _number(doc[key], key, kind)
+    return number(doc[key], key, kind)
 
 
 def _sim_lattice(doc: dict) -> Lattice:
@@ -294,18 +262,18 @@ def _cmd_simulate(args) -> int:
         raise InputFormatError("simulation input needs an 'op' field")
     op = doc["op"]
     t = args.t if args.t is not None else doc.get("t")
-    reps = _number(args.reps if args.reps is not None else doc.get("reps", 10000),
-                   "reps", int)
-    seed = _number(args.seed if args.seed is not None else doc.get("seed", 0),
-                   "seed", int)
-    threads = _number(
+    reps = number(args.reps if args.reps is not None else doc.get("reps", 10000),
+                  "reps", int)
+    seed = number(args.seed if args.seed is not None else doc.get("seed", 0),
+                  "seed", int)
+    threads = number(
         args.threads if args.threads is not None else doc.get("threads", 1),
         "threads", int,
     )
     if op in ("survival", "duality", "path") and t is None:
         raise InputFormatError(f"op {op!r} needs a horizon --t")
     if t is not None:
-        t = _number(t, "t")
+        t = number(t, "t")
 
     if op == "survival":
         rm = _sim_chain(doc, args)
@@ -345,7 +313,7 @@ def _cmd_simulate(args) -> int:
         if t is None:
             raise InputFormatError("growth simulation needs a horizon --t")
         report = mc_growth_bound(
-            model, lat, _field(doc, "x0"), t, _number(c, "c"),
+            model, lat, _field(doc, "x0"), t, number(c, "c"),
             reps, seed, threads=threads,
         )
         _emit_json(
@@ -417,41 +385,14 @@ def run(args) -> int:
     command = args.command
     try:
         return _COMMANDS[command](args)
-    except _PARSE_ERRORS as exc:
-        _emit_json(
-            {"command": command, "ok": False,
-             "error": {"type": type(exc).__name__, "message": str(exc)}},
-            args.out,
-        )
-        return EXIT_PARSE_ERROR
-    except _CHECK_ERRORS as exc:
+    except Exception as exc:
         doc = {"command": command, "ok": False,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, NotMonotone):
             doc["error"]["report"] = exc.report.to_dict()
         _emit_json(doc, args.out)
-        return EXIT_CHECK_FAILED
-    except _INTERNAL_ERRORS as exc:
-        _emit_json(
-            {"command": command, "ok": False,
-             "error": {"type": type(exc).__name__, "message": str(exc)}},
-            args.out,
-        )
-        return EXIT_INTERNAL
-    except MonodualError as exc:
-        _emit_json(
-            {"command": command, "ok": False,
-             "error": {"type": type(exc).__name__, "message": str(exc)}},
-            args.out,
-        )
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - defensive
-        _emit_json(
-            {"command": command, "ok": False,
-             "error": {"type": type(exc).__name__, "message": str(exc)}},
-            args.out,
-        )
-        return EXIT_INTERNAL
+        # errors from outside the package are internal failures
+        return exc.exit_code if isinstance(exc, MonodualError) else EXIT_INTERNAL
 
 
 def main(argv=None) -> int:

@@ -128,9 +128,9 @@ def dual_levy_case_i(
 
     def tail_du(u: float, y: float) -> float:
         if kern.dx_density is not None:
-            if kern.y_max <= y:
-                return 0.0
-            return _quad(lambda z: float(kern.dx_density(u, z)), y, kern.y_max)
+            # the tail only holds mass inside (y_min, y_max)
+            lo = max(y, kern.y_min)
+            return _quad(lambda z: float(kern.dx_density(u, z)), lo, kern.y_max)
         d = FD_SCALE * (1.0 + abs(u))
         return (kern.right_tail(u + d, y) - kern.right_tail(u - d, y)) / (2.0 * d)
 
@@ -223,11 +223,6 @@ def dual_levy(
     )
 
 
-def _fd1(f: Callable[[float], float], x: float) -> float:
-    h = FD_SCALE * (1.0 + abs(x))
-    return (float(f(x + h)) - float(f(x - h))) / (2.0 * h)
-
-
 def _fd2(f: Callable[[float], float], x: float) -> float:
     h = FD_SCALE_D2 * (1.0 + abs(x))
     return (float(f(x + h)) - 2.0 * float(f(x)) + float(f(x - h))) / (h * h)
@@ -256,7 +251,7 @@ def dual_generator_apply(
             f"expected one of {COMPENSATOR_CONVENTIONS}"
         )
     fx = float(f(x))
-    fp = float(df(x)) if df is not None else _fd1(f, x)
+    fp = float(df(x)) if df is not None else fd_derivative(f, x)
     fpp = float(d2f(x)) if d2f is not None else _fd2(f, x)
 
     if convention == "y-factor":

@@ -1,12 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the exit code the command line reports for it: 1 for a
+check that failed, 2 for malformed input, 3 for an internal failure.
+"""
 
 
 class MonodualError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 3
+
 
 class NegativeRate(MonodualError):
     """An off-diagonal rate is negative."""
+
+    exit_code = 2
 
     def __init__(self, n, m, rate):
         self.n, self.m, self.rate = n, m, rate
@@ -15,6 +23,8 @@ class NegativeRate(MonodualError):
 
 class NotMonotone(MonodualError):
     """Operation requires a stochastically monotone rate matrix."""
+
+    exit_code = 1
 
     def __init__(self, report):
         self.report = report
@@ -25,6 +35,8 @@ class NotMonotone(MonodualError):
 class DualRateNegative(MonodualError):
     """Dual construction produced a genuinely negative off-diagonal rate."""
 
+    exit_code = 1
+
     def __init__(self, n, j, rate):
         self.n, self.j, self.rate = n, j, rate
         super().__init__(f"dual rate at ({n}, {j}) is negative: {rate!r}")
@@ -33,6 +45,8 @@ class DualRateNegative(MonodualError):
 class MomentUnbounded(MonodualError):
     """Jump-kernel moment exceeds the finiteness bound at some grid point."""
 
+    exit_code = 1
+
     def __init__(self, x, value):
         self.x, self.value = x, value
         super().__init__(f"kernel moment at x={x!r} is {value!r}; not finitely bounded")
@@ -40,6 +54,8 @@ class MomentUnbounded(MonodualError):
 
 class GrowthViolated(MonodualError):
     """Linear-growth inequality fails at some grid point."""
+
+    exit_code = 1
 
     def __init__(self, x, lhs, rhs):
         self.x, self.lhs, self.rhs = x, lhs, rhs
@@ -57,6 +73,8 @@ class UnsupportedKernelCase(MonodualError):
 class NegativeDualDensity(MonodualError):
     """Dual kernel density is negative beyond roundoff at some point."""
 
+    exit_code = 1
+
     def __init__(self, x, y, value):
         self.x, self.y, self.value = x, y, value
         super().__init__(f"dual kernel density at (x={x!r}, y={y!r}) is {value!r}")
@@ -69,6 +87,8 @@ class QuadratureFailure(MonodualError):
 class WindowEscape(MonodualError):
     """Too many simulated paths left the lattice window for the result to be trusted."""
 
+    exit_code = 1
+
     def __init__(self, fraction, limit):
         self.fraction, self.limit = fraction, limit
         super().__init__(f"window escape fraction {fraction:.3%} exceeds limit {limit:.3%}")
@@ -76,3 +96,5 @@ class WindowEscape(MonodualError):
 
 class InputFormatError(MonodualError):
     """Input file, mapping, or expression does not match its expected format."""
+
+    exit_code = 2

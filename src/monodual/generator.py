@@ -16,7 +16,8 @@ of half-line models from declared asymptotic orders.
 
 Kernels expose a tail/bin-mass interface so the three representations
 (explicit density in x and y, a state factor times a fixed base measure,
-and plain tail callbacks) all share one discretization path.  Tail
+and plain tail callbacks) all share one discretization path, and every
+moment goes through the one routine ``kernel_moment``.  Tail
 callables follow one convention throughout: ``right_tail(x, a)`` is the
 mass of {y >= a} and ``left_tail(x, a)`` the mass of {y <= -a}, both for
 a >= 0, with closed-form tail callbacks covering the density part only
@@ -26,7 +27,7 @@ a >= 0, with closed-form tail callbacks covering the density part only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     QuadratureFailure,
     TailMassUnresolved,
 )
-from ._expr import parse_expression
+from ._expr import number, parse_expression
 from .qmatrix import RateMatrix
 
 SUPPORT_SIGNS = ("both", "positive", "negative")
@@ -84,12 +85,89 @@ def _atom_bin_left(s: float, h: float) -> int:
     return int(math.ceil(s / h - _BALL_EPS))
 
 
-class BaseMeasure:
+# A moment weight is (w, dw, lo, hi): w vanishes at 0 and outside (lo, hi),
+# and dw is its derivative inside.
+SMALL_WEIGHT = (
+    lambda y: min(abs(y), y * y),
+    lambda y: 2.0 * y if abs(y) < 1.0 else math.copysign(1.0, y),
+    -math.inf, math.inf,
+)
+ABS_WEIGHT = (abs, lambda y: math.copysign(1.0, y), -math.inf, math.inf)
+BOUNDED_WEIGHT = (
+    lambda y: min(1.0, y * y),
+    lambda y: 2.0 * y if abs(y) < 1.0 else 0.0,
+    -math.inf, math.inf,
+)
+
+
+def overshoot_weight(level: float, side: float):
+    """The weight (|y| - level)+ on the side where sign(y) == side (+-1)."""
+    edge = side * max(level, 0.0)
+    return (
+        lambda y: max(side * y - level, 0.0) if side * y > 0.0 else 0.0,
+        lambda y: side,
+        edge if side > 0.0 else -math.inf,
+        math.inf if side > 0.0 else edge,
+    )
+
+
+def kernel_moment(
+    weight,
+    atoms: Sequence[Tuple[float, float]] = (),
+    density: Optional[Callable[[float], float]] = None,
+    y_min: float = -math.inf,
+    y_max: float = math.inf,
+    right_tail: Optional[Callable[[float], float]] = None,
+    left_tail: Optional[Callable[[float], float]] = None,
+) -> float:
+    """Integral of a moment weight against atoms plus a continuous part.
+
+    Atoms are summed one by one.  A density on (y_min, y_max) is integrated
+    by one quadrature over the part where the weight is nonzero.  Failing a
+    density, the closed tails are used: since w(0) = 0, the integral of w
+    over y > 0 is that of w'(a) R(a) over a > 0 with R(a) the mass of
+    {y >= a}, and mirrored with L(a), the mass of {y <= -a}, for y < 0.
+    """
+    w, dw, lo, hi = weight
+    total = sum(mass * w(y) for y, mass in atoms)
+    if density is not None:
+        return total + _quad(
+            lambda y: w(y) * float(density(y)), max(lo, y_min), min(hi, y_max)
+        )
+    if right_tail is not None:
+        total += _quad(lambda a: dw(a) * float(right_tail(a)), max(lo, 0.0), hi)
+    if left_tail is not None:
+        total += _quad(lambda a: -dw(-a) * float(left_tail(a)), max(-hi, 0.0), -lo)
+    return total
+
+
+class _ContinuousPart:
+    """Masses of a continuous part: closed tails if given, else the density.
+
+    ``density(*args, y)`` lives on (y_min, y_max), and the closed tails are
+    ``right_tail_fn(*args, a)`` for {y >= a} and ``left_tail_fn(*args, a)``
+    for {y <= -a}.  ``args`` is () for a base measure and (x,) for a kernel.
+    """
+
+    def _mass(self, side: float, args, a: float, b: float = math.inf) -> float:
+        """Mass of [a, b) for side +1, of (-b, -a] for side -1; 0 <= a < b."""
+        tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
+        if tail is not None:
+            upper = float(tail(*args, b)) if b < math.inf else 0.0
+            return float(tail(*args, a)) - upper
+        lo, hi = (a, b) if side > 0.0 else (-b, -a)
+        lo, hi = max(lo, self.y_min), min(hi, self.y_max)
+        if self.density is None or hi <= lo:
+            return 0.0
+        return _quad(lambda y: float(self.density(*args, y)), lo, hi)
+
+
+class BaseMeasure(_ContinuousPart):
     """A state-independent measure: continuous density plus atoms.
 
     The continuous part is either a density on (y_min, y_max) or a pair of
     closed-form tail callables (or both, in which case the tails are used
-    for mass queries and the density stays available pointwise).
+    for mass queries and the density for moments and pointwise values).
     """
 
     def __init__(
@@ -112,106 +190,57 @@ class BaseMeasure:
                 raise InputFormatError(f"bad atom mass {mass!r} at y={y!r}")
         self.right_tail_fn = right_tail_fn
         self.left_tail_fn = left_tail_fn
-        self._bin_cache: Dict[Tuple[str, int, float], float] = {}
-
-    def _density_mass(self, lo: float, hi: float) -> float:
-        lo = max(lo, self.y_min)
-        hi = min(hi, self.y_max)
-        if self.density is None or hi <= lo:
-            return 0.0
-        return _quad(lambda y: float(self.density(y)), lo, hi)
+        self._bin_cache: Dict[Tuple[float, int, float], float] = {}
 
     def right_tail(self, a: float) -> float:
         """Mass of {y >= a} for a > 0, or of {y > 0} for a = 0."""
         total = sum(m for y, m in self.atoms if y > 0.0 and y >= a)
-        if self.right_tail_fn is not None:
-            total += float(self.right_tail_fn(a))
-        else:
-            total += self._density_mass(max(a, 0.0), math.inf)
-        return total
+        return total + self._mass(1.0, (), max(a, 0.0))
 
     def left_tail(self, a: float) -> float:
         """Mass of {y <= -a} for a > 0, or of {y < 0} for a = 0."""
         total = sum(m for y, m in self.atoms if y < 0.0 and y <= -a)
-        if self.left_tail_fn is not None:
-            total += float(self.left_tail_fn(a))
-        else:
-            total += self._density_mass(-math.inf, min(-a, 0.0))
-        return total
+        return total + self._mass(-1.0, (), max(a, 0.0))
 
     def bin_mass_right(self, m: int, h: float) -> float:
-        key = ("r", m, h)
-        if key not in self._bin_cache:
-            total = sum(
-                mass for y, mass in self.atoms
-                if y > 0.0 and _atom_bin_right(y, h) == m
-            )
-            if self.right_tail_fn is not None:
-                total += float(self.right_tail_fn(m * h)) - float(
-                    self.right_tail_fn(m * h + h)
-                )
-            else:
-                total += self._density_mass(m * h, m * h + h)
-            self._bin_cache[key] = total
-        return self._bin_cache[key]
+        return self._bin(1.0, m, h)
 
     def bin_mass_left(self, m: int, h: float) -> float:
-        key = ("l", m, h)
+        return self._bin(-1.0, m, h)
+
+    def _bin(self, side: float, m: int, h: float) -> float:
+        # right bin m is [mh, mh+h), left magnitude bin m is (mh-h, mh]
+        key = (side, m, h)
         if key not in self._bin_cache:
+            atom_bin = _atom_bin_right if side > 0.0 else _atom_bin_left
             total = sum(
                 mass for y, mass in self.atoms
-                if y < 0.0 and _atom_bin_left(-y, h) == m
+                if side * y > 0.0 and atom_bin(side * y, h) == m
             )
-            if self.left_tail_fn is not None:
-                total += float(self.left_tail_fn(m * h - h)) - float(
-                    self.left_tail_fn(m * h)
-                )
-            else:
-                total += self._density_mass(-m * h, -m * h + h)
-            self._bin_cache[key] = total
+            a, b = (m * h, m * h + h) if side > 0.0 else (m * h - h, m * h)
+            self._bin_cache[key] = total + self._mass(side, (), a, b)
         return self._bin_cache[key]
 
-    def _moment(self, weight: Callable[[float], float]) -> float:
-        total = sum(mass * weight(y) for y, mass in self.atoms)
-        if self.density is not None:
-            total += _quad(
-                lambda y: weight(y) * float(self.density(y)), self.y_min, self.y_max
-            )
-        elif self.right_tail_fn is not None or self.left_tail_fn is not None:
-            # integrate against tails: int w d(measure) with w(0)=0 equals
-            # int_0^inf w'(a) R(a) da plus the mirrored left part
-            def wprime(a, sign):
-                eps = 1e-7 * (1.0 + abs(a))
-                return (weight(sign * (a + eps)) - weight(sign * (a - eps))) / (2 * eps)
-
-            if self.right_tail_fn is not None:
-                total += _quad(
-                    lambda a: wprime(a, 1.0) * float(self.right_tail_fn(a)),
-                    0.0,
-                    math.inf,
-                )
-            if self.left_tail_fn is not None:
-                total += _quad(
-                    lambda a: -wprime(a, -1.0) * float(self.left_tail_fn(a)),
-                    0.0,
-                    math.inf,
-                )
-        return total
+    def _integrate(self, weight) -> float:
+        return kernel_moment(
+            weight, self.atoms, self.density, self.y_min, self.y_max,
+            self.right_tail_fn, self.left_tail_fn,
+        )
 
     def small_moment(self) -> float:
-        return self._moment(lambda y: min(abs(y), y * y))
+        return self._integrate(SMALL_WEIGHT)
 
     def abs_moment(self) -> float:
-        return self._moment(lambda y: abs(y))
+        return self._integrate(ABS_WEIGHT)
 
     def bounded_moment(self) -> float:
-        return self._moment(lambda y: min(1.0, y * y))
+        return self._integrate(BOUNDED_WEIGHT)
 
     def overshoot_right(self, level: float) -> float:
-        return self._moment(lambda y: max(y - level, 0.0) if y > 0 else 0.0)
+        return self._integrate(overshoot_weight(level, 1.0))
 
     def overshoot_left(self, level: float) -> float:
-        return self._moment(lambda y: max(-y - level, 0.0) if y < 0 else 0.0)
+        return self._integrate(overshoot_weight(level, -1.0))
 
     def total_mass(self) -> float:
         return self.right_tail(0.0) + self.left_tail(0.0)
@@ -251,33 +280,30 @@ class LevyKernel:
         atom = sum(mass for y, mass in self.atoms(x) if y == -a)
         return self.left_tail(x, a) - atom
 
-    def _moment(self, x: float, weight: Callable[[float], float]) -> float:
-        # generic route through the tails; subclasses with densities
-        # override with direct quadrature
-        def wprime(a, sign):
-            eps = 1e-7 * (1.0 + abs(a))
-            return (weight(sign * (a + eps)) - weight(sign * (a - eps))) / (2 * eps)
-
-        total = _quad(lambda a: wprime(a, 1.0) * self.right_tail(x, a), 0.0, math.inf)
-        total += _quad(lambda a: -wprime(a, -1.0) * self.left_tail(x, a), 0.0, math.inf)
-        return total
+    def _integrate(self, x: float, weight) -> float:
+        # the closed tails already hold any atoms
+        return kernel_moment(
+            weight,
+            right_tail=lambda a: self.right_tail(x, a),
+            left_tail=lambda a: self.left_tail(x, a),
+        )
 
     def small_moment(self, x: float) -> float:
-        return self._moment(x, lambda y: min(abs(y), y * y))
+        return self._integrate(x, SMALL_WEIGHT)
 
     def abs_moment(self, x: float) -> float:
-        return self._moment(x, lambda y: abs(y))
+        return self._integrate(x, ABS_WEIGHT)
 
     def bounded_moment(self, x: float) -> float:
-        return self._moment(x, lambda y: min(1.0, y * y))
+        return self._integrate(x, BOUNDED_WEIGHT)
 
     def overshoot_right(self, x: float, level: float) -> float:
         """Integral of (y - level)+ over the positive side."""
-        return _quad(lambda a: self.right_tail(x, a), level, math.inf)
+        return self._integrate(x, overshoot_weight(level, 1.0))
 
     def overshoot_left(self, x: float, level: float) -> float:
         """Integral of (|y| - level)+ over the negative side."""
-        return _quad(lambda a: self.left_tail(x, a), level, math.inf)
+        return self._integrate(x, overshoot_weight(level, -1.0))
 
     def total_mass(self, x: float) -> float:
         return self.right_tail(x, 0.0) + self.left_tail(x, 0.0)
@@ -287,7 +313,7 @@ class LevyKernel:
         return None
 
 
-class DensityKernel(LevyKernel):
+class DensityKernel(_ContinuousPart, LevyKernel):
     """Kernel nu(x, dy) = nu(x, y) dy with the density given explicitly.
 
     Optional closed-form tail callables short-circuit the per-bin
@@ -327,66 +353,32 @@ class DensityKernel(LevyKernel):
             return 0.0
         return float(self.density(x, y))
 
-    def _mass(self, x: float, lo: float, hi: float) -> float:
-        lo = max(lo, self.y_min)
-        hi = min(hi, self.y_max)
-        if hi <= lo:
-            return 0.0
-        return _quad(lambda y: float(self.density(x, y)), lo, hi)
-
     def right_tail(self, x: float, a: float) -> float:
-        if self.right_tail_fn is not None:
-            return float(self.right_tail_fn(x, a))
-        return self._mass(x, max(a, 0.0), math.inf)
+        return self._mass(1.0, (x,), max(a, 0.0))
 
     def left_tail(self, x: float, a: float) -> float:
-        if self.left_tail_fn is not None:
-            return float(self.left_tail_fn(x, a))
-        return self._mass(x, -math.inf, min(-a, 0.0))
+        return self._mass(-1.0, (x,), max(a, 0.0))
 
     def bin_mass_right(self, x: float, m: int, h: float) -> float:
-        if self.right_tail_fn is not None:
-            return super().bin_mass_right(x, m, h)
-        return self._mass(x, m * h, m * h + h)
+        return self._mass(1.0, (x,), m * h, m * h + h)
 
     def bin_mass_left(self, x: float, m: int, h: float) -> float:
-        if self.left_tail_fn is not None:
-            return super().bin_mass_left(x, m, h)
-        return self._mass(x, -m * h, -m * h + h)
+        return self._mass(-1.0, (x,), m * h - h, m * h)
 
-    def _weighted(self, x, weight, dens):
-        return _quad(
-            lambda y: weight(y) * abs(float(dens(x, y))), self.y_min, self.y_max
-        )
-
-    def small_moment(self, x: float) -> float:
-        return self._weighted(x, lambda y: min(abs(y), y * y), self.density)
-
-    def abs_moment(self, x: float) -> float:
-        return self._weighted(x, lambda y: abs(y), self.density)
-
-    def bounded_moment(self, x: float) -> float:
-        return self._weighted(x, lambda y: min(1.0, y * y), self.density)
-
-    def overshoot_right(self, x: float, level: float) -> float:
-        lo = max(level, self.y_min, 0.0)
-        if self.y_max <= lo:
-            return 0.0
-        return _quad(lambda y: (y - level) * float(self.density(x, y)), lo, self.y_max)
-
-    def overshoot_left(self, x: float, level: float) -> float:
-        hi = min(-level, self.y_max, 0.0)
-        if hi <= self.y_min:
-            return 0.0
-        return _quad(
-            lambda y: (-y - level) * float(self.density(x, y)), self.y_min, hi
+    def _integrate(self, x: float, weight) -> float:
+        return kernel_moment(
+            weight, density=lambda y: self.density(x, y),
+            y_min=self.y_min, y_max=self.y_max,
         )
 
     def dx_small_moment(self, x: float, order: int) -> Optional[float]:
         dens = self.dx_density if order == 1 else self.dx2_density
         if dens is None:
             return None
-        return self._weighted(x, lambda y: min(abs(y), y * y), dens)
+        return kernel_moment(
+            SMALL_WEIGHT, density=lambda y: abs(float(dens(x, y))),
+            y_min=self.y_min, y_max=self.y_max,
+        )
 
 
 class DecomposableKernel(LevyKernel):
@@ -453,20 +445,8 @@ class DecomposableKernel(LevyKernel):
     def bin_mass_left(self, x: float, m: int, h: float) -> float:
         return self.factor(x) * self.base.bin_mass_left(m, h)
 
-    def small_moment(self, x: float) -> float:
-        return abs(self.factor(x)) * self.base.small_moment()
-
-    def abs_moment(self, x: float) -> float:
-        return abs(self.factor(x)) * self.base.abs_moment()
-
-    def bounded_moment(self, x: float) -> float:
-        return abs(self.factor(x)) * self.base.bounded_moment()
-
-    def overshoot_right(self, x: float, level: float) -> float:
-        return self.factor(x) * self.base.overshoot_right(level)
-
-    def overshoot_left(self, x: float, level: float) -> float:
-        return self.factor(x) * self.base.overshoot_left(level)
+    def _integrate(self, x: float, weight) -> float:
+        return self.factor(x) * self.base._integrate(weight)
 
     def dx_small_moment(self, x: float, order: int) -> Optional[float]:
         deriv = self.da if order == 1 else self.da2
@@ -608,7 +588,7 @@ class ValidationReport:
     records: List[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "records": self.records}
+        return asdict(self)
 
 
 def validate_model(
@@ -921,7 +901,7 @@ class BoundaryClass:
     rule: str
 
     def to_dict(self) -> dict:
-        return {"label": self.label, "rule": self.rule}
+        return asdict(self)
 
 
 def classify_boundary(
@@ -947,7 +927,7 @@ def classify_boundary(
     def order_ok(key: str, need: float, absent_ok: bool) -> bool:
         if key not in asym or asym[key] is None:
             return absent_ok
-        return float(asym[key]) >= need
+        return number(asym[key], key) >= need
 
     g_ok = order_ok("G_order", 2.0, m.G is None)
     nu_ok = order_ok("nu_order", 2.0, m.nu is None)
@@ -962,8 +942,8 @@ def classify_boundary(
     alpha = asym.get("alpha")
     b0 = asym.get("b0")
     if alpha is not None and b0 is not None:
-        alpha = float(alpha)
-        b0 = float(b0)
+        alpha = number(alpha, "alpha")
+        b0 = number(b0, "b0")
         if alpha < b0:
             return BoundaryClass(
                 "inaccessible", "clause (ii): alpha < b(0)"
@@ -985,8 +965,11 @@ def base_measure_from_dict(obj: dict) -> BaseMeasure:
     if not isinstance(obj, dict):
         raise InputFormatError("base measure must be a mapping")
     density = _maybe_expr(obj, "density", ("y",))
+    entries = obj.get("atoms", [])
+    if not isinstance(entries, list):
+        raise InputFormatError(f"'atoms' must be a list, got {entries!r}")
     atoms = []
-    for entry in obj.get("atoms", []):
+    for entry in entries:
         try:
             atoms.append((float(entry["y"]), float(entry["mass"])))
         except (KeyError, TypeError, ValueError) as exc:
@@ -994,8 +977,8 @@ def base_measure_from_dict(obj: dict) -> BaseMeasure:
     sign = obj.get("support_sign", "both")
     if sign not in SUPPORT_SIGNS:
         raise InputFormatError(f"unknown support_sign {sign!r}")
-    y_min = float(obj.get("y_min", 0.0 if sign == "positive" else -math.inf))
-    y_max = float(obj.get("y_max", 0.0 if sign == "negative" else math.inf))
+    y_min = number(obj.get("y_min", 0.0 if sign == "positive" else -math.inf), "y_min")
+    y_max = number(obj.get("y_max", 0.0 if sign == "negative" else math.inf), "y_max")
     return BaseMeasure(
         density=density,
         y_min=y_min,
@@ -1016,8 +999,8 @@ def kernel_from_dict(obj: dict) -> LevyKernel:
         return DensityKernel(
             density=parse_expression(obj["density"], ("x", "y")),
             support_sign=obj.get("support_sign", "both"),
-            y_min=obj.get("y_min"),
-            y_max=obj.get("y_max"),
+            y_min=None if obj.get("y_min") is None else number(obj["y_min"], "y_min"),
+            y_max=None if obj.get("y_max") is None else number(obj["y_max"], "y_max"),
             dx_density=_maybe_expr(obj, "dx_density", ("x", "y")),
             dx2_density=_maybe_expr(obj, "dx2_density", ("x", "y")),
             right_tail_fn=_maybe_expr(obj, "right_tail", ("x", "a")),
@@ -1051,13 +1034,16 @@ def model_from_dict(obj: dict) -> LevyModel:
     nu = kernel_from_dict(obj["nu"]) if obj.get("nu") is not None else None
     mu = kernel_from_dict(obj["mu"]) if obj.get("mu") is not None else None
     growth_c = obj.get("growth_c")
+    asymptotics = obj.get("asymptotics")
+    if asymptotics is not None and not isinstance(asymptotics, dict):
+        raise InputFormatError(f"'asymptotics' must be a mapping, got {asymptotics!r}")
     return LevyModel(
         G=_maybe_expr(obj, "G", ("x",)),
         b=_maybe_expr(obj, "b", ("x",)),
         nu=nu,
         mu=mu,
-        growth_c=None if growth_c is None else float(growth_c),
+        growth_c=None if growth_c is None else number(growth_c, "growth_c"),
         support=obj.get("support", "line"),
         bounded_coefficients=bool(obj.get("bounded_coefficients", False)),
-        asymptotics=obj.get("asymptotics"),
+        asymptotics=asymptotics,
     )

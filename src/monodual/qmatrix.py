@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -132,14 +132,7 @@ class Violation:
     deficit: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "index": self.index,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "deficit": self.deficit,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -257,7 +250,7 @@ def validate_qmatrix(rm: RateMatrix) -> dict:
     non-finite one.  Structural problems (bad window, offset zero, unknown
     policy) are already rejected by the RateMatrix constructor.
     """
-    q, kill = _generator(rm)
+    q, kill = effective_generator(rm)
     return {
         "n_states": rm.n_states,
         "n_rates": len(rm.rates),
@@ -265,18 +258,6 @@ def validate_qmatrix(rm: RateMatrix) -> dict:
         "conservative": bool(np.all(kill == 0.0)),
         "total_kill_rate": float(kill.sum()),
     }
-
-
-def _generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """Validated ``(q, kill)``: the one generator build behind a public call."""
-    r = np.fromiter(rm.rates.values(), dtype=float, count=len(rm.rates))
-    bad = np.flatnonzero(~np.isfinite(r) | (r < 0.0))
-    if bad.size:
-        (n, m), value = list(rm.rates.items())[bad[0]]
-        if not math.isfinite(value):
-            raise InputFormatError(f"rate at ({n}, {m}) is not finite: {value!r}")
-        raise NegativeRate(n, m, value)
-    return effective_generator(rm)
 
 
 def _max_exit_rate(q: np.ndarray) -> float:
@@ -288,7 +269,8 @@ def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
 
     Returns ``(q, kill)`` where ``q`` is (N, N) with row sums ``-kill``.
     The kill vector is nonzero only under the "kill" policy.  Rates that
-    land on one entry are summed in rate-table order.
+    land on one entry are summed in rate-table order.  Raises NegativeRate
+    for a negative rate and InputFormatError for a non-finite one.
     """
     n_states = rm.n_states
     q = np.zeros((n_states, n_states))
@@ -308,6 +290,12 @@ def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
     # the window and keeps src + offset far from int64 overflow
     np.clip(idx[:, 1], -n_states, n_states, out=idx[:, 1])
     r = np.fromiter(rm.rates.values(), dtype=float, count=count)
+    bad = np.flatnonzero(~np.isfinite(r) | (r < 0.0))
+    if bad.size:
+        (n, m), value = list(rm.rates.items())[bad[0]]
+        if not math.isfinite(value):
+            raise InputFormatError(f"rate at ({n}, {m}) is not finite: {value!r}")
+        raise NegativeRate(n, m, value)
     nonzero = r != 0.0
     src, r = idx[nonzero, 0], r[nonzero]
     tgt = src + idx[nonzero, 1]
@@ -385,7 +373,7 @@ def check_monotone(
     ``tol`` is relative: each pair's conditions are slack by
     ``tol * max(local exit rates)``.
     """
-    q, kill = _generator(rm)
+    q, kill = effective_generator(rm)
     if method == "tails":
         return _check_tails(rm, q, tol)
     if method == "offsets":
@@ -444,69 +432,56 @@ def _check_offsets(
     rm: RateMatrix, q: np.ndarray, kill: np.ndarray, tol: float
 ) -> MonotonicityReport:
     n_states = q.shape[0]
-    if n_states < 2:
-        return MonotonicityReport(True, "offsets", tol, 0, 0.0)
     exit_scale = np.abs(np.diag(q))
-    violations: List[Violation] = []
-    checked = 0
-
-    def rtail(v: np.ndarray, pad: int) -> np.ndarray:
-        # tau[k-1] = sum of v[k-1:], padded with `pad` trailing zeros
-        tau = np.zeros(len(v) + pad)
-        if len(v):
-            tau[: len(v)] = np.cumsum(v[::-1])[::-1]
-        return tau
-
-    for i in range(n_states - 1):
-        n = rm.lo + i
-        thr = tol * max(exit_scale[i], exit_scale[i + 1])
-
-        # upward widths k = 2 .. n_states-1-i: mass from n jumping at least
-        # k up must be covered by mass from n+1 jumping at least k-1 up
-        up_n = q[i, i + 1 :]
-        up_n1 = q[i + 1, i + 2 :]
-        if len(up_n) >= 2:
-            tau_n = rtail(up_n, 0)
-            tau_n1 = rtail(up_n1, 1)
-            lhs = tau_n[1:]
-            rhs = up_n1[: len(up_n) - 1] + tau_n1[1 : len(up_n)]
-            checked += len(lhs)
-            for p in np.nonzero(lhs > rhs + thr)[0]:
-                violations.append(
-                    Violation(
-                        n, "up", int(p) + 2, float(lhs[p]), float(rhs[p]),
-                        float(lhs[p] - rhs[p]),
-                    )
-                )
-
-        # downward widths k = 2 .. i+2: mass from n+1 jumping at least k down
-        # must be covered by mass from n jumping at least k-1 down; the kill
-        # rate counts as a downward jump past every threshold
-        dn_n = q[i, :i][::-1]  # dn_n[m-1] = rate of jump n -> n-m
-        dn_n1 = q[i + 1, : i + 1][::-1]
-        tau_n = rtail(dn_n, 2) + kill[i]
-        tau_n1 = rtail(dn_n1, 1) + kill[i + 1]
-        single = np.concatenate([dn_n, [0.0]])  # jump to lo-1 has no rate
-        lhs = single + tau_n[1:]
-        rhs = tau_n1[1:]
-        checked += len(lhs)
-        for p in np.nonzero(rhs > lhs + thr)[0]:
-            violations.append(
-                Violation(
-                    n, "down", int(p) + 2, float(lhs[p]), float(rhs[p]),
-                    float(rhs[p] - lhs[p]),
-                )
-            )
-
+    thr = tol * np.maximum(exit_scale[:-1], exit_scale[1:])[:, None]
+    tails, _ = _offdiag_tails(q, kill)
+    upper, lower = tails[:-1], tails[1:]  # rows n and n+1 of pair i
+    i = np.arange(n_states - 1)[:, None]
+    l = np.arange(n_states)[None, :]
+    # upward width k = l - i at thresholds l > i+1: mass from n jumping at
+    # least k up must be covered by mass from n+1 jumping at least k-1 up
+    up = (l > i + 1) & (upper > lower + thr)
+    # downward width k = i - l + 2 at thresholds l <= i: mass from n+1
+    # jumping at least k down, killing included, must be covered by mass
+    # from n jumping at least k-1 down; -tails holds those masses
+    down = (l <= i) & (upper - thr > lower)
+    violations = [
+        Violation(rm.lo + int(r), "up", int(c - r), float(upper[r, c]),
+                  float(lower[r, c]), float(upper[r, c] - lower[r, c]))
+        for r, c in zip(*np.nonzero(up))
+    ] + [
+        Violation(rm.lo + int(r), "down", int(r - c + 2), float(-upper[r, c]),
+                  float(-lower[r, c]), float(upper[r, c] - lower[r, c]))
+        for r, c in zip(*np.nonzero(down))
+    ]
+    # per pair: upward widths, then downward widths, each ascending
+    violations.sort(key=lambda v: (v.n, v.kind == "down", v.index))
     max_def = max((v.deficit for v in violations), default=0.0)
     return MonotonicityReport(
         ok=not violations,
         method="offsets",
         tol=tol,
-        checked=checked,
+        checked=(n_states - 1) * (n_states - 1),
         max_deficit=max_def,
         violations=violations,
     )
+
+
+def _offdiag_tails(q: np.ndarray, kill: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Tail sums of the off-diagonal rates, and their partial sums from the left.
+
+    ``before[k, y] = sum_{j<y, j!=k} q[k, j]``; ``tails[k, y]`` is
+    ``-kill_k - before[k, y]`` for y <= k and ``sum_{j>=y, j!=k} q[k, j]``
+    for y > k.  Nothing cancels against the diagonal.
+    """
+    off = q.copy()
+    np.fill_diagonal(off, 0.0)
+    before = np.zeros_like(off)
+    np.cumsum(off[:, :-1], axis=1, out=before[:, 1:])
+    tails = np.where(
+        np.tri(q.shape[0], dtype=bool), -kill[:, None] - before, _tail_sums(off)
+    )
+    return tails, before
 
 
 def dual_qmatrix(
@@ -539,19 +514,13 @@ def dual_qmatrix(
     ``tol`` times the exit-rate scale) raises DualRateNegative.  Either way,
     roundoff-scale negatives are clamped to zero.
     """
-    q, kill = _generator(rm)
+    q, kill = effective_generator(rm)
     if require_monotone:
         report = _check_tails(rm, q, tol)
         if not report.ok:
             raise NotMonotone(report)
     n_states = q.shape[0]
-    off = q.copy()
-    np.fill_diagonal(off, 0.0)
-    before = np.zeros_like(off)  # before[k, y] = sum_{j<y} q[k, j], j != k
-    np.cumsum(off[:, :-1], axis=1, out=before[:, 1:])
-    tails = np.where(
-        np.tri(n_states, dtype=bool), -kill[:, None] - before, _tail_sums(off)
-    )
+    tails, before = _offdiag_tails(q, kill)
     below = np.vstack([np.zeros((1, n_states)), tails[:-1, :]])
     dual = (tails - below).T  # dual[y, k] = T[k, y] - T[k-1, y]
 
@@ -581,7 +550,7 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     which the accumulated weight cannot resolve the cut).  The result
     reports the terms, halvings and the truncation bound achieved.
     """
-    q, _ = _generator(rm)
+    q, _ = effective_generator(rm)
     t = float(t)
     if t < 0.0:
         raise InputFormatError(f"negative time {t!r}")

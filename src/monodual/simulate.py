@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,12 +76,7 @@ class MCEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "half_width": self.half_width,
-            "reps": self.reps,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -95,15 +90,7 @@ class DualityMCReport:
     pairs: List[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "t": self.t,
-            "reps": self.reps,
-            "seed": self.seed,
-            "z_limit": self.z_limit,
-            "max_abs_z": self.max_abs_z,
-            "pairs": self.pairs,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -120,18 +107,7 @@ class GrowthMCReport:
     escape_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "value": self.value,
-            "half_width": self.half_width,
-            "bound": self.bound,
-            "c": self.c,
-            "t": self.t,
-            "x0": self.x0,
-            "reps": self.reps,
-            "seed": self.seed,
-            "escape_fraction": self.escape_fraction,
-        }
+        return asdict(self)
 
 
 class _Dynamics:
@@ -169,16 +145,24 @@ def _block_columns(dyn: _Dynamics, t_end: float) -> int:
 
 
 def _finish_scalar(
-    dyn: _Dynamics, state: int, tnow: float, t_end: float, gen: np.random.Generator
+    dyn: _Dynamics,
+    state: int,
+    tnow: float,
+    t_end: float,
+    gen: np.random.Generator,
+    path: Optional[List[Tuple[float, int]]] = None,
 ) -> Tuple[int, bool, bool]:
-    """Run one replicate to t_end on its private stream."""
+    """Run one replicate to t_end on its private stream.
+
+    Returns the final state index and whether the run was killed or hit a
+    window edge.  ``path``, when given, gets (time, state) after each jump;
+    a kill keeps the state it left.
+    """
     killed = False
     hit = False
     n = dyn.n_states
-    while True:
-        r = dyn.rates[state]
-        if r <= 0.0:
-            break
+    r = dyn.rates[state]
+    while r > 0.0:
         u1 = gen.random()
         u2 = gen.random()
         dt = np.inf if u1 <= 0.0 else -math.log(u1) / r
@@ -189,10 +173,14 @@ def _finish_scalar(
         if idx >= n:
             killed = True
             hit = True
+        else:
+            state = idx
+            hit = hit or idx == 0 or idx == n - 1
+        if path is not None:
+            path.append((tnow, state))
+        if killed:
             break
-        state = idx
-        if idx == 0 or idx == n - 1:
-            hit = True
+        r = dyn.rates[state]
     return state, killed, hit
 
 
@@ -325,29 +313,9 @@ def sample_path(rm: RateMatrix, x0: int, t_end: float, seed: int) -> PathSample:
     if t_end < 0.0 or not math.isfinite(t_end):
         raise InputFormatError(f"bad horizon {t_end!r}")
     gen = np.random.Generator(np.random.Philox(key=[seed, SALT_PATH]))
-    times = [0.0]
-    states = [idx]
-    tnow = 0.0
-    killed = False
-    n = dyn.n_states
-    while True:
-        r = dyn.rates[states[-1]]
-        if r <= 0.0:
-            break
-        u1 = gen.random()
-        u2 = gen.random()
-        dt = np.inf if u1 <= 0.0 else -math.log(u1) / r
-        if tnow + dt > t_end:
-            break
-        tnow += dt
-        j = int(np.searchsorted(dyn.cum[states[-1]], u2, side="right"))
-        if j >= n:
-            killed = True
-            times.append(tnow)
-            states.append(states[-1])
-            break
-        times.append(tnow)
-        states.append(j)
+    path = [(0.0, idx)]
+    _, killed, _ = _finish_scalar(dyn, idx, 0.0, t_end, gen, path)
+    times, states = zip(*path)
     stopped = killed or dyn.rates[states[-1]] <= 0.0
     return PathSample(
         times=np.asarray(times),

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from monodual.cli import main
+from monodual.errors import MonodualError
 from monodual.qmatrix import dual_qmatrix, ratematrix_to_dict
 
 from conftest import birth_death
@@ -317,8 +319,54 @@ class TestSimulate:
         assert code == 2
         assert doc["error"]["type"] == "InputFormatError"
 
+    @pytest.mark.parametrize("op, rate", [("survival", -1.0), ("path", math.nan)])
+    def test_bad_rate_is_parse_error(self, capsys, files, op, rate):
+        chain = {"lo": 0, "hi": 4, "boundary": "absorb",
+                 "rates": [{"n": 1, "m": 1, "rate": 1.0},
+                           {"n": 2, "m": -1, "rate": rate}]}
+        path = files("sim.json", {"op": op, "chain": chain, "x0": 2, "y": 3,
+                                  "t": 1.0, "reps": 100, "seed": 1})
+        code, doc = run_json(capsys, ["simulate", "--in", path])
+        assert code == 2
+        assert doc["error"]["type"] in ("NegativeRate", "InputFormatError")
+
+
+HALFLINE = {"G": "x", "b": "1", "support": "halfline"}
+
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command, doc", [
+        ("validate", dict(MODEL_DOC, growth_c="abc")),
+        ("validate", {"nu": {"case": "density", "density": "e^(-y)",
+                             "support_sign": "positive", "y_min": "low"}}),
+        ("validate", {"nu": {"case": "decomposable", "a": "1",
+                             "base": {"density": "e^(-y)", "y_min": [0]}}}),
+        ("boundary", dict(HALFLINE, asymptotics=[1, 2])),
+        ("boundary", dict(HALFLINE, asymptotics={"G_order": "two"})),
+        ("boundary", dict(HALFLINE, asymptotics={"G_order": 1, "alpha": "a",
+                                                 "b0": 1.0})),
+        ("boundary", dict(HALFLINE, asymptotics={"G_order": 1, "alpha": 1.0,
+                                                 "b0": "b"})),
+        ("validate", {"mu": {"case": "decomposable", "a": "1",
+                             "base": {"atoms": 5}}}),
+    ])
+    def test_malformed_model_is_parse_error(self, capsys, files, command, doc):
+        path = files("model.json", doc)
+        code, out = run_json(capsys, [command, "--in", path])
+        assert code == 2
+        assert out["error"]["type"] == "InputFormatError"
+
+    def test_every_error_has_an_exit_code(self):
+        assert MonodualError.exit_code == 3
+        codes = {cls.__name__: cls.exit_code
+                 for cls in MonodualError.__subclasses__()}
+        assert set(codes.values()) <= {1, 2, 3}
+        assert {name for name, code in codes.items() if code == 2} == {
+            "InputFormatError", "NegativeRate"}
+        assert {name for name, code in codes.items() if code == 1} == {
+            "NotMonotone", "DualRateNegative", "NegativeDualDensity",
+            "GrowthViolated", "MomentUnbounded", "WindowEscape"}
+
     def test_missing_file(self, capsys, tmp_path):
         code, doc = run_json(
             capsys, ["monotone", "--in", str(tmp_path / "nope.json")]

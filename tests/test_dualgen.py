@@ -127,6 +127,20 @@ class TestDualDensity:
             nu_tilde_closed(0.4, 0.3), rel=1e-7
         )
 
+    def test_dx_density_tail_starts_at_y_min(self):
+        # below y_min the forward density vanishes and the tail derivative
+        # is that of the mass above y_min: e^{-y_min} a'(x - y)
+        m = LevyModel(nu=DensityKernel(
+            density=lambda x, y: a_fn(x) * math.exp(-y),
+            support_sign="positive",
+            y_min=0.5,
+            dx_density=lambda x, y: da_fn(x) * math.exp(-y),
+        ))
+        coeffs = dual_levy(m)
+        assert coeffs.nu_tilde(1.0, 0.25) == pytest.approx(
+            math.exp(-0.5) * da_fn(0.75), rel=1e-12
+        )
+
     def test_negative_dual_density_raised(self):
         # a + a' dips below zero where the factor falls fast
         base = BaseMeasure(

@@ -85,6 +85,65 @@ class TestBaseMeasure:
         assert got == pytest.approx(math.exp(-1.0) - math.exp(-1.5), abs=1e-14)
 
 
+EXP_BASES = {
+    "density": BaseMeasure(density=lambda y: math.exp(-y), y_min=0.0),
+    "tail": BaseMeasure(right_tail_fn=lambda a: math.exp(-a)),
+    "both": BaseMeasure(
+        density=lambda y: math.exp(-y), y_min=0.0,
+        right_tail_fn=lambda a: math.exp(-a),
+    ),
+}
+
+EXP_KERNELS = {
+    "decomposable": DecomposableKernel(a=lambda x: 1.0, base=EXP_BASES["both"]),
+    "density": DensityKernel(
+        density=lambda x, y: math.exp(-y), support_sign="positive"
+    ),
+    "density_tail": exp_right_kernel(),
+    "tabulated": TabulatedKernel(right_tail_fn=lambda x, a: math.exp(-a)),
+}
+
+
+class TestMomentsAcrossRepresentations:
+    """e^{-y} dy on y > 0 gives the same five moments in every representation."""
+
+    LEVEL = 0.5
+    WANT = {
+        "small": 2.0 - 3.0 / math.e,
+        "abs": 1.0,
+        "bounded": 2.0 - 4.0 / math.e,
+        "overshoot_right": math.exp(-LEVEL),
+        "overshoot_left": 0.0,
+    }
+
+    def check(self, got):
+        for name, want in self.WANT.items():
+            assert abs(got[name] - want) <= 1e-13, (name, got[name], want)
+
+    @pytest.mark.parametrize("rep", sorted(EXP_BASES))
+    def test_base_measure(self, rep):
+        bm = EXP_BASES[rep]
+        self.check({
+            "small": bm.small_moment(),
+            "abs": bm.abs_moment(),
+            "bounded": bm.bounded_moment(),
+            "overshoot_right": bm.overshoot_right(self.LEVEL),
+            "overshoot_left": bm.overshoot_left(self.LEVEL),
+        })
+
+    @pytest.mark.parametrize("rep", sorted(EXP_KERNELS))
+    def test_kernel(self, rep):
+        kern = EXP_KERNELS[rep]
+        x = 0.3
+        self.check({
+            "small": kern.small_moment(x),
+            "abs": kern.abs_moment(x),
+            "bounded": kern.bounded_moment(x),
+            "overshoot_right": kern.overshoot_right(x, self.LEVEL),
+            "overshoot_left": kern.overshoot_left(x, self.LEVEL),
+        })
+
+
 class TestKernels:
     def test_quad_bins_match_closed_form(self):
         with_tail = exp_right_kernel()

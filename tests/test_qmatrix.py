@@ -56,6 +56,41 @@ def reference_generator(rm):
     return q, kill
 
 
+def reference_offsets(rm, tol):
+    """The per-pair loop the vectorized offsets check must reproduce.
+
+    Returns ``checked`` and the violations as (n, kind, index, lhs, rhs).
+    """
+    q, kill = effective_generator(rm)
+    n_states = q.shape[0]
+    exit_scale = np.abs(np.diag(q))
+    found, checked = [], 0
+
+    def rtail(v, pad):
+        tau = np.zeros(len(v) + pad)
+        if len(v):
+            tau[: len(v)] = np.cumsum(v[::-1])[::-1]
+        return tau
+
+    for i in range(n_states - 1):
+        n = rm.lo + i
+        thr = tol * max(exit_scale[i], exit_scale[i + 1])
+        up_n, up_n1 = q[i, i + 1:], q[i + 1, i + 2:]
+        if len(up_n) >= 2:
+            lhs = rtail(up_n, 0)[1:]
+            rhs = up_n1[: len(up_n) - 1] + rtail(up_n1, 1)[1: len(up_n)]
+            checked += len(lhs)
+            for p in np.nonzero(lhs > rhs + thr)[0]:
+                found.append((n, "up", int(p) + 2, lhs[p], rhs[p]))
+        dn_n, dn_n1 = q[i, :i][::-1], q[i + 1, : i + 1][::-1]
+        lhs = np.concatenate([dn_n, [0.0]]) + (rtail(dn_n, 2) + kill[i])[1:]
+        rhs = (rtail(dn_n1, 1) + kill[i + 1])[1:]
+        checked += len(lhs)
+        for p in np.nonzero(rhs > lhs + thr)[0]:
+            found.append((n, "down", int(p) + 2, lhs[p], rhs[p]))
+    return checked, found
+
+
 class TestRateMatrixStructure:
     def test_offset_zero_rejected(self):
         with pytest.raises(InputFormatError):
@@ -158,6 +193,33 @@ class TestEffectiveGenerator:
 
 
 class TestMonotonicity:
+    def test_offsets_match_per_pair_reference(self):
+        # the down-family sums run in another order than the loop's, so
+        # lhs/rhs may differ in the last bits; verdicts and order may not
+        rng = np.random.default_rng(77)
+        seen = 0
+        for trial in range(120):
+            n_states = int(rng.integers(2, 40))
+            rates = {}
+            for n in range(n_states):
+                for m in rng.choice(np.arange(-6, 7), size=5, replace=False):
+                    if m != 0:
+                        rates[(n, int(m))] = float(rng.uniform(0.0, 2.0))
+            for boundary in ("absorb", "reflect", "kill"):
+                rm = RateMatrix(0, n_states - 1, boundary, rates)
+                rep = check_monotone(rm, method="offsets")
+                checked, want = reference_offsets(rm, qmatrix.MONO_RTOL)
+                assert rep.checked == checked
+                assert rep.ok == (not want)
+                got = [(v.n, v.kind, v.index) for v in rep.violations]
+                assert got == [w[:3] for w in want], (trial, boundary)
+                for v, w in zip(rep.violations, want):
+                    scale = 1e-14 * (1.0 + abs(w[3]) + abs(w[4]))
+                    assert abs(v.lhs - w[3]) <= scale
+                    assert abs(v.rhs - w[4]) <= scale
+                seen += len(want)
+        assert seen > 1000
+
     def test_birth_death_is_monotone(self):
         rm = birth_death(0, 6, up=1.0, down=2.0, boundary="kill")
         rep = check_monotone(rm)
