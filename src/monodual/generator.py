@@ -85,19 +85,23 @@ def _atom_bin_left(s: float, h: float) -> int:
     return int(math.ceil(s / h - _BALL_EPS))
 
 
-# A moment weight is (w, dw, lo, hi): w vanishes at 0 and outside (lo, hi),
-# and dw is its derivative inside.
+# A moment weight is (w, dw, lo, hi, w0): w vanishes at 0 and outside
+# (lo, hi), dw is its derivative inside, and w0 is the limit of w at 0
+# from inside (lo, hi).  Only an overshoot of a negative level has w0 != 0.
 SMALL_WEIGHT = (
     lambda y: min(abs(y), y * y),
     lambda y: 2.0 * y if abs(y) < 1.0 else math.copysign(1.0, y),
-    -math.inf, math.inf,
+    -math.inf, math.inf, 0.0,
 )
-ABS_WEIGHT = (abs, lambda y: math.copysign(1.0, y), -math.inf, math.inf)
+ABS_WEIGHT = (abs, lambda y: math.copysign(1.0, y), -math.inf, math.inf, 0.0)
 BOUNDED_WEIGHT = (
     lambda y: min(1.0, y * y),
     lambda y: 2.0 * y if abs(y) < 1.0 else 0.0,
-    -math.inf, math.inf,
+    -math.inf, math.inf, 0.0,
 )
+
+
+_FIXED_WEIGHTS = (SMALL_WEIGHT, ABS_WEIGHT, BOUNDED_WEIGHT)
 
 
 def overshoot_weight(level: float, side: float):
@@ -108,6 +112,7 @@ def overshoot_weight(level: float, side: float):
         lambda y: side,
         edge if side > 0.0 else -math.inf,
         math.inf if side > 0.0 else edge,
+        max(-level, 0.0),
     )
 
 
@@ -124,19 +129,23 @@ def kernel_moment(
 
     Atoms are summed one by one.  A density on (y_min, y_max) is integrated
     by one quadrature over the part where the weight is nonzero.  Failing a
-    density, the closed tails are used: since w(0) = 0, the integral of w
-    over y > 0 is that of w'(a) R(a) over a > 0 with R(a) the mass of
+    density, the closed tails are used: the integral of w over y > 0 is
+    w0 R(0) plus that of w'(a) R(a) over a > 0, with R(a) the mass of
     {y >= a}, and mirrored with L(a), the mass of {y <= -a}, for y < 0.
     """
-    w, dw, lo, hi = weight
+    w, dw, lo, hi, w0 = weight
     total = sum(mass * w(y) for y, mass in atoms)
     if density is not None:
         return total + _quad(
             lambda y: w(y) * float(density(y)), max(lo, y_min), min(hi, y_max)
         )
     if right_tail is not None:
+        if w0 and lo <= 0.0 < hi:
+            total += w0 * float(right_tail(0.0))
         total += _quad(lambda a: dw(a) * float(right_tail(a)), max(lo, 0.0), hi)
     if left_tail is not None:
+        if w0 and lo < 0.0 <= hi:
+            total += w0 * float(left_tail(0.0))
         total += _quad(lambda a: -dw(-a) * float(left_tail(a)), max(-hi, 0.0), -lo)
     return total
 
@@ -191,6 +200,7 @@ class BaseMeasure(_ContinuousPart):
         self.right_tail_fn = right_tail_fn
         self.left_tail_fn = left_tail_fn
         self._bin_cache: Dict[Tuple[float, int, float], float] = {}
+        self._moment_cache: Dict[tuple, float] = {}
 
     def right_tail(self, a: float) -> float:
         """Mass of {y >= a} for a > 0, or of {y > 0} for a = 0."""
@@ -222,10 +232,17 @@ class BaseMeasure(_ContinuousPart):
         return self._bin_cache[key]
 
     def _integrate(self, weight) -> float:
-        return kernel_moment(
+        # the fixed weights are kept: a decomposable kernel asks for the same
+        # base moment at every grid point (overshoot weights are per level)
+        if weight in self._moment_cache:
+            return self._moment_cache[weight]
+        value = kernel_moment(
             weight, self.atoms, self.density, self.y_min, self.y_max,
             self.right_tail_fn, self.left_tail_fn,
         )
+        if weight in _FIXED_WEIGHTS:
+            self._moment_cache[weight] = value
+        return value
 
     def small_moment(self) -> float:
         return self._integrate(SMALL_WEIGHT)

@@ -2,14 +2,23 @@
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, purpose salt), so every estimate is a pure function of its seed.
-A run draws one block of uniforms per start state up front; replicate r
-owns row r of the block, and each lockstep iteration of the jump loop
-consumes two fixed columns (waiting time and target).  A replicate's
-trajectory therefore depends only on its own row, which makes results
-bit-identical however the replicates are chunked across threads.  The
-rare replicate that exhausts its row continues on a private stream keyed
-by (seed, salt + r << 32); salts occupy the low 16 bits and per-start
-offsets the next 16, so the three key ranges never collide.
+Replicate r owns row r of a block of uniforms, the stream read row by row
+with ``cols`` columns per row, and each lockstep iteration of the jump
+loop consumes two fixed columns (waiting time and target).  A
+replicate's trajectory therefore depends only on its own row, which makes
+results bit-identical however the replicates are chunked across threads.
+
+The block is never held whole.  Each thread's chunk of rows starts from
+the Philox counter of its first row and is streamed in sub-chunks of at
+most ``_BLOCK_BUDGET`` doubles, so memory is bounded by that one budget
+per worker plus the O(reps) outputs.  Each step touches only the rows
+still jumping, and finds their targets by a vectorized binary search
+over the cumulative jump distributions.  Rows are wide enough for six
+standard deviations of the jump count; the rare replicate that exhausts
+its row (a straggler) continues on a private stream keyed by
+(seed, salt + r << 32); ``sample_path`` runs the same scalar loop on its
+own stream.  Salts occupy the low 16 bits and per-start offsets the next
+16, so the three key ranges never collide.
 
 Estimates carry 95% confidence half-widths: normal intervals for means,
 with a Wilson fallback for proportions too close to 0 or 1 for the
@@ -22,7 +31,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +49,16 @@ Z_95 = 1.959963984540054
 DUALITY_Z_LIMIT = 3.0
 ESCAPE_LIMIT = 1e-3
 
-_BLOCK_COL_CAP = 256
-_SUBCHUNK_ROWS = 25000
+# Uniforms held per streamed sub-chunk of the block (16 MB of doubles);
+# it also caps the block width.
+_BLOCK_BUDGET = 1 << 21
+
+# Cost fields of the Monte Carlo reports, left out of to_dict.
+_COST_FIELDS = ("block_columns", "stragglers")
+
+
+def _report_dict(report) -> dict:
+    return {k: v for k, v in asdict(report).items() if k not in _COST_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -68,15 +85,23 @@ class PathSample:
         }
 
 
+# The Monte Carlo reports say how they were computed: ``block_columns`` is
+# the number of uniforms in each replicate's row (the widest, when a
+# report runs several start states), and ``stragglers`` counts the
+# replicates that exhausted their row and finished on a private stream.
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     value: float
     half_width: float
     reps: int
     seed: int
+    block_columns: int = 0
+    stragglers: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _report_dict(self)
 
 
 @dataclass
@@ -88,9 +113,11 @@ class DualityMCReport:
     z_limit: float
     max_abs_z: float
     pairs: List[dict] = field(default_factory=list)
+    block_columns: int = 0
+    stragglers: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _report_dict(self)
 
 
 @dataclass
@@ -105,13 +132,19 @@ class GrowthMCReport:
     reps: int
     seed: int
     escape_fraction: float
+    block_columns: int = 0
+    stragglers: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _report_dict(self)
 
 
 class _Dynamics:
-    """Exit rates and cumulative jump distributions of a rate matrix."""
+    """Exit rates and cumulative jump distributions of a rate matrix.
+
+    Row i of ``cum`` holds the cumulative probabilities of jumping to
+    states 0..n-1 and, last, of being killed; it ends at exactly 1.
+    """
 
     def __init__(self, rm: RateMatrix):
         q, kill = effective_generator(rm)
@@ -138,10 +171,28 @@ class _Dynamics:
         return idx
 
 
+def _jump_targets(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Count the entries <= u[i] in row states[i] of ``cum``, for every i.
+
+    This is ``searchsorted(cum[states[i]], u[i], side="right")``, the jump
+    rule of the scalar loop, found by a branchless binary search over the
+    flattened rows: about log2 of the row width passes of O(len(u)) work.
+    """
+    width = cum.shape[1]
+    flat = cum.ravel()
+    start = states * width
+    pos = start.copy()
+    while width > 1:
+        half = width // 2
+        pos += (flat[pos + half] <= u) * half
+        width -= half
+    return pos - start + (flat[pos] <= u)
+
+
 def _block_columns(dyn: _Dynamics, t_end: float) -> int:
     lam_t = dyn.max_rate * t_end
     cols = 2 * int(math.ceil(lam_t + 6.0 * math.sqrt(lam_t + 1.0) + 20.0))
-    return min(cols, _BLOCK_COL_CAP)
+    return min(cols, _BLOCK_BUDGET)
 
 
 def _finish_scalar(
@@ -184,68 +235,104 @@ def _finish_scalar(
     return state, killed, hit
 
 
-def _run_rows(
+def _run_block(
     dyn: _Dynamics,
     start_index: int,
     t_end: float,
     block: np.ndarray,
-    rows: np.ndarray,
+    row0: int,
+    seed: int,
+    salt: int,
+    states: np.ndarray,
+    killed: np.ndarray,
+    hit: np.ndarray,
+) -> int:
+    """Evolve block rows in lockstep; row i is replicate row0 + i.
+
+    Writes final state indices and kill and edge flags into ``states``,
+    ``killed`` and ``hit`` and returns the number of stragglers.
+    """
+    n = dyn.n_states
+    m, cols = block.shape
+    states[:] = start_index
+    killed[:] = False
+    hit[:] = start_index == 0 or start_index == n - 1
+    tnow = np.zeros(m)
+    live = np.arange(m if dyn.rates[start_index] > 0.0 else 0)
+    for col in range(0, cols, 2):
+        if not live.size:
+            return 0
+        cur = states[live]
+        with np.errstate(divide="ignore"):
+            tnew = tnow[live] - np.log(block[live, col]) / dyn.rates[cur]
+        jump = tnew <= t_end
+        live, cur = live[jump], cur[jump]
+        tnow[live] = tnew[jump]
+        idx = _jump_targets(dyn.cum, cur, block[live, col + 1])
+        kflag = idx >= n
+        states[live] = np.where(kflag, cur, idx)
+        killed[live] = kflag
+        hit[live] |= kflag | (idx == 0) | (idx == n - 1)
+        live = live[~kflag & (dyn.rates[states[live]] > 0.0)]
+    # the row is exhausted; finish stragglers on private streams
+    for i in live:
+        key = [seed, salt + ((row0 + int(i)) << 32)]
+        gen = np.random.Generator(np.random.Philox(key=key))
+        st, kl, ht = _finish_scalar(dyn, int(states[i]), float(tnow[i]), t_end, gen)
+        states[i] = st
+        killed[i] = kl
+        hit[i] |= ht
+    return int(live.size)
+
+
+def _row_stream(seed: int, salt: int, row: int, cols: int) -> np.random.Generator:
+    """The block stream positioned at the start of row ``row``.
+
+    Philox yields four doubles per counter step, so the stream skips
+    whole steps and then discards the remainder.
+    """
+    bitgen = np.random.Philox(key=[seed, salt])
+    bitgen.advance((row * cols) // 4)
+    gen = np.random.Generator(bitgen)
+    gen.random((row * cols) % 4)
+    return gen
+
+
+def _run_rows(
+    dyn: _Dynamics,
+    start_index: int,
+    t_end: float,
+    cols: int,
+    r0: int,
+    r1: int,
     seed: int,
     salt: int,
     out_state: np.ndarray,
     out_killed: np.ndarray,
     out_hit: np.ndarray,
-) -> None:
-    """Evolve the given block rows in lockstep, writing results in place."""
-    n = dyn.n_states
-    cols = block.shape[1]
-    for s0 in range(0, rows.size, _SUBCHUNK_ROWS):
-        sub = rows[s0:s0 + _SUBCHUNK_ROWS]
-        m = sub.size
-        states = np.full(m, start_index, dtype=np.int64)
-        tnow = np.zeros(m)
-        killed = np.zeros(m, dtype=bool)
-        hit = np.zeros(m, dtype=bool)
-        active = dyn.rates[states] > 0.0
-        if start_index == 0 or start_index == n - 1:
-            hit[:] = True
-        col = 0
-        while active.any():
-            if col + 1 >= cols:
-                # the block is exhausted; finish stragglers on private streams
-                for i in np.flatnonzero(active):
-                    key = [seed, salt + (int(sub[i]) << 32)]
-                    gen = np.random.Generator(np.random.Philox(key=key))
-                    st, kl, ht = _finish_scalar(
-                        dyn, int(states[i]), float(tnow[i]), t_end, gen
-                    )
-                    states[i] = st
-                    killed[i] = kl
-                    hit[i] = hit[i] or ht
-                break
-            u1 = block[sub, col]
-            u2 = block[sub, col + 1]
-            col += 2
-            r = dyn.rates[states]
-            with np.errstate(divide="ignore"):
-                dt = np.where(u1 > 0.0, -np.log(u1), np.inf)
-            dt = np.where(r > 0.0, dt / np.where(r > 0.0, r, 1.0), np.inf)
-            tnew = tnow + dt
-            jump = active & (tnew <= t_end)
-            if jump.any():
-                js = states[jump]
-                idx = (u2[jump, None] > dyn.cum[js]).sum(axis=1)
-                kflag = idx >= n
-                tnow[jump] = tnew[jump]
-                states[jump] = np.where(kflag, js, idx)
-                killed[jump] |= kflag
-                hit[jump] |= kflag | (idx == 0) | (idx == n - 1)
-            active &= jump
-            active &= ~killed
-            active &= dyn.rates[states] > 0.0
-        out_state[sub] = states
-        out_killed[sub] = killed
-        out_hit[sub] = hit
+) -> int:
+    """Stream block rows r0..r1-1 through the lockstep loop in sub-chunks.
+
+    Writes results in place and returns the number of stragglers.
+    """
+    gen = _row_stream(seed, salt, r0, cols)
+    step = max(1, _BLOCK_BUDGET // cols)
+    stragglers = 0
+    for s0 in range(r0, r1, step):
+        s1 = min(s0 + step, r1)
+        stragglers += _run_block(
+            dyn, start_index, t_end, gen.random((s1 - s0, cols)), s0, seed, salt,
+            out_state[s0:s1], out_killed[s0:s1], out_hit[s0:s1],
+        )
+    return stragglers
+
+
+class _Run(NamedTuple):
+    states: np.ndarray
+    killed: np.ndarray
+    hit: np.ndarray
+    block_columns: int
+    stragglers: int
 
 
 def _simulate(
@@ -256,7 +343,7 @@ def _simulate(
     seed: int,
     salt: int,
     threads: int = 1,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> _Run:
     """Final states, kill flags, and edge-visit flags for all replicates."""
     dyn = rm_or_dyn if isinstance(rm_or_dyn, _Dynamics) else _Dynamics(rm_or_dyn)
     if reps <= 0:
@@ -267,29 +354,29 @@ def _simulate(
         raise InputFormatError(f"bad thread count {threads}")
     start_index = dyn.index_of(start_state)
     cols = _block_columns(dyn, t_end)
-    gen = np.random.Generator(np.random.Philox(key=[seed, salt]))
-    block = gen.random((reps, cols))
     out_state = np.empty(reps, dtype=np.int64)
     out_killed = np.empty(reps, dtype=bool)
     out_hit = np.empty(reps, dtype=bool)
-    chunks = [c for c in np.array_split(np.arange(reps), threads) if c.size]
+    # contiguous row ranges, split as np.array_split splits; past one row
+    # per thread the extra ranges would be empty
+    parts = min(threads, reps)
+    size, extra = divmod(reps, parts)
+    edges = [k * size + min(k, extra) for k in range(parts + 1)]
+    chunks = list(zip(edges, edges[1:]))
+    args = (dyn, start_index, t_end, cols)
+    outs = (seed, salt, out_state, out_killed, out_hit)
     if threads == 1 or len(chunks) == 1:
-        for chunk in chunks:
-            _run_rows(dyn, start_index, t_end, block, chunk, seed, salt,
-                      out_state, out_killed, out_hit)
+        stragglers = sum(_run_rows(*args, r0, r1, *outs) for r0, r1 in chunks)
     else:
         # the chunk split follows `threads`, so results do not depend on how
         # many of the chunks run at once
         workers = min(len(chunks), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_rows, dyn, start_index, t_end, block, chunk,
-                            seed, salt, out_state, out_killed, out_hit)
-                for chunk in chunks
-            ]
-            for fut in futures:
-                fut.result()
-    return out_state + dyn.lo, out_killed, out_hit
+            futures = [pool.submit(_run_rows, *args, r0, r1, *outs)
+                       for r0, r1 in chunks]
+            stragglers = sum(fut.result() for fut in futures)
+    out_state += dyn.lo
+    return _Run(out_state, out_killed, out_hit, cols, stragglers)
 
 
 def _proportion_ci(hits: np.ndarray, reps: int) -> Tuple[float, float]:
@@ -338,10 +425,10 @@ def mc_survival(
     """Estimate P(X_t >= y, alive) for the chain started at x0."""
     dyn = _Dynamics(rm)
     dyn.index_of(y)
-    states, killed, _ = _simulate(dyn, x0, t, reps, seed, SALT_SURVIVAL, threads)
-    hits = (states >= y) & ~killed
-    p, half = _proportion_ci(hits, reps)
-    return MCEstimate(value=p, half_width=half, reps=reps, seed=seed)
+    run = _simulate(dyn, x0, t, reps, seed, SALT_SURVIVAL, threads)
+    p, half = _proportion_ci((run.states >= y) & ~run.killed, reps)
+    return MCEstimate(value=p, half_width=half, reps=reps, seed=seed,
+                      block_columns=run.block_columns, stragglers=run.stragglers)
 
 
 def mc_duality_check(
@@ -370,27 +457,23 @@ def mc_duality_check(
 
     xs = sorted({x for x, _ in pairs})
     ys = sorted({y for _, y in pairs})
-    fwd_runs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for k, x in enumerate(xs):
-        st, kl, _ = _simulate(
-            dyn_fwd, x, t, reps, seed, SALT_DUAL_X + (k << 16), threads
-        )
-        fwd_runs[x] = (st, kl)
-    dual_runs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for k, y in enumerate(ys):
-        st, kl, _ = _simulate(
-            dyn_dual, y, t, reps, seed, SALT_DUAL_Y + (k << 16), threads
-        )
-        dual_runs[y] = (st, kl)
+    fwd_runs: Dict[int, _Run] = {
+        x: _simulate(dyn_fwd, x, t, reps, seed, SALT_DUAL_X + (k << 16), threads)
+        for k, x in enumerate(xs)
+    }
+    dual_runs: Dict[int, _Run] = {
+        y: _simulate(dyn_dual, y, t, reps, seed, SALT_DUAL_Y + (k << 16), threads)
+        for k, y in enumerate(ys)
+    }
+    runs = [*fwd_runs.values(), *dual_runs.values()]
 
     rows = []
     max_z = 0.0
     se_floor = 1.0 / reps
     for x, y in pairs:
-        st_f, kl_f = fwd_runs[x]
-        p_f, hw_f = _proportion_ci((st_f >= y) & ~kl_f, reps)
-        st_d, kl_d = dual_runs[y]
-        p_d, hw_d = _proportion_ci((st_d <= x) & ~kl_d, reps)
+        fwd, dual = fwd_runs[x], dual_runs[y]
+        p_f, hw_f = _proportion_ci((fwd.states >= y) & ~fwd.killed, reps)
+        p_d, hw_d = _proportion_ci((dual.states <= x) & ~dual.killed, reps)
         se = math.sqrt(
             p_f * (1.0 - p_f) / reps + p_d * (1.0 - p_d) / reps
         )
@@ -410,6 +493,8 @@ def mc_duality_check(
         z_limit=DUALITY_Z_LIMIT,
         max_abs_z=max_z,
         pairs=rows,
+        block_columns=max(run.block_columns for run in runs),
+        stragglers=sum(run.stragglers for run in runs),
     )
 
 
@@ -438,11 +523,11 @@ def mc_growth_bound(
             f"x0={x0} is not a lattice point at mesh {lat.h}"
         )
     rm = discretize(m, lat)
-    states, killed, hit = _simulate(rm, n0, t, reps, seed, SALT_GROWTH, threads)
-    escape = float(np.mean(hit | killed))
+    run = _simulate(rm, n0, t, reps, seed, SALT_GROWTH, threads)
+    escape = float(np.mean(run.hit | run.killed))
     if escape > ESCAPE_LIMIT:
         raise WindowEscape(escape, ESCAPE_LIMIT)
-    values = np.abs(states.astype(float) * lat.h)
+    values = np.abs(run.states.astype(float) * lat.h)
     mean = float(np.mean(values))
     sd = float(np.std(values, ddof=1)) if reps > 1 else 0.0
     half = Z_95 * sd / math.sqrt(reps)
@@ -458,4 +543,6 @@ def mc_growth_bound(
         reps=reps,
         seed=seed,
         escape_fraction=escape,
+        block_columns=run.block_columns,
+        stragglers=run.stragglers,
     )

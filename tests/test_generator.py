@@ -144,6 +144,27 @@ class TestMomentsAcrossRepresentations:
         })
 
 
+    def test_negative_level_overshoot_through_closed_tails(self):
+        # (y + 1/2) against e^{-y} dy on y > 0 is 1 + 1/2; the tails route
+        # needs the w(0+) R(0) term, since the weight is 1/2 at y = 0+
+        right = lambda a: math.exp(-a)
+        assert EXP_BASES["tail"].overshoot_right(-0.5) == pytest.approx(1.5, abs=1e-13)
+        left_only = BaseMeasure(left_tail_fn=right)
+        assert left_only.overshoot_left(-0.5) == pytest.approx(1.5, abs=1e-13)
+        assert left_only.overshoot_right(-0.5) == 0.0
+        tab = EXP_KERNELS["tabulated"]
+        assert tab.overshoot_right(0.3, -0.5) == pytest.approx(1.5, abs=1e-13)
+        for rep in ("density", "both"):
+            assert EXP_BASES[rep].overshoot_right(-0.5) == pytest.approx(1.5, abs=1e-13)
+        # a cut c leaves (c + 3/2) e^{-c}, which tends to 3/2
+        for cut in (1e-12, 0.5, 2.0):
+            got = CutoffKernel(tab, cut).overshoot_right(0.3, -0.5)
+            assert got == pytest.approx((cut + 1.5) * math.exp(-cut), abs=1e-13)
+        assert CutoffKernel(tab, 1e-12).overshoot_right(0.3, -0.5) == pytest.approx(
+            1.5, abs=1e-11
+        )
+
+
 class TestKernels:
     def test_quad_bins_match_closed_form(self):
         with_tail = exp_right_kernel()
@@ -426,6 +447,48 @@ class TestValidateModel:
     def test_empty_grid_rejected(self):
         with pytest.raises(InputFormatError):
             validate_model(LevyModel(G=lambda x: 1.0), [])
+
+    def test_base_moment_computed_once(self, monkeypatch):
+        # a decomposable kernel's base moment is x-free: one quadrature for
+        # the whole grid; only the overshoot checks (one level per |x| > 1)
+        # add one each
+        from monodual import generator
+
+        def model():
+            base = BaseMeasure(density=lambda y: 0.8 * math.exp(-1.2 * y), y_min=0.0)
+            return LevyModel(
+                b=lambda x: 0.1,
+                nu=DecomposableKernel(
+                    a=lambda x: 1.0 + 0.5 * math.tanh(x), base=base,
+                    da=lambda x: 0.5 / math.cosh(x) ** 2,
+                    da2=lambda x: -math.tanh(x) / math.cosh(x) ** 2,
+                ),
+                growth_c=3.0,
+            )
+
+        calls = []
+        quad = generator._quad
+
+        def counting(f, a, b):
+            calls.append((a, b))
+            return quad(f, a, b)
+
+        monkeypatch.setattr(generator, "_quad", counting)
+        reports = {}
+        for points in (41, 161):
+            grid = np.linspace(-5.0, 5.0, points)
+            m = model()
+            calls.clear()
+            reports[points] = validate_model(m, grid).to_dict()
+            levels = int(np.sum(np.abs(grid) > 1.0))
+            assert len(calls) == 1 + levels
+        # the same report as computing the base moment at every point
+        monkeypatch.setattr(generator, "_FIXED_WEIGHTS", ())
+        m = model()
+        calls.clear()
+        fresh = validate_model(m, np.linspace(-5.0, 5.0, 41)).to_dict()
+        assert len(calls) == 3 * 41 + 32
+        assert fresh == reports[41]
 
 
 class TestCutoffIntensity:

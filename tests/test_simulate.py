@@ -8,8 +8,16 @@ from monodual.generator import (
     Lattice,
     LevyModel,
 )
+from monodual import simulate
 from monodual.qmatrix import RateMatrix, transition_matrix
 from monodual.simulate import (
+    _Dynamics,
+    _finish_scalar,
+    _jump_targets,
+    _row_stream,
+    _run_block,
+    _run_rows,
+    _simulate,
     mc_duality_check,
     mc_growth_bound,
     mc_survival,
@@ -21,6 +29,32 @@ from conftest import birth_death
 
 def drift_chain():
     return birth_death(0, 20, up=1.2, down=0.8, boundary="absorb")
+
+
+def reference_lookup(cum, states, u):
+    # the jump lookup of the first lockstep engine: the count of cum
+    # entries strictly below u, O(N) per replicate
+    return (u[:, None] > cum[states]).sum(axis=1)
+
+
+def random_cum_rows(rng, n_states, rows):
+    # cumulative jump distributions with zero-probability targets, so
+    # runs of equal entries, and the last entry forced to exactly 1
+    prob = rng.random((rows, n_states + 1))
+    prob[rng.random(prob.shape) < 0.4] = 0.0
+    prob[:, 0] += 1e-3
+    cum = np.cumsum(prob / prob.sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = 1.0
+    return cum
+
+
+class _ScriptedUniforms:
+    # a stand-in generator that hands out fixed uniforms in order
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
 
 
 def atom_drift_model():
@@ -194,3 +228,121 @@ class TestPaths:
         assert p.killed
         # final state repeats at the kill time so plots stay step-shaped
         assert p.states[-1] == p.states[-2]
+
+
+class TestLockstepEngine:
+    def test_jump_targets_match_searchsorted(self):
+        rng = np.random.default_rng(2024)
+        for n_states in list(range(1, 12)) + [31, 64, 127, 128, 129, 300]:
+            cum = random_cum_rows(rng, n_states, rows=7)
+            states = rng.integers(0, 7, size=400)
+            u = rng.random(400)
+            # u exactly on cum entries, inside runs of equal entries too
+            on = rng.integers(0, n_states + 1, size=100)
+            u[:100] = cum[states[:100], on]
+            u[100:110] = 0.0
+            u = np.minimum(u, np.nextafter(1.0, 0.0))
+            got = _jump_targets(cum, states, u)
+            want = [np.searchsorted(cum[s], x, side="right")
+                    for s, x in zip(states, u)]
+            assert np.array_equal(got, want), n_states
+            # the old rule agrees wherever u sits on no cum entry
+            off = ~np.any(cum[states] == u[:, None], axis=1)
+            assert off.sum() >= 250
+            assert np.array_equal(got[off], reference_lookup(cum, states, u)[off])
+
+    def test_zero_uniform_picks_a_possible_target(self):
+        # u2 = 0 must not send a replicate to state 0, which state 10 of a
+        # birth-death chain cannot reach; both loops take state 9
+        rm = birth_death(0, 20, up=1.2, down=0.8, boundary="reflect")
+        dyn = _Dynamics(rm)
+        assert reference_lookup(dyn.cum, np.array([10]), np.array([0.0]))[0] == 0
+        block = np.array([[0.5, 0.0, 0.0, 0.5]])
+        states = np.empty(1, dtype=np.int64)
+        killed = np.empty(1, dtype=bool)
+        hit = np.empty(1, dtype=bool)
+        left = _run_block(dyn, 10, 100.0, block, 0, 1, 1, states, killed, hit)
+        assert (left, int(states[0]), bool(killed[0]), bool(hit[0])) == (0, 9, False, False)
+        scalar = _finish_scalar(dyn, 10, 0.0, 100.0, _ScriptedUniforms([0.5, 0.0, 0.0, 0.5]))
+        assert scalar == (9, False, False)
+
+    @pytest.mark.parametrize("cols", [6, 7, 66])
+    def test_streamed_rows_match_the_whole_block(self, cols):
+        reps = 41
+        whole = np.random.Generator(np.random.Philox(key=[5, 3])).random((reps, cols))
+        starts = (1, 2, 3, 5, 17, 40)
+        # rows that start inside a Philox counter step are covered
+        assert {(r0 * cols) % 4 for r0 in starts} - {0}
+        for r0 in starts:
+            gen = _row_stream(5, 3, r0, cols)
+            first = gen.random((min(9, reps - r0), cols))
+            rest = gen.random((reps - r0 - first.shape[0], cols))
+            assert np.array_equal(np.vstack([first, rest]), whole[r0:])
+
+    def test_chunk_and_subchunk_split_do_not_change_rows(self, monkeypatch):
+        dyn = _Dynamics(drift_chain())
+        reps, cols = 3_001, 66
+
+        def run(ranges):
+            outs = (np.empty(reps, dtype=np.int64), np.empty(reps, dtype=bool),
+                    np.empty(reps, dtype=bool))
+            for r0, r1 in ranges:
+                _run_rows(dyn, 10, 1.0, cols, r0, r1, 42, 1, *outs)
+            return outs
+
+        whole = run([(0, reps)])
+        # sub-chunks of 7 rows, and chunks starting mid-counter
+        monkeypatch.setattr(simulate, "_BLOCK_BUDGET", 7 * cols)
+        split = run([(0, 1), (1, 1_000), (1_000, 2_999), (2_999, reps)])
+        for a, b in zip(whole, split):
+            assert np.array_equal(a, b)
+
+    def test_memory_does_not_grow_with_reps(self):
+        # lambda*t = 40: rows of 198 uniforms, so the old up-front block
+        # cost 1584 bytes per replicate; now only the outputs grow
+        import tracemalloc
+
+        rm = birth_death(0, 20, up=1.0, down=1.0, boundary="reflect")
+        dyn = _Dynamics(rm)
+        peaks = {}
+        for reps in (20_000, 200_000):
+            tracemalloc.start()
+            run = _simulate(dyn, 10, 20.0, reps, 3, 1, threads=1)
+            peaks[reps] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert run.block_columns == 198 and run.stragglers == 0
+            del run
+        per_rep = (peaks[200_000] - peaks[20_000]) / 180_000
+        assert per_rep < 40.0, per_rep
+        assert peaks[200_000] < 8 * simulate._BLOCK_BUDGET + 40 * 200_000
+
+    def test_stragglers_counted_and_replayed(self, monkeypatch):
+        # rows of 8 uniforms hold 4 jumps; longer runs finish on their
+        # private streams, which do not depend on the chunking either
+        monkeypatch.setattr(simulate, "_block_columns", lambda dyn, t: 8)
+        kw = dict(x0=10, y=12, t=1.0, reps=3_000, seed=42)
+        a = mc_survival(drift_chain(), **kw)
+        b = mc_survival(drift_chain(), threads=3, **kw)
+        assert a.block_columns == 8 and a.stragglers > 100
+        assert (a.value, a.stragglers) == (b.value, b.stragglers)
+
+    def test_long_horizon_needs_no_stragglers(self):
+        # lambda*t = 200: the row of 612 uniforms covers every replicate;
+        # the old 256-column cap sent each of them to the scalar loop
+        rm = birth_death(0, 40, up=1.0, down=1.0, boundary="reflect")
+        est = mc_survival(rm, x0=20, y=21, t=100.0, reps=2_000, seed=5)
+        assert est.block_columns == 612
+        assert est.stragglers == 0
+        assert set(est.to_dict()) == {"value", "half_width", "reps", "seed"}
+        truth = float(transition_matrix(rm, 100.0).P[20, 21:].sum())
+        assert abs(est.value - truth) <= 4.0 * est.half_width
+
+    def test_reports_carry_cost_fields(self):
+        rep = mc_duality_check(drift_chain(), pairs=[(10, 8)], t=1.0,
+                               reps=2_000, seed=7)
+        assert rep.block_columns > 0 and rep.stragglers == 0
+        assert "block_columns" not in rep.to_dict()
+        growth = mc_growth_bound(atom_drift_model(), Lattice(h=1.0, lo=0, hi=60),
+                                 x0=5.0, t=1.0, c=1.0, reps=2_000, seed=11)
+        assert growth.block_columns > 0 and growth.stragglers == 0
+        assert "stragglers" not in growth.to_dict()
