@@ -234,15 +234,13 @@ class BaseMeasure(_ContinuousPart):
     def _integrate(self, weight) -> float:
         # the fixed weights are kept: a decomposable kernel asks for the same
         # base moment at every grid point (overshoot weights are per level)
-        if weight in self._moment_cache:
-            return self._moment_cache[weight]
-        value = kernel_moment(
-            weight, self.atoms, self.density, self.y_min, self.y_max,
-            self.right_tail_fn, self.left_tail_fn,
-        )
-        if weight in _FIXED_WEIGHTS:
-            self._moment_cache[weight] = value
-        return value
+        args = (self.atoms, self.density, self.y_min, self.y_max,
+                self.right_tail_fn, self.left_tail_fn)
+        if weight not in _FIXED_WEIGHTS:
+            return kernel_moment(weight, *args)
+        if weight not in self._moment_cache:
+            self._moment_cache[weight] = kernel_moment(weight, *args)
+        return self._moment_cache[weight]
 
     def small_moment(self) -> float:
         return self._integrate(SMALL_WEIGHT)

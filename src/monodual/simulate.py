@@ -10,15 +10,18 @@ results bit-identical however the replicates are chunked across threads.
 
 The block is never held whole.  Each thread's chunk of rows starts from
 the Philox counter of its first row and is streamed in sub-chunks of at
-most ``_BLOCK_BUDGET`` doubles, so memory is bounded by that one budget
-per worker plus the O(reps) outputs.  Each step touches only the rows
-still jumping, and finds their targets by a vectorized binary search
-over the cumulative jump distributions.  Rows are wide enough for six
-standard deviations of the jump count; the rare replicate that exhausts
-its row (a straggler) continues on a private stream keyed by
-(seed, salt + r << 32); ``sample_path`` runs the same scalar loop on its
-own stream.  Salts occupy the low 16 bits and per-start offsets the next
-16, so the three key ranges never collide.
+most ``_BLOCK_BUDGET`` doubles, so memory is bounded by twice that budget
+per worker (the block and its stragglers' rows) plus the O(reps)
+outputs.  Each step touches only the rows still jumping, and finds their
+targets by a vectorized binary search over the cumulative jump
+distributions.  Rows hold six standard deviations of the jump count, up
+to ``_BLOCK_COL_CAP`` uniforms, so a replicate that stops early never
+pays for a long row.  A replicate that exhausts its row (a straggler)
+reads on from a private stream keyed by (seed, salt + r << 32), in rows
+of the same width, still in lockstep with the other stragglers; its
+draws are those of a scalar loop on that stream, which ``sample_path``
+runs on its own stream.  Salts occupy the low 16 bits and per-start
+offsets the next 16, so the three key ranges never collide.
 
 Estimates carry 95% confidence half-widths: normal intervals for means,
 with a Wilson fallback for proportions too close to 0 or 1 for the
@@ -49,8 +52,10 @@ Z_95 = 1.959963984540054
 DUALITY_Z_LIMIT = 3.0
 ESCAPE_LIMIT = 1e-3
 
-# Uniforms held per streamed sub-chunk of the block (16 MB of doubles);
-# it also caps the block width.
+# Uniforms per replicate row of the block; a replicate that jumps past its
+# row (a straggler) reads on from a private stream in rows of the same width.
+_BLOCK_COL_CAP = 256
+# Uniforms held per streamed sub-chunk of the block (16 MB of doubles).
 _BLOCK_BUDGET = 1 << 21
 
 # Cost fields of the Monte Carlo reports, left out of to_dict.
@@ -192,7 +197,7 @@ def _jump_targets(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndar
 def _block_columns(dyn: _Dynamics, t_end: float) -> int:
     lam_t = dyn.max_rate * t_end
     cols = 2 * int(math.ceil(lam_t + 6.0 * math.sqrt(lam_t + 1.0) + 20.0))
-    return min(cols, _BLOCK_BUDGET)
+    return min(cols, _BLOCK_COL_CAP)
 
 
 def _finish_scalar(
@@ -235,6 +240,40 @@ def _finish_scalar(
     return state, killed, hit
 
 
+def _lockstep(
+    dyn: _Dynamics,
+    t_end: float,
+    block: np.ndarray,
+    states: np.ndarray,
+    tnow: np.ndarray,
+    killed: np.ndarray,
+    hit: np.ndarray,
+) -> np.ndarray:
+    """Advance replicate i by the uniforms of block row i, two per jump.
+
+    Updates ``states``, ``tnow``, ``killed`` and ``hit`` in place and
+    returns the replicates still jumping when their rows ran out.
+    """
+    n = dyn.n_states
+    live = np.flatnonzero(dyn.rates[states] > 0.0)
+    for col in range(0, block.shape[1] - 1, 2):
+        if not live.size:
+            break
+        cur = states[live]
+        with np.errstate(divide="ignore"):
+            tnew = tnow[live] - np.log(block[live, col]) / dyn.rates[cur]
+        jump = tnew <= t_end
+        live, cur = live[jump], cur[jump]
+        tnow[live] = tnew[jump]
+        idx = _jump_targets(dyn.cum, cur, block[live, col + 1])
+        kflag = idx >= n
+        states[live] = np.where(kflag, cur, idx)
+        killed[live] = kflag
+        hit[live] |= kflag | (idx == 0) | (idx == n - 1)
+        live = live[~kflag & (dyn.rates[states[live]] > 0.0)]
+    return live
+
+
 def _run_block(
     dyn: _Dynamics,
     start_index: int,
@@ -258,31 +297,21 @@ def _run_block(
     killed[:] = False
     hit[:] = start_index == 0 or start_index == n - 1
     tnow = np.zeros(m)
-    live = np.arange(m if dyn.rates[start_index] > 0.0 else 0)
-    for col in range(0, cols, 2):
-        if not live.size:
-            return 0
-        cur = states[live]
-        with np.errstate(divide="ignore"):
-            tnew = tnow[live] - np.log(block[live, col]) / dyn.rates[cur]
-        jump = tnew <= t_end
-        live, cur = live[jump], cur[jump]
-        tnow[live] = tnew[jump]
-        idx = _jump_targets(dyn.cum, cur, block[live, col + 1])
-        kflag = idx >= n
-        states[live] = np.where(kflag, cur, idx)
-        killed[live] = kflag
-        hit[live] |= kflag | (idx == 0) | (idx == n - 1)
-        live = live[~kflag & (dyn.rates[states[live]] > 0.0)]
-    # the row is exhausted; finish stragglers on private streams
-    for i in live:
-        key = [seed, salt + ((row0 + int(i)) << 32)]
-        gen = np.random.Generator(np.random.Philox(key=key))
-        st, kl, ht = _finish_scalar(dyn, int(states[i]), float(tnow[i]), t_end, gen)
-        states[i] = st
-        killed[i] = kl
-        hit[i] |= ht
-    return int(live.size)
+    live = _lockstep(dyn, t_end, block, states, tnow, killed, hit)
+    stragglers = int(live.size)
+    # stragglers read on from private streams, in rows of the same width
+    keys = [salt + ((row0 + int(i)) << 32) for i in live]
+    gens = [np.random.Generator(np.random.Philox(key=[seed, k])) for k in keys]
+    while live.size:
+        more = np.empty((live.size, cols))
+        for row, gen in zip(more, gens):
+            gen.random(out=row)
+        sub = states[live], tnow[live], killed[live], hit[live]
+        left = _lockstep(dyn, t_end, more, *sub)
+        states[live], tnow[live], killed[live], hit[live] = sub
+        live = live[left]
+        gens = [gens[k] for k in left]
+    return stragglers
 
 
 def _row_stream(seed: int, salt: int, row: int, cols: int) -> np.random.Generator:

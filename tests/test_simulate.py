@@ -49,12 +49,14 @@ def random_cum_rows(rng, n_states, rows):
 
 
 class _ScriptedUniforms:
-    # a stand-in generator that hands out fixed uniforms in order
-    def __init__(self, values):
+    # a stand-in generator that hands out fixed uniforms in order, then
+    # those of the generator ``then``
+    def __init__(self, values, then=None):
         self.values = list(values)
+        self.then = then
 
     def random(self):
-        return self.values.pop(0)
+        return self.values.pop(0) if self.values else self.then.random()
 
 
 def atom_drift_model():
@@ -316,26 +318,44 @@ class TestLockstepEngine:
         assert per_rep < 40.0, per_rep
         assert peaks[200_000] < 8 * simulate._BLOCK_BUDGET + 40 * 200_000
 
-    def test_stragglers_counted_and_replayed(self, monkeypatch):
-        # rows of 8 uniforms hold 4 jumps; longer runs finish on their
-        # private streams, which do not depend on the chunking either
+    def test_stragglers_read_on_from_private_streams(self, monkeypatch):
+        # rows of 8 uniforms hold 4 jumps; at lambda*t = 20 most replicates
+        # read on from their private streams for several rows, and draw
+        # what a scalar loop reading their block row, then their private
+        # stream, would draw
         monkeypatch.setattr(simulate, "_block_columns", lambda dyn, t: 8)
+        dyn = _Dynamics(drift_chain())
+        seed, salt, reps, t = 42, 1, 400, 10.0
+        run = _simulate(dyn, 10, t, reps, seed, salt)
+        assert run.block_columns == 8 and run.stragglers > reps // 2
+        block = np.random.Generator(np.random.Philox(key=[seed, salt])).random((reps, 8))
+        for r in range(reps):
+            private = np.random.Generator(np.random.Philox(key=[seed, salt + (r << 32)]))
+            want = _finish_scalar(dyn, 10, 0.0, t, _ScriptedUniforms(block[r], private))
+            got = (int(run.states[r]) - dyn.lo, bool(run.killed[r]), bool(run.hit[r]))
+            assert got == want, r
+        # the private streams do not depend on the chunking either
         kw = dict(x0=10, y=12, t=1.0, reps=3_000, seed=42)
         a = mc_survival(drift_chain(), **kw)
         b = mc_survival(drift_chain(), threads=3, **kw)
-        assert a.block_columns == 8 and a.stragglers > 100
+        assert a.stragglers > 100
         assert (a.value, a.stragglers) == (b.value, b.stragglers)
 
-    def test_long_horizon_needs_no_stragglers(self):
-        # lambda*t = 200: the row of 612 uniforms covers every replicate;
-        # the old 256-column cap sent each of them to the scalar loop
+    def test_long_horizon_stragglers_stay_in_lockstep(self):
+        # lambda*t = 200: rows are capped at 256 uniforms, 128 jumps, so
+        # almost every replicate reads on from its private stream
         rm = birth_death(0, 40, up=1.0, down=1.0, boundary="reflect")
         est = mc_survival(rm, x0=20, y=21, t=100.0, reps=2_000, seed=5)
-        assert est.block_columns == 612
-        assert est.stragglers == 0
+        assert est.block_columns == 256
+        assert est.stragglers > 1_990
         assert set(est.to_dict()) == {"value", "half_width", "reps", "seed"}
         truth = float(transition_matrix(rm, 100.0).P[20, 21:].sum())
         assert abs(est.value - truth) <= 4.0 * est.half_width
+        # an absorbed replicate stops early and draws no more than its row:
+        # at lambda*t = 1000 the drift chain is absorbed after about 50 jumps
+        est = mc_survival(drift_chain(), x0=10, y=12, t=500.0, reps=2_000, seed=5)
+        assert est.block_columns == 256
+        assert est.stragglers < 200
 
     def test_reports_carry_cost_fields(self):
         rep = mc_duality_check(drift_chain(), pairs=[(10, 8)], t=1.0,
