@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -43,7 +44,7 @@ from .qmatrix import (
     check_monotone,
     dual_qmatrix,
     ratematrix_from_dict,
-    ratematrix_to_dict,
+    ratematrix_to_json,
     transition_matrix,
     validate_qmatrix,
     verify_duality,
@@ -63,18 +64,23 @@ def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -154,7 +160,7 @@ def _cmd_dual(args) -> int:
     rm = ratematrix_from_dict(_read_json(args.infile))
     kwargs = {} if args.tol is None else {"tol": args.tol}
     dual = dual_qmatrix(rm, **kwargs)
-    _emit_json(ratematrix_to_dict(dual), args.out)
+    _emit(ratematrix_to_json(dual), args.out)
     return EXIT_OK
 
 
@@ -165,7 +171,7 @@ def _cmd_discretize(args) -> int:
     model = model_from_dict(doc)
     lat = _lattice_from(args, doc)
     rm = discretize(model, lat)
-    _emit_json(ratematrix_to_dict(rm), args.out)
+    _emit(ratematrix_to_json(rm), args.out)
     return EXIT_OK
 
 
@@ -346,7 +352,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="monodual",
         description="Monotonicity and duality toolkit for one-dimensional "
@@ -390,15 +398,18 @@ def run(args) -> int:
                "error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, NotMonotone):
             doc["error"]["report"] = exc.report.to_dict()
-        _emit_json(doc, args.out)
+        try:
+            _emit_json(doc, args.out)
+        except InputFormatError:
+            # --out cannot be written: report on stdout
+            _emit_json(doc, None)
+            return InputFormatError.exit_code
         # errors from outside the package are internal failures
         return exc.exit_code if isinstance(exc, MonodualError) else EXIT_INTERNAL
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return run(args)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,9 @@ of half-line models from declared asymptotic orders.
 Kernels expose a tail/bin-mass interface so the three representations
 (explicit density in x and y, a state factor times a fixed base measure,
 and plain tail callbacks) all share one discretization path, and every
-moment goes through the one routine ``kernel_moment``.  Tail
+moment goes through the one routine ``kernel_moment``.  Bin masses are
+computed on arrays of (state, bin) pairs by ``bin_masses``; the scalar
+``bin_mass_right/left`` are one-element views of it.  Tail
 callables follow one convention throughout: ``right_tail(x, a)`` is the
 mass of {y >= a} and ``left_tail(x, a)`` the mass of {y <= -a}, both for
 a >= 0, with closed-form tail callbacks covering the density part only
@@ -26,6 +28,7 @@ a >= 0, with closed-form tail callbacks covering the density part only
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -40,7 +43,7 @@ from .errors import (
     QuadratureFailure,
     TailMassUnresolved,
 )
-from ._expr import number, parse_expression
+from ._expr import Expression, number, parse_expression
 from .qmatrix import RateMatrix
 
 SUPPORT_SIGNS = ("both", "positive", "negative")
@@ -56,6 +59,15 @@ FD_SCALE = 1e-5
 # sits inside the unit ball (m*h can land a few ulp past an exact 1).
 _BALL_EPS = 1e-9
 
+# Density bins are integrated by Gauss-Legendre with 8 and 16 nodes; a bin
+# whose two values differ by more than this fraction goes to _quad.
+_GL_NODES = (8, 16)
+_GL_RTOL = 1e-13
+
+# discretize builds its arrays for one block of states at a time: at most
+# this many doubles per Gauss-Legendre node array (4 MB).
+_BLOCK_BUDGET = 1 << 19
+
 
 def _quad(f: Callable[[float], float], a: float, b: float) -> float:
     if b <= a:
@@ -67,6 +79,67 @@ def _quad(f: Callable[[float], float], a: float, b: float) -> float:
             f"integral over ({a}, {b}) did not converge: {res[3]}"
         )
     return float(value)
+
+
+def _evaluate(fn: Callable, *args) -> np.ndarray:
+    """``fn`` on the broadcast of its array arguments, as float64.
+
+    A compiled ``Expression`` runs once on the whole arrays, and a constant
+    one broadcasts.  Any other callable is called element by element on
+    Python floats, as the scalar routines call it.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    if isinstance(fn, Expression):
+        return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
+    flat = [np.ravel(a).tolist() for a in np.broadcast_arrays(*args)]
+    return np.array([float(fn(*v)) for v in zip(*flat)], dtype=float).reshape(shape)
+
+
+@functools.cache
+def _gauss_legendre(nodes: int):
+    # computed on first use: the eigensolver behind it pages in LAPACK
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def _density_masses(density, args, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integrals of ``density(*args, y)`` over [lo, hi], elementwise.
+
+    Gauss-Legendre with 8 and 16 nodes on every interval with hi > lo; the
+    16-node value stands where the two agree to _GL_RTOL, and _quad
+    integrates the rest.  Empty intervals, or no density, give 0.
+    """
+    lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
+    out = np.zeros(lo.shape)
+    live = hi > lo
+    if density is None or not live.any():
+        return out
+    lo, hi = lo[live], hi[live]
+    args = [a[live] for a in args]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def rule(nodes, weights):
+        y = mid[:, None] + half[:, None] * nodes
+        f = _evaluate(density, *(a[:, None] for a in args), y)
+        return half * (f * weights).sum(axis=1)
+
+    low, high = (rule(*_gauss_legendre(nodes)) for nodes in _GL_NODES)
+    for i in np.flatnonzero(~(np.abs(high - low) <= _GL_RTOL * np.abs(high))):
+        point = [float(a[i]) for a in args]
+        high[i] = _quad(lambda y: float(density(*point, y)), float(lo[i]), float(hi[i]))
+    out[live] = high
+    return out
+
+
+def _bin_edges(side: float, m: np.ndarray, h: float):
+    """(a, b) with right bin m = [a, b) or left magnitude bin m = (a, b]."""
+    a = m * h
+    return (a, a + h) if side > 0.0 else (a - h, a)
+
+
+def _tail_differences(tail: Callable, args, side: float, m: np.ndarray, h: float) -> np.ndarray:
+    """Bin masses tail(*args, a) - tail(*args, b) over the bins m."""
+    a, b = _bin_edges(side, m, h)
+    return _evaluate(tail, *args, a) - _evaluate(tail, *args, b)
 
 
 def fd_derivative(fn: Callable[[float], float], x: float) -> float:
@@ -158,17 +231,27 @@ class _ContinuousPart:
     for {y <= -a}.  ``args`` is () for a base measure and (x,) for a kernel.
     """
 
-    def _mass(self, side: float, args, a: float, b: float = math.inf) -> float:
-        """Mass of [a, b) for side +1, of (-b, -a] for side -1; 0 <= a < b."""
+    def _tail_mass(self, side: float, args, a: float) -> float:
+        """Mass of [a, inf) for side +1, of (-inf, -a] for side -1; a >= 0."""
         tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
         if tail is not None:
-            upper = float(tail(*args, b)) if b < math.inf else 0.0
-            return float(tail(*args, a)) - upper
-        lo, hi = (a, b) if side > 0.0 else (-b, -a)
+            return float(tail(*args, a))
+        lo, hi = (a, math.inf) if side > 0.0 else (-math.inf, -a)
         lo, hi = max(lo, self.y_min), min(hi, self.y_max)
         if self.density is None or hi <= lo:
             return 0.0
         return _quad(lambda y: float(self.density(*args, y)), lo, hi)
+
+    def _bin_masses(self, side: float, args, m: np.ndarray, h: float) -> np.ndarray:
+        """Masses of the bins m (see _bin_edges) at ``args``, on arrays."""
+        tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
+        if tail is not None:
+            return _tail_differences(tail, args, side, m, h)
+        a, b = _bin_edges(side, m, h)
+        lo, hi = (a, b) if side > 0.0 else (-b, -a)
+        return _density_masses(
+            self.density, args, np.maximum(lo, self.y_min), np.minimum(hi, self.y_max)
+        )
 
 
 class BaseMeasure(_ContinuousPart):
@@ -199,37 +282,33 @@ class BaseMeasure(_ContinuousPart):
                 raise InputFormatError(f"bad atom mass {mass!r} at y={y!r}")
         self.right_tail_fn = right_tail_fn
         self.left_tail_fn = left_tail_fn
-        self._bin_cache: Dict[Tuple[float, int, float], float] = {}
         self._moment_cache: Dict[tuple, float] = {}
 
     def right_tail(self, a: float) -> float:
         """Mass of {y >= a} for a > 0, or of {y > 0} for a = 0."""
         total = sum(m for y, m in self.atoms if y > 0.0 and y >= a)
-        return total + self._mass(1.0, (), max(a, 0.0))
+        return total + self._tail_mass(1.0, (), max(a, 0.0))
 
     def left_tail(self, a: float) -> float:
         """Mass of {y <= -a} for a > 0, or of {y < 0} for a = 0."""
         total = sum(m for y, m in self.atoms if y < 0.0 and y <= -a)
-        return total + self._mass(-1.0, (), max(a, 0.0))
+        return total + self._tail_mass(-1.0, (), max(a, 0.0))
 
     def bin_mass_right(self, m: int, h: float) -> float:
-        return self._bin(1.0, m, h)
+        return float(self.bin_masses(1.0, np.array([m]), h)[0])
 
     def bin_mass_left(self, m: int, h: float) -> float:
-        return self._bin(-1.0, m, h)
+        return float(self.bin_masses(-1.0, np.array([m]), h)[0])
 
-    def _bin(self, side: float, m: int, h: float) -> float:
-        # right bin m is [mh, mh+h), left magnitude bin m is (mh-h, mh]
-        key = (side, m, h)
-        if key not in self._bin_cache:
-            atom_bin = _atom_bin_right if side > 0.0 else _atom_bin_left
-            total = sum(
-                mass for y, mass in self.atoms
-                if side * y > 0.0 and atom_bin(side * y, h) == m
-            )
-            a, b = (m * h, m * h + h) if side > 0.0 else (m * h - h, m * h)
-            self._bin_cache[key] = total + self._mass(side, (), a, b)
-        return self._bin_cache[key]
+    def bin_masses(self, side: float, m: np.ndarray, h: float) -> np.ndarray:
+        """Right bins [mh, mh+h) (side +1) or left magnitude bins (mh-h, mh]
+        (side -1) for an integer array m, atoms included."""
+        atom_bin = _atom_bin_right if side > 0.0 else _atom_bin_left
+        total = np.zeros(np.shape(m))
+        for y, mass in self.atoms:
+            if side * y > 0.0:
+                total = total + np.where(m == atom_bin(side * y, h), mass, 0.0)
+        return total + self._bin_masses(side, (), m, h)
 
     def _integrate(self, weight) -> float:
         # the fixed weights are kept: a decomposable kernel asks for the same
@@ -280,15 +359,21 @@ class LevyKernel:
         """Continuous-part density at jump size y (0 where undefined)."""
         return 0.0
 
+    def bin_mass_right(self, x: float, m: int, h: float) -> float:
+        return float(self.bin_masses(1.0, np.array([float(x)]), np.array([m]), h)[0])
+
+    def bin_mass_left(self, x: float, m: int, h: float) -> float:
+        return float(self.bin_masses(-1.0, np.array([float(x)]), np.array([m]), h)[0])
+
     # Default bins by tail differences.  Exact for the right side (closed
     # tails realize the half-open bins [mh, mh+h) with atoms included);
     # subclasses carrying atoms override the left side, whose magnitude
     # bins (mh-h, mh] are closed at the other end.
-    def bin_mass_right(self, x: float, m: int, h: float) -> float:
-        return self.right_tail(x, m * h) - self.right_tail(x, m * h + h)
-
-    def bin_mass_left(self, x: float, m: int, h: float) -> float:
-        return self.left_tail(x, m * h - h) - self.left_tail(x, m * h)
+    def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
+        """Masses of right bins [mh, mh+h) (side +1) or left magnitude bins
+        (mh-h, mh] (side -1) at states x, over broadcast arrays x and m."""
+        tail = self.right_tail if side > 0.0 else self.left_tail
+        return _tail_differences(tail, (x,), side, m, h)
 
     def left_tail_open(self, x: float, a: float) -> float:
         """Mass of {y < -a} (strict), used for the lumped far tail."""
@@ -369,16 +454,13 @@ class DensityKernel(_ContinuousPart, LevyKernel):
         return float(self.density(x, y))
 
     def right_tail(self, x: float, a: float) -> float:
-        return self._mass(1.0, (x,), max(a, 0.0))
+        return self._tail_mass(1.0, (x,), max(a, 0.0))
 
     def left_tail(self, x: float, a: float) -> float:
-        return self._mass(-1.0, (x,), max(a, 0.0))
+        return self._tail_mass(-1.0, (x,), max(a, 0.0))
 
-    def bin_mass_right(self, x: float, m: int, h: float) -> float:
-        return self._mass(1.0, (x,), m * h, m * h + h)
-
-    def bin_mass_left(self, x: float, m: int, h: float) -> float:
-        return self._mass(-1.0, (x,), m * h - h, m * h)
+    def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
+        return self._bin_masses(side, (x,), m, h)
 
     def _integrate(self, x: float, weight) -> float:
         return kernel_moment(
@@ -454,11 +536,11 @@ class DecomposableKernel(LevyKernel):
     def left_tail(self, x: float, a: float) -> float:
         return self.factor(x) * self.base.left_tail(a)
 
-    def bin_mass_right(self, x: float, m: int, h: float) -> float:
-        return self.factor(x) * self.base.bin_mass_right(m, h)
-
-    def bin_mass_left(self, x: float, m: int, h: float) -> float:
-        return self.factor(x) * self.base.bin_mass_left(m, h)
+    def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
+        # the factor once per distinct state, the base bins once per distinct m
+        xs, xi = np.unique(x, return_inverse=True)
+        ms, mi = np.unique(m, return_inverse=True)
+        return _evaluate(self.a, xs)[xi] * self.base.bin_masses(side, ms, h)[mi]
 
     def _integrate(self, x: float, weight) -> float:
         return self.factor(x) * self.base._integrate(weight)
@@ -505,6 +587,12 @@ class TabulatedKernel(LevyKernel):
         if self.left_tail_fn is None:
             return 0.0
         return float(self.left_tail_fn(x, a))
+
+    def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
+        tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
+        if tail is None:
+            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(m)))
+        return _tail_differences(tail, (x,), side, m, h)
 
     def small_moment(self, x: float) -> float:
         if self.small_moment_fn is not None:
@@ -790,14 +878,118 @@ def check_levy_monotone(
     )
 
 
-def _checked_bin(value: float, what: str) -> float:
+def _checked(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(values with roundoff negatives set to 0, mask of unresolved masses).
+
+    A mass is unresolved when it is not finite or is negative beyond
+    roundoff, -1e-10 * (1 + |mass|).
+    """
+    bad = ~np.isfinite(values) | (values < -1e-10 * (1.0 + np.abs(values)))
+    return np.where(values < 0.0, 0.0, values), bad
+
+
+def _unresolved(what: str, value: float) -> TailMassUnresolved:
     if not math.isfinite(value):
-        raise TailMassUnresolved(f"{what} is not finite")
-    if value < 0.0:
-        if value < -1e-10 * (1.0 + abs(value)):
-            raise TailMassUnresolved(f"{what} is negative: {value!r}")
-        return 0.0
-    return value
+        return TailMassUnresolved(f"{what} is not finite")
+    return TailMassUnresolved(f"{what} is negative: {value!r}")
+
+
+def _kernel_side(name, kern, side, x, reach, ball, h, phase):
+    """Event columns of one kernel side for a block of states at x.
+
+    Returns (offsets, values, errors).  Each row holds, for its state, the
+    bins m = 1..k in order, each followed by its compensation (m * mass
+    onto the opposite neighbour, for nu inside the unit ball), then the
+    lump of the mass beyond bin k at offset k+1.  k is the reach, or the
+    unit ball for nu when that is wider; bins past a row's k have mass 0.
+    ``errors`` holds (row, phase, bin, exception) for the first unresolved
+    bin and the first unresolved lump (phase + 1).
+    """
+    compensated = name == "nu"
+    label = "right" if side > 0.0 else "left"
+    k = np.maximum(reach, ball if compensated else 0)
+    mm = np.arange(1, int(k.max()) + 1)
+    rows, cols = np.nonzero(mm <= k[:, None])
+    mass = np.zeros((x.size, mm.size))
+    errors = []
+    if rows.size:
+        raw = kern.bin_masses(side, x[rows], cols + 1, h)
+        mass[rows, cols], bad = _checked(raw)
+        if bad.any():
+            i = int(np.argmax(bad))
+            r, j = int(rows[i]), int(cols[i]) + 1
+            errors.append((r, phase, j, _unresolved(
+                f"{name} {label} bin {j} at x={float(x[r])}", float(raw[i]))))
+    in_ball = compensated & (mm * h <= 1.0 + _BALL_EPS)
+    off = np.empty((x.size, 2 * mm.size + 1), dtype=np.int64)
+    val = np.empty((x.size, 2 * mm.size + 1))
+    off[:, 0:-1:2] = side * mm
+    off[:, 1:-1:2] = -side
+    off[:, -1] = side * (k + 1)
+    val[:, 0:-1:2] = mass
+    val[:, 1:-1:2] = np.where(in_ball, mm * mass, 0.0)
+
+    # the far tail: one call per state
+    if side > 0.0:
+        raw = [kern.right_tail(xr, (kr + 1) * h) for xr, kr in zip(x.tolist(), k.tolist())]
+    else:
+        raw = [kern.left_tail_open(xr, kr * h) for xr, kr in zip(x.tolist(), k.tolist())]
+    val[:, -1], bad = _checked(np.array(raw))
+    if bad.any():
+        r = int(np.argmax(bad))
+        errors.append((r, phase + 1, 0, _unresolved(
+            f"{name} {label} tail at x={float(x[r])}", raw[r])))
+    return off, val, errors
+
+
+def _discretize_block(m: LevyModel, lat: Lattice, n: np.ndarray, ball: int, rates: dict):
+    """Add the rates of the states n (ascending) to ``rates``, in order.
+
+    Every rate the scheme adds for a state is an event (offset, value),
+    laid out in the order of a per-state loop: the diffusion pair, the
+    drift, then per kernel the right bins with their compensations, the
+    right lump, the left bins with theirs and the left lump.  Summing each
+    key's events in that order (np.add.at is sequential) and inserting
+    keys at their first event gives the loop's dict, sums and key order
+    included.  The first error in that order is raised.
+    """
+    h = lat.h
+    x = n * h
+    g = _evaluate(m.G, x) if m.G is not None else np.zeros(n.size)
+    b = _evaluate(m.b, x) if m.b is not None else np.zeros(n.size)
+    errors = []
+    if (g < 0.0).any():
+        r = int(np.argmax(g < 0.0))
+        errors.append((r, 0, 0, InputFormatError(f"G is negative at x={float(x[r])}")))
+    diff = np.where(g > 0.0, g / (2.0 * h * h), 0.0)
+    offs = [np.ones(n.size, dtype=np.int64), -np.ones(n.size, dtype=np.int64),
+            np.where(b > 0.0, 1, -1)]
+    vals = [diff, diff, np.where(b != 0.0, np.abs(b) / h, 0.0)]
+    for ki, (name, kern) in enumerate(m.kernels()):
+        for side, reach, phase in ((1.0, lat.hi - n, 1 + 4 * ki),
+                                   (-1.0, n - lat.lo, 3 + 4 * ki)):
+            off, val, errs = _kernel_side(name, kern, side, x, reach, ball, h, phase)
+            offs.append(off)
+            vals.append(val)
+            errors += errs
+    if errors:
+        raise min(errors, key=lambda e: e[:3])[3]
+
+    off = np.column_stack(offs).ravel()
+    val = np.column_stack(vals).ravel()
+    row = np.repeat(np.arange(n.size), val.size // n.size)
+    keep = val != 0.0
+    off, val, row = off[keep], val[keep], row[keep]
+    if not off.size:
+        return
+    width = 2 * int(np.abs(off).max()) + 1
+    code = row * width + off + width // 2
+    total = np.zeros(n.size * width)
+    np.add.at(total, code, val)
+    _, first = np.unique(code, return_index=True)
+    code = code[np.sort(first)]
+    keys = zip(n[code // width].tolist(), (code % width - width // 2).tolist())
+    rates.update(zip(keys, total[code].tolist()))
 
 
 def discretize(m: LevyModel, lat: Lattice) -> RateMatrix:
@@ -817,69 +1009,19 @@ def discretize(m: LevyModel, lat: Lattice) -> RateMatrix:
     then absorbs, reflects, or kills.  Sub-mesh right jumps (0 < y < h)
     are below resolution and dropped; the left magnitude bins start at 0
     by construction, so nothing is dropped there.
+
+    Bin masses come from one ``bin_masses`` call per kernel side for a
+    block of states: tail differences for closed tails and atoms,
+    Gauss-Legendre for densities.  The lumps take one tail call per state.
     """
     if lat.h > 1.0:
         raise InputFormatError(f"mesh {lat.h} too coarse; need h <= 1")
     lo, hi, h = lat.lo, lat.hi, lat.h
-    span = hi - lo
     ball = int(math.floor(1.0 / h + _BALL_EPS))  # bins with m*h <= 1
     rates: Dict[Tuple[int, int], float] = {}
-
-    def add(n: int, off: int, r: float):
-        if r != 0.0:
-            rates[(n, off)] = rates.get((n, off), 0.0) + r
-
-    for n in range(lo, hi + 1):
-        x = n * h
-        g = m.G_at(x)
-        if g < 0.0:
-            raise InputFormatError(f"G is negative at x={x}")
-        if g > 0.0:
-            add(n, 1, g / (2.0 * h * h))
-            add(n, -1, g / (2.0 * h * h))
-        bb = m.b_at(x)
-        if bb != 0.0:
-            add(n, 1 if bb > 0.0 else -1, abs(bb) / h)
-
-        for name, kern in m.kernels():
-            compensated = name == "nu"
-            # right side: individual bins cover the in-window reach and,
-            # for the compensated kernel, the whole unit ball
-            reach = hi - n
-            k_right = max(reach, ball if compensated else 0)
-            for mm in range(1, k_right + 1):
-                c = _checked_bin(
-                    kern.bin_mass_right(x, mm, h), f"{name} right bin {mm} at x={x}"
-                )
-                if c == 0.0:
-                    continue
-                add(n, mm, c)
-                if compensated and mm * h <= 1.0 + _BALL_EPS:
-                    add(n, -1, mm * c)
-            lump = _checked_bin(
-                kern.right_tail(x, (k_right + 1) * h),
-                f"{name} right tail at x={x}",
-            )
-            add(n, k_right + 1, lump)
-
-            # left side, mirrored
-            reach = n - lo
-            k_left = max(reach, ball if compensated else 0)
-            for mm in range(1, k_left + 1):
-                d = _checked_bin(
-                    kern.bin_mass_left(x, mm, h), f"{name} left bin {mm} at x={x}"
-                )
-                if d == 0.0:
-                    continue
-                add(n, -mm, d)
-                if compensated and mm * h <= 1.0 + _BALL_EPS:
-                    add(n, 1, mm * d)
-            lump = _checked_bin(
-                kern.left_tail_open(x, k_left * h),
-                f"{name} left tail at x={x}",
-            )
-            add(n, -(k_left + 1), lump)
-
+    step = max(1, _BLOCK_BUDGET // (_GL_NODES[-1] * (hi - lo + ball + 1)))
+    for n0 in range(lo, hi + 1, step):
+        _discretize_block(m, lat, np.arange(n0, min(n0 + step, hi + 1)), ball, rates)
     return RateMatrix(lo, hi, lat.boundary, rates)
 
 

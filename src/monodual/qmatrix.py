@@ -17,6 +17,7 @@ Monte Carlo routines score killed paths.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -676,6 +677,27 @@ def ratematrix_to_dict(rm: RateMatrix) -> dict:
             for (n, m), r in sorted(rm.rates.items())
         ],
     }
+
+
+_RATE_ENTRY = '    {\n      "n": %d,\n      "m": %d,\n      "rate": %r\n    }'
+
+
+def ratematrix_to_json(rm: RateMatrix) -> str:
+    """``json.dumps(ratematrix_to_dict(rm), indent=2)``, byte for byte.
+
+    One %-format per rate: keys are ints and rates are floats, whose
+    ``repr`` is what json writes.  A table holding a non-finite rate (json
+    writes NaN, Infinity) or summing past the float range goes through
+    json itself.
+    """
+    if not math.isfinite(sum(rm.rates.values())):
+        return json.dumps(ratematrix_to_dict(rm), indent=2)
+    head = '{\n  "lo": %d,\n  "hi": %d,\n  "boundary": %s,\n  "rates": ' % (
+        rm.lo, rm.hi, json.dumps(rm.boundary))
+    if not rm.rates:
+        return head + "[]\n}"
+    body = ",\n".join([_RATE_ENTRY % (n, m, r) for (n, m), r in sorted(rm.rates.items())])
+    return head + "[\n" + body + "\n  ]\n}"
 
 
 def ratematrix_from_dict(obj: dict) -> RateMatrix:

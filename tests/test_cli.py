@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from monodual import cli
 from monodual.cli import main
 from monodual.errors import MonodualError
+from monodual.generator import Lattice, discretize, model_from_dict
 from monodual.qmatrix import dual_qmatrix, ratematrix_to_dict
 
 from conftest import birth_death
@@ -158,6 +160,17 @@ class TestTransforms:
         assert doc["lo"] == -4 and doc["hi"] == 4
         assert doc["boundary"] == "absorb"
         assert len(doc["rates"]) > 0
+
+    def test_rate_tables_print_as_json_dumps(self, capsys, files, chain_file):
+        rm = birth_death(0, 12, up=1.0, down=0.5, boundary="absorb")
+        assert main(["dual", "--in", chain_file]) == 0
+        want = json.dumps(ratematrix_to_dict(dual_qmatrix(rm)), indent=2) + "\n"
+        assert capsys.readouterr().out == want
+        path = files("model.json", MODEL_DOC)
+        assert main(["discretize", "--in", path, "--h", "0.25", "--window=-8:8"]) == 0
+        rm = discretize(model_from_dict(MODEL_DOC), Lattice(h=0.25, lo=-8, hi=8))
+        want = json.dumps(ratematrix_to_dict(rm), indent=2) + "\n"
+        assert capsys.readouterr().out == want
 
     def test_discretize_needs_lattice_flags(self, capsys, files):
         path = files("model.json", MODEL_DOC)
@@ -373,6 +386,33 @@ class TestErrorPaths:
         )
         assert code == 2
         assert doc["error"]["type"] == "InputFormatError"
+
+    def test_in_is_a_directory(self, capsys, tmp_path):
+        code, doc = run_json(capsys, ["dual", "--in", str(tmp_path)])
+        assert code == 2
+        assert doc["error"]["type"] == "InputFormatError"
+
+    def test_in_is_not_utf8(self, capsys, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"lo": 0, "boundary": "\xe9"}')
+        code, doc = run_json(capsys, ["dual", "--in", str(p)])
+        assert code == 2
+        assert doc["error"]["type"] == "InputFormatError"
+
+    @pytest.mark.parametrize("command", ["dual", "monotone"])
+    def test_unwritable_out_reports_on_stdout(self, capsys, tmp_path, chain_file, command):
+        code, doc = run_json(capsys, [command, "--in", chain_file, "--out", str(tmp_path)])
+        assert code == 2
+        assert doc["ok"] is False
+        assert doc["error"]["type"] == "InputFormatError"
+        assert "cannot write" in doc["error"]["message"]
+
+    def test_parser_built_once(self, capsys, chain_file):
+        parser = cli._build_parser()
+        for _ in range(2):
+            assert main(["validate", "--in", chain_file]) == 0
+        assert cli._build_parser() is parser
+        capsys.readouterr()
 
     def test_malformed_json(self, capsys, tmp_path):
         p = tmp_path / "broken.json"

@@ -1,12 +1,17 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from monodual import generator
 from monodual.errors import (
     GrowthViolated,
     InputFormatError,
     MomentUnbounded,
+    TailMassUnresolved,
 )
 from monodual.generator import (
     BaseMeasure,
@@ -26,7 +31,81 @@ from monodual.generator import (
     model_from_dict,
     validate_model,
 )
-from monodual.qmatrix import check_monotone
+from monodual.qmatrix import RateMatrix, check_monotone
+
+
+def _reference_checked(value, what):
+    if not math.isfinite(value):
+        raise TailMassUnresolved(f"{what} is not finite")
+    if value < 0.0:
+        if value < -1e-10 * (1.0 + abs(value)):
+            raise TailMassUnresolved(f"{what} is negative: {value!r}")
+        return 0.0
+    return value
+
+
+def kernel_bin(kern, side, x, mm, h):
+    return (kern.bin_mass_right(x, mm, h) if side > 0
+            else kern.bin_mass_left(x, mm, h))
+
+
+def reference_discretize(m, lat, bin_mass=kernel_bin):
+    """The per-state, per-bin loop that discretize replaced by array passes.
+
+    ``bin_mass(kern, side, x, mm, h)`` gives one bin; by default the
+    kernel's scalar bin_mass_right/left.
+    """
+    lo, hi, h = lat.lo, lat.hi, lat.h
+    ball = int(math.floor(1.0 / h + 1e-9))
+    rates = {}
+
+    def add(n, off, r):
+        if r != 0.0:
+            rates[(n, off)] = rates.get((n, off), 0.0) + r
+
+    for n in range(lo, hi + 1):
+        x = n * h
+        g = m.G_at(x)
+        if g < 0.0:
+            raise InputFormatError(f"G is negative at x={x}")
+        if g > 0.0:
+            add(n, 1, g / (2.0 * h * h))
+            add(n, -1, g / (2.0 * h * h))
+        bb = m.b_at(x)
+        if bb != 0.0:
+            add(n, 1 if bb > 0.0 else -1, abs(bb) / h)
+        for name, kern in m.kernels():
+            compensated = name == "nu"
+            k_right = max(hi - n, ball if compensated else 0)
+            for mm in range(1, k_right + 1):
+                c = _reference_checked(
+                    bin_mass(kern, 1, x, mm, h), f"{name} right bin {mm} at x={x}")
+                if c == 0.0:
+                    continue
+                add(n, mm, c)
+                if compensated and mm * h <= 1.0 + 1e-9:
+                    add(n, -1, mm * c)
+            add(n, k_right + 1, _reference_checked(
+                kern.right_tail(x, (k_right + 1) * h), f"{name} right tail at x={x}"))
+            k_left = max(n - lo, ball if compensated else 0)
+            for mm in range(1, k_left + 1):
+                d = _reference_checked(
+                    bin_mass(kern, -1, x, mm, h), f"{name} left bin {mm} at x={x}")
+                if d == 0.0:
+                    continue
+                add(n, -mm, d)
+                if compensated and mm * h <= 1.0 + 1e-9:
+                    add(n, 1, mm * d)
+            add(n, -(k_left + 1), _reference_checked(
+                kern.left_tail_open(x, k_left * h), f"{name} left tail at x={x}"))
+    return RateMatrix(lo, hi, lat.boundary, rates)
+
+
+def quad_bin(kern, side, x, mm, h):
+    """A bin of the kernel's density by adaptive quadrature."""
+    a, b = (mm * h, mm * h + h) if side > 0 else (-mm * h, -mm * h + h)
+    return quad(lambda y: kern.density_at(x, y), a, b, epsabs=0.0, epsrel=1e-13,
+                limit=200)[0]
 
 
 def exp_right_kernel():
@@ -338,6 +417,200 @@ class TestDiscretize:
         rm = discretize(m, Lattice(h=0.5, lo=-4, hi=4))
         rep = check_monotone(rm)
         assert rep.ok and rep.agreement is True
+
+
+def _two_sided_tails():
+    return DensityKernel(
+        density=lambda x, y: math.exp(-abs(y)),
+        right_tail_fn=lambda x, a: (1.0 + math.tanh(x)) * math.exp(-a),
+        left_tail_fn=lambda x, a: (2.0 - math.tanh(x)) * math.exp(-a),
+    )
+
+
+def _atoms():
+    # atoms on bin edges of h = 0.1 and 0.25, on both sides
+    return BaseMeasure(atoms=[(1.0, 0.7), (-0.35, 0.2), (0.5, 0.1), (-0.5, 0.3),
+                              (2.25, 0.05), (0.05, 0.4)])
+
+
+# Five kernel cases of the model-pipeline benchmark: decomposable with a
+# closed tail, decomposable with a density only, explicit density with a
+# closed tail, explicit density only, and diffusion plus two-sided
+# uncompensated jumps.
+PIPELINE_DOCS = {
+    "dec_tail": {"b": "0.2", "nu": {"case": "decomposable", "a": "1+0.5*tanh(x)", "base": {
+        "density": "0.8*e^(-1.2*y)", "support_sign": "positive",
+        "tail": "0.666667*e^(-1.2*a)"}}},
+    "dec_dens": {"b": "-0.1", "nu": {"case": "decomposable", "a": "1+0.4*tanh(x)", "base": {
+        "density": "1.1*e^(-0.9*y)", "support_sign": "positive"}}},
+    "dens_tail": {"b": "0.3", "nu": {
+        "case": "density", "density": "(1+0.6*tanh(x))*0.7*e^(-1.4*y)",
+        "right_tail": "(1+0.6*tanh(x))*0.5*e^(-1.4*a)", "support_sign": "positive"}},
+    "dens_expr": {"b": "-0.25", "nu": {
+        "case": "density", "density": "(1+0.35*tanh(x))*1.3*e^(-1.1*y)",
+        "support_sign": "positive"}},
+    "diff_mu": {"G": "0.9", "b": "1.2*tanh(x)", "mu": {"case": "decomposable", "a": "1", "base": {
+        "density": "0.2*e^(-1.3*abs(y))", "tail": "0.15*e^(-1.3*a)",
+        "left_tail": "0.15*e^(-1.3*a)"}}},
+}
+
+EXACT_MODELS = {
+    "density tails": lambda: LevyModel(G=lambda x: 0.5, b=math.tanh, nu=_two_sided_tails()),
+    "atoms": lambda: LevyModel(
+        nu=DecomposableKernel(a=lambda x: 1.0 + 0.2 * math.tanh(x), base=_atoms()),
+        mu=DecomposableKernel(a=lambda x: 0.5, base=_atoms()), b=lambda x: -0.4),
+    "decomposable tails": lambda: model_from_dict({"G": "0.2", "b": "0.1*tanh(x)", "nu": {
+        "case": "decomposable", "a": "1+0.5*tanh(x)", "base": {
+            "tail": "0.7*e^(-1.2*a)", "left_tail": "0.3*e^(-2*a)",
+            "atoms": [{"y": 0.5, "mass": 0.1}, {"y": -0.3, "mass": 0.2}]}}}),
+    "tabulated": lambda: model_from_dict({
+        "nu": {"case": "tabulated", "right_tail": "(1+0.3*tanh(x))*e^(-2*a)",
+               "left_tail": "0.5*e^(-a)"},
+        "mu": {"case": "tabulated", "left_tail": "0.2*e^(-3*a)"}}),
+    "tabulated callbacks": lambda: LevyModel(nu=TabulatedKernel(
+        right_tail_fn=lambda x, a: (1.0 + 0.3 * math.tanh(x)) * math.exp(-2.0 * a))),
+    "cutoff": lambda: cutoff_model(LevyModel(
+        nu=_two_sided_tails(),
+        mu=DecomposableKernel(a=lambda x: 1.0, base=_atoms())), 0.2),
+}
+EXACT_MODELS.update({
+    f"pipeline {case}": functools.partial(model_from_dict, PIPELINE_DOCS[case])
+    for case in ("dec_tail", "dens_tail", "diff_mu")
+})
+
+DENSITY_MODELS = {
+    "callback density": lambda: LevyModel(nu=DensityKernel(
+        density=lambda x, y: (1.0 + 0.5 * math.tanh(x)) * math.exp(-1.1 * y),
+        support_sign="positive")),
+    "two-sided densities": lambda: model_from_dict({
+        "G": "1", "nu": {"case": "density",
+                         "density": "(1+0.3*tanh(x))*exp(-abs(y))*(1+0.1*y^2)"},
+        "mu": {"case": "decomposable", "a": "1",
+               "base": {"density": "0.2*exp(-2*abs(y))"}}}),
+    # support edges inside bins; every lump starts past y_max
+    "bounded support": lambda: model_from_dict({"nu": {
+        "case": "density", "density": "y^(-1.5)", "support_sign": "positive",
+        "y_min": 0.12, "y_max": 1.05}}),
+}
+DENSITY_MODELS.update({
+    f"pipeline {case}": functools.partial(model_from_dict, PIPELINE_DOCS[case])
+    for case in ("dec_dens", "dens_expr")
+})
+ALL_MODELS = {**EXACT_MODELS, **DENSITY_MODELS}
+
+
+def _finite_quads(monkeypatch):
+    calls = []
+    inner = generator._quad
+
+    def counting(f, a, b):
+        if math.isfinite(a) and math.isfinite(b):
+            calls.append((a, b))
+        return inner(f, a, b)
+
+    monkeypatch.setattr(generator, "_quad", counting)
+    return calls
+
+
+class TestArrayDiscretize:
+    @pytest.mark.parametrize("boundary", ["absorb", "reflect", "kill"])
+    @pytest.mark.parametrize("name", sorted(EXACT_MODELS))
+    def test_closed_tails_and_atoms_match_the_loop_exactly(self, name, boundary):
+        m = EXACT_MODELS[name]()
+        for lat in (Lattice(h=0.1, lo=-12, hi=12, boundary=boundary),
+                    Lattice(h=0.25, lo=-3, hi=5, boundary=boundary)):
+            got = discretize(m, lat)
+            assert list(got.rates.items()) == list(reference_discretize(m, lat).rates.items())
+
+    @pytest.mark.parametrize("name", sorted(DENSITY_MODELS))
+    def test_densities_match_quadrature(self, name, monkeypatch):
+        m = DENSITY_MODELS[name]()
+        lat = Lattice(h=0.1, lo=-15, hi=15, boundary="reflect")
+        want = reference_discretize(m, lat, bin_mass=quad_bin).rates
+        calls = _finite_quads(monkeypatch)
+        got = discretize(m, lat).rates
+        assert calls == []  # smooth on every bin: Gauss-Legendre throughout
+        assert list(got) == list(want)
+        for key, r in got.items():
+            assert r == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+
+    def test_kinked_bin_falls_back_to_quad(self, monkeypatch):
+        kink = 0.37
+        m = LevyModel(nu=DensityKernel(
+            density=lambda x, y: math.exp(-abs(y - kink)), support_sign="positive"))
+        lat = Lattice(h=0.1, lo=0, hi=10)
+        want = reference_discretize(m, lat, bin_mass=quad_bin).rates
+        calls = _finite_quads(monkeypatch)
+        got = discretize(m, lat).rates
+        # the bin [0.3, 0.4) of every state, and no other
+        assert len(calls) == 11
+        assert all(a < kink < b and b - a < 0.1 + 1e-12 for a, b in calls)
+        assert list(got) == list(want)
+        for key, r in got.items():
+            assert r == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+
+    @pytest.mark.parametrize("name", ["atoms", "cutoff", "pipeline dens_expr",
+                                      "two-sided densities"])
+    def test_blocks_change_nothing(self, name, monkeypatch):
+        m = ALL_MODELS[name]()
+        lat = Lattice(h=0.1, lo=-20, hi=20, boundary="kill")
+        whole = list(discretize(m, lat).rates.items())
+        monkeypatch.setattr(generator, "_BLOCK_BUDGET", 1)  # one state per block
+        assert list(discretize(m, lat).rates.items()) == whole
+
+    def test_scalar_bins_are_views_of_the_array_pass(self):
+        h = 0.1
+        x = np.repeat(np.linspace(-1.0, 1.0, 5), 12)
+        mm = np.tile(np.arange(1, 13), 5)
+        for name in ("atoms", "cutoff", "tabulated", "pipeline dens_expr",
+                     "two-sided densities"):
+            for _, kern in ALL_MODELS[name]().kernels():
+                for side, scalar in ((1.0, kern.bin_mass_right), (-1.0, kern.bin_mass_left)):
+                    batch = kern.bin_masses(side, x, mm, h)
+                    one = [scalar(float(xi), int(mi), h) for xi, mi in zip(x, mm)]
+                    assert batch.tolist() == one, (name, side)
+
+    def test_errors_in_loop_order(self):
+        lat = Lattice(h=0.1, lo=-10, hi=10)
+        growing = lambda cut: lambda x, a: math.exp(a) if x > cut else math.exp(-a)
+        models = [
+            LevyModel(G=lambda x: -1.0 if x > 0.45 else 1.0,
+                      mu=TabulatedKernel(right_tail_fn=growing(0.4))),
+            LevyModel(nu=TabulatedKernel(left_tail_fn=growing(0.0)),
+                      mu=TabulatedKernel(right_tail_fn=growing(-0.2))),
+            LevyModel(mu=TabulatedKernel(
+                right_tail_fn=lambda x, a: -1.0 if a > 1.5 else math.exp(-a))),
+            LevyModel(nu=TabulatedKernel(
+                left_tail_fn=lambda x, a: math.nan if x > 0.5 else math.exp(-a))),
+        ]
+        for m in models:
+            with pytest.raises(Exception) as want:
+                reference_discretize(m, lat)
+            with pytest.raises(type(want.value)) as got:
+                discretize(m, lat)
+            assert str(got.value) == str(want.value)
+
+    def test_block_budget_bounds_memory(self, monkeypatch):
+        # a zero density keeps the rate table empty, so the peak is the
+        # arrays of one block; it stays flat as the lattice doubles
+        m = LevyModel(nu=kernel_from_dict(
+            {"case": "density", "density": "0*y", "support_sign": "positive"}))
+        budget = 1 << 15
+        bound = 6 * 8 * budget
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                discretize(m, Lattice(h=0.01, lo=-n, hi=n))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(generator, "_BLOCK_BUDGET", budget)
+        assert peak(100) < bound
+        assert peak(200) < bound
+        monkeypatch.setattr(generator, "_BLOCK_BUDGET", 1 << 19)
+        assert peak(200) > 4 * bound
 
 
 class TestLevyMonotone:

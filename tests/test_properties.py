@@ -1,5 +1,6 @@
 """Property tests: invariants that must hold on randomly drawn inputs."""
 
+import json
 import math
 
 import numpy as np
@@ -16,12 +17,15 @@ from monodual.generator import (
     jump_intensity,
 )
 from monodual.qmatrix import (
+    BOUNDARY_POLICIES,
+    RateMatrix,
     check_monotone,
     check_stochastic_dominance,
     dual_qmatrix,
     effective_generator,
     ratematrix_from_dict,
     ratematrix_to_dict,
+    ratematrix_to_json,
     transition_matrix,
     validate_qmatrix,
     verify_duality,
@@ -31,6 +35,23 @@ from monodual.simulate import mc_survival
 from conftest import random_monotone_ratematrix, random_ratematrix
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+rate_values = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1e16, 1e22, 0.1, 1.0 / 3.0, 1e300]),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(lo=st.integers(-60, 60), width=st.integers(0, 6),
+       boundary=st.sampled_from(BOUNDARY_POLICIES), data=st.data())
+def test_rate_table_writer_is_json_dumps(lo, width, boundary, data):
+    # empty tables, negative states, subnormal and huge rates, NaN and inf
+    hi = lo + width
+    keys = st.tuples(st.integers(lo, hi), st.integers(-9, 9).filter(bool))
+    rates = data.draw(st.dictionaries(keys, rate_values, max_size=25))
+    rm = RateMatrix(lo, hi, boundary, rates)
+    assert ratematrix_to_json(rm) == json.dumps(ratematrix_to_dict(rm), indent=2)
 
 
 @settings(deadline=None, max_examples=80)
