@@ -34,9 +34,11 @@ the convention per evaluation; the default is "y-factor".
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from .errors import (
     InputFormatError,
@@ -50,7 +52,9 @@ from .generator import (
     DensityKernel,
     LevyModel,
     _quad,
+    density_tails,
     fd_derivative,
+    gauss_panels,
 )
 
 COMPENSATOR_CONVENTIONS = ("y-factor", "indicator")
@@ -65,6 +69,13 @@ FD_SCALE_D2 = 6e-4
 _Y_SETTLE_TOL = 1e-13
 _Y_HARD_CAP = 2.0 ** 20
 
+# The correction integral over [0, 1] runs Gauss-Legendre 8/16 on two
+# panels.  Its integrand holds central differences (step FD_SCALE), whose
+# rounding of about 2e-11 relative shows in the 8/16 difference, so a panel
+# passes at _quad's relative tolerance, 1e-10, rather than at 1e-13.
+_UNIT_PANELS = np.linspace(0.0, 1.0, 3)
+_CORRECTION_RTOL = 1e-10
+
 
 @dataclass
 class DualGeneratorCoeffs:
@@ -74,7 +85,8 @@ class DualGeneratorCoeffs:
     -(G'/2 + b); nu_tilde(x, y) is the magnitude density of the downward
     dual jumps at y > 0; atom_terms(x) lists discrete dual jumps as
     (magnitude, mass) pairs; correction(x) is the residual drift integral
-    of y (nu - nu~) over 0 < y <= 1.
+    of y (nu - nu~) over 0 < y <= 1.  nu_tilde and correction take
+    broadcast arrays, and floats when every argument is a scalar.
     """
 
     G: Callable[[float], float]
@@ -88,10 +100,43 @@ class DualGeneratorCoeffs:
         return [] if self.atom_terms is None else self.atom_terms(x)
 
 
-def _checked_density(x: float, y: float, val: float) -> float:
-    if val < -DUAL_DENSITY_TOL:
-        raise NegativeDualDensity(x, y, val)
-    return max(val, 0.0)
+def _pointwise(fn):
+    """``fn`` on the flattened broadcast of its float arguments, reshaped
+    back; a float when every argument is a scalar."""
+
+    @functools.wraps(fn)
+    def wrapped(*args):
+        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+        flat = [np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in args]
+        out = fn(*flat).reshape(shape)
+        return float(out) if not shape else out
+
+    return wrapped
+
+
+def _checked_density(x: np.ndarray, y: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """val with roundoff negatives set to 0; the first value below
+    -DUAL_DENSITY_TOL raises NegativeDualDensity."""
+    bad = val < -DUAL_DENSITY_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NegativeDualDensity(float(x[i]), float(y[i]), float(val[i]))
+    return np.maximum(val, 0.0)
+
+
+def _unit_integrals(integrand, x: np.ndarray) -> np.ndarray:
+    """Integral over [0, 1] of integrand(x, y) dy for each x of a 1-D array.
+
+    gauss_panels on the _UNIT_PANELS; a failing panel goes to _quad.
+    """
+    lo, hi = _UNIT_PANELS[:-1], _UNIT_PANELS[1:]
+    high, fail = gauss_panels(
+        lambda y: integrand(x[:, None, None], y), lo, hi, rtol=_CORRECTION_RTOL
+    )
+    for i, j in np.argwhere(fail).tolist():
+        point = x[i:i + 1]
+        high[i, j] = _quad(lambda y: float(integrand(point, y)[0]), lo[j], hi[j])
+    return high.sum(axis=-1)
 
 
 def _dual_drift(m: LevyModel, dG: Optional[Callable[[float], float]]):
@@ -126,21 +171,22 @@ def dual_levy_case_i(
             "dual construction needs a kernel with upward jumps only"
         )
 
-    def tail_du(u: float, y: float) -> float:
+    def tail_du(u: np.ndarray, y: np.ndarray) -> np.ndarray:
         if kern.dx_density is not None:
             # the tail only holds mass inside (y_min, y_max)
-            lo = max(y, kern.y_min)
-            return _quad(lambda z: float(kern.dx_density(u, z)), lo, kern.y_max)
-        d = FD_SCALE * (1.0 + abs(u))
-        return (kern.right_tail(u + d, y) - kern.right_tail(u - d, y)) / (2.0 * d)
+            return density_tails(kern.dx_density, (u,), y, 1.0, kern.y_min, kern.y_max)
+        d = FD_SCALE * (1.0 + np.abs(u))
+        return (kern.tails(1.0, u + d, y) - kern.tails(1.0, u - d, y)) / (2.0 * d)
 
-    def nu_tilde(x: float, y: float) -> float:
+    @_pointwise
+    def nu_tilde(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         u = x - y
-        return _checked_density(x, y, kern.density_at(u, y) + tail_du(u, y))
+        return _checked_density(x, y, kern.density_values((u,), y) + tail_du(u, y))
 
-    def correction(x: float) -> float:
-        return _quad(
-            lambda y: y * (kern.density_at(x, y) - nu_tilde(x, y)), 0.0, 1.0
+    @_pointwise
+    def correction(x: np.ndarray) -> np.ndarray:
+        return _unit_integrals(
+            lambda x, y: y * (kern.density_values((x,), y) - nu_tilde(x, y)), x
         )
 
     return DualGeneratorCoeffs(
@@ -172,13 +218,11 @@ def dual_levy_case_ii(
         )
     base = kern.base
 
-    def g_density(y: float) -> float:
-        if base.density is None or y <= base.y_min or y >= base.y_max:
-            return 0.0
-        return float(base.density(y))
-
-    def nu_tilde(x: float, y: float) -> float:
-        val = kern.factor(x - y) * g_density(y) + kern.dfactor(x - y) * base.right_tail(y)
+    @_pointwise
+    def nu_tilde(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        u = x - y
+        val = (kern.factors(u) * base.density_values((), y)
+               + kern.dfactors(u) * base.tails(1.0, y))
         return _checked_density(x, y, val)
 
     def atom_terms(x: float) -> List[Tuple[float, float]]:
@@ -188,14 +232,15 @@ def dual_levy_case_ii(
                 out.append((y, kern.factor(x - y) * mass))
         return out
 
-    def correction(x: float) -> float:
-        fac = kern.factor(x)
-        total = _quad(
-            lambda y: y * (fac * g_density(y) - nu_tilde(x, y)), 0.0, 1.0
+    @_pointwise
+    def correction(x: np.ndarray) -> np.ndarray:
+        fac = kern.factors(x)
+        total = _unit_integrals(
+            lambda x, y: y * (kern.factors(x) * base.density_values((), y) - nu_tilde(x, y)), x
         )
         for y, mass in base.atoms:
             if 0.0 < y <= 1.0:
-                total += y * (fac - kern.factor(x - y)) * mass
+                total = total + y * (fac - kern.factors(x - y)) * mass
         return total
 
     return DualGeneratorCoeffs(
@@ -297,24 +342,28 @@ def tabulate_dual(
     """Sample the dual coefficients on a grid, for export.
 
     Returns a mapping with per-x rows of G, drift, and correction, plus a
-    nu_tilde matrix when magnitudes ys are given.
+    nu_tilde matrix when magnitudes ys are given.  The correction is one
+    array call over xs and the nu_tilde matrix one call over the (x, y)
+    grid: Gauss-Legendre 8/16 on panels, with a _quad fallback per failing
+    panel, for the correction integral over [0, 1] and for the tails of a
+    density-only kernel (see generator.density_tails).
     """
-    xs = [float(x) for x in xs]
+    xs = np.asarray(xs, dtype=float).ravel()
     out = {
-        "x": xs,
-        "G": [coeffs.G(x) for x in xs],
-        "drift": [coeffs.drift(x) for x in xs],
-        "correction": [coeffs.correction(x) for x in xs],
+        "x": xs.tolist(),
+        "G": [coeffs.G(x) for x in xs.tolist()],
+        "drift": [coeffs.drift(x) for x in xs.tolist()],
+        "correction": coeffs.correction(xs).tolist(),
         "case": coeffs.case,
     }
     if ys is not None:
-        ys = [float(y) for y in ys]
-        out["y"] = ys
-        out["nu_tilde"] = [[coeffs.nu_tilde(x, y) for y in ys] for x in xs]
-        atoms = {x: coeffs.atoms_at(x) for x in xs}
+        ys = np.asarray(ys, dtype=float).ravel()
+        out["y"] = ys.tolist()
+        out["nu_tilde"] = coeffs.nu_tilde(xs[:, None], ys[None, :]).tolist()
+        atoms = {x: coeffs.atoms_at(x) for x in out["x"]}
         if any(atoms.values()):
             out["atoms"] = [
                 {"x": x, "terms": [{"y": y, "mass": mss} for y, mss in atoms[x]]}
-                for x in xs
+                for x in out["x"]
             ]
     return out

@@ -18,9 +18,11 @@ Kernels expose a tail/bin-mass interface so the three representations
 (explicit density in x and y, a state factor times a fixed base measure,
 and plain tail callbacks) all share one discretization path, and every
 moment goes through the one routine ``kernel_moment``.  Bin masses are
-computed on arrays of (state, bin) pairs by ``bin_masses``; the scalar
-``bin_mass_right/left`` are one-element views of it.  Tail
-callables follow one convention throughout: ``right_tail(x, a)`` is the
+computed on arrays of (state, bin) pairs by ``bin_masses``, and tails on
+arrays of (state, threshold) pairs by ``tails``; the density-only tails of
+both go through the one routine ``density_tails``, of which the scalar
+tails of a density are one-element views, as ``bin_mass_right/left`` are
+of ``bin_masses``.  Tail callables follow one convention throughout: ``right_tail(x, a)`` is the
 mass of {y >= a} and ``left_tail(x, a)`` the mass of {y <= -a}, both for
 a >= 0, with closed-form tail callbacks covering the density part only
 (atoms are always enumerated separately).
@@ -59,14 +61,21 @@ FD_SCALE = 1e-5
 # sits inside the unit ball (m*h can land a few ulp past an exact 1).
 _BALL_EPS = 1e-9
 
-# Density bins are integrated by Gauss-Legendre with 8 and 16 nodes; a bin
-# whose two values differ by more than this fraction goes to _quad.
+# Density bins and tails are integrated by Gauss-Legendre with 8 and 16
+# nodes; a panel whose two values differ by more than this fraction of the
+# whole integral goes to _quad.
 _GL_NODES = (8, 16)
 _GL_RTOL = 1e-13
 
 # discretize builds its arrays for one block of states at a time: at most
 # this many doubles per Gauss-Legendre node array (4 MB).
 _BLOCK_BUDGET = 1 << 19
+
+# Panel edges in s of density_tails: 2^(-k/2) for k = 16..0, and 0.  On
+# tails c e^(-beta z) with beta in [0.8, 3] and a in [0, 4], every panel
+# passes the 8/16 check and the error is below 2e-15 relative; dyadic
+# edges 2^-k fail a fifth of the checks there.
+_TAIL_BREAKS = np.concatenate(([0.0], 2.0 ** (-np.arange(16, -1, -1) / 2.0)))
 
 
 def _quad(f: Callable[[float], float], a: float, b: float) -> float:
@@ -101,12 +110,32 @@ def _gauss_legendre(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
 
 
+def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_RTOL):
+    """Gauss-Legendre with 8 and 16 nodes of ``f`` over panels [lo, hi].
+
+    The panels run along the last axis of the broadcast of lo and hi, and
+    ``f`` takes an array of nodes with one more axis.  Returns the 16-node
+    values and a mask of the panels whose two values differ by more than
+    ``rtol`` of the integral of |f| over all panels of their row: the
+    caller integrates those by _quad.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def rule(nodes, weights):
+        v = f(mid[..., None] + half[..., None] * nodes)
+        return half * (v * weights).sum(axis=-1), half * (np.abs(v) * weights).sum(axis=-1)
+
+    (low, _), (high, size) = (rule(*_gauss_legendre(nodes)) for nodes in _GL_NODES)
+    scale = size.sum(axis=-1, keepdims=True)
+    return high, ~(np.abs(high - low) <= rtol * scale)
+
+
 def _density_masses(density, args, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integrals of ``density(*args, y)`` over [lo, hi], elementwise.
 
-    Gauss-Legendre with 8 and 16 nodes on every interval with hi > lo; the
-    16-node value stands where the two agree to _GL_RTOL, and _quad
-    integrates the rest.  Empty intervals, or no density, give 0.
+    Each interval with hi > lo is one gauss_panels panel, and _quad
+    integrates the intervals that fail its check.  Empty intervals, or no
+    density, give 0.
     """
     lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
     out = np.zeros(lo.shape)
@@ -115,18 +144,59 @@ def _density_masses(density, args, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
         return out
     lo, hi = lo[live], hi[live]
     args = [a[live] for a in args]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-    def rule(nodes, weights):
-        y = mid[:, None] + half[:, None] * nodes
-        f = _evaluate(density, *(a[:, None] for a in args), y)
-        return half * (f * weights).sum(axis=1)
-
-    low, high = (rule(*_gauss_legendre(nodes)) for nodes in _GL_NODES)
-    for i in np.flatnonzero(~(np.abs(high - low) <= _GL_RTOL * np.abs(high))):
+    high, fail = gauss_panels(
+        lambda y: _evaluate(density, *(a[:, None, None] for a in args), y),
+        lo[:, None], hi[:, None],
+    )
+    for i in np.flatnonzero(fail):
         point = [float(a[i]) for a in args]
         high[i] = _quad(lambda y: float(density(*point, y)), float(lo[i]), float(hi[i]))
-    out[live] = high
+    out[live] = high[:, 0]
+    return out
+
+
+def density_tails(density, args, a, side: float, y_min: float, y_max: float) -> np.ndarray:
+    """Mass of ``density(*args, y) dy`` over {side * y >= a}, elementwise.
+
+    The density lives on (y_min, y_max); ``a`` (>= 0) broadcasts with the
+    arrays ``args``.  The magnitude t = side * y runs over [lo, hi] with
+    lo = a clipped to the support and hi its far end, and t = lo + (1-s)/s,
+    the map of QUADPACK's qagi, turns it into s in [1/(1 + hi - lo), 1]:
+    the whole of (0, 1] when hi is infinite.  The s-interval is cut at the
+    fixed _TAIL_BREAKS, every piece is a gauss_panels panel, and a panel
+    that fails its check goes to _quad over the y-range it maps to.
+    Elements are handled in chunks of at most _BLOCK_BUDGET doubles per
+    node array.
+    """
+    a, *args = np.broadcast_arrays(np.asarray(a, dtype=float), *args)
+    lo = np.maximum(a, y_min if side > 0.0 else -y_max)
+    hi = y_max if side > 0.0 else -y_min
+    out = np.zeros(a.shape)
+    live = hi > lo
+    if density is None or not live.any():
+        return out
+    lo = lo[live]
+    args = [x[live] for x in args]
+    s_end = 1.0 / (1.0 + (hi - lo))  # 0 when hi is infinite
+    vals = np.empty(lo.size)
+    step = max(1, _BLOCK_BUDGET // (_TAIL_BREAKS.size * _GL_NODES[-1]))
+    for c in range(0, lo.size, step):
+        part = slice(c, c + step)
+        t0, point = lo[part, None, None], [x[part, None, None] for x in args]
+        edges = np.maximum(_TAIL_BREAKS, s_end[part, None])
+        high, fail = gauss_panels(
+            lambda s: _evaluate(density, *point, side * (t0 + (1.0 - s) / s)) / (s * s),
+            edges[:, :-1], edges[:, 1:],
+        )
+        for i, j in np.argwhere(fail).tolist():
+            t_near = float(lo[c + i]) + (1.0 - edges[i, j + 1]) / edges[i, j + 1]
+            s = float(edges[i, j])
+            t_far = hi if s <= s_end[c + i] else float(lo[c + i]) + (1.0 - s) / s
+            y_lo, y_hi = (t_near, t_far) if side > 0.0 else (-t_far, -t_near)
+            pt = [float(x[c + i]) for x in args]
+            high[i, j] = _quad(lambda y: float(density(*pt, y)), y_lo, y_hi)
+        vals[part] = high.sum(axis=-1)
+    out[live] = vals
     return out
 
 
@@ -231,16 +301,23 @@ class _ContinuousPart:
     for {y <= -a}.  ``args`` is () for a base measure and (x,) for a kernel.
     """
 
-    def _tail_mass(self, side: float, args, a: float) -> float:
-        """Mass of [a, inf) for side +1, of (-inf, -a] for side -1; a >= 0."""
+    def _tail_masses(self, side: float, args, a) -> np.ndarray:
+        """Masses of [a, inf) for side +1, of (-inf, -a] for side -1, over
+        the broadcast of the arrays ``args`` and a >= 0."""
         tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
         if tail is not None:
-            return float(tail(*args, a))
-        lo, hi = (a, math.inf) if side > 0.0 else (-math.inf, -a)
-        lo, hi = max(lo, self.y_min), min(hi, self.y_max)
-        if self.density is None or hi <= lo:
-            return 0.0
-        return _quad(lambda y: float(self.density(*args, y)), lo, hi)
+            return _evaluate(tail, *args, a)
+        return density_tails(self.density, args, a, side, self.y_min, self.y_max)
+
+    def density_values(self, args, y) -> np.ndarray:
+        """``density(*args, y)`` inside (y_min, y_max) and off 0, else 0, over
+        the broadcast of the arrays ``args`` and y."""
+        y, *args = np.broadcast_arrays(np.asarray(y, dtype=float), *args)
+        out = np.zeros(y.shape)
+        live = (y > self.y_min) & (y < self.y_max) & (y != 0.0)
+        if self.density is not None and live.any():
+            out[live] = _evaluate(self.density, *(v[live] for v in args), y[live])
+        return out
 
     def _bin_masses(self, side: float, args, m: np.ndarray, h: float) -> np.ndarray:
         """Masses of the bins m (see _bin_edges) at ``args``, on arrays."""
@@ -286,13 +363,22 @@ class BaseMeasure(_ContinuousPart):
 
     def right_tail(self, a: float) -> float:
         """Mass of {y >= a} for a > 0, or of {y > 0} for a = 0."""
-        total = sum(m for y, m in self.atoms if y > 0.0 and y >= a)
-        return total + self._tail_mass(1.0, (), max(a, 0.0))
+        return float(self.tails(1.0, np.array([float(a)]))[0])
 
     def left_tail(self, a: float) -> float:
         """Mass of {y <= -a} for a > 0, or of {y < 0} for a = 0."""
-        total = sum(m for y, m in self.atoms if y < 0.0 and y <= -a)
-        return total + self._tail_mass(-1.0, (), max(a, 0.0))
+        return float(self.tails(-1.0, np.array([float(a)]))[0])
+
+    def tails(self, side: float, a) -> np.ndarray:
+        """right_tail (side +1) or left_tail (side -1) over an array a."""
+        shape = np.shape(a)
+        a, back = np.unique(np.asarray(a, dtype=float), return_inverse=True)
+        total = np.zeros(a.shape)
+        for y, mass in self.atoms:
+            if side * y > 0.0:
+                total = total + np.where(side * y >= a, mass, 0.0)
+        total = total + self._tail_masses(side, (), np.maximum(a, 0.0))
+        return total[back].reshape(shape)
 
     def bin_mass_right(self, m: int, h: float) -> float:
         return float(self.bin_masses(1.0, np.array([m]), h)[0])
@@ -358,6 +444,16 @@ class LevyKernel:
     def density_at(self, x: float, y: float) -> float:
         """Continuous-part density at jump size y (0 where undefined)."""
         return 0.0
+
+    def tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """right_tail (side +1) or left_tail (side -1) over broadcast arrays
+        x and a; by default one scalar call per element."""
+        return _evaluate(self.right_tail if side > 0.0 else self.left_tail, x, a)
+
+    def far_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The lumped far tails over broadcast arrays x and a: the mass of
+        {y >= a} for side +1 and of the strict {y < -a} for side -1."""
+        return _evaluate(self.right_tail if side > 0.0 else self.left_tail_open, x, a)
 
     def bin_mass_right(self, x: float, m: int, h: float) -> float:
         return float(self.bin_masses(1.0, np.array([float(x)]), np.array([m]), h)[0])
@@ -454,10 +550,16 @@ class DensityKernel(_ContinuousPart, LevyKernel):
         return float(self.density(x, y))
 
     def right_tail(self, x: float, a: float) -> float:
-        return self._tail_mass(1.0, (x,), max(a, 0.0))
+        return float(self.tails(1.0, np.array([float(x)]), np.array([float(a)]))[0])
 
     def left_tail(self, x: float, a: float) -> float:
-        return self._tail_mass(-1.0, (x,), max(a, 0.0))
+        return float(self.tails(-1.0, np.array([float(x)]), np.array([float(a)]))[0])
+
+    def tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return self._tail_masses(side, (x,), np.maximum(a, 0.0))
+
+    def far_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return self.tails(side, x, a)  # no atoms: strict and closed agree
 
     def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
         return self._bin_masses(side, (x,), m, h)
@@ -514,10 +616,19 @@ class DecomposableKernel(LevyKernel):
     def factor(self, x: float) -> float:
         return float(self.a(x))
 
-    def dfactor(self, x: float) -> float:
+    def factors(self, x: np.ndarray) -> np.ndarray:
+        return _evaluate(self.a, x)
+
+    def dfactors(self, x: np.ndarray) -> np.ndarray:
+        """The derivative of a over an array: da, else a central difference
+        with the step of fd_derivative."""
         if self.da is not None:
-            return float(self.da(x))
-        return fd_derivative(self.a, x)
+            return _evaluate(self.da, x)
+        h = FD_SCALE * (1.0 + np.abs(x))
+        return (_evaluate(self.a, x + h) - _evaluate(self.a, x - h)) / (2.0 * h)
+
+    def dfactor(self, x: float) -> float:
+        return float(self.dfactors(np.array([float(x)]))[0])
 
     def density_at(self, x: float, y: float) -> float:
         if self.base.density is None:
@@ -535,6 +646,18 @@ class DecomposableKernel(LevyKernel):
 
     def left_tail(self, x: float, a: float) -> float:
         return self.factor(x) * self.base.left_tail(a)
+
+    def tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return self.factors(x) * self.base.tails(side, a)
+
+    def far_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        tails = self.tails(side, x, a)
+        if side > 0.0:
+            return tails
+        fac, on_edge = self.factors(x), 0.0
+        for y, mass in self.base.atoms:
+            on_edge = on_edge + np.where(y == -a, fac * mass, 0.0)
+        return tails - on_edge
 
     def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
         # the factor once per distinct state, the base bins once per distinct m
@@ -851,25 +974,24 @@ def check_levy_monotone(
 
     violations: List[dict] = []
     checked = 0
+    xs = grid.tolist()
+    column = np.array(thresholds)[:, None]
     for name, kern in m.kernels():
-        for a in thresholds:
-            right = [kern.right_tail(float(x), a) for x in grid]
-            left = [kern.left_tail(float(x), a) for x in grid]
-            for i in range(grid.size - 1):
-                checked += 2
-                if right[i] > right[i + 1] + tol:
+        # one row of tails per threshold
+        right = kern.tails(1.0, grid, column)
+        left = kern.tails(-1.0, grid, column)
+        drop = right[:, :-1] > right[:, 1:] + tol
+        rise = left[:, 1:] > left[:, :-1] + tol
+        checked += 2 * drop.size
+        right, left = right.tolist(), left.tolist()
+        for j, i in np.argwhere(drop | rise).tolist():
+            for side, bad, lhs, rhs in (("right", drop, right[j][i], right[j][i + 1]),
+                                        ("left", rise, left[j][i + 1], left[j][i])):
+                if bad[j, i]:
                     violations.append({
-                        "kernel": name, "side": "right", "a": a,
-                        "x": float(grid[i]), "x_next": float(grid[i + 1]),
-                        "lhs": right[i], "rhs": right[i + 1],
-                        "deficit": right[i] - right[i + 1],
-                    })
-                if left[i + 1] > left[i] + tol:
-                    violations.append({
-                        "kernel": name, "side": "left", "a": a,
-                        "x": float(grid[i]), "x_next": float(grid[i + 1]),
-                        "lhs": left[i + 1], "rhs": left[i],
-                        "deficit": left[i + 1] - left[i],
+                        "kernel": name, "side": side, "a": thresholds[j],
+                        "x": xs[i], "x_next": xs[i + 1],
+                        "lhs": lhs, "rhs": rhs, "deficit": lhs - rhs,
                     })
     max_def = max((v["deficit"] for v in violations), default=0.0)
     return TailMonotonicityReport(
@@ -929,16 +1051,13 @@ def _kernel_side(name, kern, side, x, reach, ball, h, phase):
     val[:, 0:-1:2] = mass
     val[:, 1:-1:2] = np.where(in_ball, mm * mass, 0.0)
 
-    # the far tail: one call per state
-    if side > 0.0:
-        raw = [kern.right_tail(xr, (kr + 1) * h) for xr, kr in zip(x.tolist(), k.tolist())]
-    else:
-        raw = [kern.left_tail_open(xr, kr * h) for xr, kr in zip(x.tolist(), k.tolist())]
-    val[:, -1], bad = _checked(np.array(raw))
+    # the far tail: {y >= (k+1)h} on the right, {y < -kh} on the left
+    raw = kern.far_tails(side, x, (k + 1) * h if side > 0.0 else k * h)
+    val[:, -1], bad = _checked(raw)
     if bad.any():
         r = int(np.argmax(bad))
         errors.append((r, phase + 1, 0, _unresolved(
-            f"{name} {label} tail at x={float(x[r])}", raw[r])))
+            f"{name} {label} tail at x={float(x[r])}", float(raw[r]))))
     return off, val, errors
 
 
@@ -1012,7 +1131,9 @@ def discretize(m: LevyModel, lat: Lattice) -> RateMatrix:
 
     Bin masses come from one ``bin_masses`` call per kernel side for a
     block of states: tail differences for closed tails and atoms,
-    Gauss-Legendre for densities.  The lumps take one tail call per state.
+    Gauss-Legendre for densities.  The lumps take one ``far_tails`` call per
+    kernel side and block; a density-only far tail goes through
+    ``density_tails``.
     """
     if lat.h > 1.0:
         raise InputFormatError(f"mesh {lat.h} too coarse; need h <= 1")

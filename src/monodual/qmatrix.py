@@ -198,7 +198,8 @@ class TransitionMatrix:
     series terms per step, and squarings of the step); ``error_bound`` is
     the truncation bound actually achieved, 2**halvings times the Poisson
     mass the series left out.  It exceeds the requested tolerance when the
-    series floor or its term cap stopped short.  Rounding is not included.
+    series floor or its term cap stopped short, and ``tol_met`` is then
+    False.  Rounding is not included.
     """
 
     lo: int
@@ -209,6 +210,7 @@ class TransitionMatrix:
     terms: int = 0
     halvings: int = 0
     error_bound: float = 0.0
+    tol_met: bool = True
 
     @property
     def n_states(self) -> int:
@@ -558,7 +560,9 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     p, terms, halvings, bound = _expm_uniformized(q, t, tol)
     defect = 1.0 - p.sum(axis=1)
     np.clip(defect, 0.0, 1.0, out=defect)
-    return TransitionMatrix(rm.lo, rm.hi, t, p, defect, terms, halvings, bound)
+    return TransitionMatrix(
+        rm.lo, rm.hi, t, p, defect, terms, halvings, bound, bool(bound <= tol)
+    )
 
 
 def _expm_uniformized(

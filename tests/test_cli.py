@@ -26,6 +26,16 @@ MODEL_DOC = {
     "growth_c": 3.0,
 }
 
+# a + a' dips below zero where the factor falls fast: no monotone dual
+STEEP_MODEL_DOC = {
+    "nu": {
+        "case": "decomposable",
+        "a": "1+tanh(-3*x)",
+        "da": "-3/cosh(3*x)^2",
+        "base": {"density": "e^(-y)", "support_sign": "positive", "tail": "e^(-a)"},
+    },
+}
+
 GROWTH_MODEL_DOC = {
     "mu": {
         "case": "decomposable",
@@ -219,6 +229,13 @@ class TestTransforms:
         assert len(doc["x"]) == 5
         assert len(doc["y"]) == 8  # magnitudes up to 4 in steps of 0.5
         assert len(doc["nu_tilde"]) == 5
+
+    @pytest.mark.parametrize("grid", [[], ["--h", "0.25", "--window=-8:8"]])
+    def test_dualgen_negative_dual_density_exits_1(self, capsys, files, grid):
+        path = files("steep.json", STEEP_MODEL_DOC)
+        code, doc = run_json(capsys, ["dualgen", "--in", path, *grid])
+        assert code == 1
+        assert doc["error"]["type"] == "NegativeDualDensity"
 
     def test_dualgen_csv(self, capsys, tmp_path, files):
         path = files("model.json", MODEL_DOC)

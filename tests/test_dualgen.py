@@ -1,5 +1,7 @@
+import functools
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -16,12 +18,17 @@ from monodual.errors import (
     UnsupportedKernelCase,
 )
 from monodual.generator import (
+    FD_SCALE,
     BaseMeasure,
     DecomposableKernel,
     DensityKernel,
     LevyModel,
     TabulatedKernel,
+    fd_derivative,
+    model_from_dict,
 )
+
+from test_generator import PIPELINE_DOCS
 
 
 def a_fn(x):
@@ -70,6 +77,50 @@ def d2bump(x):
 
 
 FROZEN_YFACTOR_AT_04 = -0.22176870495150985
+
+
+def _tight(f, a, b):
+    return quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+
+def reference_nu_tilde(kern, x, y):
+    """The per-point dual density that tabulate_dual replaced by arrays,
+    with every quadrature by adaptive quad to 1e-13."""
+    u = x - y
+    if isinstance(kern, DensityKernel):
+        if kern.dx_density is not None:
+            du = _tight(lambda z: kern.dx_density(u, z), max(y, kern.y_min), kern.y_max)
+        else:
+            def tail(v):
+                if kern.right_tail_fn is not None:
+                    return float(kern.right_tail_fn(v, y))
+                return _tight(lambda z: float(kern.density(v, z)), max(y, kern.y_min), kern.y_max)
+            d = FD_SCALE * (1.0 + abs(u))
+            du = (tail(u + d) - tail(u - d)) / (2.0 * d)
+        return kern.density_at(u, y) + du
+    base = kern.base
+    inside = base.density is not None and base.y_min < y < base.y_max
+    g = float(base.density(y)) if inside else 0.0
+    tail = sum(mass for z, mass in base.atoms if z > 0.0 and z >= y)
+    if base.right_tail_fn is not None:
+        tail += float(base.right_tail_fn(y))
+    elif base.density is not None:
+        tail += _tight(lambda z: float(base.density(z)), max(y, base.y_min), base.y_max)
+    da = float(kern.da(u)) if kern.da is not None else fd_derivative(kern.a, u)
+    return float(kern.a(u)) * g + da * tail
+
+
+def reference_correction(kern, x):
+    # central differences leave rounding of about 1e-11 in the integrand
+    total = quad(
+        lambda y: y * (kern.density_at(x, y) - reference_nu_tilde(kern, x, y)), 0.0, 1.0,
+        epsabs=1e-13, epsrel=1e-11, limit=200,
+    )[0]
+    if isinstance(kern, DecomposableKernel):
+        for y, mass in kern.base.atoms:
+            if 0.0 < y <= 1.0:
+                total += y * (float(kern.a(x)) - float(kern.a(x - y))) * mass
+    return total
 
 
 class TestDispatch:
@@ -252,6 +303,76 @@ class TestApply:
         forward_mean = 2.0 * a_fn(x)
         want = jump + atom + dbump(x) * forward_mean
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def fd_tail_model():
+    return LevyModel(nu=DensityKernel(
+        density=lambda x, y: a_fn(x) * math.exp(-y),
+        support_sign="positive",
+        right_tail_fn=lambda x, a: a_fn(x) * math.exp(-a),
+    ))
+
+
+def y_min_model():
+    return LevyModel(nu=DensityKernel(
+        density=lambda x, y: a_fn(x) * math.exp(-y),
+        support_sign="positive",
+        y_min=0.5,
+        dx_density=lambda x, y: da_fn(x) * math.exp(-y),
+    ))
+
+
+def atom_model():
+    return LevyModel(nu=DecomposableKernel(a=a_fn, base=BaseMeasure(atoms=[(1.0, 2.0)]), da=da_fn))
+
+
+# name -> (model, what nu~ takes a central difference of: "tail", the
+# factor a ("factor"), or nothing)
+REFERENCE_MODELS = {
+    "tanh exp": (tanh_exp_model, None),
+    "tanh exp density": (tanh_exp_density_model, None),
+    "fd tail": (fd_tail_model, "tail"),
+    "y_min": (y_min_model, None),
+    "atoms": (atom_model, None),
+    **{f"pipeline {case}": (functools.partial(model_from_dict, PIPELINE_DOCS[case]),
+                            "tail" if case.startswith("dens") else "factor")
+       for case in ("dec_tail", "dec_dens", "dens_tail", "dens_expr")},
+}
+
+
+class TestArrayTables:
+    XS = 0.25 * np.arange(-8, 9)
+    YS = 0.25 * np.arange(1, 17)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_table_matches_the_scalar_reference(self, name):
+        make, difference = REFERENCE_MODELS[name]
+        kern = make().nu
+        tab = tabulate_dual(dual_levy(make()), self.XS, self.YS)
+        for x, row in zip(self.XS, tab["nu_tilde"]):
+            for y, got in zip(self.YS, row):
+                want = reference_nu_tilde(kern, x, y)
+                if difference == "tail":  # the step scales quadrature rounding by 1/(2 FD_SCALE)
+                    assert abs(got - want) <= 1e-9 * (1.0 + abs(want)), (x, y)
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (x, y)
+        # the rounding of a central difference in nu~ stays in the integral
+        tol = 1e-12 if difference is None else 1e-9
+        for x, got in zip(self.XS[::4], tab["correction"][::4]):
+            want = reference_correction(kern, x)
+            assert abs(got - want) <= tol * (1.0 + abs(want)), x
+
+    @pytest.mark.parametrize("name", ["tanh exp", "pipeline dens_expr", "atoms"])
+    def test_scalars_give_floats_equal_to_the_array_entries(self, name):
+        coeffs = dual_levy(REFERENCE_MODELS[name][0]())
+        grid = coeffs.nu_tilde(self.XS[:, None], self.YS[None, :])
+        corr = coeffs.correction(self.XS)
+        for i in (0, 7, 16):
+            got = coeffs.correction(float(self.XS[i]))
+            assert type(got) is float and got == corr[i]
+            for j in (0, 5):
+                got = coeffs.nu_tilde(float(self.XS[i]), float(self.YS[j]))
+                assert type(got) is float and got == grid[i, j]
 
 
 class TestTabulate:

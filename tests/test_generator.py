@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from monodual import generator
+from monodual import dualgen, generator
+from monodual.dualgen import dual_levy, tabulate_dual
 from monodual.errors import (
     GrowthViolated,
     InputFormatError,
@@ -24,6 +25,7 @@ from monodual.generator import (
     check_levy_monotone,
     classify_boundary,
     cutoff_model,
+    density_tails,
     discretize,
     fd_derivative,
     jump_intensity,
@@ -512,6 +514,75 @@ def _finite_quads(monkeypatch):
     return calls
 
 
+def _all_quads(monkeypatch):
+    calls = []
+    for module in (generator, dualgen):
+        def counting(f, a, b, inner=module._quad):
+            calls.append((a, b))
+            return inner(f, a, b)
+
+        monkeypatch.setattr(module, "_quad", counting)
+    return calls
+
+
+def _exact_tail(a, kink, y_max):
+    # the mass of e^(-t) (1 + |t - kink|) over magnitudes a <= t < y_max
+    def beyond(t):
+        if t == math.inf:
+            return 0.0
+        if t >= kink:
+            return math.exp(-t) * (2.0 + t - kink)
+        return math.exp(-t) * (kink - t) + 2.0 * math.exp(-kink)
+    return beyond(min(a, y_max)) - beyond(y_max)
+
+
+class TestDensityTails:
+    KINK = 2.37
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("y_max", [math.inf, 3.3])
+    def test_kinked_tail_falls_back_on_the_kinked_panel(self, side, y_max, monkeypatch):
+        kink = self.KINK
+        density = lambda x, y: math.exp(-abs(y)) * (1.0 + abs(y - side * kink))
+        a = np.linspace(0.0, 4.0, 161)
+        lo, hi = (0.0, y_max) if side > 0 else (-y_max, 0.0)
+        calls = _all_quads(monkeypatch)
+        got = density_tails(density, (np.zeros(a.size),), a, side, lo, hi)
+        # one panel per tail that holds the kink, and that panel only
+        assert len(calls) == np.count_nonzero(a < kink)
+        assert all(c < side * kink < d for c, d in calls)
+        for ai, g in zip(a, got):  # to the accuracy asked of _quad
+            assert g == pytest.approx(_exact_tail(ai, kink, y_max), rel=1e-10, abs=1e-12)
+
+    def test_exponential_tails_without_fallback(self, monkeypatch):
+        calls = _all_quads(monkeypatch)
+        beta = np.linspace(0.8, 3.0, 12)[:, None]
+        a = np.linspace(0.0, 4.0, 17)[None, :]
+        density = generator.parse_expression("1.3*e^(-b*y)", ("b", "y"))
+        got = density_tails(density, (beta,), a, 1.0, 0.0, math.inf)
+        assert calls == []
+        assert np.max(np.abs(got / (1.3 / beta * np.exp(-beta * a)) - 1.0)) < 1e-14
+
+    def test_scalar_tails_are_views(self):
+        x = np.repeat(np.linspace(-1.0, 1.0, 5), 4)
+        a = np.tile([0.0, 0.3, 1.0, 2.5], 5)
+        for name in ("pipeline dens_expr", "two-sided densities", "bounded support"):
+            for _, kern in ALL_MODELS[name]().kernels():
+                for side, scalar in ((1.0, kern.right_tail), (-1.0, kern.left_tail)):
+                    one = [scalar(float(xi), float(ai)) for xi, ai in zip(x, a)]
+                    assert kern.tails(side, x, a).tolist() == one, (name, side)
+
+
+class TestNoFallbackOnPipelineDensities:
+    @pytest.mark.parametrize("case", ["dec_dens", "dens_expr"])
+    def test_discretize_and_tabulate_dual(self, case, monkeypatch):
+        m = model_from_dict(PIPELINE_DOCS[case])
+        calls = _all_quads(monkeypatch)
+        discretize(m, Lattice(h=0.05, lo=-40, hi=40, boundary="reflect"))
+        tabulate_dual(dual_levy(m), 0.25 * np.arange(-2, 3), 0.25 * np.arange(1, 17))
+        assert calls == []
+
+
 class TestArrayDiscretize:
     @pytest.mark.parametrize("boundary", ["absorb", "reflect", "kill"])
     @pytest.mark.parametrize("name", sorted(EXACT_MODELS))
@@ -613,7 +684,91 @@ class TestArrayDiscretize:
         assert peak(200) > 4 * bound
 
 
+def reference_levy_monotone(m, grid, thresholds=(0.25, 0.5, 1.0, 2.0, 4.0), tol=1e-10):
+    """The scalar loop that check_levy_monotone replaced by (grid x
+    thresholds) arrays, as its report dict."""
+    violations = []
+    checked = 0
+    for name, kern in m.kernels():
+        for a in thresholds:
+            right = [kern.right_tail(float(x), a) for x in grid]
+            left = [kern.left_tail(float(x), a) for x in grid]
+            for i in range(len(grid) - 1):
+                checked += 2
+                if right[i] > right[i + 1] + tol:
+                    violations.append({
+                        "kernel": name, "side": "right", "a": a,
+                        "x": float(grid[i]), "x_next": float(grid[i + 1]),
+                        "lhs": right[i], "rhs": right[i + 1],
+                        "deficit": right[i] - right[i + 1],
+                    })
+                if left[i + 1] > left[i] + tol:
+                    violations.append({
+                        "kernel": name, "side": "left", "a": a,
+                        "x": float(grid[i]), "x_next": float(grid[i + 1]),
+                        "lhs": left[i + 1], "rhs": left[i],
+                        "deficit": left[i + 1] - left[i],
+                    })
+    return {
+        "ok": not violations, "monotone": not violations, "tol": tol,
+        "checked": checked,
+        "max_deficit": max((v["deficit"] for v in violations), default=0.0),
+        "n_violations": len(violations), "violations": violations[:100],
+    }
+
+
+# Kernels whose tails move the wrong way in x, on both sides.
+ANTI_MONOTONE = {
+    "closed tails": lambda: LevyModel(nu=DensityKernel(
+        density=lambda x, y: math.exp(-abs(y)),
+        right_tail_fn=lambda x, a: (2.0 - math.tanh(x)) * math.exp(-a),
+        left_tail_fn=lambda x, a: (1.0 + 0.5 * math.tanh(x)) * math.exp(-2.0 * a))),
+    "decomposable atoms": lambda: model_from_dict({
+        "nu": {"case": "decomposable", "a": "1-0.5*tanh(x)", "base": {
+            "tail": "0.7*e^(-1.2*a)", "atoms": [{"y": 0.5, "mass": 0.1}, {"y": 2.0, "mass": 0.2}]}},
+        "mu": {"case": "decomposable", "a": "1+0.5*tanh(x)", "base": {
+            "left_tail": "0.3*e^(-2*a)", "atoms": [{"y": -1.0, "mass": 0.4}]}}}),
+    "tabulated": lambda: model_from_dict({"nu": {
+        "case": "tabulated", "right_tail": "(1-0.3*tanh(x))*e^(-2*a)",
+        "left_tail": "(1+0.3*tanh(x))*e^(-a)"}}),
+}
+ANTI_MONOTONE_DENSITIES = {
+    "two-sided density": lambda: model_from_dict({"nu": {
+        "case": "density", "density": "(1-0.3*tanh(x)*tanh(5*y))*exp(-abs(y))"}}),
+    "decomposable density": lambda: model_from_dict({
+        "nu": {"case": "decomposable", "a": "1-0.4*tanh(x)", "base": {
+            "density": "1.1*e^(-0.9*y)", "support_sign": "positive"}},
+        "mu": {"case": "decomposable", "a": "1+0.4*tanh(x)", "base": {
+            "density": "0.5*e^(1.5*y)", "support_sign": "negative"}}}),
+}
+
+
 class TestLevyMonotone:
+    GRID = np.linspace(-2.0, 2.0, 17)
+
+    @pytest.mark.parametrize("name", sorted({**EXACT_MODELS, **ANTI_MONOTONE}))
+    def test_closed_tails_match_the_loop_exactly(self, name):
+        m = {**EXACT_MODELS, **ANTI_MONOTONE}[name]()
+        assert check_levy_monotone(m, self.GRID).to_dict() == reference_levy_monotone(m, self.GRID)
+
+    @pytest.mark.parametrize("name", sorted({**DENSITY_MODELS, **ANTI_MONOTONE_DENSITIES}))
+    def test_densities_match_the_loop(self, name):
+        m = {**DENSITY_MODELS, **ANTI_MONOTONE_DENSITIES}[name]()
+        got = check_levy_monotone(m, self.GRID).to_dict()
+        want = reference_levy_monotone(m, self.GRID)
+        assert got["checked"] == want["checked"]
+        order = ("kernel", "side", "a", "x", "x_next")
+        assert ([[v[k] for k in order] for v in got["violations"]]
+                == [[v[k] for k in order] for v in want["violations"]])
+        for g, w in zip(got["violations"], want["violations"]):
+            assert g["lhs"] == pytest.approx(w["lhs"], rel=1e-12, abs=0.0)
+            assert g["rhs"] == pytest.approx(w["rhs"], rel=1e-12, abs=0.0)
+
+    def test_anti_monotone_models_have_violations(self):
+        for name, make in {**ANTI_MONOTONE, **ANTI_MONOTONE_DENSITIES}.items():
+            rep = check_levy_monotone(make(), self.GRID)
+            assert {v["side"] for v in rep.violations} == {"right", "left"}, name
+
     def test_anti_monotone_flagged(self):
         nu = DensityKernel(
             density=lambda x, y: (2.0 - math.tanh(x)) * math.exp(-y),

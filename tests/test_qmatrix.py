@@ -357,6 +357,7 @@ class TestTransitionMatrix:
                 assert np.max(np.abs(tm.P - ref)) < 1e-11
                 assert tm.terms > 0 and tm.halvings == 0
                 assert 0.0 < tm.error_bound <= qmatrix.EXPM_TOL
+                assert tm.tol_met is True
 
     def test_reports_missed_tolerance(self):
         # 19 halvings push the per-step tolerance under the 1e-15 floor of
@@ -366,6 +367,7 @@ class TestTransitionMatrix:
         tm = transition_matrix(rm, 1.0)
         assert tm.halvings == 19
         assert tm.error_bound > qmatrix.EXPM_TOL
+        assert tm.tol_met is False
         err = np.max(np.abs(tm.P - scipy.linalg.expm(q)))
         assert err > qmatrix.EXPM_TOL
         assert set(tm.to_dict()) == {"lo", "hi", "t", "P", "defect"}
