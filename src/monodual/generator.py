@@ -106,8 +106,20 @@ def _evaluate(fn: Callable, *args) -> np.ndarray:
 
 @functools.cache
 def _gauss_legendre(nodes: int):
-    # computed on first use: the eigensolver behind it pages in LAPACK
-    return np.polynomial.legendre.leggauss(nodes)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the Legendre recurrence from the cosine guesses.
+    numpy's leggauss runs an eigensolver instead, which pages in 0.8 MB of
+    LAPACK that nothing else in a model pipeline uses.
+    """
+    x = np.cos(np.pi * (np.arange(nodes, 0, -1) - 0.25) / (nodes + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(nodes), x
+        for k in range(2, nodes + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = nodes * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_RTOL):
