@@ -201,10 +201,11 @@ def density_tails(density, args, a, side: float, y_min: float, y_max: float) -> 
             edges[:, :-1], edges[:, 1:],
         )
         for i, j in np.argwhere(fail).tolist():
-            t_near = float(lo[c + i]) + (1.0 - edges[i, j + 1]) / edges[i, j + 1]
-            s = float(edges[i, j])
-            t_far = hi if s <= s_end[c + i] else float(lo[c + i]) + (1.0 - s) / s
-            y_lo, y_hi = (t_near, t_far) if side > 0.0 else (-t_far, -t_near)
+            # the panel [s0, s1] holds the magnitudes from t(s1) to t(s0)
+            s0, s1, t = float(edges[i, j]), float(edges[i, j + 1]), float(lo[c + i])
+            near = t + (1.0 - s1) / s1
+            far = hi if s0 <= s_end[c + i] else t + (1.0 - s0) / s0
+            y_lo, y_hi = (near, far) if side > 0.0 else (-far, -near)
             pt = [float(x[c + i]) for x in args]
             high[i, j] = _quad(lambda y: float(density(*pt, y)), y_lo, y_hi)
         vals[part] = high.sum(axis=-1)
