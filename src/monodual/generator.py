@@ -46,7 +46,7 @@ from .errors import (
     TailMassUnresolved,
 )
 from ._expr import Expression, number, parse_expression
-from .qmatrix import RateMatrix
+from .qmatrix import RateMatrix, _Columns
 
 SUPPORT_SIGNS = ("both", "positive", "negative")
 
@@ -1074,15 +1074,15 @@ def _kernel_side(name, kern, side, x, reach, ball, h, phase):
     return off, val, errors
 
 
-def _discretize_block(m: LevyModel, lat: Lattice, n: np.ndarray, ball: int, rates: dict):
-    """Add the rates of the states n (ascending) to ``rates``, in order.
+def _discretize_block(m: LevyModel, lat: Lattice, n: np.ndarray, ball: int):
+    """Rate columns (n, m, rate) of the states n (ascending), in table order.
 
     Every rate the scheme adds for a state is an event (offset, value),
     laid out in the order of a per-state loop: the diffusion pair, the
     drift, then per kernel the right bins with their compensations, the
     right lump, the left bins with theirs and the left lump.  Summing each
-    key's events in that order (np.add.at is sequential) and inserting
-    keys at their first event gives the loop's dict, sums and key order
+    key's events in that order (np.add.at is sequential) and ordering keys
+    by their first event gives the loop's table, sums and key order
     included.  The first error in that order is raised.
     """
     h = lat.h
@@ -1113,15 +1113,14 @@ def _discretize_block(m: LevyModel, lat: Lattice, n: np.ndarray, ball: int, rate
     keep = val != 0.0
     off, val, row = off[keep], val[keep], row[keep]
     if not off.size:
-        return
+        return n[:0], off, val
     width = 2 * int(np.abs(off).max()) + 1
     code = row * width + off + width // 2
     total = np.zeros(n.size * width)
     np.add.at(total, code, val)
     _, first = np.unique(code, return_index=True)
     code = code[np.sort(first)]
-    keys = zip(n[code // width].tolist(), (code % width - width // 2).tolist())
-    rates.update(zip(keys, total[code].tolist()))
+    return n[code // width], code % width - width // 2, total[code]
 
 
 def discretize(m: LevyModel, lat: Lattice) -> RateMatrix:
@@ -1152,11 +1151,10 @@ def discretize(m: LevyModel, lat: Lattice) -> RateMatrix:
         raise InputFormatError(f"mesh {lat.h} too coarse; need h <= 1")
     lo, hi, h = lat.lo, lat.hi, lat.h
     ball = int(math.floor(1.0 / h + _BALL_EPS))  # bins with m*h <= 1
-    rates: Dict[Tuple[int, int], float] = {}
     step = max(1, _BLOCK_BUDGET // (_GL_NODES[-1] * (hi - lo + ball + 1)))
-    for n0 in range(lo, hi + 1, step):
-        _discretize_block(m, lat, np.arange(n0, min(n0 + step, hi + 1)), ball, rates)
-    return RateMatrix(lo, hi, lat.boundary, rates)
+    blocks = [_discretize_block(m, lat, np.arange(n0, min(n0 + step, hi + 1)), ball)
+              for n0 in range(lo, hi + 1, step)]
+    return RateMatrix(lo, hi, lat.boundary, _Columns(*map(np.concatenate, zip(*blocks))))
 
 
 def cutoff_model(m: LevyModel, h: float) -> LevyModel:

@@ -16,11 +16,12 @@ Monte Carlo routines score killed paths.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import InitVar, asdict, dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse
@@ -55,55 +56,123 @@ EXPM_TOL = 1e-12
 SPARSE_DENSITY = 0.05
 
 
-@dataclass(frozen=True)
+class _Columns(NamedTuple):
+    """A rate table on its way into RateMatrix; ``entry(i)`` names entry i."""
+
+    n: Sequence
+    m: Sequence
+    rate: Sequence
+    entry: Callable[[int], str] = str
+
+
+def _number(v, kind):
+    """``kind(v)``, or None when that fails or, for int, does not equal v."""
+    try:
+        x = kind(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return x if kind is float or x == v else None
+
+
+def _column(values: Sequence, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """``values`` as a column, and the mask of entries that are not ``dtype`` numbers.
+
+    A column that numpy reads as a dtype casting safely to ``dtype`` takes
+    one step.  Any other goes entry by entry into an object column, where
+    an integer past int64 keeps its value and a rejected entry reads as 0.
+    """
+    try:
+        col = np.asarray(values) if len(values) else np.zeros(0, dtype)
+    except ValueError:  # ragged: some entry is a sequence
+        col = np.empty(0, dtype=object)
+    if col.shape == (len(values),) and np.can_cast(col.dtype, dtype):
+        return col.astype(dtype, copy=False), np.zeros(col.size, dtype=bool)
+    kind = int if dtype == np.int64 else float
+    col = np.array([_number(v, kind) for v in values], dtype=object)
+    bad = np.equal(col, None)
+    col[bad] = 0
+    return col, bad
+
+
+@dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Off-diagonal jump rates of a chain on a finite integer window.
 
-    ``rates`` maps ``(n, m)`` to the rate of jumping from state ``n`` by the
-    signed offset ``m`` (``m != 0``).  Targets outside ``[lo, hi]`` are legal
-    in the raw table; ``boundary`` decides their fate:
+    ``table`` (read back as ``rates``) maps ``(n, m)`` to the rate of jumping
+    from state ``n`` by the signed offset ``m`` (``m != 0``).  Targets outside
+    ``[lo, hi]`` are legal in the raw table; ``boundary`` decides their fate:
 
     * ``"absorb"``: out-of-window jumps are clamped to the nearest edge and
       the edge states themselves are frozen (their generator rows are zero).
     * ``"reflect"``: out-of-window jumps are clamped to the nearest edge and
       the chain keeps moving; a jump clamped onto its own source is dropped.
     * ``"kill"``: out-of-window mass is removed from the window.
+
+    States, offsets and edges are integers (``int(v) == v``); no (n, m) repeats.
+    The table is kept as read-only columns in table order: ``src = n - lo``
+    (int64), ``m`` (int64, object past int64) and ``rate``.
     """
 
     lo: int
     hi: int
     boundary: str
-    rates: Mapping[Tuple[int, int], float]
+    table: InitVar[Mapping[Tuple[int, int], float]]
+    src: np.ndarray = field(init=False)
+    m: np.ndarray = field(init=False)
+    rate: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        if int(self.lo) != self.lo or int(self.hi) != self.hi:
+    def __post_init__(self, table):
+        lo, hi = _number(self.lo, int), _number(self.hi, int)
+        if lo is None or hi is None:
             raise InputFormatError("window edges must be integers")
-        object.__setattr__(self, "lo", int(self.lo))
-        object.__setattr__(self, "hi", int(self.hi))
-        if self.lo > self.hi:
-            raise InputFormatError(f"empty window [{self.lo}, {self.hi}]")
+        if lo > hi:
+            raise InputFormatError(f"empty window [{lo}, {hi}]")
         if self.boundary not in BOUNDARY_POLICIES:
             raise InputFormatError(
                 f"unknown boundary policy {self.boundary!r}; "
                 f"expected one of {BOUNDARY_POLICIES}"
             )
-        clean: Dict[Tuple[int, int], float] = {}
-        for key, value in dict(self.rates).items():
-            try:
-                n, m = key
-                n = int(n)
-                m = int(m)
-                r = float(value)
-            except (TypeError, ValueError) as exc:
-                raise InputFormatError(f"bad rate entry {key!r}: {value!r}") from exc
-            if m == 0:
-                raise InputFormatError(f"offset 0 at state {n} is not a jump")
-            if not (self.lo <= n <= self.hi):
-                raise InputFormatError(
-                    f"source state {n} outside window [{self.lo}, {self.hi}]"
-                )
-            clean[(n, m)] = r
-        object.__setattr__(self, "rates", clean)
+        if not isinstance(table, _Columns):
+            keys, values = list(table), list(table.values())
+            pairs = [k if isinstance(k, tuple) and len(k) == 2 else (None,) * 2 for k in keys]
+            n, m = zip(*pairs) if pairs else ((), ())
+            table = _Columns(n, m, values, lambda i: f"{keys[i]!r}: {values[i]!r}")
+        (n, bad_n), (m, bad_m), (rate, bad_r) = (
+            _column(table.n, np.int64), _column(table.m, np.int64), _column(table.rate, float))
+        bad, jump0, outside = bad_n | bad_m | bad_r, m == 0, (n < lo) | (n > hi)
+        order = np.lexsort((m, n))  # stable: a repeat follows the first (n, m)
+        a, b = order[:-1], order[1:]
+        repeat = np.zeros(n.size, dtype=bool)
+        repeat[b[(n[a] == n[b]) & (m[a] == m[b])]] = True
+        failed = bad | jump0 | outside | repeat
+        if failed.any():
+            i = int(np.argmax(failed))
+            raise InputFormatError(
+                f"bad rate entry {table.entry(i)}" if bad[i]
+                else f"offset 0 at state {n[i]} is not a jump" if jump0[i]
+                else f"source state {n[i]} outside window [{lo}, {hi}]" if outside[i]
+                else f"duplicate rate entry for ({n[i]}, {m[i]})"
+            )
+        src, rate = (n - lo).astype(np.int64), rate.astype(float, copy=False)
+        for name, value in zip(("lo", "hi", "src", "m", "rate"), (lo, hi, src, m, rate)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def rates(self) -> Mapping[Tuple[int, int], float]:
+        """Read-only ``(n, m) -> rate`` mapping in table order, assembled on first read."""
+        keys = zip((self.src + self.lo).tolist(), self.m.tolist())
+        return MappingProxyType(dict(zip(keys, self.rate.tolist())))
+
+    def __reduce__(self):  # a copy or unpickled table is validated again
+        columns = _Columns(self.lo + self.src, self.m, self.rate)
+        return RateMatrix, (self.lo, self.hi, self.boundary, columns)
+
+    def __eq__(self, other) -> bool:
+        fields = (self.lo, self.hi, self.boundary, self.rates)
+        return isinstance(other, RateMatrix) and fields == (
+            other.lo, other.hi, other.boundary, other.rates)
 
     @property
     def n_states(self) -> int:
@@ -175,15 +244,7 @@ class DualityReport:
     at: Tuple[int, int]
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "t": self.t,
-            "margin": self.margin,
-            "tol": self.tol,
-            "sup_margin": self.sup_margin,
-            "sup_full": self.sup_full,
-            "at": list(self.at),
-        }
+        return {**asdict(self), "at": list(self.at)}
 
 
 @dataclass(frozen=True)
@@ -236,14 +297,7 @@ class DominanceReport:
     at: Tuple[int, int]
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "t": self.t,
-            "tol": self.tol,
-            "checked": self.checked,
-            "max_violation": self.max_violation,
-            "at": list(self.at),
-        }
+        return {**asdict(self), "at": list(self.at)}
 
 
 def validate_qmatrix(rm: RateMatrix) -> dict:
@@ -256,7 +310,7 @@ def validate_qmatrix(rm: RateMatrix) -> dict:
     q, kill = effective_generator(rm)
     return {
         "n_states": rm.n_states,
-        "n_rates": len(rm.rates),
+        "n_rates": rm.rate.size,
         "max_exit_rate": _max_exit_rate(q),
         "conservative": bool(np.all(kill == 0.0)),
         "total_kill_rate": float(kill.sum()),
@@ -278,30 +332,19 @@ def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
     n_states = rm.n_states
     q = np.zeros((n_states, n_states))
     kill = np.zeros(n_states)
-    count = len(rm.rates)
-    try:
-        idx = np.fromiter(
-            itertools.chain.from_iterable(rm.rates), dtype=np.int64, count=2 * count
-        ).reshape(count, 2)
-        idx[:, 0] -= rm.lo
-    except OverflowError:  # a state or offset beyond int64: subtract in Python
-        idx = np.array(
-            [(n - rm.lo, min(max(m, -n_states), n_states)) for n, m in rm.rates],
-            dtype=np.int64,
-        ).reshape(count, 2)
-    # cutting offsets to the window width moves no target into or out of
-    # the window and keeps src + offset far from int64 overflow
-    np.clip(idx[:, 1], -n_states, n_states, out=idx[:, 1])
-    r = np.fromiter(rm.rates.values(), dtype=float, count=count)
+    r = rm.rate
     bad = np.flatnonzero(~np.isfinite(r) | (r < 0.0))
     if bad.size:
-        (n, m), value = list(rm.rates.items())[bad[0]]
+        i = bad[0]
+        n, m, value = rm.lo + int(rm.src[i]), int(rm.m[i]), float(r[i])
         if not math.isfinite(value):
             raise InputFormatError(f"rate at ({n}, {m}) is not finite: {value!r}")
         raise NegativeRate(n, m, value)
     nonzero = r != 0.0
-    src, r = idx[nonzero, 0], r[nonzero]
-    tgt = src + idx[nonzero, 1]
+    src, r = rm.src[nonzero], r[nonzero]
+    # cutting offsets to the window width moves no target into or out of the
+    # window, keeps src + offset far from int64 overflow and makes them int64
+    tgt = src + np.clip(rm.m[nonzero], -n_states, n_states).astype(np.int64, copy=False)
     if rm.boundary == "kill":
         moves = (tgt >= 0) & (tgt < n_states)
         np.add.at(kill, src[~moves], r[~moves])
@@ -319,11 +362,7 @@ def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def from_dense(
-    lo: int,
-    hi: int,
-    q: np.ndarray,
-    boundary: str = "kill",
-    kill: Optional[np.ndarray] = None,
+    lo: int, hi: int, q: np.ndarray, boundary: str = "kill", kill: Optional[np.ndarray] = None
 ) -> RateMatrix:
     """Rate table from a dense array's off-diagonal part (diagonal ignored).
 
@@ -339,19 +378,18 @@ def from_dense(
     rows, cols = np.nonzero(q)  # row-major order
     off = rows != cols
     rows, cols = rows[off], cols[off]
-    rates: Dict[Tuple[int, int], float] = {
-        (lo + i, j - i): v
-        for i, j, v in zip(rows.tolist(), cols.tolist(), q[rows, cols].tolist())
-    }
+    rate = q[rows, cols]
     if kill is not None:
         kill = np.asarray(kill, dtype=float)
         if np.any(kill != 0.0) and boundary != "kill":
             raise InputFormatError(
                 "a kill vector is only representable under the 'kill' policy"
             )
-        for i in np.flatnonzero(kill).tolist():
-            rates[(lo + i, hi + 1 - (lo + i))] = float(kill[i])
-    return RateMatrix(lo, hi, boundary, rates)
+        # state lo + i jumps to hi + 1, one column past the last
+        i = np.flatnonzero(kill)
+        rows, cols = np.append(rows, i), np.append(cols, np.full(i.size, n_states))
+        rate = np.append(rate, kill[i])
+    return RateMatrix(lo, hi, boundary, _Columns(lo + rows, cols - rows, rate))
 
 
 def _tail_sums(q: np.ndarray) -> np.ndarray:
@@ -385,15 +423,15 @@ def check_monotone(
         raise InputFormatError(f"unknown method {method!r}")
     rep_t = _check_tails(rm, q, tol)
     rep_o = _check_offsets(rm, q, kill, tol)
-    return MonotonicityReport(
-        ok=rep_t.ok and rep_o.ok,
-        method="both",
-        tol=tol,
-        checked=rep_t.checked + rep_o.checked,
-        max_deficit=max(rep_t.max_deficit, rep_o.max_deficit),
-        violations=rep_t.violations + rep_o.violations,
-        agreement=(rep_t.ok == rep_o.ok),
-    )
+    report = _report("both", tol, rep_t.checked + rep_o.checked,
+                     rep_t.violations + rep_o.violations)
+    report.agreement = rep_t.ok == rep_o.ok
+    return report
+
+
+def _report(method: str, tol: float, checked: int, violations: list) -> MonotonicityReport:
+    max_def = max((v.deficit for v in violations), default=0.0)
+    return MonotonicityReport(not violations, method, tol, checked, max_def, violations)
 
 
 def _check_tails(rm: RateMatrix, q: np.ndarray, tol: float) -> MonotonicityReport:
@@ -409,26 +447,11 @@ def _check_tails(rm: RateMatrix, q: np.ndarray, tol: float) -> MonotonicityRepor
     pairs = np.arange(n_states - 1)
     mask[pairs, pairs + 1] = False  # threshold separating the pair is exempt
     violations = [
-        Violation(
-            rm.lo + int(i),
-            "tail",
-            rm.lo + int(l),
-            float(tails[i, l]),
-            float(tails[i + 1, l]),
-            float(deficit[i, l]),
-        )
+        Violation(rm.lo + int(i), "tail", rm.lo + int(l), float(tails[i, l]),
+                  float(tails[i + 1, l]), float(deficit[i, l]))
         for i, l in zip(*np.nonzero(mask))
     ]
-    max_def = max((v.deficit for v in violations), default=0.0)
-    checked = (n_states - 1) * (n_states - 1)
-    return MonotonicityReport(
-        ok=not violations,
-        method="tails",
-        tol=tol,
-        checked=checked,
-        max_deficit=max_def,
-        violations=violations,
-    )
+    return _report("tails", tol, (n_states - 1) * (n_states - 1), violations)
 
 
 def _check_offsets(
@@ -459,15 +482,7 @@ def _check_offsets(
     ]
     # per pair: upward widths, then downward widths, each ascending
     violations.sort(key=lambda v: (v.n, v.kind == "down", v.index))
-    max_def = max((v.deficit for v in violations), default=0.0)
-    return MonotonicityReport(
-        ok=not violations,
-        method="offsets",
-        tol=tol,
-        checked=(n_states - 1) * (n_states - 1),
-        max_deficit=max_def,
-        violations=violations,
-    )
+    return _report("offsets", tol, (n_states - 1) * (n_states - 1), violations)
 
 
 def _offdiag_tails(q: np.ndarray, kill: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -671,16 +686,15 @@ def verify_duality(
     )
 
 
+def _sorted_columns(rm: RateMatrix) -> Tuple[list, list, list]:
+    """States, offsets and rates as lists, ordered by (n, m)."""
+    order = np.lexsort((rm.m, rm.src))
+    return (rm.src[order] + rm.lo).tolist(), rm.m[order].tolist(), rm.rate[order].tolist()
+
+
 def ratematrix_to_dict(rm: RateMatrix) -> dict:
-    return {
-        "lo": rm.lo,
-        "hi": rm.hi,
-        "boundary": rm.boundary,
-        "rates": [
-            {"n": n, "m": m, "rate": r}
-            for (n, m), r in sorted(rm.rates.items())
-        ],
-    }
+    rates = [{"n": n, "m": m, "rate": r} for n, m, r in zip(*_sorted_columns(rm))]
+    return {"lo": rm.lo, "hi": rm.hi, "boundary": rm.boundary, "rates": rates}
 
 
 _RATE_ENTRY = '    {\n      "n": %d,\n      "m": %d,\n      "rate": %r\n    }'
@@ -691,17 +705,13 @@ def ratematrix_to_json(rm: RateMatrix) -> str:
 
     One %-format per rate: keys are ints and rates are floats, whose
     ``repr`` is what json writes.  A table holding a non-finite rate (json
-    writes NaN, Infinity) or summing past the float range goes through
-    json itself.
+    writes NaN, Infinity) goes through json itself.
     """
-    if not math.isfinite(sum(rm.rates.values())):
+    if not np.isfinite(rm.rate).all():
         return json.dumps(ratematrix_to_dict(rm), indent=2)
-    head = '{\n  "lo": %d,\n  "hi": %d,\n  "boundary": %s,\n  "rates": ' % (
-        rm.lo, rm.hi, json.dumps(rm.boundary))
-    if not rm.rates:
-        return head + "[]\n}"
-    body = ",\n".join([_RATE_ENTRY % (n, m, r) for (n, m), r in sorted(rm.rates.items())])
-    return head + "[\n" + body + "\n  ]\n}"
+    body = ",\n".join([_RATE_ENTRY % e for e in zip(*_sorted_columns(rm))])
+    return '{\n  "lo": %d,\n  "hi": %d,\n  "boundary": %s,\n  "rates": %s\n}' % (
+        rm.lo, rm.hi, json.dumps(rm.boundary), "[\n" + body + "\n  ]" if body else "[]")
 
 
 def ratematrix_from_dict(obj: dict) -> RateMatrix:
@@ -713,20 +723,7 @@ def ratematrix_from_dict(obj: dict) -> RateMatrix:
     entries = obj["rates"]
     if not isinstance(entries, list):
         raise InputFormatError("'rates' must be a list of {n, m, rate} entries")
-    rates: Dict[Tuple[int, int], float] = {}
-    for e in entries:
-        try:
-            n = int(e["n"])
-            m = int(e["m"])
-            r = float(e["rate"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"bad rate entry {e!r}") from exc
-        if (n, m) in rates:
-            raise InputFormatError(f"duplicate rate entry for ({n}, {m})")
-        rates[(n, m)] = r
-    try:
-        lo = int(obj["lo"])
-        hi = int(obj["hi"])
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError("window edges must be integers") from exc
-    return RateMatrix(lo, hi, obj["boundary"], rates)
+    n, m, rate = ([e.get(k) if isinstance(e, dict) else None for e in entries]
+                  for k in ("n", "m", "rate"))
+    table = _Columns(n, m, rate, lambda i: repr(entries[i]))
+    return RateMatrix(obj["lo"], obj["hi"], obj["boundary"], table)

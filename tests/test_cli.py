@@ -161,6 +161,13 @@ class TestTransforms:
         assert doc["error"]["type"] == "NotMonotone"
         assert doc["error"]["report"]["n_violations"] >= 1
 
+    def test_dual_rejects_fractional_offset(self, capsys, files):
+        path = files("chain.json", {"lo": 0, "hi": 3, "boundary": "kill",
+                                    "rates": [{"n": 0, "m": 1.5, "rate": 1.0}]})
+        code, doc = run_json(capsys, ["dual", "--in", path])
+        assert code == 2
+        assert doc["error"]["type"] == "InputFormatError"
+
     def test_discretize(self, capsys, files):
         path = files("model.json", MODEL_DOC)
         code, doc = run_json(

@@ -1,4 +1,9 @@
+import copy
+import json
 import math
+import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from monodual.qmatrix import (
     from_dense,
     ratematrix_from_dict,
     ratematrix_to_dict,
+    ratematrix_to_json,
     transition_matrix,
     validate_qmatrix,
     verify_duality,
@@ -112,6 +118,55 @@ class TestRateMatrixStructure:
         rm = RateMatrix(-2, 2, "absorb", {(0, 1): 1.0})
         assert rm.n_states == 5
         assert list(rm.states()) == [-2, -1, 0, 1, 2]
+
+    def test_non_integral_state_or_offset_rejected(self):
+        with pytest.raises(InputFormatError):
+            RateMatrix(0, 3, "kill", {(0, 1.5): 1.0})
+        for key in [(0, 1.9), (0, "3"), (1.5, 1), ("1", 1), (0, None), (0, 1, 2), 5]:
+            with pytest.raises(InputFormatError, match="bad rate entry"):
+                RateMatrix(0, 3, "kill", {(1, 1): 1.0, key: 1.0})
+        with pytest.raises(InputFormatError, match="window edges"):
+            RateMatrix(0.5, 3, "kill", {})
+
+    def test_integral_floats_accepted(self):
+        rm = RateMatrix(0.0, 3.0, "kill", {(1.0, -1.0): 2.0, (2, 1): 1})
+        assert (rm.lo, rm.hi) == (0, 3)
+        assert rm.rates == {(1, -1): 2.0, (2, 1): 1.0}
+
+    def test_first_bad_entry_in_table_order(self):
+        with pytest.raises(InputFormatError, match="offset 0 at state 2"):
+            RateMatrix(0, 3, "kill", {(1, 1): 1.0, (2, 0): 1.0, (0, 0.5): 1.0})
+        with pytest.raises(InputFormatError, match=r"bad rate entry \(0, 0.5\)"):
+            RateMatrix(0, 3, "kill", {(0, 0.5): 1.0, (2, 0): 1.0, (7, 1): 1.0})
+        with pytest.raises(InputFormatError, match="source state 7"):
+            RateMatrix(0, 3, "kill", {(7, 1): 1.0, (2, 0): 1.0})
+
+    def test_rates_is_a_read_only_view_in_table_order(self):
+        rm = RateMatrix(0, 3, "kill", {(3, 1): 1.0, (0, 1): 0.5, (1, -1): 0.25})
+        with pytest.raises(TypeError):
+            rm.rates[(9, 1)] = 2.0
+        with pytest.raises(TypeError):
+            del rm.rates[(3, 1)]
+        assert len(rm.rates) == 3
+        assert list(rm.rates.items()) == [((3, 1), 1.0), ((0, 1), 0.5), ((1, -1), 0.25)]
+        assert rm.rates == {(0, 1): 0.5, (1, -1): 0.25, (3, 1): 1.0}
+        assert rm.rates.get((9, 1)) is None and (0, 1) in rm.rates
+        q, kill = effective_generator(rm)
+        assert kill[3] == 1.0 and q[0, 1] == 0.5
+
+    def test_copies_and_pickles_after_rates_are_read(self):
+        rm = RateMatrix(0, 3, "kill", {(3, 1): 1.0, (0, 10 ** 30): 0.5})
+        assert rm.rates[(3, 1)] == 1.0
+        for other in (copy.deepcopy(rm), pickle.loads(pickle.dumps(rm))):
+            assert other == rm and list(other.rates.items()) == list(rm.rates.items())
+        assert rm != RateMatrix(0, 3, "absorb", {(3, 1): 1.0, (0, 10 ** 30): 0.5})
+
+    def test_columns_are_read_only(self):
+        rm = RateMatrix(0, 3, "kill", {(2, 1): 1.0, (0, 1): 0.5})
+        assert list(rm.src) == [2, 0] and list(rm.m) == [1, 1]
+        for col in (rm.src, rm.m, rm.rate):
+            with pytest.raises(ValueError):
+                col[0] = 0
 
 
 class TestValidate:
@@ -461,3 +516,56 @@ class TestSerialization:
                  "rates": [{"n": 0, "m": 1, "rate": 1.0},
                            {"n": 0, "m": 1, "rate": 2.0}]}
             )
+        for rate in (None, [1.0], {"value": 1.0}):
+            with pytest.raises(InputFormatError):
+                ratematrix_from_dict(
+                    {"lo": 0, "hi": 2, "boundary": "kill",
+                     "rates": [{"n": 0, "m": 1, "rate": rate}]}
+                )
+        for rates in ({"n": 0, "m": 1, "rate": 1.0}, "0 1 1.0", None):
+            with pytest.raises(InputFormatError):
+                ratematrix_from_dict(
+                    {"lo": 0, "hi": 2, "boundary": "kill", "rates": rates}
+                )
+        with pytest.raises(InputFormatError):
+            ratematrix_from_dict(
+                {"lo": 0, "hi": 2, "boundary": "kill",
+                 "rates": [{"n": 1, "m": -1, "rate": 1.0},
+                           {"n": 0, "m": 1, "rate": 1.0},
+                           {"n": 0.0, "m": 1.0, "rate": 2.0}]}
+            )
+        with pytest.raises(InputFormatError):
+            ratematrix_from_dict(
+                {"lo": 0, "hi": 2, "boundary": "kill",
+                 "rates": [{"n": 0, "m": 1, "rate": 1.0}, [0, 1, 1.0]]}
+            )
+
+    def test_non_integral_entries_and_edges_rejected(self):
+        def doc(lo=0, hi=3, n=0, m=1):
+            return {"lo": lo, "hi": hi, "boundary": "kill",
+                    "rates": [{"n": 1, "m": 1, "rate": 1.0},
+                              {"n": n, "m": m, "rate": 1.0}]}
+        for bad in (doc(m=1.5), doc(m=1.9), doc(m="3"), doc(n=0.5), doc(n="0")):
+            with pytest.raises(InputFormatError, match="bad rate entry"):
+                ratematrix_from_dict(bad)
+        for bad in (doc(lo=0.5), doc(lo="0"), doc(hi=3.5), doc(hi=None)):
+            with pytest.raises(InputFormatError, match="window edges"):
+                ratematrix_from_dict(bad)
+        rm = ratematrix_from_dict(doc(lo=0.0, n=2.0, m=-1.0))
+        assert rm.lo == 0 and rm.rates == {(1, 1): 1.0, (2, -1): 1.0}
+
+    def test_offset_past_int64_round_trips(self):
+        rm = RateMatrix(0, 3, "absorb", {(1, 10 ** 30): 0.5, (2, -1): 1.0})
+        back = ratematrix_from_dict(json.loads(ratematrix_to_json(rm)))
+        assert back.rates == rm.rates
+        q, _ = effective_generator(back)
+        assert q[1, 3] == 0.5 and q[2, 1] == 1.0
+
+
+class TestLibraryExample:
+    def test_readme_python_block_runs(self, capsys):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        assert float(capsys.readouterr().out) <= qmatrix.DUALITY_TOL
