@@ -206,9 +206,19 @@ def parse_expression(source: str, variables: Sequence[str] = ("x",)) -> Expressi
     return Expression(source, variables)
 
 
-def number(value, name: str, kind=float):
-    """``kind(value)``; a value that is not a number is malformed input."""
+def _number(v, kind):
+    """``kind(v)``, or None when that fails or, for int, does not equal v."""
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputFormatError(f"{name!r} must be a number, got {value!r}") from exc
+        x = kind(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return x if kind is float or x == v else None
+
+
+def number(value, name: str, kind=float):
+    """``kind(value)`` by the rule of ``_number``; anything else is malformed input."""
+    x = _number(value, kind)
+    if x is None:
+        what = "an integer" if kind is int else "a number"
+        raise InputFormatError(f"{name!r} must be {what}, got {value!r}")
+    return x

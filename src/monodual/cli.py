@@ -91,6 +91,18 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
     _emit(json.dumps(doc, indent=2), out)
 
 
+def _envelope(args, ok: bool, report) -> int:
+    """Emit the {"command", "ok", "report"} envelope of a check; exit 0 if
+    it passed, else 1."""
+    _emit_json({"command": args.command, "ok": ok, "report": report}, args.out)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _tol(args) -> dict:
+    """The --tol override as keyword arguments."""
+    return {} if args.tol is None else {"tol": args.tol}
+
+
 def _is_ratematrix_doc(doc: dict) -> bool:
     return isinstance(doc, dict) and "rates" in doc
 
@@ -126,40 +138,23 @@ def _lattice_from(args, doc: dict) -> Lattice:
 def _cmd_validate(args) -> int:
     doc = _read_json(args.infile)
     if _is_ratematrix_doc(doc):
-        rm = ratematrix_from_dict(doc)
-        report = validate_qmatrix(rm)
-        _emit_json({"command": "validate", "ok": True, "report": report}, args.out)
-        return EXIT_OK
-    model = model_from_dict(doc)
-    report = validate_model(model, _model_grid(args))
-    _emit_json(
-        {"command": "validate", "ok": report.ok, "report": report.to_dict()},
-        args.out,
-    )
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+        return _envelope(args, True, validate_qmatrix(ratematrix_from_dict(doc)))
+    report = validate_model(model_from_dict(doc), _model_grid(args))
+    return _envelope(args, report.ok, report.to_dict())
 
 
 def _cmd_monotone(args) -> int:
     doc = _read_json(args.infile)
     if _is_ratematrix_doc(doc):
-        rm = ratematrix_from_dict(doc)
-        kwargs = {} if args.tol is None else {"tol": args.tol}
-        report = check_monotone(rm, **kwargs)
+        report = check_monotone(ratematrix_from_dict(doc), **_tol(args))
     else:
-        model = model_from_dict(doc)
-        kwargs = {} if args.tol is None else {"tol": args.tol}
-        report = check_levy_monotone(model, _model_grid(args), **kwargs)
-    _emit_json(
-        {"command": "monotone", "ok": report.ok, "report": report.to_dict()},
-        args.out,
-    )
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+        report = check_levy_monotone(model_from_dict(doc), _model_grid(args), **_tol(args))
+    return _envelope(args, report.ok, report.to_dict())
 
 
 def _cmd_dual(args) -> int:
     rm = ratematrix_from_dict(_read_json(args.infile))
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    dual = dual_qmatrix(rm, **kwargs)
+    dual = dual_qmatrix(rm, **_tol(args))
     _emit(ratematrix_to_json(dual), args.out)
     return EXIT_OK
 
@@ -179,8 +174,7 @@ def _cmd_evolve(args) -> int:
     rm = ratematrix_from_dict(_read_json(args.infile))
     if args.t is None:
         raise InputFormatError("evolve needs --t")
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    tm = transition_matrix(rm, args.t, **kwargs)
+    tm = transition_matrix(rm, args.t, **_tol(args))
     _emit_json(tm.to_dict(), args.out)
     return EXIT_OK
 
@@ -189,27 +183,16 @@ def _cmd_duality(args) -> int:
     rm = ratematrix_from_dict(_read_json(args.infile))
     if args.t is None:
         raise InputFormatError("duality needs --t")
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
+    kwargs = _tol(args)
     if args.margin is not None:
         kwargs["margin"] = args.margin
     report = verify_duality(rm, args.t, **kwargs)
-    _emit_json(
-        {"command": "duality", "ok": report.ok, "report": report.to_dict()},
-        args.out,
-    )
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+    return _envelope(args, report.ok, report.to_dict())
 
 
 def _cmd_boundary(args) -> int:
-    doc = _read_json(args.infile)
-    model = model_from_dict(doc)
-    cls = classify_boundary(model)
-    _emit_json(
-        {"command": "boundary", "ok": True, "report": cls.to_dict()}, args.out
-    )
-    return EXIT_OK
+    model = model_from_dict(_read_json(args.infile))
+    return _envelope(args, True, classify_boundary(model).to_dict())
 
 
 def _cmd_dualgen(args) -> int:
@@ -287,27 +270,20 @@ def _cmd_simulate(args) -> int:
             rm, _field(doc, "x0", int), _field(doc, "y", int), t,
             reps, seed, threads=threads,
         )
-        _emit_json(
-            {"command": "simulate", "ok": True, "report": est.to_dict()}, args.out
-        )
-        return EXIT_OK
+        return _envelope(args, True, est.to_dict())
     if op == "duality":
         rm = _sim_chain(doc, args)
         pairs = doc.get("pairs")
         if not pairs:
             raise InputFormatError("duality simulation needs 'pairs'")
         try:
-            pairs = [(int(x), int(y)) for x, y in pairs]
-        except (TypeError, ValueError, OverflowError) as exc:
+            pairs = [(number(x, "pairs", int), number(y, "pairs", int)) for x, y in pairs]
+        except (TypeError, ValueError) as exc:
             raise InputFormatError(
                 f"'pairs' must be a list of [x, y] states, got {pairs!r}"
             ) from exc
         report = mc_duality_check(rm, pairs, t, reps, seed, threads=threads)
-        _emit_json(
-            {"command": "simulate", "ok": report.ok, "report": report.to_dict()},
-            args.out,
-        )
-        return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+        return _envelope(args, report.ok, report.to_dict())
     if op == "growth":
         if "model" not in doc:
             raise InputFormatError("growth simulation operates on a model")
@@ -322,18 +298,11 @@ def _cmd_simulate(args) -> int:
             model, lat, _field(doc, "x0"), t, number(c, "c"),
             reps, seed, threads=threads,
         )
-        _emit_json(
-            {"command": "simulate", "ok": report.ok, "report": report.to_dict()},
-            args.out,
-        )
-        return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+        return _envelope(args, report.ok, report.to_dict())
     if op == "path":
         rm = _sim_chain(doc, args)
         path = sample_path(rm, _field(doc, "x0", int), t, seed)
-        _emit_json(
-            {"command": "simulate", "ok": True, "report": path.to_dict()}, args.out
-        )
-        return EXIT_OK
+        return _envelope(args, True, path.to_dict())
     raise InputFormatError(
         f"unknown op {op!r}; expected survival, duality, growth, path"
     )

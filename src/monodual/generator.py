@@ -14,18 +14,19 @@ stochastically monotone, discretizes the operator onto an integer lattice
 as a RateMatrix, truncates small jumps, and classifies the boundary point
 of half-line models from declared asymptotic orders.
 
-Kernels expose a tail/bin-mass interface so the three representations
-(explicit density in x and y, a state factor times a fixed base measure,
-and plain tail callbacks) all share one discretization path, and every
-moment goes through the one routine ``kernel_moment``.  Bin masses are
-computed on arrays of (state, bin) pairs by ``bin_masses``, and tails on
-arrays of (state, threshold) pairs by ``tails``; the density-only tails of
-both go through the one routine ``density_tails``, of which the scalar
-tails of a density are one-element views, as ``bin_mass_right/left`` are
-of ``bin_masses``.  Tail callables follow one convention throughout: ``right_tail(x, a)`` is the
+Every kernel (a density in x and y, a state factor times a fixed base
+measure, plain tail callbacks, or one of these with small jumps cut off)
+is a continuous part, given on arrays of states by ``continuous_tails``
+and ``continuous_bins``, plus atoms at fixed sizes with masses
+``atom_masses(x)``.  ``LevyKernel`` adds the atoms once, to build
+``tails`` on (state, threshold) arrays, the lumped ``far_tails`` and
+``bin_masses`` on (state, bin) arrays; the scalar tails, bins and
+``atoms(x)`` are one-element views of these.  Density-only tails go
+through the one routine ``density_tails``, and every moment through the
+one routine ``kernel_moment``, which sums the atoms exactly.  Tail
+callables follow one convention throughout: ``right_tail(x, a)`` is the
 mass of {y >= a} and ``left_tail(x, a)`` the mass of {y <= -a}, both for
-a >= 0, with closed-form tail callbacks covering the density part only
-(atoms are always enumerated separately).
+a >= 0, with closed-form tail callbacks covering the continuous part only.
 """
 
 from __future__ import annotations
@@ -219,12 +220,6 @@ def _bin_edges(side: float, m: np.ndarray, h: float):
     return (a, a + h) if side > 0.0 else (a - h, a)
 
 
-def _tail_differences(tail: Callable, args, side: float, m: np.ndarray, h: float) -> np.ndarray:
-    """Bin masses tail(*args, a) - tail(*args, b) over the bins m."""
-    a, b = _bin_edges(side, m, h)
-    return _evaluate(tail, *args, a) - _evaluate(tail, *args, b)
-
-
 def fd_derivative(fn: Callable[[float], float], x: float) -> float:
     """Central finite difference with the package-wide relative step."""
     h = FD_SCALE * (1.0 + abs(x))
@@ -306,6 +301,15 @@ def kernel_moment(
     return total
 
 
+def _plus_atoms(total, side: float, atoms, hit: Callable):
+    """``total`` plus the mass of every atom (y, mass) with side * y > 0
+    whose magnitude s = side * y has ``hit(s)``; masses may be arrays."""
+    for y, mass in atoms:
+        if side * y > 0.0:
+            total = total + np.where(hit(side * y), mass, 0.0)
+    return total
+
+
 class _ContinuousPart:
     """Masses of a continuous part: closed tails if given, else the density.
 
@@ -332,12 +336,11 @@ class _ContinuousPart:
             out[live] = _evaluate(self.density, *(v[live] for v in args), y[live])
         return out
 
-    def _bin_masses(self, side: float, args, m: np.ndarray, h: float) -> np.ndarray:
-        """Masses of the bins m (see _bin_edges) at ``args``, on arrays."""
+    def _bin_masses(self, side: float, args, a, b) -> np.ndarray:
+        """Masses of the magnitudes side * y in [a, b) at ``args``, on arrays."""
         tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
         if tail is not None:
-            return _tail_differences(tail, args, side, m, h)
-        a, b = _bin_edges(side, m, h)
+            return _evaluate(tail, *args, a) - _evaluate(tail, *args, b)
         lo, hi = (a, b) if side > 0.0 else (-b, -a)
         return _density_masses(
             self.density, args, np.maximum(lo, self.y_min), np.minimum(hi, self.y_max)
@@ -386,10 +389,7 @@ class BaseMeasure(_ContinuousPart):
         """right_tail (side +1) or left_tail (side -1) over an array a."""
         shape = np.shape(a)
         a, back = np.unique(np.asarray(a, dtype=float), return_inverse=True)
-        total = np.zeros(a.shape)
-        for y, mass in self.atoms:
-            if side * y > 0.0:
-                total = total + np.where(side * y >= a, mass, 0.0)
+        total = _plus_atoms(np.zeros(a.shape), side, self.atoms, lambda s: s >= a)
         total = total + self._tail_masses(side, (), np.maximum(a, 0.0))
         return total[back].reshape(shape)
 
@@ -403,11 +403,9 @@ class BaseMeasure(_ContinuousPart):
         """Right bins [mh, mh+h) (side +1) or left magnitude bins (mh-h, mh]
         (side -1) for an integer array m, atoms included."""
         atom_bin = _atom_bin_right if side > 0.0 else _atom_bin_left
-        total = np.zeros(np.shape(m))
-        for y, mass in self.atoms:
-            if side * y > 0.0:
-                total = total + np.where(m == atom_bin(side * y, h), mass, 0.0)
-        return total + self._bin_masses(side, (), m, h)
+        total = _plus_atoms(np.zeros(np.shape(m)), side, self.atoms,
+                            lambda s: m == atom_bin(s, h))
+        return total + self._bin_masses(side, (), *_bin_edges(side, m, h))
 
     def _integrate(self, weight) -> float:
         # the fixed weights are kept: a decomposable kernel asks for the same
@@ -440,62 +438,87 @@ class BaseMeasure(_ContinuousPart):
 
 
 class LevyKernel:
-    """Shared tail/bin-mass interface of all jump-kernel representations."""
+    """Shared interface of all jump-kernel representations.
+
+    A kernel is a continuous part plus atoms, on broadcast arrays of states
+    x.  ``continuous_tails(side, x, a)`` is the continuous mass of the
+    magnitudes side * y >= a (a >= 0), and ``continuous_bins(side, x, a, b)``
+    that of [a, b): tail differences unless a subclass has sharper.  The
+    atoms sit at the fixed sizes ``atom_sizes`` with masses
+    ``atom_masses(x)``, one column per size, binned as a BaseMeasure bins
+    them.
+    """
 
     case = "abstract"
     support_sign = "both"
+    atom_sizes: Sequence[float] = ()
 
-    def right_tail(self, x: float, a: float) -> float:
+    def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def left_tail(self, x: float, a: float) -> float:
-        raise NotImplementedError
+    def continuous_bins(self, side: float, x: np.ndarray, a: np.ndarray, b: np.ndarray):
+        return self.continuous_tails(side, x, a) - self.continuous_tails(side, x, b)
 
-    def atoms(self, x: float) -> List[Tuple[float, float]]:
-        return []
+    def atom_masses(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros(np.shape(x) + (0,))
 
     def density_at(self, x: float, y: float) -> float:
         """Continuous-part density at jump size y (0 where undefined)."""
         return 0.0
 
+    def _with_atoms(self, total, side: float, x: np.ndarray, hit: Callable):
+        masses = np.moveaxis(self.atom_masses(x), -1, 0)
+        return _plus_atoms(total, side, zip(self.atom_sizes, masses), hit)
+
     def tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """right_tail (side +1) or left_tail (side -1) over broadcast arrays
-        x and a; by default one scalar call per element."""
-        return _evaluate(self.right_tail if side > 0.0 else self.left_tail, x, a)
+        """Masses of {y >= a} (side +1) or {y <= -a} (side -1) at states x,
+        over broadcast arrays x and a; a = 0 gives the whole side."""
+        a = np.asarray(a, dtype=float)
+        total = self.continuous_tails(side, x, np.maximum(a, 0.0))
+        return self._with_atoms(total, side, x, lambda s: s >= a)
 
     def far_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """The lumped far tails over broadcast arrays x and a: the mass of
         {y >= a} for side +1 and of the strict {y < -a} for side -1."""
-        return _evaluate(self.right_tail if side > 0.0 else self.left_tail_open, x, a)
+        tails = self.tails(side, x, a)
+        if side > 0.0:
+            return tails
+        return tails - self._with_atoms(0.0, side, x, lambda s: s == a)
 
-    def bin_mass_right(self, x: float, m: int, h: float) -> float:
-        return float(self.bin_masses(1.0, np.array([float(x)]), np.array([m]), h)[0])
-
-    def bin_mass_left(self, x: float, m: int, h: float) -> float:
-        return float(self.bin_masses(-1.0, np.array([float(x)]), np.array([m]), h)[0])
-
-    # Default bins by tail differences.  Exact for the right side (closed
-    # tails realize the half-open bins [mh, mh+h) with atoms included);
-    # subclasses carrying atoms override the left side, whose magnitude
-    # bins (mh-h, mh] are closed at the other end.
     def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
         """Masses of right bins [mh, mh+h) (side +1) or left magnitude bins
         (mh-h, mh] (side -1) at states x, over broadcast arrays x and m."""
-        tail = self.right_tail if side > 0.0 else self.left_tail
-        return _tail_differences(tail, (x,), side, m, h)
+        atom_bin = _atom_bin_right if side > 0.0 else _atom_bin_left
+        total = self.continuous_bins(side, x, *_bin_edges(side, m, h))
+        return self._with_atoms(total, side, x, lambda s: m == atom_bin(s, h))
+
+    def _one(self, method: Callable, side: float, x: float, v, *rest) -> float:
+        return float(method(side, np.array([float(x)]), np.array([v]), *rest)[0])
+
+    def right_tail(self, x: float, a: float) -> float:
+        return self._one(self.tails, 1.0, x, float(a))
+
+    def left_tail(self, x: float, a: float) -> float:
+        return self._one(self.tails, -1.0, x, float(a))
 
     def left_tail_open(self, x: float, a: float) -> float:
         """Mass of {y < -a} (strict), used for the lumped far tail."""
-        atom = sum(mass for y, mass in self.atoms(x) if y == -a)
-        return self.left_tail(x, a) - atom
+        return self._one(self.far_tails, -1.0, x, float(a))
+
+    def bin_mass_right(self, x: float, m: int, h: float) -> float:
+        return self._one(self.bin_masses, 1.0, x, m, h)
+
+    def bin_mass_left(self, x: float, m: int, h: float) -> float:
+        return self._one(self.bin_masses, -1.0, x, m, h)
+
+    def atoms(self, x: float) -> List[Tuple[float, float]]:
+        """The atoms at state x as (size, mass) pairs."""
+        return list(zip(self.atom_sizes, self.atom_masses(np.array([float(x)]))[0].tolist()))
 
     def _integrate(self, x: float, weight) -> float:
-        # the closed tails already hold any atoms
-        return kernel_moment(
-            weight,
-            right_tail=lambda a: self.right_tail(x, a),
-            left_tail=lambda a: self.left_tail(x, a),
-        )
+        # the atoms are summed exactly, and quad sees the continuous tails only
+        tail = lambda side: lambda a: self._one(self.continuous_tails, side, x, a)
+        return kernel_moment(weight, self.atoms(x), right_tail=tail(1.0), left_tail=tail(-1.0))
 
     def small_moment(self, x: float) -> float:
         return self._integrate(x, SMALL_WEIGHT)
@@ -562,20 +585,11 @@ class DensityKernel(_ContinuousPart, LevyKernel):
             return 0.0
         return float(self.density(x, y))
 
-    def right_tail(self, x: float, a: float) -> float:
-        return float(self.tails(1.0, np.array([float(x)]), np.array([float(a)]))[0])
+    def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return self._tail_masses(side, (x,), a)
 
-    def left_tail(self, x: float, a: float) -> float:
-        return float(self.tails(-1.0, np.array([float(x)]), np.array([float(a)]))[0])
-
-    def tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self._tail_masses(side, (x,), np.maximum(a, 0.0))
-
-    def far_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self.tails(side, x, a)  # no atoms: strict and closed agree
-
-    def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
-        return self._bin_masses(side, (x,), m, h)
+    def continuous_bins(self, side: float, x: np.ndarray, a: np.ndarray, b: np.ndarray):
+        return self._bin_masses(side, (x,), a, b)
 
     def _integrate(self, x: float, weight) -> float:
         return kernel_moment(
@@ -625,6 +639,7 @@ class DecomposableKernel(LevyKernel):
         if support_sign not in SUPPORT_SIGNS:
             raise InputFormatError(f"unknown support_sign {support_sign!r}")
         self.support_sign = support_sign
+        self.atom_sizes = [y for y, _ in base.atoms]
 
     def factor(self, x: float) -> float:
         return float(self.a(x))
@@ -650,27 +665,17 @@ class DecomposableKernel(LevyKernel):
             return 0.0
         return self.factor(x) * float(self.base.density(y))
 
-    def atoms(self, x: float) -> List[Tuple[float, float]]:
-        fac = self.factor(x)
-        return [(y, fac * mass) for y, mass in self.base.atoms]
+    def atom_masses(self, x: np.ndarray) -> np.ndarray:
+        return self.factors(x)[..., None] * np.array([mass for _, mass in self.base.atoms])
 
-    def right_tail(self, x: float, a: float) -> float:
-        return self.factor(x) * self.base.right_tail(a)
+    def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return self.factors(x) * self.base._tail_masses(side, (), a)
 
-    def left_tail(self, x: float, a: float) -> float:
-        return self.factor(x) * self.base.left_tail(a)
+    def continuous_bins(self, side: float, x: np.ndarray, a: np.ndarray, b: np.ndarray):
+        return self.factors(x) * self.base._bin_masses(side, (), a, b)
 
     def tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         return self.factors(x) * self.base.tails(side, a)
-
-    def far_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        tails = self.tails(side, x, a)
-        if side > 0.0:
-            return tails
-        fac, on_edge = self.factors(x), 0.0
-        for y, mass in self.base.atoms:
-            on_edge = on_edge + np.where(y == -a, fac * mass, 0.0)
-        return tails - on_edge
 
     def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
         # the factor once per distinct state, the base bins once per distinct m
@@ -714,21 +719,17 @@ class TabulatedKernel(LevyKernel):
             raise InputFormatError(f"unknown support_sign {support_sign!r}")
         self.support_sign = support_sign
 
-    def right_tail(self, x: float, a: float) -> float:
-        if self.right_tail_fn is None:
-            return 0.0
-        return float(self.right_tail_fn(x, a))
-
-    def left_tail(self, x: float, a: float) -> float:
-        if self.left_tail_fn is None:
-            return 0.0
-        return float(self.left_tail_fn(x, a))
-
-    def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
+    def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
         if tail is None:
-            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(m)))
-        return _tail_differences(tail, (x,), side, m, h)
+            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a)))
+        return _evaluate(tail, x, a)
+
+    def _integrate(self, x: float, weight) -> float:
+        # the raw callbacks: quad calls them one point at a time
+        tail = lambda fn: None if fn is None else (lambda a: float(fn(x, a)))
+        return kernel_moment(weight, right_tail=tail(self.right_tail_fn),
+                             left_tail=tail(self.left_tail_fn))
 
     def small_moment(self, x: float) -> float:
         if self.small_moment_fn is not None:
@@ -746,23 +747,18 @@ class CutoffKernel(LevyKernel):
         self.cut = float(cut)
         self.support_sign = inner.support_sign
         self.case = inner.case
+        self._kept = [j for j, y in enumerate(inner.atom_sizes) if abs(y) > self.cut]
+        self.atom_sizes = [inner.atom_sizes[j] for j in self._kept]
 
-    def _atom_at(self, x: float, signed_y: float) -> float:
-        return sum(m for y, m in self.inner.atoms(x) if y == signed_y)
+    def atom_masses(self, x: np.ndarray) -> np.ndarray:
+        return self.inner.atom_masses(x)[..., self._kept]
 
-    def right_tail(self, x: float, a: float) -> float:
-        if a > self.cut:
-            return self.inner.right_tail(x, a)
-        # {y > cut}: drop an atom sitting exactly on the cut
-        return self.inner.right_tail(x, self.cut) - self._atom_at(x, self.cut)
+    def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return self.inner.continuous_tails(side, x, np.maximum(a, self.cut))
 
-    def left_tail(self, x: float, a: float) -> float:
-        if a > self.cut:
-            return self.inner.left_tail(x, a)
-        return self.inner.left_tail(x, self.cut) - self._atom_at(x, -self.cut)
-
-    def atoms(self, x: float) -> List[Tuple[float, float]]:
-        return [(y, m) for y, m in self.inner.atoms(x) if abs(y) > self.cut]
+    def continuous_bins(self, side: float, x: np.ndarray, a: np.ndarray, b: np.ndarray):
+        return self.inner.continuous_bins(
+            side, x, np.maximum(a, self.cut), np.maximum(b, self.cut))
 
     def density_at(self, x: float, y: float) -> float:
         if abs(y) <= self.cut:

@@ -33,6 +33,7 @@ from .errors import (
     NegativeRate,
     NotMonotone,
 )
+from ._expr import _number
 
 BOUNDARY_POLICIES = ("absorb", "reflect", "kill")
 
@@ -63,15 +64,6 @@ class _Columns(NamedTuple):
     m: Sequence
     rate: Sequence
     entry: Callable[[int], str] = str
-
-
-def _number(v, kind):
-    """``kind(v)``, or None when that fails or, for int, does not equal v."""
-    try:
-        x = kind(v)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return x if kind is float or x == v else None
 
 
 def _column(values: Sequence, dtype) -> Tuple[np.ndarray, np.ndarray]:

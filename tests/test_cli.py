@@ -335,7 +335,9 @@ class TestSimulate:
         code, _doc = run_json(capsys, ["simulate", "--in", path])
         assert code == 2
 
-    @pytest.mark.parametrize("field", ["x0", "y", "lattice.h", "reps", "pairs"])
+    @pytest.mark.parametrize("field", ["x0", "y", "lattice.h", "reps", "pairs",
+                                       "x0 2.7", "y 3.9", "reps 1000.6", "seed 1.5",
+                                       "lattice.lo -0.5", "pairs 2.5"])
     def test_malformed_job_is_parse_error(self, capsys, files, field):
         doc_in = {
             "op": "survival",
@@ -343,7 +345,15 @@ class TestSimulate:
             "lattice": {"h": 0.5, "lo": -4, "hi": 4},
             "x0": 0, "y": 2, "t": 0.5, "reps": 1000, "seed": 2,
         }
-        if field == "reps":
+        if " " in field:  # a non-integral number where an integer belongs
+            key, value = field.split()
+            if key == "pairs":
+                doc_in.update(op="duality", pairs=[[0, float(value)]])
+            elif key == "lattice.lo":
+                doc_in["lattice"]["lo"] = float(value)
+            else:
+                doc_in[key] = float(value)
+        elif field == "reps":
             doc_in["reps"] = "many"
         elif field == "pairs":
             doc_in.update(op="duality", pairs=[[0, "top"]])
@@ -355,6 +365,20 @@ class TestSimulate:
         code, doc = run_json(capsys, ["simulate", "--in", path])
         assert code == 2
         assert doc["error"]["type"] == "InputFormatError"
+
+    @pytest.mark.parametrize("op", ["survival", "duality"])
+    def test_integral_floats_are_integers(self, capsys, files, op):
+        as_ints = {
+            "op": op, "model": MODEL_DOC, "lattice": {"h": 0.5, "lo": -4, "hi": 4},
+            "x0": 0, "y": 2, "pairs": [[0, 2]], "t": 0.5, "reps": 1000, "seed": 2,
+        }
+        as_floats = {**as_ints, "lattice": {"h": 0.5, "lo": -4.0, "hi": 4.0},
+                     "x0": 0.0, "y": 2.0, "pairs": [[0.0, 2.0]], "reps": 1000.0, "seed": 2.0}
+        outs = []
+        for doc_in in (as_ints, as_floats):
+            code = main(["simulate", "--in", files("sim.json", doc_in)])
+            outs.append((code, capsys.readouterr().out))
+        assert outs[0][0] in (0, 1) and outs[1] == outs[0]
 
     @pytest.mark.parametrize("op, rate", [("survival", -1.0), ("path", math.nan)])
     def test_bad_rate_is_parse_error(self, capsys, files, op, rate):

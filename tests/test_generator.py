@@ -937,6 +937,44 @@ class TestCutoffIntensity:
         assert vals[1] == pytest.approx(4.324555320336758, rel=1e-10)
 
 
+class TestCutoffDiscretize:
+    @pytest.mark.parametrize("h", [0.25, 0.1])
+    @pytest.mark.parametrize("name", sorted(set(ALL_MODELS) - {"cutoff"}))
+    def test_cut_at_the_mesh_leaves_far_offsets_alone(self, name, h):
+        # the cut only removes jumps of size <= h, so every rate at |offset| >= 2,
+        # atoms on bin edges included, is the uncut kernel's
+        m = ALL_MODELS[name]()
+        lat = Lattice(h=h, lo=-round(1.2 / h), hi=round(1.2 / h), boundary="kill")
+
+        def far(rm):
+            return {k: r for k, r in rm.rates.items() if abs(k[1]) >= 2}
+
+        got, want = far(discretize(cutoff_model(m, h), lat)), far(discretize(m, lat))
+        assert list(got) == list(want)
+        for key, r in got.items():
+            assert r == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+
+    def test_density_tails_once_per_kernel_side(self, monkeypatch):
+        calls = []
+        inner = generator.density_tails
+
+        def counting(density, args, a, *rest):
+            calls.append(np.size(a))
+            return inner(density, args, a, *rest)
+
+        monkeypatch.setattr(generator, "density_tails", counting)
+        m = cutoff_model(model_from_dict(PIPELINE_DOCS["dens_expr"]), 0.05)
+        discretize(m, Lattice(h=0.05, lo=-40, hi=40, boundary="reflect"))
+        # one block: the right and the left lump, each over all 81 states
+        assert calls == [81, 81]
+
+    def test_atoms_summed_exactly_in_moments(self):
+        cut = CutoffKernel(DecomposableKernel(a=lambda x: 1.0, base=_atoms()), 0.2)
+        assert cut.atoms(0.3) == [(1.0, 0.7), (-0.35, 0.2), (0.5, 0.1), (-0.5, 0.3),
+                                  (2.25, 0.05)]
+        assert cut.abs_moment(0.3) == pytest.approx(1.0825, rel=1e-15, abs=0.0)
+
+
 class TestBoundaryClass:
     def test_linear_G_small_slope_inaccessible(self):
         m = LevyModel(
