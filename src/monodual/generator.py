@@ -778,6 +778,8 @@ class Lattice:
     def __post_init__(self):
         if not (self.h > 0.0) or not math.isfinite(self.h):
             raise InputFormatError(f"mesh must be positive, got {self.h!r}")
+        object.__setattr__(self, "lo", number(self.lo, "lo", int))
+        object.__setattr__(self, "hi", number(self.hi, "hi", int))
         if self.hi <= self.lo:
             raise InputFormatError(f"empty lattice window [{self.lo}, {self.hi}]")
 

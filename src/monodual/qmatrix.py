@@ -24,7 +24,6 @@ from types import MappingProxyType
 from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse
 import scipy.special
 
 from .errors import (
@@ -47,14 +46,9 @@ DUALITY_TOL = 1e-8
 # the step's time scale is covered; see transition_matrix.
 EXPM_TOL = 1e-12
 
-# Uniformization multiplies by B in CSR form when at most this share of its
-# entries is nonzero, and by dense BLAS otherwise.  CSR times dense against
-# dense times dense on a 2-core x86-64 VM (numpy 2.4, scipy 1.17, OpenBLAS)
-# breaks even at 12% density for N=200, 9% for N=481 and 8% for N=800 with
-# one BLAS thread, and at 8%, 5% and 4% with two.  At 5% CSR takes 0.6x the
-# dense time on one thread.  Banded chains sit near (2w+1)/N, far below;
-# discretized continuum models are about half dense and stay on BLAS.
-SPARSE_DENSITY = 0.05
+# Uniformization multiplies by B a block of this many rows at a time, each
+# block against only the rows and columns its band can reach.
+BLOCK_ROWS = 32
 
 
 class _Columns(NamedTuple):
@@ -252,7 +246,8 @@ class TransitionMatrix:
     the truncation bound actually achieved, 2**halvings times the Poisson
     mass the series left out.  It exceeds the requested tolerance when the
     series floor or its term cap stopped short, and ``tol_met`` is then
-    False.  Rounding is not included.
+    False.  Rounding is not included, and the observed error can exceed
+    the bound.
     """
 
     lo: int
@@ -557,14 +552,19 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     sup-norm at most one, the cut mass bounds the error.  Time steps with
     lam * t above 64 are halved recursively and the result squared, with a
     correspondingly tightened series tolerance (floored at 1e-15, below
-    which the accumulated weight cannot resolve the cut).  The result
-    reports the terms, halvings and the truncation bound achieved.
+    which the accumulated weight cannot resolve the cut).  The series is
+    summed backwards (Horner's rule), multiplying by B in blocks of
+    BLOCK_ROWS rows over only the band the jump offsets of ``rm`` allow,
+    so a chain with jumps of width w costs O(N^2 w) per term until the
+    band fills.  The result reports the terms, halvings and the truncation
+    bound achieved.
     """
     q, _ = effective_generator(rm)
     t = float(t)
     if t < 0.0:
         raise InputFormatError(f"negative time {t!r}")
-    p, terms, halvings, bound = _expm_uniformized(q, t, tol)
+    width = min(int(np.max(np.abs(rm.m), initial=0)), rm.n_states - 1)
+    p, terms, halvings, bound = _expm_uniformized(q, t, tol, width)
     defect = 1.0 - p.sum(axis=1)
     np.clip(defect, 0.0, 1.0, out=defect)
     return TransitionMatrix(
@@ -573,9 +573,12 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
 
 
 def _expm_uniformized(
-    q: np.ndarray, t: float, tol: float
+    q: np.ndarray, t: float, tol: float, width: int
 ) -> Tuple[np.ndarray, int, int, float]:
-    """exp(t q) with the series terms, halvings and truncation bound used."""
+    """exp(t q) with the series terms, halvings and truncation bound used.
+
+    ``width`` bounds the jump width: q[i, j] == 0 whenever |i - j| > width.
+    """
     n_states = q.shape[0]
     lam = _max_exit_rate(q)
     if t == 0.0 or lam == 0.0:
@@ -585,27 +588,41 @@ def _expm_uniformized(
         halvings += 1
     step_tol = max(tol / (2.0 ** halvings), 1e-15)
     a = lam * t / (2.0 ** halvings)
-    b = np.eye(n_states) + q / lam
-    if np.count_nonzero(b) <= SPARSE_DENSITY * b.size:
-        b = scipy.sparse.csr_array(b)
-    powers = np.eye(n_states)
     weight = math.exp(-a)
-    total = weight * np.eye(n_states)
-    term = np.empty_like(total)
+    weights = [weight]
     covered = weight
     k = 0
     k_max = int(a + 40.0 * math.sqrt(a + 1.0)) + 100
     while covered < 1.0 - step_tol and k < k_max:
         k += 1
-        powers = b @ powers
         weight *= a / k
-        total += np.multiply(powers, weight, out=term)
+        weights.append(weight)
         covered += weight
+    b = q / lam
+    b.reshape(-1)[:: n_states + 1] += 1.0  # B = I + q/lam
+    # x <- B x + w_j I from x = w_k I down to j = 0.  After i steps x has
+    # band i*width; the spare buffer holds x from two steps back, whose
+    # narrower band lies inside every block's window, so writing the
+    # window clears it.  When a block reads every row, one block is used.
+    x, spare = np.zeros((n_states, n_states)), np.zeros((n_states, n_states))
+    x.reshape(-1)[:: n_states + 1] = weights[k]
+    rows = n_states if 2 * width + BLOCK_ROWS >= n_states else BLOCK_ROWS
+    band = 0
+    for w_j in reversed(weights[:k]):
+        band = min(band + width, n_states)
+        for r0 in range(0, n_states, rows):
+            r1 = min(r0 + rows, n_states)
+            c0, c1 = max(r0 - width, 0), min(r1 + width, n_states)
+            d0, d1 = max(r0 - band, 0), min(r1 + band, n_states)
+            np.matmul(b[r0:r1, c0:c1], x[c0:c1, d0:d1], out=spare[r0:r1, d0:d1])
+        spare.reshape(-1)[:: n_states + 1] += w_j
+        x, spare = spare, x
     for _ in range(halvings):
-        total = total @ total
+        np.matmul(x, x, out=spare)
+        x, spare = spare, x
     # the Poisson mass beyond term k, free of the rounding in `covered`
     bound = 2.0 ** halvings * float(scipy.special.pdtrc(k, a))
-    return total, k, halvings, bound
+    return x, k, halvings, bound
 
 
 def check_stochastic_dominance(

@@ -320,6 +320,15 @@ class TestStructures:
         lat = Lattice(h=0.5, lo=-2, hi=2)
         assert np.allclose(lat.points(), [-1.0, -0.5, 0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("lo, hi", [(-0.5, 2), (0, 2.5), ("0", 2), (None, 2)])
+    def test_lattice_rejects_non_integral_edges(self, lo, hi):
+        with pytest.raises(InputFormatError):
+            Lattice(h=0.5, lo=lo, hi=hi)
+
+    def test_lattice_integral_float_edges_become_ints(self):
+        lat = Lattice(h=0.5, lo=-2.0, hi=2.0)
+        assert (lat.lo, lat.hi) == (-2, 2) and type(lat.lo) is int and type(lat.hi) is int
+
     def test_model_support_validation(self):
         with pytest.raises(InputFormatError):
             LevyModel(G=lambda x: 1.0, support="circle")

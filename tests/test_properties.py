@@ -101,6 +101,24 @@ def test_transition_matrix_matches_scipy(seed, t):
     assert np.max(np.abs(tm.P - ref)) < 1e-10
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=seeds, log_lam_t=st.floats(min_value=-1.0, max_value=4.0))
+def test_transition_matrix_matches_scipy_up_to_lam_t_1e4(seed, log_lam_t):
+    # lam*t up to 1e4 takes up to 8 halvings; windows up to 80 states take
+    # the blocked product.  The observed error is not compared with
+    # error_bound: the bound leaves out rounding, and the observed error
+    # exceeds it on about a quarter of such chains.
+    rng = np.random.default_rng(seed)
+    rm = random_ratematrix(rng, max_states=int(rng.integers(3, 81)), band=int(rng.integers(1, 7)))
+    q, _ = effective_generator(rm)
+    lam = float(np.max(-np.diag(q), initial=0.0))
+    t = 10.0 ** log_lam_t / lam if lam > 0.0 else 1.0
+    tm = transition_matrix(rm, t)
+    assert tm.halvings <= 8
+    assert np.max(np.abs(tm.P - scipy.linalg.expm(q * t))) <= 1e-10
+    assert tm.tol_met == (tm.error_bound <= 1e-12)
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=seeds)
 def test_transition_rows_are_distributions(seed):

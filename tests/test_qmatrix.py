@@ -1,8 +1,12 @@
 import copy
 import json
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -400,19 +404,62 @@ class TestDual:
 
 
 class TestTransitionMatrix:
-    def test_matches_scipy_expm(self, monkeypatch):
-        # density limits 0 and 1 force the dense and the CSR branch
-        rm = birth_death(0, 10, up=1.3, down=0.7, boundary="kill")
+    @pytest.mark.parametrize("boundary", qmatrix.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("n_states, band", [
+        (12, 1), (12, 3), (12, 11),  # below one block of rows
+        (120, 1), (120, 3),  # banded, blocked
+        (120, 40),  # band wider than a block, still blocked
+        (120, 119),  # dense: one block of every row
+    ])
+    def test_matches_scipy_expm(self, n_states, band, boundary):
+        rng = np.random.default_rng(1000 * n_states + band)
+        rm = random_monotone_ratematrix(rng, n_states=n_states, band=band, boundary=boundary)
         q, _ = effective_generator(rm)
-        for density in (0.0, 1.0):
-            monkeypatch.setattr(qmatrix, "SPARSE_DENSITY", density)
-            for t in (0.1, 0.7, 3.0):
-                tm = transition_matrix(rm, t)
-                ref = scipy.linalg.expm(q * t)
-                assert np.max(np.abs(tm.P - ref)) < 1e-11
-                assert tm.terms > 0 and tm.halvings == 0
-                assert 0.0 < tm.error_bound <= qmatrix.EXPM_TOL
-                assert tm.tol_met is True
+        # a largest exit rate of 5 keeps every t below a halving
+        scale = 5.0 / np.max(-np.diag(q))
+        rm = RateMatrix(rm.lo, rm.hi, boundary, {k: v * scale for k, v in rm.rates.items()})
+        q, _ = effective_generator(rm)
+        for t in (0.1, 0.7, 3.0):
+            tm = transition_matrix(rm, t)
+            ref = scipy.linalg.expm(q * t)
+            assert np.max(np.abs(tm.P - ref)) < 1e-11
+            assert tm.terms > 0 and tm.halvings == 0
+            assert 0.0 < tm.error_bound <= qmatrix.EXPM_TOL
+            assert tm.tol_met is True
+
+    def test_offsets_past_int64_bound_the_band(self):
+        # a huge killing offset is clipped to the window for the band
+        rm = RateMatrix(0, 40, "kill", {(0, 1): 1.0, (5, 2**70): 0.5, (40, -1): 2.0})
+        q, _ = effective_generator(rm)
+        tm = transition_matrix(rm, 1.5)
+        assert np.max(np.abs(tm.P - scipy.linalg.expm(q * 1.5))) < 1e-12
+
+    def test_same_bits_under_any_blas_thread_count(self):
+        # a band-2 chain and one whose band is wider than a block of rows,
+        # the second with halvings, so the squarings are covered too
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from monodual.qmatrix import RateMatrix, transition_matrix
+            rng = np.random.default_rng(7)
+            for band, t in ((2, 1.0), (40, 30.0)):
+                rates = {(n, m): float(rng.uniform(0.1, 2.0))
+                         for n in range(200) for m in range(-band, band + 1)
+                         if m and 0 <= n + m < 200}
+                tm = transition_matrix(RateMatrix(0, 199, "reflect", rates), t)
+                print(tm.halvings, hashlib.sha256(tm.P.tobytes()).hexdigest())
+        """)
+        src = str(Path(qmatrix.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
+        halvings = [int(line.split()[0]) for line in digests[0].splitlines()]
+        assert halvings[0] == 0 and halvings[1] > 0
 
     def test_reports_missed_tolerance(self):
         # 19 halvings push the per-step tolerance under the 1e-15 floor of
