@@ -24,6 +24,7 @@ from types import MappingProxyType
 from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse
 import scipy.special
 
 from .errors import (
@@ -49,6 +50,11 @@ EXPM_TOL = 1e-12
 # Uniformization multiplies by B a block of this many rows at a time, each
 # block against only the rows and columns its band can reach.
 BLOCK_ROWS = 32
+
+# ... unless at most this share of the entries in those blocks is nonzero;
+# B is then multiplied as a sparse (CSR) matrix.  Far entries widen every
+# block: the dual of a killing chain has kill-rate steps in far columns.
+SPARSE_DENSITY = 0.05
 
 
 class _Columns(NamedTuple):
@@ -308,17 +314,16 @@ def _max_exit_rate(q: np.ndarray) -> float:
     return float(np.max(-np.diag(q), initial=0.0))
 
 
-def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense generator and kill-rate vector induced by the boundary policy.
+def _jumps(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Source, target and rate of each nonzero jump, and which of them move.
 
-    Returns ``(q, kill)`` where ``q`` is (N, N) with row sums ``-kill``.
-    The kill vector is nonzero only under the "kill" policy.  Rates that
-    land on one entry are summed in rate-table order.  Raises NegativeRate
-    for a negative rate and InputFormatError for a non-finite one.
+    Sources and targets are window indices.  Under "kill" a jump moves when
+    its target lies in the window and is killed mass otherwise; the other
+    policies clamp targets to the edges, and a jump clamped onto its own
+    source does not move.  Raises NegativeRate for a negative rate and
+    InputFormatError for a non-finite one.
     """
     n_states = rm.n_states
-    q = np.zeros((n_states, n_states))
-    kill = np.zeros(n_states)
     r = rm.rate
     bad = np.flatnonzero(~np.isfinite(r) | (r < 0.0))
     if bad.size:
@@ -334,12 +339,30 @@ def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
     tgt = src + np.clip(rm.m[nonzero], -n_states, n_states).astype(np.int64, copy=False)
     if rm.boundary == "kill":
         moves = (tgt >= 0) & (tgt < n_states)
+    else:
+        tgt = np.clip(tgt, 0, n_states - 1)
+        moves = tgt != src
+    return src, tgt, r, moves
+
+
+def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense generator and kill-rate vector induced by the boundary policy.
+
+    Returns ``(q, kill)`` where ``q`` is (N, N) with row sums ``-kill``.
+    The kill vector is nonzero only under the "kill" policy.  Rates that
+    land on one entry are summed in rate-table order.  Raises NegativeRate
+    for a negative rate and InputFormatError for a non-finite one.
+    """
+    n_states = rm.n_states
+    q = np.zeros((n_states, n_states))
+    kill = np.zeros(n_states)
+    src, tgt, r, moves = _jumps(rm)
+    if rm.boundary == "kill":
         np.add.at(kill, src[~moves], r[~moves])
         exits = slice(None)
     else:
-        tgt = np.clip(tgt, 0, n_states - 1)
         # a jump clamped onto its own source has no net motion: dropped
-        moves = exits = tgt != src
+        exits = moves
     np.add.at(q, (src[moves], tgt[moves]), r[moves])
     np.add.at(q, (src[exits], src[exits]), -r[exits])
     if rm.boundary == "absorb":
@@ -554,17 +577,23 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     correspondingly tightened series tolerance (floored at 1e-15, below
     which the accumulated weight cannot resolve the cut).  The series is
     summed backwards (Horner's rule), multiplying by B in blocks of
-    BLOCK_ROWS rows over only the band the jump offsets of ``rm`` allow,
-    so a chain with jumps of width w costs O(N^2 w) per term until the
-    band fills.  The result reports the terms, halvings and the truncation
-    bound achieved.
+    BLOCK_ROWS rows over only the band that the widest jump inside the
+    window allows, so a chain with jumps of width w costs O(N^2 w) per
+    term until the band fills.  When at most SPARSE_DENSITY of the entries
+    in those blocks is nonzero (a few far entries make the band wide), B
+    is multiplied as a sparse matrix instead, at O(N nnz) per term.  The
+    result reports the terms, halvings and the truncation bound achieved.
     """
     q, _ = effective_generator(rm)
     t = float(t)
     if t < 0.0:
         raise InputFormatError(f"negative time {t!r}")
-    width = min(int(np.max(np.abs(rm.m), initial=0)), rm.n_states - 1)
-    p, terms, halvings, bound = _expm_uniformized(q, t, tol, width)
+    # jumps that leave the window under "kill" are on the diagonal of q
+    src, tgt, _, moves = _jumps(rm)
+    reach = np.abs(tgt[moves] - src[moves])
+    width = int(np.max(reach, initial=0))
+    nnz = rm.n_states + reach.size
+    p, terms, halvings, bound = _expm_uniformized(q, t, tol, width, nnz)
     defect = 1.0 - p.sum(axis=1)
     np.clip(defect, 0.0, 1.0, out=defect)
     return TransitionMatrix(
@@ -573,11 +602,12 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
 
 
 def _expm_uniformized(
-    q: np.ndarray, t: float, tol: float, width: int
+    q: np.ndarray, t: float, tol: float, width: int, nnz: int
 ) -> Tuple[np.ndarray, int, int, float]:
     """exp(t q) with the series terms, halvings and truncation bound used.
 
     ``width`` bounds the jump width: q[i, j] == 0 whenever |i - j| > width.
+    ``nnz`` bounds the number of nonzero entries of B = I + q/lam.
     """
     n_states = q.shape[0]
     lam = _max_exit_rate(q)
@@ -600,23 +630,30 @@ def _expm_uniformized(
         covered += weight
     b = q / lam
     b.reshape(-1)[:: n_states + 1] += 1.0  # B = I + q/lam
-    # x <- B x + w_j I from x = w_k I down to j = 0.  After i steps x has
-    # band i*width; the spare buffer holds x from two steps back, whose
-    # narrower band lies inside every block's window, so writing the
-    # window clears it.  When a block reads every row, one block is used.
+    # x <- B x + w_j I from x = w_k I down to j = 0
     x, spare = np.zeros((n_states, n_states)), np.zeros((n_states, n_states))
     x.reshape(-1)[:: n_states + 1] = weights[k]
-    rows = n_states if 2 * width + BLOCK_ROWS >= n_states else BLOCK_ROWS
-    band = 0
-    for w_j in reversed(weights[:k]):
-        band = min(band + width, n_states)
-        for r0 in range(0, n_states, rows):
-            r1 = min(r0 + rows, n_states)
-            c0, c1 = max(r0 - width, 0), min(r1 + width, n_states)
-            d0, d1 = max(r0 - band, 0), min(r1 + band, n_states)
-            np.matmul(b[r0:r1, c0:c1], x[c0:c1, d0:d1], out=spare[r0:r1, d0:d1])
-        spare.reshape(-1)[:: n_states + 1] += w_j
-        x, spare = spare, x
+    if nnz <= SPARSE_DENSITY * n_states * min(n_states, 2 * width + BLOCK_ROWS):
+        b = scipy.sparse.csr_array(b)
+        for w_j in reversed(weights[:k]):
+            x = b @ x
+            x.reshape(-1)[:: n_states + 1] += w_j
+    else:
+        # After i steps x has band i*width; the spare buffer holds x from
+        # two steps back, whose narrower band lies inside every block's
+        # window, so writing the window clears it.  When a block reads
+        # every row, one block is used.
+        rows = n_states if 2 * width + BLOCK_ROWS >= n_states else BLOCK_ROWS
+        band = 0
+        for w_j in reversed(weights[:k]):
+            band = min(band + width, n_states)
+            for r0 in range(0, n_states, rows):
+                r1 = min(r0 + rows, n_states)
+                c0, c1 = max(r0 - width, 0), min(r1 + width, n_states)
+                d0, d1 = max(r0 - band, 0), min(r1 + band, n_states)
+                np.matmul(b[r0:r1, c0:c1], x[c0:c1, d0:d1], out=spare[r0:r1, d0:d1])
+            spare.reshape(-1)[:: n_states + 1] += w_j
+            x, spare = spare, x
     for _ in range(halvings):
         np.matmul(x, x, out=spare)
         x, spare = spare, x

@@ -427,12 +427,40 @@ class TestTransitionMatrix:
             assert 0.0 < tm.error_bound <= qmatrix.EXPM_TOL
             assert tm.tol_met is True
 
-    def test_offsets_past_int64_bound_the_band(self):
-        # a huge killing offset is clipped to the window for the band
-        rm = RateMatrix(0, 40, "kill", {(0, 1): 1.0, (5, 2**70): 0.5, (40, -1): 2.0})
+    @pytest.mark.parametrize("boundary", qmatrix.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("rates", [
+        {(0, 1): 1.0, (5, 2**70): 0.5, (99, -1): 2.0},  # past int64
+        {(70, -2**63): 0.5},  # abs() wraps back to -2**63 in int64
+        {(0, 1): 1.0, (70, -2**63): 0.5, (99, -1): 2.0},
+    ])
+    def test_offsets_past_int64_bound_the_band(self, rates, boundary):
+        # offsets are clipped to the window before the band is measured; a
+        # jump clamped onto an edge crosses blocks of rows
+        rm = RateMatrix(0, 99, boundary, rates)
         q, _ = effective_generator(rm)
         tm = transition_matrix(rm, 1.5)
         assert np.max(np.abs(tm.P - scipy.linalg.expm(q * 1.5))) < 1e-12
+
+    @pytest.mark.parametrize("kill", ["uniform", "step", "linear"])
+    def test_duals_of_killing_chains(self, kill):
+        # every dual row leaks past the top edge, which adds nothing to the
+        # band; kill-rate steps put dual entries in far columns, a few
+        # (step: the sparse product) or half the matrix (linear: dense)
+        n = 120
+        q = np.zeros((n, n))
+        i = np.arange(n - 1)
+        q[i, i + 1], q[i + 1, i] = 1.3, 0.7
+        kills = {
+            "uniform": np.full(n, 0.2),
+            "step": np.where(np.arange(n) < n // 2, 0.3, 0.0),
+            "linear": 0.4 * (1.0 - np.arange(n) / n),
+        }
+        rm = from_dense(0, n - 1, q, boundary="kill", kill=kills[kill])
+        dual = dual_qmatrix(rm)
+        q_dual, _ = effective_generator(dual)
+        tm = transition_matrix(dual, 1.0)
+        assert np.max(np.abs(tm.P - scipy.linalg.expm(q_dual))) < 1e-12
+        assert verify_duality(rm, 1.0, dual=dual).sup_full < 1e-12
 
     def test_same_bits_under_any_blas_thread_count(self):
         # a band-2 chain and one whose band is wider than a block of rows,
