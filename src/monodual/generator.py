@@ -765,6 +765,19 @@ class CutoffKernel(LevyKernel):
             return 0.0
         return self.inner.density_at(x, y)
 
+    def _integrate(self, x: float, weight) -> float:
+        inner = self.inner
+        if not isinstance(inner, DensityKernel):
+            return super()._integrate(x, weight)
+        # the inner density over |y| > cut, one quadrature a side, as
+        # DensityKernel integrates it over its support
+        density = lambda y: inner.density(x, y)
+        return sum(
+            kernel_moment(weight, density=density, y_min=lo, y_max=hi)
+            for lo, hi in ((max(inner.y_min, self.cut), inner.y_max),
+                           (inner.y_min, min(inner.y_max, -self.cut)))
+        )
+
 
 @dataclass(frozen=True)
 class Lattice:

@@ -345,6 +345,44 @@ def _jumps(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return src, tgt, r, moves
 
 
+def _generator_entries(
+    rm: RateMatrix,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The effective generator as entries: O(nnz) memory, no N x N array.
+
+    Returns ``(src, tgt, rate, exit, kill)``: the off-diagonal entries
+    ``q[src, tgt] = rate`` sorted by (src, tgt), each a sum of the rates
+    that land on it in rate-table order, then the exit rate ``-q[i, i]``
+    and the kill rate of every state, summed in the same order.  Raises
+    NegativeRate for a negative rate and InputFormatError for a non-finite
+    one.
+    """
+    n_states = rm.n_states
+    src, tgt, r, moves = _jumps(rm)
+    if rm.boundary == "absorb":
+        # the edge states are frozen: their rows of q are zero
+        live = (src != 0) & (src != n_states - 1)
+        src, tgt, r, moves = src[live], tgt[live], r[live], moves[live]
+    # bincount adds its weights in order, so every sum runs in table order
+    if rm.boundary == "kill":
+        kill = np.bincount(src[~moves], weights=r[~moves], minlength=n_states)
+        exits = slice(None)
+    else:
+        # a jump clamped onto its own source has no net motion: dropped
+        kill = np.zeros(n_states)
+        exits = moves
+    exit_rate = np.bincount(src[exits], weights=r[exits], minlength=n_states)
+    # a stable sort keeps the rates that land on one entry in table order
+    key = src[moves] * n_states + tgt[moves]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    rate = np.bincount(np.cumsum(first) - 1, weights=r[moves][order])
+    key = key[first]
+    return key // n_states, key % n_states, rate, exit_rate, kill
+
+
 def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
     """Dense generator and kill-rate vector induced by the boundary policy.
 
@@ -353,21 +391,13 @@ def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
     land on one entry are summed in rate-table order.  Raises NegativeRate
     for a negative rate and InputFormatError for a non-finite one.
     """
+    src, tgt, rate, exit_rate, kill = _generator_entries(rm)
     n_states = rm.n_states
     q = np.zeros((n_states, n_states))
-    kill = np.zeros(n_states)
-    src, tgt, r, moves = _jumps(rm)
-    if rm.boundary == "kill":
-        np.add.at(kill, src[~moves], r[~moves])
-        exits = slice(None)
-    else:
-        # a jump clamped onto its own source has no net motion: dropped
-        exits = moves
-    np.add.at(q, (src[moves], tgt[moves]), r[moves])
-    np.add.at(q, (src[exits], src[exits]), -r[exits])
-    if rm.boundary == "absorb":
-        q[0, :] = 0.0
-        q[n_states - 1, :] = 0.0
+    flat = q.ravel()
+    flat[src * n_states + tgt] = rate
+    # 0 - exit, not -exit: a state without exits keeps +0.0
+    flat[:: n_states + 1] -= exit_rate
     return q, kill
 
 

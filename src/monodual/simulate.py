@@ -9,19 +9,23 @@ replicate's trajectory therefore depends only on its own row, which makes
 results bit-identical however the replicates are chunked across threads.
 
 The block is never held whole.  Each thread's chunk of rows starts from
-the Philox counter of its first row and is streamed in sub-chunks of at
-most ``_BLOCK_BUDGET`` doubles, so memory is bounded by twice that budget
-per worker (the block and its stragglers' rows) plus the O(reps)
-outputs.  Each step touches only the rows still jumping, and finds their
-targets by a vectorized binary search over the cumulative jump
-distributions.  Rows hold six standard deviations of the jump count, up
-to ``_BLOCK_COL_CAP`` uniforms, so a replicate that stops early never
-pays for a long row.  A replicate that exhausts its row (a straggler)
-reads on from a private stream keyed by (seed, salt + r << 32), in rows
-of the same width, still in lockstep with the other stragglers; its
-draws are those of a scalar loop on that stream, which ``sample_path``
-runs on its own stream.  Salts occupy the low 16 bits and per-start
-offsets the next 16, so the three key ranges never collide.
+the Philox counter of its first row and is streamed through one buffer
+of at most ``_BLOCK_BUDGET`` doubles, so memory is bounded by twice that
+budget per worker (the block and its stragglers' rows) plus the O(reps)
+outputs and the O(nnz) jump table.  The table is padded: row i holds the
+cumulative probabilities of the states that state i can reach, then the
+kill entry at 1, so it is N by one plus the most targets of any state,
+and it is built from the rate table without an N x N array.  Each step
+works on compacted arrays of the rows still jumping, and finds their
+targets by a vectorized binary search over the table rows.  Rows hold
+six standard deviations of the jump count, up to ``_BLOCK_COL_CAP``
+uniforms, so a replicate that stops early never pays for a long row.  A
+replicate that exhausts its row (a straggler) reads on from a private
+stream keyed by (seed, salt + r << 32), in rows of the same width, still
+in lockstep with the other stragglers; its draws are those of a scalar
+loop on that stream, which ``sample_path`` runs on its own stream.
+Salts occupy the low 16 bits and per-start offsets the next 16, so the
+three key ranges never collide.
 
 Estimates carry 95% confidence half-widths: normal intervals for means,
 with a Wilson fallback for proportions too close to 0 or 1 for the
@@ -40,7 +44,7 @@ import numpy as np
 
 from .errors import InputFormatError, WindowEscape
 from .generator import Lattice, LevyModel, discretize
-from .qmatrix import RateMatrix, dual_qmatrix, effective_generator
+from .qmatrix import RateMatrix, _generator_entries, dual_qmatrix
 
 SALT_SURVIVAL = 1
 SALT_DUAL_X = 2
@@ -147,25 +151,37 @@ class GrowthMCReport:
 class _Dynamics:
     """Exit rates and cumulative jump distributions of a rate matrix.
 
-    Row i of ``cum`` holds the cumulative probabilities of jumping to
-    states 0..n-1 and, last, of being killed; it ends at exactly 1.
+    Row i of ``cum`` holds the cumulative probabilities of jumping to the
+    states state i can reach, in state order, then of being killed, at
+    exactly 1, then +inf padding up to the widest row; ``target`` holds
+    the state index of each entry (n_states for the kill entry).  The kept
+    entries are those of the cumulative sum over all n_states targets, as
+    adding a zero probability changes no bit, and the first entry above
+    any u in [0, 1) is a reachable state or the kill entry.  ``moving[j]``
+    and ``edge[j]`` say whether state j keeps jumping and whether it is a
+    window edge, with j = n_states for a killed replicate.
     """
 
     def __init__(self, rm: RateMatrix):
-        q, kill = effective_generator(rm)
-        n = q.shape[0]
+        src, tgt, rate, self.rates, _ = _generator_entries(rm)
+        n = rm.n_states
         self.lo = rm.lo
         self.n_states = n
-        self.rates = -np.diag(q).copy()
-        prob = q.copy()
-        prob[np.arange(n), np.arange(n)] = 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            prob = np.where(self.rates[:, None] > 0.0, prob / self.rates[:, None], 0.0)
-            kill_p = np.where(self.rates > 0.0, kill / self.rates, 0.0)
-        cum = np.cumsum(np.hstack([prob, kill_p[:, None]]), axis=1)
-        cum[:, -1] = 1.0
+        counts = np.bincount(src, minlength=n)
+        width = 1 + int(counts.max(initial=0))
+        col = np.arange(src.size) - (np.cumsum(counts) - counts)[src]
+        cum = np.zeros((n, width))
+        cum[src, col] = rate / self.rates[src]
+        np.cumsum(cum, axis=1, out=cum)
+        cum[np.arange(width) > counts[:, None]] = np.inf
+        cum[np.arange(n), counts] = 1.0
         self.cum = cum
+        self.target = np.full((n, width), n, dtype=np.int64)
+        self.target[src, col] = tgt
         self.max_rate = float(self.rates.max()) if n else 0.0
+        self.moving = np.append(self.rates > 0.0, False)
+        self.edge = np.zeros(n + 1, dtype=bool)
+        self.edge[[0, n - 1, n]] = True
 
     def index_of(self, state: int) -> int:
         idx = int(state) - self.lo
@@ -176,22 +192,25 @@ class _Dynamics:
         return idx
 
 
-def _jump_targets(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Count the entries <= u[i] in row states[i] of ``cum``, for every i.
+def _jump_targets(dyn: _Dynamics, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The state index each replicate jumps to from states[i] on u[i] in [0, 1).
 
-    This is ``searchsorted(cum[states[i]], u[i], side="right")``, the jump
-    rule of the scalar loop, found by a branchless binary search over the
-    flattened rows: about log2 of the row width passes of O(len(u)) work.
+    The entry of ``dyn.target`` at ``searchsorted(cum[states[i]], u[i],
+    side="right")``, the jump rule of the scalar loop, found by a
+    branchless binary search over the flattened rows: about log2 of the
+    row width passes of O(len(u)) work.  The last column, at 1 or +inf,
+    is never <= u, so the search leaves it out.
     """
-    width = cum.shape[1]
-    flat = cum.ravel()
-    start = states * width
-    pos = start.copy()
+    width = dyn.cum.shape[1]
+    flat = dyn.cum.ravel()
+    pos = states * width
+    width = max(width - 1, 1)
     while width > 1:
         half = width // 2
         pos += (flat[pos + half] <= u) * half
         width -= half
-    return pos - start + (flat[pos] <= u)
+    pos += flat[pos] <= u
+    return dyn.target.ravel()[pos]
 
 
 def _block_columns(dyn: _Dynamics, t_end: float) -> int:
@@ -225,7 +244,7 @@ def _finish_scalar(
         if tnow + dt > t_end:
             break
         tnow += dt
-        idx = int(np.searchsorted(dyn.cum[state], u2, side="right"))
+        idx = int(dyn.target[state, np.searchsorted(dyn.cum[state], u2, side="right")])
         if idx >= n:
             killed = True
             hit = True
@@ -251,26 +270,42 @@ def _lockstep(
 ) -> np.ndarray:
     """Advance replicate i by the uniforms of block row i, two per jump.
 
-    Updates ``states``, ``tnow``, ``killed`` and ``hit`` in place and
-    returns the replicates still jumping when their rows ran out.
+    Updates ``states``, ``killed`` and ``hit`` in place, and ``tnow`` of
+    the replicates still jumping when their rows ran out, which it returns.
+    The loop keeps the state, time, edge flag and row offset of the live
+    replicates only, compacted, and writes back the rows that stop.
     """
     n = dyn.n_states
-    live = np.flatnonzero(dyn.rates[states] > 0.0)
-    for col in range(0, block.shape[1] - 1, 2):
-        if not live.size:
+    cols = block.shape[1]
+    flat = block.ravel()
+    live = np.flatnonzero(dyn.moving[states])
+    cur, now, edge = states[live], tnow[live], hit[live]
+    # offset into ``flat`` of each live replicate's row
+    base = live * cols
+    for col in range(0, cols - 1, 2):
+        if not base.size:
             break
-        cur = states[live]
+        at = base + col
         with np.errstate(divide="ignore"):
-            tnew = tnow[live] - np.log(block[live, col]) / dyn.rates[cur]
+            tnew = now - np.log(flat.take(at)) / dyn.rates[cur]
         jump = tnew <= t_end
-        live, cur = live[jump], cur[jump]
-        tnow[live] = tnew[jump]
-        idx = _jump_targets(dyn.cum, cur, block[live, col + 1])
-        kflag = idx >= n
-        states[live] = np.where(kflag, cur, idx)
-        killed[live] = kflag
-        hit[live] |= kflag | (idx == 0) | (idx == n - 1)
-        live = live[~kflag & (dyn.rates[states[live]] > 0.0)]
+        idx = _jump_targets(dyn, cur, flat.take(at + 1))
+        go = dyn.moving[idx] & jump
+        if not go.all():
+            # write back the rows that stop: at the horizon they keep their
+            # state, killed they keep the state they left
+            stop = np.flatnonzero(~go)
+            moved, end, rows = jump[stop], idx[stop], base[stop] // cols
+            dead = moved & (end == n)
+            states[rows] = np.where(moved & ~dead, end, cur[stop])
+            killed[rows] = dead
+            hit[rows] = edge[stop] | (dyn.edge[end] & moved)
+            keep = np.flatnonzero(go)
+            base, idx, tnew, edge = base[keep], idx[keep], tnew[keep], edge[keep]
+        edge |= dyn.edge[idx]
+        cur, now = idx, tnew
+    live = base // cols
+    states[live], tnow[live], hit[live] = cur, now, edge
     return live
 
 
@@ -299,18 +334,29 @@ def _run_block(
     tnow = np.zeros(m)
     live = _lockstep(dyn, t_end, block, states, tnow, killed, hit)
     stragglers = int(live.size)
-    # stragglers read on from private streams, in rows of the same width
-    keys = [salt + ((row0 + int(i)) << 32) for i in live]
-    gens = [np.random.Generator(np.random.Philox(key=[seed, k])) for k in keys]
+    # stragglers read on from private streams, in rows of the same width:
+    # row k of replicate r's stream starts at double k * cols of the
+    # Philox stream keyed by (seed, salt + r << 32).  One generator is
+    # moved there by setting its key and counter, as _row_stream advances.
+    bitgen = np.random.Philox(key=[seed, salt])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    k = 0
     while live.size:
+        counter[0], skip = divmod(k * cols, 4)
         more = np.empty((live.size, cols))
-        for row, gen in zip(more, gens):
+        for row, r in zip(more, (row0 + live).tolist()):
+            key[1] = salt + (r << 32)
+            bitgen.state = state
+            if skip:
+                gen.random(skip)
             gen.random(out=row)
         sub = states[live], tnow[live], killed[live], hit[live]
         left = _lockstep(dyn, t_end, more, *sub)
         states[live], tnow[live], killed[live], hit[live] = sub
         live = live[left]
-        gens = [gens[k] for k in left]
+        k += 1
     return stragglers
 
 
@@ -346,11 +392,14 @@ def _run_rows(
     """
     gen = _row_stream(seed, salt, r0, cols)
     step = max(1, _BLOCK_BUDGET // cols)
+    # one buffer holds each sub-chunk in turn
+    block = np.empty((min(step, r1 - r0), cols))
     stragglers = 0
     for s0 in range(r0, r1, step):
         s1 = min(s0 + step, r1)
+        rows = gen.random(out=block[: s1 - s0])
         stragglers += _run_block(
-            dyn, start_index, t_end, gen.random((s1 - s0, cols)), s0, seed, salt,
+            dyn, start_index, t_end, rows, s0, seed, salt,
             out_state[s0:s1], out_killed[s0:s1], out_hit[s0:s1],
         )
     return stragglers

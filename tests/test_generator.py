@@ -977,6 +977,28 @@ class TestCutoffDiscretize:
         # one block: the right and the left lump, each over all 81 states
         assert calls == [81, 81]
 
+    @pytest.mark.parametrize("case", ["dens_expr", "two-sided densities"])
+    def test_density_moments_skip_the_tails(self, monkeypatch, case):
+        # the inner density is integrated over |y| > cut directly; the
+        # tails route made hundreds of density_tails runs a moment
+        model = ALL_MODELS[f"pipeline {case}" if case in PIPELINE_DOCS else case]()
+        kern = cutoff_model(model, 0.3).nu
+        weights = [generator.SMALL_WEIGHT, generator.ABS_WEIGHT, generator.BOUNDED_WEIGHT,
+                   generator.overshoot_weight(0.5, 1.0), generator.overshoot_weight(-0.5, -1.0)]
+        want = [generator.LevyKernel._integrate(kern, 0.4, w) for w in weights]
+        calls = []
+        inner = generator.density_tails
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(generator, "density_tails", counting)
+        got = [kern._integrate(0.4, w) for w in weights]
+        assert kern.small_moment(0.4) == got[0]
+        assert calls == []
+        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
     def test_atoms_summed_exactly_in_moments(self):
         cut = CutoffKernel(DecomposableKernel(a=lambda x: 1.0, base=_atoms()), 0.2)
         assert cut.atoms(0.3) == [(1.0, 0.7), (-0.35, 0.2), (0.5, 0.1), (-0.5, 0.3),

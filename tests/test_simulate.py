@@ -9,7 +9,7 @@ from monodual.generator import (
     LevyModel,
 )
 from monodual import simulate
-from monodual.qmatrix import RateMatrix, transition_matrix
+from monodual.qmatrix import RateMatrix, effective_generator, transition_matrix
 from monodual.simulate import (
     _Dynamics,
     _finish_scalar,
@@ -24,7 +24,7 @@ from monodual.simulate import (
     sample_path,
 )
 
-from conftest import birth_death
+from conftest import birth_death, random_ratematrix
 
 
 def drift_chain():
@@ -37,15 +37,37 @@ def reference_lookup(cum, states, u):
     return (u[:, None] > cum[states]).sum(axis=1)
 
 
-def random_cum_rows(rng, n_states, rows):
-    # cumulative jump distributions with zero-probability targets, so
-    # runs of equal entries, and the last entry forced to exactly 1
-    prob = rng.random((rows, n_states + 1))
-    prob[rng.random(prob.shape) < 0.4] = 0.0
-    prob[:, 0] += 1e-3
-    cum = np.cumsum(prob / prob.sum(axis=1, keepdims=True), axis=1)
+def reference_dynamics(rm):
+    """Exit rates and the dense N x (N + 1) cumulative jump table.
+
+    The table the first lockstep engines kept: row i holds the cumulative
+    probabilities of jumping to states 0..N-1 and, last, of being killed,
+    forced to exactly 1.  Column j of a row is state j (N: killed), so
+    ``searchsorted(cum[i], u, side="right")`` is the state jumped to.
+    """
+    q, kill = effective_generator(rm)
+    n = q.shape[0]
+    rates = -np.diag(q)
+    prob = q.copy()
+    prob[np.arange(n), np.arange(n)] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prob = np.where(rates[:, None] > 0.0, prob / rates[:, None], 0.0)
+        kill_p = np.where(rates > 0.0, kill / rates, 0.0)
+    cum = np.cumsum(np.hstack([prob, kill_p[:, None]]), axis=1)
     cum[:, -1] = 1.0
-    return cum
+    return rates, cum
+
+
+def random_row_chain(rng, n_states):
+    # every state jumps to a random set of states and, under "kill", out
+    # of the window, so the dense rows have runs of equal entries; a few
+    # entries have rate 0
+    rates = {}
+    for n in range(n_states):
+        for m in range(-n, n_states - n + 2):
+            if m and rng.random() < 0.6:
+                rates[(n, m)] = 0.0 if rng.random() < 0.05 else float(rng.uniform(0.0, 3.0))
+    return RateMatrix(0, n_states - 1, "kill", rates)
 
 
 class _ScriptedUniforms:
@@ -236,29 +258,79 @@ class TestLockstepEngine:
     def test_jump_targets_match_searchsorted(self):
         rng = np.random.default_rng(2024)
         for n_states in list(range(1, 12)) + [31, 64, 127, 128, 129, 300]:
-            cum = random_cum_rows(rng, n_states, rows=7)
-            states = rng.integers(0, 7, size=400)
+            rm = random_row_chain(rng, n_states)
+            dyn = _Dynamics(rm)
+            rates, cum = reference_dynamics(rm)
+            live = np.flatnonzero(rates > 0.0)
+            states = live[rng.integers(0, live.size, size=400)]
             u = rng.random(400)
             # u exactly on cum entries, inside runs of equal entries too
             on = rng.integers(0, n_states + 1, size=100)
             u[:100] = cum[states[:100], on]
             u[100:110] = 0.0
             u = np.minimum(u, np.nextafter(1.0, 0.0))
-            got = _jump_targets(cum, states, u)
+            got = _jump_targets(dyn, states, u)
             want = [np.searchsorted(cum[s], x, side="right")
                     for s, x in zip(states, u)]
             assert np.array_equal(got, want), n_states
+            # the scalar loop takes the same jump: one at once, then none
+            first = np.nextafter(1.0, 0.0)
+            scalar = [_finish_scalar(dyn, s, 0.0, 1.0, _ScriptedUniforms([first, x, 0.0, 0.0]))[:2]
+                      for s, x in zip(states, u)]
+            assert scalar == [(w, False) if w < n_states else (s, True)
+                              for s, w in zip(states, want)], n_states
             # the old rule agrees wherever u sits on no cum entry
             off = ~np.any(cum[states] == u[:, None], axis=1)
             assert off.sum() >= 250
             assert np.array_equal(got[off], reference_lookup(cum, states, u)[off])
+
+    @pytest.mark.parametrize("boundary", ["absorb", "reflect", "kill"])
+    def test_dynamics_match_the_dense_reference(self, boundary):
+        rng = np.random.default_rng(77)
+        chains = [random_ratematrix(rng, max_states=30, band=6) for _ in range(150)]
+        chains += [
+            # offsets past int64, and -2**63, whose abs wraps in int64
+            RateMatrix(0, 99, "kill", {(0, 1): 1.0, (70, -2**63): 0.5, (5, 2**70): 0.3,
+                                       (99, -1): 2.0, (40, 1): 0.7}),
+            # jumps clamped onto one edge entry, onto their own source, and
+            # from the edges; states 3 and 4 have no rate or rate 0 only
+            RateMatrix(-3, 5, "kill", {(-3, 1): 1.0, (-3, -4): 0.25, (0, 9): 0.5,
+                                       (0, 12): 1e-17, (0, 7): 2.0, (2, 3): 1.5,
+                                       (2, 4): 0.5, (4, 1): 0.0, (5, 1): 3.0,
+                                       (5, -1): 0.2, (-2, -9): 0.4, (-2, 1): 0.1}),
+            RateMatrix(7, 7, "kill", {(7, 1): 1.0, (7, -2): 2.0}),
+        ]
+        for k, chain in enumerate(chains):
+            rm = RateMatrix(chain.lo, chain.hi, boundary, chain.rates)
+            dyn = _Dynamics(rm)
+            rates, cum = reference_dynamics(rm)
+            q, _ = effective_generator(rm)
+            n = rm.n_states
+            assert np.array_equal(dyn.rates, rates), k
+            assert dyn.cum.shape == dyn.target.shape
+            live = np.flatnonzero(rates > 0.0)
+            for i in live:
+                # the states with a rate, in order, at their dense entries,
+                # then the kill entry, then padding
+                width = int(np.sum(dyn.target[i] < n))
+                assert np.array_equal(dyn.target[i, :width], np.flatnonzero(q[i] > 0.0)), (k, i)
+                assert np.array_equal(dyn.cum[i, :width], cum[i, dyn.target[i, :width]]), (k, i)
+                assert dyn.cum[i, width] == 1.0 and dyn.target[i, width] == n, (k, i)
+                assert np.all(dyn.cum[i, width + 1:] == np.inf), (k, i)
+            # every jump is the dense one, u on every dense entry too
+            states = np.repeat(live, n + 4)
+            u = np.hstack([cum[live], np.zeros((live.size, 1)), rng.random((live.size, 2))]).ravel()
+            u = np.minimum(u, np.nextafter(1.0, 0.0))
+            want = [np.searchsorted(cum[i], x, side="right") for i, x in zip(states, u)]
+            assert np.array_equal(_jump_targets(dyn, states, u), want), k
 
     def test_zero_uniform_picks_a_possible_target(self):
         # u2 = 0 must not send a replicate to state 0, which state 10 of a
         # birth-death chain cannot reach; both loops take state 9
         rm = birth_death(0, 20, up=1.2, down=0.8, boundary="reflect")
         dyn = _Dynamics(rm)
-        assert reference_lookup(dyn.cum, np.array([10]), np.array([0.0]))[0] == 0
+        _, cum = reference_dynamics(rm)
+        assert reference_lookup(cum, np.array([10]), np.array([0.0]))[0] == 0
         block = np.array([[0.5, 0.0, 0.0, 0.5]])
         states = np.empty(1, dtype=np.int64)
         killed = np.empty(1, dtype=bool)
@@ -318,6 +390,42 @@ class TestLockstepEngine:
         assert per_rep < 40.0, per_rep
         assert peaks[200_000] < 8 * simulate._BLOCK_BUDGET + 40 * 200_000
 
+    def test_killed_and_absorbed_rows_match_the_scalar_loop(self):
+        # state 0 has no rate (absorbing) and state 9 is killed on its way
+        # up; every row ends as the scalar loop on its uniforms ends
+        rates = {(n, m): 1.0 if m > 0 else 0.8 for n in range(1, 10) for m in (-1, 1)}
+        dyn = _Dynamics(RateMatrix(0, 9, "kill", rates))
+        seed, salt, reps, t = 8, 1, 400, 6.0
+        run = _simulate(dyn, 5, t, reps, seed, salt)
+        block = np.random.Generator(np.random.Philox(key=[seed, salt])).random(
+            (reps, run.block_columns))
+        for r in range(reps):
+            private = np.random.Generator(np.random.Philox(key=[seed, salt + (r << 32)]))
+            want = _finish_scalar(dyn, 5, 0.0, t, _ScriptedUniforms(block[r], private))
+            got = (int(run.states[r]) - dyn.lo, bool(run.killed[r]), bool(run.hit[r]))
+            assert got == want, r
+        absorbed = (run.states == 0) & ~run.killed
+        assert run.killed.sum() > 25 and absorbed.sum() > 25
+        assert np.all(run.hit[run.killed | absorbed])
+
+    def test_memory_is_linear_in_the_window(self):
+        # a band-1 chain on 6400 states: one dense N x N float array would
+        # take 328 MB, the jump table and the block take a few
+        import tracemalloc
+
+        n = 6400
+        rm = birth_death(0, n - 1, up=1.0, down=1.0, boundary="reflect")
+        tracemalloc.start()
+        try:
+            est = mc_survival(rm, x0=n // 2, y=n // 2, t=2.0, reps=2_000, seed=3)
+            path = sample_path(rm, x0=n // 2, t_end=50.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * simulate._BLOCK_BUDGET + 64 * n, peak
+        assert 0.5 < est.value < 0.75
+        assert path.times.size > 50 and np.all(np.abs(np.diff(path.states)) == 1)
+
     def test_stragglers_read_on_from_private_streams(self, monkeypatch):
         # rows of 8 uniforms hold 4 jumps; at lambda*t = 20 most replicates
         # read on from their private streams for several rows, and draw
@@ -340,6 +448,21 @@ class TestLockstepEngine:
         b = mc_survival(drift_chain(), threads=3, **kw)
         assert a.stragglers > 100
         assert (a.value, a.stragglers) == (b.value, b.stragglers)
+
+    def test_straggler_rows_start_inside_a_counter_step(self, monkeypatch):
+        # rows of 6 uniforms: the second private row of a straggler starts
+        # at double 6, halfway through a Philox counter step of 4 doubles
+        monkeypatch.setattr(simulate, "_block_columns", lambda dyn, t: 6)
+        dyn = _Dynamics(drift_chain())
+        seed, salt, reps, t = 3, 1, 200, 10.0
+        run = _simulate(dyn, 10, t, reps, seed, salt)
+        assert run.stragglers > reps // 2
+        block = np.random.Generator(np.random.Philox(key=[seed, salt])).random((reps, 6))
+        for r in range(reps):
+            private = np.random.Generator(np.random.Philox(key=[seed, salt + (r << 32)]))
+            want = _finish_scalar(dyn, 10, 0.0, t, _ScriptedUniforms(block[r], private))
+            got = (int(run.states[r]) - dyn.lo, bool(run.killed[r]), bool(run.hit[r]))
+            assert got == want, r
 
     def test_long_horizon_stragglers_stay_in_lockstep(self):
         # lambda*t = 200: rows are capped at 256 uniforms, 128 jumps, so
