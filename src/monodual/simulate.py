@@ -207,7 +207,8 @@ def _jump_targets(dyn: _Dynamics, states: np.ndarray, u: np.ndarray) -> np.ndarr
     width = max(width - 1, 1)
     while width > 1:
         half = width // 2
-        pos += (flat[pos + half] <= u) * half
+        # flat[pos + half], without an array of indices
+        pos += (flat[half:][pos] <= u) * half
         width -= half
     pos += flat[pos] <= u
     return dyn.target.ravel()[pos]
@@ -278,19 +279,19 @@ def _lockstep(
     n = dyn.n_states
     cols = block.shape[1]
     flat = block.ravel()
-    live = np.flatnonzero(dyn.moving[states])
-    cur, now, edge = states[live], tnow[live], hit[live]
-    # offset into ``flat`` of each live replicate's row
-    base = live * cols
+    # the offset into ``flat`` of each live replicate's row
+    base = np.flatnonzero(dyn.moving[states])
+    cur, now, edge = states[base], tnow[base], hit[base]
+    base *= cols
     for col in range(0, cols - 1, 2):
         if not base.size:
             break
-        at = base + col
         with np.errstate(divide="ignore"):
-            tnew = now - np.log(flat.take(at)) / dyn.rates[cur]
-        jump = tnew <= t_end
-        idx = _jump_targets(dyn, cur, flat.take(at + 1))
-        go = dyn.moving[idx] & jump
+            now -= np.log(flat.take(base + col)) / dyn.rates[cur]
+        jump = now <= t_end
+        idx = _jump_targets(dyn, cur, flat.take(base + (col + 1)))
+        go = dyn.moving[idx]
+        go &= jump
         if not go.all():
             # write back the rows that stop: at the horizon they keep their
             # state, killed they keep the state they left
@@ -300,10 +301,15 @@ def _lockstep(
             states[rows] = np.where(moved & ~dead, end, cur[stop])
             killed[rows] = dead
             hit[rows] = edge[stop] | (dyn.edge[end] & moved)
+            # one array at a time, so the old and new copies of all four
+            # are never held at once
             keep = np.flatnonzero(go)
-            base, idx, tnew, edge = base[keep], idx[keep], tnew[keep], edge[keep]
-        edge |= dyn.edge[idx]
-        cur, now = idx, tnew
+            idx = idx[keep]
+            base = base[keep]
+            now = now[keep]
+            edge = edge[keep]
+        cur = idx
+        edge |= dyn.edge[cur]
     live = base // cols
     states[live], tnow[live], hit[live] = cur, now, edge
     return live
