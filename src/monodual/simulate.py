@@ -340,6 +340,8 @@ def _run_block(
     tnow = np.zeros(m)
     live = _lockstep(dyn, t_end, block, states, tnow, killed, hit)
     stragglers = int(live.size)
+    if not stragglers:
+        return 0
     # stragglers read on from private streams, in rows of the same width:
     # row k of replicate r's stream starts at double k * cols of the
     # Philox stream keyed by (seed, salt + r << 32).  One generator is
