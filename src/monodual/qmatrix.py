@@ -361,8 +361,7 @@ def _generator_entries(
     src, tgt, r, moves = _jumps(rm)
     if rm.boundary == "absorb":
         # the edge states are frozen: their rows of q are zero
-        live = (src != 0) & (src != n_states - 1)
-        src, tgt, r, moves = src[live], tgt[live], r[live], moves[live]
+        moves &= (src != 0) & (src != n_states - 1)
     # bincount adds its weights in order, so every sum runs in table order
     if rm.boundary == "kill":
         kill = np.bincount(src[~moves], weights=r[~moves], minlength=n_states)
@@ -372,15 +371,26 @@ def _generator_entries(
         kill = np.zeros(n_states)
         exits = moves
     exit_rate = np.bincount(src[exits], weights=r[exits], minlength=n_states)
-    # a stable sort keeps the rates that land on one entry in table order
-    key = src[moves] * n_states + tgt[moves]
+    # a stable sort keeps the rates that land on one entry in table order;
+    # arrays are dropped as soon as they are used, so that few O(nnz)
+    # arrays are alive at once
+    key = src[moves]
+    key *= n_states
+    key += tgt[moves]
+    r = r[moves]
+    del src, tgt, moves, exits
     order = np.argsort(key, kind="stable")
-    key = key[order]
+    key, r = key[order], r[order]
+    del order
     first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    rate = np.bincount(np.cumsum(first) - 1, weights=r[moves][order])
-    key = key[first]
-    return key // n_states, key % n_states, rate, exit_rate, kill
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    slot = np.cumsum(first)
+    slot -= 1
+    # astype: the bincount of no entries is an integer array
+    rate = np.bincount(slot, weights=r).astype(float, copy=False)
+    del slot, r
+    src, tgt = np.divmod(key[first], n_states)
+    return src, tgt, rate, exit_rate, kill
 
 
 def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:

@@ -12,10 +12,12 @@ The block is never held whole.  Each thread's chunk of rows starts from
 the Philox counter of its first row and is streamed through one buffer
 of at most ``_BLOCK_BUDGET`` doubles, so memory is bounded by twice that
 budget per worker (the block and its stragglers' rows) plus the O(reps)
-outputs and the O(nnz) jump table.  The table is padded: row i holds the
+outputs and the jump table.  The table is padded: row i holds the
 cumulative probabilities of the states that state i can reach, then the
 kill entry at 1, so it is N by one plus the most targets of any state,
-and it is built from the rate table without an N x N array.  Each step
+and it is built from the rate table without an N x N array.  That is
+about nnz + N entries when the rows are about equally wide, and up to N
+times the widest row when they are not.  Each step
 works on compacted arrays of the rows still jumping, and finds their
 targets by a vectorized binary search over the table rows.  Rows hold
 six standard deviations of the jump count, up to ``_BLOCK_COL_CAP``
@@ -169,15 +171,22 @@ class _Dynamics:
         self.n_states = n
         counts = np.bincount(src, minlength=n)
         width = 1 + int(counts.max(initial=0))
-        col = np.arange(src.size) - (np.cumsum(counts) - counts)[src]
+        # the flat table position of each entry: its row times the width,
+        # plus its rank within its row
+        pos = np.arange(src.size)
+        pos += (np.arange(n) * width - (np.cumsum(counts) - counts))[src]
+        rate /= self.rates[src]
+        del src
+        # the smallest integer type that holds n: 4 bytes or fewer an entry
+        self.target = np.full((n, width), n, dtype=np.min_scalar_type(n))
+        self.target.ravel()[pos] = tgt
+        del tgt
         cum = np.zeros((n, width))
-        cum[src, col] = rate / self.rates[src]
+        cum.ravel()[pos] = rate
         np.cumsum(cum, axis=1, out=cum)
         cum[np.arange(width) > counts[:, None]] = np.inf
         cum[np.arange(n), counts] = 1.0
         self.cum = cum
-        self.target = np.full((n, width), n, dtype=np.int64)
-        self.target[src, col] = tgt
         self.max_rate = float(self.rates.max()) if n else 0.0
         self.moving = np.append(self.rates > 0.0, False)
         self.edge = np.zeros(n + 1, dtype=bool)
@@ -211,7 +220,8 @@ def _jump_targets(dyn: _Dynamics, states: np.ndarray, u: np.ndarray) -> np.ndarr
         pos += (flat[half:][pos] <= u) * half
         width -= half
     pos += flat[pos] <= u
-    return dyn.target.ravel()[pos]
+    # indexing with intp indices is the fast path
+    return dyn.target.ravel()[pos].astype(np.intp)
 
 
 def _block_columns(dyn: _Dynamics, t_end: float) -> int:

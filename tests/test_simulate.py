@@ -307,7 +307,7 @@ class TestLockstepEngine:
             q, _ = effective_generator(rm)
             n = rm.n_states
             assert np.array_equal(dyn.rates, rates), k
-            assert dyn.cum.shape == dyn.target.shape
+            assert dyn.cum.shape == dyn.target.shape and dyn.target.itemsize <= 4
             live = np.flatnonzero(rates > 0.0)
             for i in live:
                 # the states with a rate, in order, at their dense entries,
