@@ -12,6 +12,11 @@ breakdown, unresolved tail mass, bugs).
 Input sniffing: a JSON document with a "rates" field is a rate matrix;
 anything else is a model description.  Commands that accept both pick
 the matching routine.
+
+Each subcommand takes --in, --out and only the flags it reads (the
+``_COMMANDS`` table).  These exit 2: a flag the subcommand does not read,
+--h without --window or --window without --h, and either of them with a
+rate-matrix document.
 """
 
 from __future__ import annotations
@@ -119,36 +124,41 @@ def _parse_window(text: Optional[str]):
         raise InputFormatError(f"window bounds must be integers: {text!r}") from exc
 
 
-def _model_grid(args) -> np.ndarray:
-    window = _parse_window(args.window)
-    if window is not None and args.h is not None:
-        lo, hi = window
-        return args.h * np.arange(lo, hi + 1)
-    return np.linspace(-5.0, 5.0, 41)
+def _lattice(args, doc, boundary: str = "absorb") -> Optional[Lattice]:
+    """The lattice that --h and --window give, or None when neither is given.
+
+    The two flags go together, and a rate-matrix document takes neither.
+    """
+    if args.h is None and args.window is None:
+        return None
+    if _is_ratematrix_doc(doc):
+        raise InputFormatError("a rate matrix takes no --h or --window")
+    if args.h is None or args.window is None:
+        raise InputFormatError("--h and --window LO:HI go together")
+    lo, hi = _parse_window(args.window)
+    return Lattice(h=args.h, lo=lo, hi=hi, boundary=boundary)
 
 
-def _lattice_from(args, doc: dict) -> Lattice:
-    window = _parse_window(args.window)
-    if args.h is None or window is None:
-        raise InputFormatError("this command needs --h and --window LO:HI")
-    boundary = doc.get("boundary", "absorb")
-    return Lattice(h=args.h, lo=window[0], hi=window[1], boundary=boundary)
+def _model_grid(lattice: Optional[Lattice]) -> np.ndarray:
+    return np.linspace(-5.0, 5.0, 41) if lattice is None else lattice.points()
 
 
 def _cmd_validate(args) -> int:
     doc = _read_json(args.infile)
+    lattice = _lattice(args, doc)
     if _is_ratematrix_doc(doc):
         return _envelope(args, True, validate_qmatrix(ratematrix_from_dict(doc)))
-    report = validate_model(model_from_dict(doc), _model_grid(args))
+    report = validate_model(model_from_dict(doc), _model_grid(lattice))
     return _envelope(args, report.ok, report.to_dict())
 
 
 def _cmd_monotone(args) -> int:
     doc = _read_json(args.infile)
+    lattice = _lattice(args, doc)
     if _is_ratematrix_doc(doc):
         report = check_monotone(ratematrix_from_dict(doc), **_tol(args))
     else:
-        report = check_levy_monotone(model_from_dict(doc), _model_grid(args), **_tol(args))
+        report = check_levy_monotone(model_from_dict(doc), _model_grid(lattice), **_tol(args))
     return _envelope(args, report.ok, report.to_dict())
 
 
@@ -164,8 +174,10 @@ def _cmd_discretize(args) -> int:
     if _is_ratematrix_doc(doc):
         raise InputFormatError("discretize expects a model description")
     model = model_from_dict(doc)
-    lat = _lattice_from(args, doc)
-    rm = discretize(model, lat)
+    lattice = _lattice(args, doc, doc.get("boundary", "absorb"))
+    if lattice is None:
+        raise InputFormatError("discretize needs --h and --window LO:HI")
+    rm = discretize(model, lattice)
     _emit(ratematrix_to_json(rm), args.out)
     return EXIT_OK
 
@@ -199,13 +211,12 @@ def _cmd_dualgen(args) -> int:
     doc = _read_json(args.infile)
     model = model_from_dict(doc)
     coeffs = dual_levy(model)
-    window = _parse_window(args.window)
-    if window is not None and args.h is not None:
-        xs = args.h * np.arange(window[0], window[1] + 1)
-        ys = args.h * np.arange(1, int(math.ceil(4.0 / args.h)) + 1)
+    lattice = _lattice(args, doc)
+    if lattice is None:
+        xs, ys = np.linspace(-4.0, 4.0, 33), None
     else:
-        xs = np.linspace(-4.0, 4.0, 33)
-        ys = None
+        xs = lattice.points()
+        ys = lattice.h * np.arange(1, int(math.ceil(4.0 / lattice.h)) + 1)
     tab = tabulate_dual(coeffs, xs, ys)
     if args.out is not None and args.out.endswith(".csv"):
         buf = io.StringIO()
@@ -237,7 +248,7 @@ def _sim_lattice(doc: dict) -> Lattice:
     )
 
 
-def _sim_chain(doc: dict, args) -> RateMatrix:
+def _sim_chain(doc: dict) -> RateMatrix:
     if "chain" in doc:
         return ratematrix_from_dict(doc["chain"])
     if "model" in doc:
@@ -245,34 +256,35 @@ def _sim_chain(doc: dict, args) -> RateMatrix:
     raise InputFormatError("simulation input needs 'chain' or 'model'")
 
 
+def _setting(args, doc: dict, key: str, default, kind):
+    """The --key flag, else the job's field of that name, else the default."""
+    value = getattr(args, key)
+    if value is None:
+        value = doc.get(key, default)
+    return None if value is None else number(value, key, kind)
+
+
 def _cmd_simulate(args) -> int:
     doc = _read_json(args.infile)
     if not isinstance(doc, dict) or "op" not in doc:
         raise InputFormatError("simulation input needs an 'op' field")
     op = doc["op"]
-    t = args.t if args.t is not None else doc.get("t")
-    reps = number(args.reps if args.reps is not None else doc.get("reps", 10000),
-                  "reps", int)
-    seed = number(args.seed if args.seed is not None else doc.get("seed", 0),
-                  "seed", int)
-    threads = number(
-        args.threads if args.threads is not None else doc.get("threads", 1),
-        "threads", int,
-    )
-    if op in ("survival", "duality", "path") and t is None:
+    t = _setting(args, doc, "t", None, float)
+    reps = _setting(args, doc, "reps", 10000, int)
+    seed = _setting(args, doc, "seed", 0, int)
+    threads = _setting(args, doc, "threads", 1, int)
+    if op in ("survival", "duality", "growth", "path") and t is None:
         raise InputFormatError(f"op {op!r} needs a horizon --t")
-    if t is not None:
-        t = number(t, "t")
 
     if op == "survival":
-        rm = _sim_chain(doc, args)
+        rm = _sim_chain(doc)
         est = mc_survival(
             rm, _field(doc, "x0", int), _field(doc, "y", int), t,
             reps, seed, threads=threads,
         )
         return _envelope(args, True, est.to_dict())
     if op == "duality":
-        rm = _sim_chain(doc, args)
+        rm = _sim_chain(doc)
         pairs = doc.get("pairs")
         if not pairs:
             raise InputFormatError("duality simulation needs 'pairs'")
@@ -292,15 +304,13 @@ def _cmd_simulate(args) -> int:
         c = doc.get("c", model.growth_c)
         if c is None:
             raise InputFormatError("growth simulation needs 'c' or model growth_c")
-        if t is None:
-            raise InputFormatError("growth simulation needs a horizon --t")
         report = mc_growth_bound(
             model, lat, _field(doc, "x0"), t, number(c, "c"),
             reps, seed, threads=threads,
         )
         return _envelope(args, report.ok, report.to_dict())
     if op == "path":
-        rm = _sim_chain(doc, args)
+        rm = _sim_chain(doc)
         path = sample_path(rm, _field(doc, "x0", int), t, seed)
         return _envelope(args, True, path.to_dict())
     raise InputFormatError(
@@ -308,16 +318,37 @@ def _cmd_simulate(args) -> int:
     )
 
 
+# every flag a subcommand may read besides --in and --out: type, help
+_FLAGS = {
+    "t": (float, "time horizon"),
+    "h": (float, "lattice mesh width"),
+    "window": (str, "lattice window LO:HI"),
+    "reps": (int, "Monte Carlo replicates"),
+    "seed": (int, "random seed"),
+    "margin": (int, "window margin excluded from the duality check"),
+    "tol": (float, "tolerance override"),
+    "threads": (int, "worker threads for Monte Carlo"),
+}
+
+# subcommand: handler, help line, the flags of _FLAGS that it reads
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "monotone": _cmd_monotone,
-    "dual": _cmd_dual,
-    "discretize": _cmd_discretize,
-    "evolve": _cmd_evolve,
-    "duality": _cmd_duality,
-    "simulate": _cmd_simulate,
-    "boundary": _cmd_boundary,
-    "dualgen": _cmd_dualgen,
+    "validate": (_cmd_validate, "check a rate matrix or model for structural problems",
+                 ("h", "window")),
+    "monotone": (_cmd_monotone,
+                 "check stochastic monotonicity of a chain or kernel tails of a model",
+                 ("h", "window", "tol")),
+    "dual": (_cmd_dual, "construct the dual rate matrix of a monotone chain", ("tol",)),
+    "discretize": (_cmd_discretize, "project a model onto a lattice window",
+                   ("h", "window")),
+    "evolve": (_cmd_evolve, "compute the transition matrix at a horizon", ("t", "tol")),
+    "duality": (_cmd_duality,
+                "verify the pathwise duality identity through matrix exponentials",
+                ("t", "margin", "tol")),
+    "simulate": (_cmd_simulate, "Monte Carlo: survival, duality, growth bound, or one path",
+                 ("t", "reps", "seed", "threads")),
+    "boundary": (_cmd_boundary, "classify the origin of a half-line model", ()),
+    "dualgen": (_cmd_dualgen, "tabulate the dual generator coefficients of a model",
+                ("h", "window")),
 }
 
 
@@ -330,38 +361,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "Markov jump processes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "validate": "check a rate matrix or model for structural problems",
-        "monotone": "check stochastic monotonicity of a chain or kernel tails of a model",
-        "dual": "construct the dual rate matrix of a monotone chain",
-        "discretize": "project a model onto a lattice window",
-        "evolve": "compute the transition matrix at a horizon",
-        "duality": "verify the pathwise duality identity through matrix exponentials",
-        "simulate": "Monte Carlo: survival, duality, growth bound, or one path",
-        "boundary": "classify the origin of a half-line model",
-        "dualgen": "tabulate the dual generator coefficients of a model",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        # no abbreviations: --t must not pass for --tol, nor --h for --help
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--in", dest="infile", required=True, help="input JSON file")
-        p.add_argument("--out", default=None, help="write output here instead of stdout")
-        p.add_argument("--t", type=float, default=None, help="time horizon")
-        p.add_argument("--h", type=float, default=None, help="lattice mesh width")
-        p.add_argument("--window", default=None, help="lattice window LO:HI")
-        p.add_argument("--reps", type=int, default=None, help="Monte Carlo replicates")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--margin", type=int, default=None,
-                       help="window margin excluded from the duality check")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for Monte Carlo")
+        p.add_argument("--out", help="write output here instead of stdout")
+        for flag in flags:
+            kind, flag_help = _FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, help=flag_help)
     return parser
 
 
 def run(args) -> int:
     command = args.command
     try:
-        return _COMMANDS[command](args)
+        return _COMMANDS[command][0](args)
     except Exception as exc:
         doc = {"command": command, "ok": False,
                "error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -300,11 +300,11 @@ def validate_qmatrix(rm: RateMatrix) -> dict:
     non-finite one.  Structural problems (bad window, offset zero, unknown
     policy) are already rejected by the RateMatrix constructor.
     """
-    q, kill = effective_generator(rm)
+    _, _, _, exit_rate, kill = _generator_entries(rm)
     return {
         "n_states": rm.n_states,
         "n_rates": rm.rate.size,
-        "max_exit_rate": _max_exit_rate(q),
+        "max_exit_rate": float(np.max(exit_rate, initial=0.0)),
         "conservative": bool(np.all(kill == 0.0)),
         "total_kill_rate": float(kill.sum()),
     }
@@ -371,6 +371,8 @@ def _generator_entries(
         kill = np.zeros(n_states)
         exits = moves
     exit_rate = np.bincount(src[exits], weights=r[exits], minlength=n_states)
+    # astype, here and for `rate`: the bincount of no entries is an integer array
+    kill, exit_rate = kill.astype(float, copy=False), exit_rate.astype(float, copy=False)
     # a stable sort keeps the rates that land on one entry in table order;
     # arrays are dropped as soon as they are used, so that few O(nnz)
     # arrays are alive at once
@@ -386,7 +388,6 @@ def _generator_entries(
     np.not_equal(key[1:], key[:-1], out=first[1:])
     slot = np.cumsum(first)
     slot -= 1
-    # astype: the bincount of no entries is an integer array
     rate = np.bincount(slot, weights=r).astype(float, copy=False)
     del slot, r
     src, tgt = np.divmod(key[first], n_states)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -96,6 +97,17 @@ class TestChecks:
         )
         assert code == 0 and doc["ok"] is True
 
+    def test_no_signed_zero_under_kill(self, capsys, files):
+        # the same chain under kill and reflect: no jump leaves the window
+        chain = {"lo": 0, "hi": 2, "rates": [{"n": 2, "m": -2, "rate": 3.0}]}
+        outs = []
+        for boundary in ("kill", "reflect"):
+            path = files(f"{boundary}.json", dict(chain, boundary=boundary))
+            assert main(["monotone", "--in", path]) == 1
+            outs.append(capsys.readouterr().out)
+        assert '"lhs": 0.0' in outs[0] and "-0.0" not in outs[0]
+        assert outs[0] == outs[1]
+
     def test_validate_chain(self, capsys, chain_file):
         code, doc = run_json(capsys, ["validate", "--in", chain_file])
         assert code == 0
@@ -136,6 +148,61 @@ class TestChecks:
         path = files("line.json", {"G": "1"})
         code, doc = run_json(capsys, ["boundary", "--in", path])
         assert code == 2
+
+
+# the flags each subcommand reads, besides --in and --out
+COMMAND_FLAGS = {
+    "validate": {"h", "window"},
+    "monotone": {"h", "window", "tol"},
+    "dual": {"tol"},
+    "discretize": {"h", "window"},
+    "evolve": {"t", "tol"},
+    "duality": {"t", "margin", "tol"},
+    "simulate": {"t", "reps", "seed", "threads"},
+    "boundary": set(),
+    "dualgen": {"h", "window"},
+}
+ALL_FLAGS = set().union(*COMMAND_FLAGS.values())
+
+
+class TestCommandTable:
+    def test_table_has_every_command(self):
+        assert set(cli._COMMANDS) == set(COMMAND_FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_help_lists_exactly_the_commands_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out))
+        read = {f"--{flag}" for flag in COMMAND_FLAGS[command]}
+        assert listed == {"--help", "--in", "--out"} | read
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in COMMAND_FLAGS.items()
+        for flag in sorted(ALL_FLAGS - flags)])
+    def test_unread_flag_exits_2(self, capsys, chain_file, command, flag):
+        # also no abbreviation: dual's --t is not its --tol
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--in", chain_file, f"--{flag}", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "monotone", "dualgen", "discretize"])
+    @pytest.mark.parametrize("flag", [["--h", "0.5"], ["--window=-4:4"]])
+    def test_lone_grid_flag_exits_2(self, capsys, files, command, flag):
+        path = files("model.json", MODEL_DOC)
+        code, doc = run_json(capsys, [command, "--in", path, *flag])
+        assert code == 2
+        assert doc["error"]["message"] == "--h and --window LO:HI go together"
+
+    @pytest.mark.parametrize("command", ["validate", "monotone"])
+    @pytest.mark.parametrize("flags", [["--h", "0.5", "--window=0:12"], ["--h", "0.5"],
+                                       ["--window=0:12"]])
+    def test_grid_flags_on_a_rate_matrix_exit_2(self, capsys, chain_file, command, flags):
+        code, doc = run_json(capsys, [command, "--in", chain_file, *flags])
+        assert code == 2
+        assert doc["error"]["message"] == "a rate matrix takes no --h or --window"
 
 
 class TestTransforms:

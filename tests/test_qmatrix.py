@@ -196,7 +196,50 @@ class TestValidate:
         assert rep2["total_kill_rate"] == 1.5
 
 
+    def test_summary_matches_the_dense_reference(self):
+        rng = np.random.default_rng(77)
+        for trial in range(200):
+            n_states = int(rng.integers(1, 7))
+            rates = {(n, int(m)): float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+                     for n in range(n_states) for m in rng.choice([-7, -1, 1, 2, 9], 2)}
+            for boundary in ("absorb", "reflect", "kill"):
+                rm = RateMatrix(0, n_states - 1, boundary, rates)
+                q, kill = reference_generator(rm)
+                # + 0.0: a state without exits has the diagonal +0.0, not -0.0
+                want = float(np.max(-np.diag(q), initial=0.0)) + 0.0
+                rep = validate_qmatrix(rm)
+                assert rep["max_exit_rate"] == want, (trial, boundary)
+                assert math.copysign(1.0, rep["max_exit_rate"]) == 1.0
+                assert rep["conservative"] == bool(np.all(kill == 0.0))
+                assert rep["total_kill_rate"] == float(kill.sum())
+
+    def test_memory_is_linear_in_the_window(self):
+        # one dense N x N float array at N = 6400 would take 328 MB
+        import tracemalloc
+
+        n = 6400
+        rm = birth_death(0, n - 1, up=1.0, down=1.0, boundary="kill")
+        tracemalloc.start()
+        try:
+            rep = validate_qmatrix(rm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, peak
+        assert rep["max_exit_rate"] == 2.0 and rep["conservative"] is True
+
+
 class TestEffectiveGenerator:
+    @pytest.mark.parametrize("boundary", ["absorb", "reflect", "kill"])
+    @pytest.mark.parametrize("rates", [{}, {(1, 1): 1.5}])
+    def test_rates_are_float(self, boundary, rates):
+        # no jump is killed, or there is no jump at all: the bincounts of
+        # no entries must still be float
+        rm = RateMatrix(0, 3, boundary, rates)
+        for column in qmatrix._generator_entries(rm)[2:]:
+            assert column.dtype == np.float64
+        assert effective_generator(rm)[1].dtype == np.float64
+
     def test_kill_policy_removes_mass(self):
         rm = RateMatrix(0, 2, "kill", {(2, 2): 1.0, (1, 1): 0.5})
         q, kill = effective_generator(rm)
