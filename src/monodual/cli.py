@@ -112,9 +112,7 @@ def _is_ratematrix_doc(doc: dict) -> bool:
     return isinstance(doc, dict) and "rates" in doc
 
 
-def _parse_window(text: Optional[str]):
-    if text is None:
-        return None
+def _parse_window(text: str):
     parts = text.split(":")
     if len(parts) != 2:
         raise InputFormatError(f"window must look like LO:HI, got {text!r}")
