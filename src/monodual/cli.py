@@ -16,7 +16,9 @@ the matching routine.
 Each subcommand takes --in, --out and only the flags it reads (the
 ``_COMMANDS`` table).  These exit 2: a flag the subcommand does not read,
 --h without --window or --window without --h, and either of them with a
-rate-matrix document.
+rate-matrix document.  A command line that does not parse exits 2 with
+the same error envelope on stdout, its "command" null when the first
+argument names no subcommand, and argparse's usage on stderr.
 """
 
 from __future__ import annotations
@@ -207,6 +209,8 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_dualgen(args) -> int:
     doc = _read_json(args.infile)
+    if _is_ratematrix_doc(doc):
+        raise InputFormatError("dualgen expects a model description")
     model = model_from_dict(doc)
     coeffs = dual_levy(model)
     lattice = _lattice(args, doc)
@@ -350,10 +354,22 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises InputFormatError on a bad command line.
+
+    The usage and the message still go to stderr, as argparse writes them.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise InputFormatError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monodual",
         description="Monotonicity and duality toolkit for one-dimensional "
         "Markov jump processes.",
@@ -370,15 +386,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_doc(command: Optional[str], exc: Exception) -> dict:
+    doc = {"command": command, "ok": False,
+           "error": {"type": type(exc).__name__, "message": str(exc)}}
+    if isinstance(exc, NotMonotone):
+        doc["error"]["report"] = exc.report.to_dict()
+    return doc
+
+
 def run(args) -> int:
     command = args.command
     try:
         return _COMMANDS[command][0](args)
     except Exception as exc:
-        doc = {"command": command, "ok": False,
-               "error": {"type": type(exc).__name__, "message": str(exc)}}
-        if isinstance(exc, NotMonotone):
-            doc["error"]["report"] = exc.report.to_dict()
+        doc = _error_doc(command, exc)
         try:
             _emit_json(doc, args.out)
         except InputFormatError:
@@ -390,7 +411,16 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    return run(_build_parser().parse_args(argv))
+    """Run one command line.  A malformed one writes the error envelope to
+    stdout and raises SystemExit(2), as argparse exits; --help exits 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except InputFormatError as exc:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        _emit_json(_error_doc(command, exc), None)
+        raise SystemExit(exc.exit_code) from None
+    return run(args)
 
 
 if __name__ == "__main__":

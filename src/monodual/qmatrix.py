@@ -5,11 +5,13 @@ off-diagonal jump rates.  Raw rates may target states outside the window;
 a boundary policy decides what the effective generator does with that mass.
 Everything else in the module (monotonicity criteria, dual construction,
 transition matrices, duality verification) operates on that effective
-generator, so the policy is applied in exactly one place.
+generator, held as its sorted nonzero entries (``_generator_entries``),
+so the policy is applied in exactly one place.  Only transition matrices
+and the public ``effective_generator`` are N x N arrays.
 
 Killed mass is accounted as a jump to an absorbing cemetery sitting below
 every state.  That convention makes the two monotonicity criteria (tail
-sums over a dense generator, and per-offset jump-rate conditions) agree
+sums of the generator rows, and per-offset jump-rate conditions) agree
 verdict-for-verdict on substochastic matrices, and it matches how the
 Monte Carlo routines score killed paths.
 """
@@ -18,10 +20,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import InitVar, asdict, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse
@@ -178,12 +181,12 @@ class RateMatrix:
 class Violation:
     """One failed monotonicity condition for the adjacent pair (n, n+1).
 
-    ``kind`` is ``"tail"`` (dense tail sums; ``index`` is the threshold
-    state, condition lhs <= rhs), ``"up"`` (per-offset upward condition at
-    jump width ``index``, lhs <= rhs) or ``"down"`` (per-offset downward
-    condition at width ``index``, where lhs is the available down-mass from
-    n and the condition is lhs >= rhs).  ``deficit`` is always the positive
-    violation magnitude.
+    ``kind`` is ``"tail"`` (tail sums of the two generator rows; ``index``
+    is the threshold state, condition lhs <= rhs), ``"up"`` (per-offset
+    upward condition at jump width ``index``, lhs <= rhs) or ``"down"``
+    (per-offset downward condition at width ``index``, where lhs is the
+    available down-mass from n and the condition is lhs >= rhs).
+    ``deficit`` is always the positive violation magnitude.
     """
 
     n: int
@@ -197,6 +200,53 @@ class Violation:
         return asdict(self)
 
 
+_KINDS = ("tail", "up", "down")
+
+
+class _Violations(Sequence):
+    """Violations kept as columns; Violation objects are made when read.
+
+    Row j is the pair ``lo + pair[j]``, of kind ``_KINDS[kind[j]]``, with
+    ``index[j]`` its threshold state less ``lo`` ("tail") or its jump width.
+    A slice makes the Violations of that slice only.
+    """
+
+    def __init__(self, lo: int, pair, kind, index, lhs, rhs, deficit):
+        self.lo = lo
+        self.columns = (pair, kind, index, lhs, rhs, deficit)
+
+    def __len__(self) -> int:
+        return self.columns[0].size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            pair, kind, index, lhs, rhs, deficit = (col[i].tolist() for col in self.columns)
+            lo = self.lo
+            return [Violation(lo + p, _KINDS[k], lo + x if k == 0 else x, a, b, d)
+                    for p, k, x, a, b, d in zip(pair, kind, index, lhs, rhs, deficit)]
+        j = range(len(self))[i]
+        return self[j : j + 1][0]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and self[:] == list(other)
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+    @property
+    def max_deficit(self) -> float:
+        """The largest deficit, the first of equals, as ``max`` reads it; 0.0 if none."""
+        deficit = self.columns[5]
+        return float(deficit[np.argmax(deficit)]) if deficit.size else 0.0
+
+    @staticmethod
+    def concat(lo: int, parts: Sequence["_Violations"]) -> "_Violations":
+        return _Violations(lo, *map(np.concatenate, zip(*(v.columns for v in parts))))
+
+
 @dataclass
 class MonotonicityReport:
     ok: bool
@@ -204,7 +254,7 @@ class MonotonicityReport:
     tol: float
     checked: int
     max_deficit: float
-    violations: List[Violation] = field(default_factory=list)
+    violations: Sequence[Violation] = field(default_factory=list)
     # Set only for method="both": whether the two routes reached the same
     # verdict.  They are algebraically equivalent, so False flags a bug.
     agreement: Optional[bool] = None
@@ -308,10 +358,6 @@ def validate_qmatrix(rm: RateMatrix) -> dict:
         "conservative": bool(np.all(kill == 0.0)),
         "total_kill_rate": float(kill.sum()),
     }
-
-
-def _max_exit_rate(q: np.ndarray) -> float:
-    return float(np.max(-np.diag(q), initial=0.0))
 
 
 def _jumps(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -448,6 +494,104 @@ def _tail_sums(q: np.ndarray) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(q, axis=1), axis=1), axis=1)
 
 
+class _Breaks(NamedTuple):
+    """Tail sums of each generator row k and of row k - 1, where both are constant.
+
+    Row k's thresholds split into intervals ``[s, c]`` of ``[0, N - 1]`` at
+    the targets of rows k - 1 and k and at k - 1, k and N - 1, so ``[k, k]``
+    is an interval of its own.  Two sums of a row are kept at each interval:
+    ``tail`` is ``T[r, l] = sum_{j >= l} q[r, j]``, diagonal included, and
+    ``off`` sums off-diagonal rates only, as ``-kill_r - sum_{j < l} q[r, j]``
+    for l <= r and ``sum_{j >= l} q[r, j]`` for l > r.  ``_up`` is row k - 1
+    (read as zero for k = 0) and ``_lo`` row k; ``before_lo`` is the sum of
+    row k to the left of l.  The intervals are in (k, c) order, and
+    ``first`` is where k = 1 begins.
+
+    Every sum runs over a row's nonzero entries in the direction the
+    cumulative sum of the dense row takes, right to left for tails and left
+    to right before l; a dense sum adds only +0.0 besides, which changes no
+    bit, so each value equals the dense one.
+    """
+
+    k: np.ndarray
+    s: np.ndarray
+    c: np.ndarray
+    tail_up: np.ndarray
+    tail_lo: np.ndarray
+    off_up: np.ndarray
+    off_lo: np.ndarray
+    before_lo: np.ndarray
+    exit: np.ndarray
+    kill: np.ndarray
+    first: int
+
+
+def _breaks(rm: RateMatrix) -> _Breaks:
+    """The tail sums of adjacent generator rows, in O(nnz) memory; see _Breaks."""
+    src, tgt, rate, exit_rate, kill = _generator_entries(rm)
+    n = rm.n_states
+    key = src * n + tgt
+    counts = np.bincount(src, minlength=n)
+    start = np.cumsum(counts) - counts
+    rank = np.arange(src.size) - start[src]
+    below = tgt < src
+    width = int(counts.max(initial=0)) + 2
+    # Padded per-row tables with a leading 0.0, flat: position
+    # row[r] + p of prefix sums the first p entries of row r from the
+    # left, and of suffix the last p from the right, the diagonal
+    # 0.0 - exit_r counted among them.
+    row = np.arange(n) * width
+    prefix, suffix = np.zeros((n, width)), np.zeros((n, width))
+    prefix.ravel()[row[src] + rank + 1] = rate
+    suffix.ravel()[row[src] + counts[src] - rank + below] = rate
+    upper = counts - np.bincount(src[below], minlength=n)
+    suffix.ravel()[row + upper + 1] = 0.0 - exit_rate
+    np.cumsum(prefix, axis=1, out=prefix)
+    np.cumsum(suffix, axis=1, out=suffix)
+    prefix, suffix = prefix.ravel(), suffix.ravel()
+    del src, tgt, rate, rank, below, upper
+
+    # interval ends of row k as keys k * n + c: three sorted runs, which
+    # a stable sort merges
+    k = np.arange(n)
+    ends = np.stack([np.maximum(k - 1, 0), k, np.full(n, n - 1)], axis=1)
+    ends += k[:, None] * n
+    keys = np.concatenate([ends.ravel(), key, key[key < (n - 1) * n] + n])
+    del ends
+    keys.sort(kind="stable")
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    del new
+    k, c = np.divmod(keys, n)
+    s = np.zeros_like(c)
+    s[1:] = c[:-1] + 1
+    s[s == n] = 0
+    first = int(np.searchsorted(k, 1))
+
+    def sums(r, cols, query):
+        # p: the entries of row r left of the threshold
+        p = np.searchsorted(key, query)
+        p -= start[r]
+        left = cols <= r
+        before = prefix[row[r] + p]
+        tail = suffix[row[r] + counts[r] - p + left]
+        return before, tail, np.where(left, -kill[r] - before, tail)
+
+    before_lo, tail_lo, off_lo = sums(k, c, keys)
+    tail_up, off_up = np.zeros(keys.size), np.zeros(keys.size)
+    _, tail_up[first:], off_up[first:] = sums(k[first:] - 1, c[first:], keys[first:] - n)
+    return _Breaks(k, s, c, tail_up, tail_lo, off_up, off_lo, before_lo, exit_rate, kill, first)
+
+
+def _runs(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For runs of these lengths laid end to end: each element's run, and its place in it."""
+    run = np.repeat(np.arange(lengths.size), lengths)
+    at = np.arange(run.size)
+    at -= (np.cumsum(lengths) - lengths)[run]
+    return run, at
+
+
 def check_monotone(
     rm: RateMatrix, tol: float = MONO_RTOL, method: str = "both"
 ) -> MonotonicityReport:
@@ -455,7 +599,7 @@ def check_monotone(
 
     Two independent routes are implemented.  "tails" compares, for every
     adjacent pair of states and every threshold other than the one that
-    separates the pair, the dense tail sums of the two generator rows.
+    separates the pair, the tail sums of the two generator rows.
     "offsets" checks the per-jump-width conditions on the rate table (one
     family for upward widths, one for downward widths, with killed mass
     counted as a downward jump past every threshold).  The two are
@@ -464,93 +608,76 @@ def check_monotone(
 
     ``tol`` is relative: each pair's conditions are slack by
     ``tol * max(local exit rates)``.
+
+    A row's tail sums change only at its targets, so each pair is compared
+    once per interval of thresholds on which both rows' sums are constant:
+    O(nnz) work and memory, plus the violations found.
     """
-    q, kill = effective_generator(rm)
+    b = _breaks(rm)
     if method == "tails":
-        return _check_tails(rm, q, tol)
+        return _check_tails(b, rm.lo, tol)
     if method == "offsets":
-        return _check_offsets(rm, q, kill, tol)
+        return _check_offsets(b, rm.lo, tol)
     if method != "both":
         raise InputFormatError(f"unknown method {method!r}")
-    rep_t = _check_tails(rm, q, tol)
-    rep_o = _check_offsets(rm, q, kill, tol)
+    rep_t = _check_tails(b, rm.lo, tol)
+    rep_o = _check_offsets(b, rm.lo, tol)
     report = _report("both", tol, rep_t.checked + rep_o.checked,
-                     rep_t.violations + rep_o.violations)
+                     _Violations.concat(rm.lo, (rep_t.violations, rep_o.violations)))
     report.agreement = rep_t.ok == rep_o.ok
     return report
 
 
-def _report(method: str, tol: float, checked: int, violations: list) -> MonotonicityReport:
-    max_def = max((v.deficit for v in violations), default=0.0)
-    return MonotonicityReport(not violations, method, tol, checked, max_def, violations)
+def _report(method: str, tol: float, checked: int, violations: _Violations) -> MonotonicityReport:
+    return MonotonicityReport(
+        not violations, method, tol, checked, violations.max_deficit, violations)
 
 
-def _check_tails(rm: RateMatrix, q: np.ndarray, tol: float) -> MonotonicityReport:
-    n_states = q.shape[0]
-    if n_states < 2:
-        return MonotonicityReport(True, "tails", tol, 0, 0.0)
-    tails = _tail_sums(q)
-    exit_scale = np.abs(np.diag(q))
-    thr = tol * np.maximum(exit_scale[:-1], exit_scale[1:])
-    # deficit[i, l] > 0 means the pair (lo+i, lo+i+1) fails at threshold lo+l
-    deficit = tails[:-1, :] - tails[1:, :]
-    mask = deficit > thr[:, None]
-    pairs = np.arange(n_states - 1)
-    mask[pairs, pairs + 1] = False  # threshold separating the pair is exempt
-    violations = [
-        Violation(rm.lo + int(i), "tail", rm.lo + int(l), float(tails[i, l]),
-                  float(tails[i + 1, l]), float(deficit[i, l]))
-        for i, l in zip(*np.nonzero(mask))
-    ]
+def _pairs(b: _Breaks, tol: float):
+    """The intervals of rows k >= 1, and the slack of each one's pair (k - 1, k)."""
+    at = slice(b.first, None)
+    thr = tol * np.maximum(b.exit[:-1], b.exit[1:])
+    return b.k[at], b.s[at], b.c[at], thr[b.k[at] - 1], at
+
+
+def _check_tails(b: _Breaks, lo: int, tol: float) -> MonotonicityReport:
+    n_states = b.exit.size
+    k, s, c, thr, at = _pairs(b, tol)
+    upper, lower = b.tail_up[at], b.tail_lo[at]
+    deficit = upper - lower
+    # c == k: the threshold separating the pair is exempt
+    bad = np.flatnonzero((deficit > thr) & (c != k))
+    run, step = _runs(c[bad] - s[bad] + 1)
+    bad = bad[run]
+    violations = _Violations(lo, k[bad] - 1, np.zeros(bad.size, dtype=np.int64),
+                             s[bad] + step, upper[bad], lower[bad], deficit[bad])
     return _report("tails", tol, (n_states - 1) * (n_states - 1), violations)
 
 
-def _check_offsets(
-    rm: RateMatrix, q: np.ndarray, kill: np.ndarray, tol: float
-) -> MonotonicityReport:
-    n_states = q.shape[0]
-    exit_scale = np.abs(np.diag(q))
-    thr = tol * np.maximum(exit_scale[:-1], exit_scale[1:])[:, None]
-    tails, _ = _offdiag_tails(q, kill)
-    upper, lower = tails[:-1], tails[1:]  # rows n and n+1 of pair i
-    i = np.arange(n_states - 1)[:, None]
-    l = np.arange(n_states)[None, :]
-    # upward width k = l - i at thresholds l > i+1: mass from n jumping at
-    # least k up must be covered by mass from n+1 jumping at least k-1 up
-    up = (l > i + 1) & (upper > lower + thr)
-    # downward width k = i - l + 2 at thresholds l <= i: mass from n+1
-    # jumping at least k down, killing included, must be covered by mass
-    # from n jumping at least k-1 down; -tails holds those masses
-    down = (l <= i) & (upper - thr > lower)
-    violations = [
-        Violation(rm.lo + int(r), "up", int(c - r), float(upper[r, c]),
-                  float(lower[r, c]), float(upper[r, c] - lower[r, c]))
-        for r, c in zip(*np.nonzero(up))
-    ] + [
-        Violation(rm.lo + int(r), "down", int(r - c + 2), float(-upper[r, c]),
-                  float(-lower[r, c]), float(upper[r, c] - lower[r, c]))
-        for r, c in zip(*np.nonzero(down))
-    ]
+def _check_offsets(b: _Breaks, lo: int, tol: float) -> MonotonicityReport:
+    n_states = b.exit.size
+    k, s, c, thr, at = _pairs(b, tol)
+    upper, lower = b.off_up[at], b.off_lo[at]
+    # upward width l - i at thresholds l > i+1: mass from n jumping at
+    # least that far up must be covered by mass from n+1 jumping one less
+    up = (c > k) & (upper > lower + thr)
+    # downward width i - l + 2 at thresholds l <= i: mass from n+1
+    # jumping at least that far down, killing included, must be covered by
+    # mass from n jumping one less; -off holds those masses
+    down = (c < k) & (upper - thr > lower)
+    bad = np.flatnonzero(up | down)
     # per pair: upward widths, then downward widths, each ascending
-    violations.sort(key=lambda v: (v.n, v.kind == "down", v.index))
+    bad = bad[np.lexsort((np.where(down[bad], -c[bad], c[bad]), down[bad], k[bad]))]
+    run, step = _runs(c[bad] - s[bad] + 1)
+    bad = bad[run]
+    down = down[bad]
+    i = k[bad] - 1
+    l = np.where(down, c[bad] - step, s[bad] + step)
+    upper, lower = upper[bad], lower[bad]
+    violations = _Violations(
+        lo, i, np.where(down, 2, 1), np.where(down, i - l + 2, l - i),
+        np.where(down, -upper, upper), np.where(down, -lower, lower), upper - lower)
     return _report("offsets", tol, (n_states - 1) * (n_states - 1), violations)
-
-
-def _offdiag_tails(q: np.ndarray, kill: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Tail sums of the off-diagonal rates, and their partial sums from the left.
-
-    ``before[k, y] = sum_{j<y, j!=k} q[k, j]``; ``tails[k, y]`` is
-    ``-kill_k - before[k, y]`` for y <= k and ``sum_{j>=y, j!=k} q[k, j]``
-    for y > k.  Nothing cancels against the diagonal.
-    """
-    off = q.copy()
-    np.fill_diagonal(off, 0.0)
-    before = np.zeros_like(off)
-    np.cumsum(off[:, :-1], axis=1, out=before[:, 1:])
-    tails = np.where(
-        np.tri(q.shape[0], dtype=bool), -kill[:, None] - before, _tail_sums(off)
-    )
-    return tails, before
 
 
 def dual_qmatrix(
@@ -568,7 +695,8 @@ def dual_qmatrix(
     -kill_k - sum_{j<y} q[k, j], for y > k as sum_{j>=y} q[k, j].  Nothing
     cancels against the diagonal, so every difference the jump range of
     the input makes zero is exactly zero, and the dual of a band-w chain
-    without killing is again a band-w chain.
+    without killing is again a band-w chain.  Only those nonzero
+    differences are formed: the work is O(nnz) plus the size of the dual.
 
     Off-diagonal dual entries are nonnegative exactly when the input is
     stochastically monotone.  The dual is substochastic in general: row y
@@ -576,35 +704,52 @@ def dual_qmatrix(
     below y), encoded as a jump past the top edge under the "kill" policy.
     For a conservative input the bottom dual row vanishes; when the input
     kills, row lo carries the kill-rate differences kill_{k-1} - kill_k,
-    which the identity above requires.
+    which the identity above requires, and so does every row y below the
+    targets of forward rows k - 1 and k: where the kill rate steps, the
+    dual has far entries.
 
     With ``require_monotone`` the input is checked first and NotMonotone is
     raised on failure; otherwise a genuinely negative dual rate (beyond
     ``tol`` times the exit-rate scale) raises DualRateNegative.  Either way,
-    roundoff-scale negatives are clamped to zero.
+    roundoff-scale negatives are clamped to zero.  The table lists the
+    entries row by row, then the leaks.
     """
-    q, kill = effective_generator(rm)
+    b = _breaks(rm)
     if require_monotone:
-        report = _check_tails(rm, q, tol)
+        report = _check_tails(b, rm.lo, tol)
         if not report.ok:
             raise NotMonotone(report)
-    n_states = q.shape[0]
-    tails, before = _offdiag_tails(q, kill)
-    below = np.vstack([np.zeros((1, n_states)), tails[:-1, :]])
-    dual = (tails - below).T  # dual[y, k] = T[k, y] - T[k-1, y]
-
-    np.fill_diagonal(dual, 0.0)
-    thr = tol * _max_exit_rate(q)
-    neg = np.nonzero(dual < -thr)
-    if neg[0].size:
-        y, k = int(neg[0][0]), int(neg[1][0])
-        raise DualRateNegative(rm.lo + y, rm.lo + k, float(dual[y, k]))
-    np.clip(dual, 0.0, None, out=dual)
+    n_states = rm.n_states
+    # dual[y, k] = T[k, y] - T[k-1, y] for y in [s, c]; the diagonal is 0
+    dual = b.off_lo - b.off_up
+    dual[b.c == b.k] = 0.0
+    thr = tol * float(np.max(b.exit, initial=0.0))
+    neg = np.flatnonzero(dual < -thr)
+    if neg.size:
+        # the first in row-major order
+        at = neg[np.argmin(b.s[neg] * n_states + b.k[neg])]
+        raise DualRateNegative(rm.lo + int(b.s[at]), rm.lo + int(b.k[at]), float(dual[at]))
+    keep = np.flatnonzero(~(dual <= 0.0))
+    run, step = _runs(b.c[keep] - b.s[keep] + 1)
+    keep = keep[run]
+    rows = b.s[keep] + step
+    # the runs are in (k, y) order; sorting by y makes the table row-major
+    order = np.argsort(rows, kind="stable")
+    rows, cols, rate = rows[order], b.k[keep][order], dual[keep][order]
+    del dual, keep, run, step, order
 
     # leak rate of dual row y: mass the top forward row sends below y,
     # accumulated from nonnegative terms so it can never go negative
-    leak = kill[n_states - 1] + before[n_states - 1]
-    return from_dense(rm.lo, rm.hi, dual, boundary="kill", kill=leak)
+    top = slice(int(np.searchsorted(b.k, n_states - 1)), None)
+    leak = b.kill[n_states - 1] + b.before_lo[top]
+    keep = np.flatnonzero(leak != 0.0)
+    s, c = b.s[top][keep], b.c[top][keep]
+    run, step = _runs(c - s + 1)
+    leak_rows = s[run] + step
+    rows = np.concatenate([rows, leak_rows])
+    cols = np.concatenate([cols, np.full(leak_rows.size, n_states)])
+    rate = np.concatenate([rate, leak[keep][run]])
+    return RateMatrix(rm.lo, rm.hi, "kill", _Columns(rm.lo + rows, cols - rows, rate))
 
 
 def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> TransitionMatrix:
@@ -625,7 +770,7 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     is multiplied as a sparse matrix instead, at O(N nnz) per term.  The
     result reports the terms, halvings and the truncation bound achieved.
     """
-    q, _ = effective_generator(rm)
+    entries = _generator_entries(rm)[:4]
     t = float(t)
     if t < 0.0:
         raise InputFormatError(f"negative time {t!r}")
@@ -634,7 +779,7 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     reach = np.abs(tgt[moves] - src[moves])
     width = int(np.max(reach, initial=0))
     nnz = rm.n_states + reach.size
-    p, terms, halvings, bound = _expm_uniformized(q, t, tol, width, nnz)
+    p, terms, halvings, bound = _expm_uniformized(entries, t, tol, width, nnz)
     defect = 1.0 - p.sum(axis=1)
     np.clip(defect, 0.0, 1.0, out=defect)
     return TransitionMatrix(
@@ -643,15 +788,19 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
 
 
 def _expm_uniformized(
-    q: np.ndarray, t: float, tol: float, width: int, nnz: int
+    entries: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    t: float, tol: float, width: int, nnz: int,
 ) -> Tuple[np.ndarray, int, int, float]:
     """exp(t q) with the series terms, halvings and truncation bound used.
 
-    ``width`` bounds the jump width: q[i, j] == 0 whenever |i - j| > width.
-    ``nnz`` bounds the number of nonzero entries of B = I + q/lam.
+    ``entries`` is q as ``(src, tgt, rate, exit)``, as _generator_entries
+    gives it.  ``width`` bounds the jump width: q[i, j] == 0 whenever
+    |i - j| > width.  ``nnz`` bounds the number of nonzero entries of
+    B = I + q/lam.
     """
-    n_states = q.shape[0]
-    lam = _max_exit_rate(q)
+    src, tgt, rate, exit_rate = entries
+    n_states = exit_rate.size
+    lam = float(np.max(exit_rate, initial=0.0))
     if t == 0.0 or lam == 0.0:
         return np.eye(n_states), 0, 0, 0.0
     halvings = 0
@@ -669,8 +818,10 @@ def _expm_uniformized(
         weight *= a / k
         weights.append(weight)
         covered += weight
-    b = q / lam
-    b.reshape(-1)[:: n_states + 1] += 1.0  # B = I + q/lam
+    # B = I + q/lam, each entry as q / lam and then += 1 on the diagonal
+    b = np.zeros((n_states, n_states))
+    b.reshape(-1)[src * n_states + tgt] = rate / lam
+    b.reshape(-1)[:: n_states + 1] = (0.0 - exit_rate) / lam + 1.0
     # x <- B x + w_j I from x = w_k I down to j = 0
     x, spare = np.zeros((n_states, n_states)), np.zeros((n_states, n_states))
     x.reshape(-1)[:: n_states + 1] = weights[k]

@@ -205,6 +205,41 @@ class TestCommandTable:
         assert doc["error"]["message"] == "a rate matrix takes no --h or --window"
 
 
+class TestCommandLineErrors:
+    @pytest.mark.parametrize("argv, command, message", [
+        (["dual", "--in", "{chain}", "--t", "1"], "dual", "unrecognized arguments: --t 1"),
+        (["dual"], "dual", "the following arguments are required: --in"),
+        (["evolve", "--in", "{chain}", "--t", "x"], "evolve",
+         "argument --t: invalid float value: 'x'"),
+        (["simulate", "--in", "{chain}", "--thr", "2"], "simulate",
+         "unrecognized arguments: --thr 2"),
+        (["sideways", "--in", "{chain}"], None, "argument command: invalid choice"),
+        ([], None, "the following arguments are required: command"),
+    ])
+    def test_envelope_on_stdout_and_exit_2(self, capsys, chain_file, argv, command, message):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(chain=chain_file) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["command"] == command and doc["ok"] is False
+        assert doc["error"]["type"] == "InputFormatError"
+        assert doc["error"]["message"].startswith(message)
+        assert "usage: monodual" in captured.err
+
+    def test_help_exits_0_without_an_envelope(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: monodual dual")
+
+    def test_dualgen_rejects_a_rate_matrix(self, capsys, chain_file):
+        code, doc = run_json(capsys, ["dualgen", "--in", chain_file])
+        assert code == 2
+        assert doc == {"command": "dualgen", "ok": False, "error": {
+            "type": "InputFormatError", "message": "dualgen expects a model description"}}
+
+
 class TestTransforms:
     def test_dual_is_bare_artifact(self, capsys, chain_file):
         code, doc = run_json(capsys, ["dual", "--in", chain_file])

@@ -35,7 +35,7 @@ from monodual.qmatrix import (
     verify_duality,
 )
 
-from conftest import birth_death, random_monotone_ratematrix
+from conftest import birth_death, random_monotone_ratematrix, random_ratematrix
 
 
 def reference_generator(rm):
@@ -171,6 +171,113 @@ class TestRateMatrixStructure:
         for col in (rm.src, rm.m, rm.rate):
             with pytest.raises(ValueError):
                 col[0] = 0
+
+
+def _dense_tail_sums(a):
+    return np.flip(np.cumsum(np.flip(a, axis=1), axis=1), axis=1)
+
+
+def reference_tails(rm):
+    """Dense tail sums of reference_generator, each a cumulative sum of a whole row.
+
+    Returns ``(q, kill, tails, off, before)``: ``tails[k, l]`` sums q[k, j]
+    over j >= l, diagonal included; ``before[k, l]`` sums the off-diagonal
+    q[k, j] over j < l; ``off[k, l]`` is ``-kill_k - before[k, l]`` for
+    l <= k and the off-diagonal sum over j >= l for l > k.
+    """
+    q, kill = reference_generator(rm)
+    n_states = rm.n_states
+    offq = q.copy()
+    np.fill_diagonal(offq, 0.0)
+    before = np.zeros_like(offq)
+    np.cumsum(offq[:, :-1], axis=1, out=before[:, 1:])
+    off = np.where(np.tri(n_states, dtype=bool), -kill[:, None] - before,
+                   _dense_tail_sums(offq))
+    return q, kill, _dense_tail_sums(q), off, before
+
+
+def reference_monotone(rm, tol):
+    """``to_dict(limit=10**9)`` of check_monotone by method, from dense tail sums."""
+    q, _, tails, off, _ = reference_tails(rm)
+    n_states = rm.n_states
+    exit_scale = np.abs(np.diag(q))
+    thr = tol * np.maximum(exit_scale[:-1], exit_scale[1:])
+    found = {"tails": [], "offsets": []}
+
+    def violation(i, kind, index, lhs, rhs, deficit):
+        return {"n": rm.lo + i, "kind": kind, "index": index, "lhs": float(lhs),
+                "rhs": float(rhs), "deficit": float(deficit)}
+
+    for i in range(n_states - 1):
+        up, down = [], []
+        for l in range(n_states):
+            a, b = tails[i, l], tails[i + 1, l]
+            if l != i + 1 and a - b > thr[i]:
+                found["tails"].append(violation(i, "tail", rm.lo + l, a, b, a - b))
+            a, b = off[i, l], off[i + 1, l]
+            if l > i + 1 and a > b + thr[i]:
+                up.append(violation(i, "up", l - i, a, b, a - b))
+            if l <= i and a - thr[i] > b:
+                down.append(violation(i, "down", i - l + 2, -a, -b, a - b))
+        found["offsets"] += up + down[::-1]
+    found["both"] = found["tails"] + found["offsets"]
+    checked = (n_states - 1) ** 2
+    reports = {}
+    for method, violations in found.items():
+        reports[method] = {
+            "ok": not violations, "monotone": not violations, "method": method,
+            "tol": tol, "checked_pairs": checked * (2 if method == "both" else 1),
+            "max_deficit": max((v["deficit"] for v in violations), default=0.0),
+            "n_violations": len(violations), "violations": violations,
+        }
+    reports["both"]["agreement"] = reports["tails"]["ok"] == reports["offsets"]["ok"]
+    return reports
+
+
+def reference_dual(rm, tol):
+    """The dense Siegmund dual's ``(src, m, rate)`` columns in table order, or
+    ``(y, k, rate)`` of its first negative rate beyond ``tol`` times the
+    largest exit rate."""
+    q, kill, _, off, before = reference_tails(rm)
+    n_states = rm.n_states
+    below = np.vstack([np.zeros((1, n_states)), off[:-1]])
+    dual = (off - below).T
+    np.fill_diagonal(dual, 0.0)
+    thr = tol * float(np.max(-np.diag(q), initial=0.0))
+    neg = np.argwhere(dual < -thr)
+    if neg.size:
+        y, k = neg[0]
+        return rm.lo + int(y), rm.lo + int(k), float(dual[y, k])
+    np.clip(dual, 0.0, None, out=dual)
+    rows, cols = np.nonzero(dual)
+    leak = kill[n_states - 1] + before[n_states - 1]
+    i = np.flatnonzero(leak)
+    return (np.append(rows, i), np.append(cols - rows, n_states - i),
+            np.append(dual[rows, cols], leak[i]))
+
+
+def _random_chains(seed, count):
+    """random_ratematrix chains under all three boundaries, some with an
+    offset past int64 or below -2**63, with far jumps, or with a kill rate
+    that steps down (which keeps a monotone chain monotone)."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        rm = random_ratematrix(rng, max_states=14, band=4)
+        rates = dict(rm.rates)
+        if trial % 4 == 1:
+            rates[(rm.lo, 2 ** 70)] = 0.5
+        if trial % 4 == 2:
+            rates[(rm.hi, -2 ** 63)] = 0.25
+        if trial % 3 == 0:
+            steps = np.sort(rng.integers(rm.lo, rm.hi + 1, size=2))
+            for n in range(rm.lo, int(steps[1]) + 1):
+                rates[(n, -20)] = 0.75 if n <= steps[0] else 0.5
+        if trial % 3 == 1:
+            for _ in range(3):
+                n = int(rng.integers(rm.lo, rm.hi + 1))
+                rates[(n, int(rng.choice([-20, -9, 7, 15])))] = float(rng.uniform(0.0, 2.0))
+        for boundary in qmatrix.BOUNDARY_POLICIES:
+            yield trial, RateMatrix(rm.lo, rm.hi, boundary, rates)
 
 
 class TestValidate:
@@ -322,6 +429,28 @@ class TestMonotonicity:
                 seen += len(want)
         assert seen > 1000
 
+    def test_reports_equal_the_dense_reference(self):
+        seen = {"not monotone": 0, "killing": 0}
+        for trial, rm in _random_chains(101, 150):
+            for tol in (qmatrix.MONO_RTOL, 0.0, 0.3):
+                want = reference_monotone(rm, tol)
+                for method in ("both", "tails", "offsets"):
+                    got = check_monotone(rm, tol=tol, method=method).to_dict(limit=10 ** 9)
+                    # repr: a signed zero must match too
+                    assert repr(got) == repr(want[method]), (trial, rm.boundary, tol, method)
+            seen["not monotone"] += not want["both"]["ok"]
+            seen["killing"] += bool(np.any(reference_generator(rm)[1]))
+        assert min(seen.values()) > 100, seen
+
+    def test_violations_are_made_when_read(self):
+        rm = RateMatrix(0, 2, "kill", {(0, 2): 5.0, (1, 1): 0.1})
+        rep = check_monotone(rm)
+        assert len(rep.violations) == rep.to_dict()["n_violations"]
+        assert rep.violations[:] == list(rep.violations) == rep.violations
+        assert rep.violations[-1] == list(rep.violations)[-1]
+        assert rep.violations[1:2] == list(rep.violations)[1:2]
+        assert repr(rep.violations) == repr(list(rep.violations))
+
     def test_birth_death_is_monotone(self):
         rm = birth_death(0, 6, up=1.0, down=2.0, boundary="kill")
         rep = check_monotone(rm)
@@ -433,6 +562,30 @@ class TestDual:
         scale = np.max(-np.diag(q))
         assert np.max(np.abs(q @ F - F @ qd.T)) <= 1e-12 * scale
 
+    def test_dual_equals_the_dense_reference(self):
+        seen = {"dual": 0, "negative": 0, "killing dual": 0}
+        for trial, rm in _random_chains(202, 250):
+            tol = qmatrix.MONO_RTOL
+            want = reference_dual(rm, tol)
+            if isinstance(want[0], int):
+                with pytest.raises(DualRateNegative) as exc:
+                    dual_qmatrix(rm, require_monotone=False, tol=tol)
+                assert (exc.value.n, exc.value.j, exc.value.rate) == want, trial
+                seen["negative"] += 1
+                continue
+            dual = dual_qmatrix(rm, require_monotone=False, tol=tol)
+            assert dual.src.tobytes() == want[0].astype(np.int64).tobytes(), trial
+            assert dual.m.tobytes() == want[1].astype(np.int64).tobytes(), trial
+            assert dual.rate.tobytes() == want[2].tobytes(), trial
+            seen["dual"] += 1
+            seen["killing dual"] += bool(np.any(reference_generator(rm)[1]))
+            if reference_monotone(rm, tol)["tails"]["ok"]:
+                assert dual_qmatrix(rm, tol=tol) == dual
+            else:
+                with pytest.raises(NotMonotone):
+                    dual_qmatrix(rm, tol=tol)
+        assert min(seen.values()) > 50, seen
+
     def test_dual_identity_is_algebraic(self, rng=np.random.default_rng(7)):
         # Q F = F Q~^T holds entrywise for the tail-difference dual
         rm = random_monotone_ratematrix(rng, max_states=9, band=3)
@@ -444,6 +597,37 @@ class TestDual:
         lhs = q @ F
         rhs = F @ qd.T
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+class TestSparseCost:
+    """check_monotone and dual_qmatrix never form an N x N array."""
+
+    @pytest.mark.parametrize("call", [check_monotone, dual_qmatrix])
+    def test_memory_is_linear_in_the_window(self, call):
+        # one dense N x N float array at N = 6400 would take 328 MB
+        import tracemalloc
+
+        rm = birth_death(0, 6399, up=1.0, down=0.5, boundary="reflect")
+        tracemalloc.start()
+        try:
+            call(rm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, peak
+
+    @pytest.mark.parametrize("call", [check_monotone, dual_qmatrix])
+    def test_time_is_linear_in_the_window(self, call):
+        import time
+
+        rm = birth_death(0, 1599, up=1.0, down=0.5, boundary="reflect")
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            call(rm)
+            best = min(best, time.perf_counter() - start)
+        # about 1-2 ms on a 2-core x86-64 VM; the dense route took 0.17 s
+        assert best < 0.05, best
 
 
 class TestTransitionMatrix:
