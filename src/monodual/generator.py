@@ -37,7 +37,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     GrowthViolated,
@@ -82,6 +81,9 @@ _TAIL_BREAKS = np.concatenate(([0.0], 2.0 ** (-np.arange(16, -1, -1) / 2.0)))
 def _quad(f: Callable[[float], float], a: float, b: float) -> float:
     if b <= a:
         return 0.0
+    # local: importing scipy.integrate loads most of scipy, and only this fallback needs it
+    from scipy.integrate import quad
+
     res = quad(f, a, b, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200, full_output=1)
     value, abserr = res[0], res[1]
     if len(res) == 4 and abserr > max(1e-9, 1e-8 * abs(value)):
@@ -1328,9 +1330,22 @@ def kernel_from_dict(obj: dict) -> LevyKernel:
     )
 
 
+# The fields of a model description; `boundary` is the lattice boundary
+# that `discretize` reads from the same document.
+MODEL_FIELDS = (
+    "G", "b", "nu", "mu", "growth_c", "support", "bounded_coefficients",
+    "asymptotics", "boundary",
+)
+
+
 def model_from_dict(obj: dict) -> LevyModel:
     if not isinstance(obj, dict):
         raise InputFormatError("model description must be a mapping")
+    unknown = sorted(set(obj) - set(MODEL_FIELDS), key=str)
+    if unknown:
+        raise InputFormatError(
+            f"unknown model fields {unknown}; expected {', '.join(MODEL_FIELDS)}"
+        )
     nu = kernel_from_dict(obj["nu"]) if obj.get("nu") is not None else None
     mu = kernel_from_dict(obj["mu"]) if obj.get("mu") is not None else None
     growth_c = obj.get("growth_c")

@@ -280,6 +280,14 @@ class TestTransforms:
         assert doc["boundary"] == "absorb"
         assert len(doc["rates"]) > 0
 
+    def test_discretize_reads_the_model_boundary(self, capsys, files):
+        path = files("model.json", dict(MODEL_DOC, boundary="kill"))
+        code, doc = run_json(
+            capsys, ["discretize", "--in", path, "--h", "0.5", "--window=-4:4"]
+        )
+        assert code == 0
+        assert doc["boundary"] == "kill"
+
     def test_rate_tables_print_as_json_dumps(self, capsys, files, chain_file):
         rm = birth_death(0, 12, up=1.0, down=0.5, boundary="absorb")
         assert main(["dual", "--in", chain_file]) == 0
@@ -518,6 +526,20 @@ class TestErrorPaths:
         code, out = run_json(capsys, [command, "--in", path])
         assert code == 2
         assert out["error"]["type"] == "InputFormatError"
+
+    @pytest.mark.parametrize("command, doc, unknown", [
+        ("validate", dict(MODEL_DOC, grwoth_c=3.0), "['grwoth_c']"),
+        ("discretize", dict(MODEL_DOC, window="-2:2"), "['window']"),
+        ("dualgen", {"lo": 0, "hi": 2, "boundary": "kill"}, "['hi', 'lo']"),
+    ])
+    def test_unknown_model_field_is_parse_error(self, capsys, files, command, doc, unknown):
+        path = files("model.json", doc)
+        argv = [command, "--in", path] + (["--h", "0.5", "--window=-2:2"]
+                                          if command == "discretize" else [])
+        code, out = run_json(capsys, argv)
+        assert code == 2
+        assert out["error"]["type"] == "InputFormatError"
+        assert f"unknown model fields {unknown}" in out["error"]["message"]
 
     def test_every_error_has_an_exit_code(self):
         assert MonodualError.exit_code == 3

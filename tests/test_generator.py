@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -1107,3 +1108,16 @@ class TestModelJSON:
     def test_non_mapping_rejected(self):
         with pytest.raises(InputFormatError):
             model_from_dict([1, 2, 3])
+
+    def test_every_model_field_accepted(self):
+        doc = dict(self.DOC, G="0.5", mu=None, support="line", bounded_coefficients=False,
+                   asymptotics=None, boundary="kill")
+        assert set(doc) == set(generator.MODEL_FIELDS)
+        assert model_from_dict(doc).G(1.0) == 0.5
+
+    def test_unknown_fields_named(self):
+        # a chain document without rates is no model
+        for doc, named in ((dict(self.DOC, grwoth_c=3.0), "['grwoth_c']"),
+                           ({"lo": 0, "hi": 2, "boundary": "kill"}, "['hi', 'lo']")):
+            with pytest.raises(InputFormatError, match=re.escape(f"unknown model fields {named}")):
+                model_from_dict(doc)

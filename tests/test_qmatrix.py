@@ -804,6 +804,24 @@ class TestSerialization:
         keys = [(e["n"], e["m"]) for e in doc["rates"]]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("rates", [
+        {(2, 1): 1.0, (-1, 1): 0.1, (1, -1): 1e-300, (-1, 2): 2.5},
+        {(-1, 1): 0.1, (-1, 2): 2.5, (1, -1): 1e-300, (2, 1): 1.0},
+        {},
+        {(1, 10 ** 30): 0.5, (2, -1): 1.0, (0, 1): 1 / 3},
+        {(0, 1): math.inf, (1, -1): math.nan, (2, 1): -math.inf},
+    ], ids=["unsorted", "sorted", "empty", "offset past int64", "non-finite"])
+    def test_writer_is_json_dumps(self, rates):
+        rm = RateMatrix(-1, 3, "kill", rates)
+        assert ratematrix_to_json(rm) == json.dumps(ratematrix_to_dict(rm), indent=2)
+
+    def test_writer_sorts_whatever_the_table_order(self):
+        rates = {(2, 1): 1.0, (-1, 1): 0.1, (1, -1): 1e-300, (-1, 2): 2.5}
+        ordered = dict(sorted(rates.items()))
+        assert list(ordered) != list(rates)
+        assert ratematrix_to_json(RateMatrix(-1, 3, "kill", rates)) == ratematrix_to_json(
+            RateMatrix(-1, 3, "kill", ordered))
+
     def test_schema_errors(self):
         with pytest.raises(InputFormatError):
             ratematrix_from_dict({"lo": 0, "hi": 2})
@@ -836,7 +854,7 @@ class TestSerialization:
                            {"n": 0, "m": 1, "rate": 1.0},
                            {"n": 0.0, "m": 1.0, "rate": 2.0}]}
             )
-        with pytest.raises(InputFormatError):
+        with pytest.raises(InputFormatError, match=re.escape("bad rate entry [0, 1, 1.0]")):
             ratematrix_from_dict(
                 {"lo": 0, "hi": 2, "boundary": "kill",
                  "rates": [{"n": 0, "m": 1, "rate": 1.0}, [0, 1, 1.0]]}
