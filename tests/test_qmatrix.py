@@ -815,13 +815,6 @@ class TestSerialization:
         rm = RateMatrix(-1, 3, "kill", rates)
         assert ratematrix_to_json(rm) == json.dumps(ratematrix_to_dict(rm), indent=2)
 
-    def test_writer_sorts_whatever_the_table_order(self):
-        rates = {(2, 1): 1.0, (-1, 1): 0.1, (1, -1): 1e-300, (-1, 2): 2.5}
-        ordered = dict(sorted(rates.items()))
-        assert list(ordered) != list(rates)
-        assert ratematrix_to_json(RateMatrix(-1, 3, "kill", rates)) == ratematrix_to_json(
-            RateMatrix(-1, 3, "kill", ordered))
-
     def test_schema_errors(self):
         with pytest.raises(InputFormatError):
             ratematrix_from_dict({"lo": 0, "hi": 2})
