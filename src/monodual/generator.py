@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -1330,12 +1330,9 @@ def kernel_from_dict(obj: dict) -> LevyKernel:
     )
 
 
-# The fields of a model description; `boundary` is the lattice boundary
-# that `discretize` reads from the same document.
-MODEL_FIELDS = (
-    "G", "b", "nu", "mu", "growth_c", "support", "bounded_coefficients",
-    "asymptotics", "boundary",
-)
+# The fields of a model description: those of LevyModel, and `boundary`,
+# the lattice boundary that `discretize` reads from the same document.
+MODEL_FIELDS = (*(f.name for f in fields(LevyModel)), "boundary")
 
 
 def model_from_dict(obj: dict) -> LevyModel:

@@ -18,7 +18,6 @@ Monte Carlo routines score killed paths.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -88,12 +87,6 @@ def _column(values: Sequence, dtype) -> Tuple[np.ndarray, np.ndarray]:
     return col, bad
 
 
-def _increasing(n: np.ndarray, m: np.ndarray) -> bool:
-    """Whether the pairs (n, m) increase strictly, so are sorted with no repeat."""
-    a, b = slice(None, -1), slice(1, None)
-    return bool(((n[a] < n[b]) | ((n[a] == n[b]) & (m[a] < m[b]))).all())
-
-
 @dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Off-diagonal jump rates of a chain on a finite integer window.
@@ -140,11 +133,10 @@ class RateMatrix:
         (n, bad_n), (m, bad_m), (rate, bad_r) = (
             _column(table.n, np.int64), _column(table.m, np.int64), _column(table.rate, float))
         bad, jump0, outside = bad_n | bad_m | bad_r, m == 0, (n < lo) | (n > hi)
+        order = np.lexsort((m, n))  # stable: a repeat follows the first (n, m)
+        a, b = order[:-1], order[1:]
         repeat = np.zeros(n.size, dtype=bool)
-        if not _increasing(n, m):
-            order = np.lexsort((m, n))  # stable: a repeat follows the first (n, m)
-            a, b = order[:-1], order[1:]
-            repeat[b[(n[a] == n[b]) & (m[a] == m[b])]] = True
+        repeat[b[(n[a] == n[b]) & (m[a] == m[b])]] = True
         failed = bad | jump0 | outside | repeat
         if failed.any():
             i = int(np.argmax(failed))
@@ -938,11 +930,8 @@ def verify_duality(
 
 def _sorted_columns(rm: RateMatrix) -> Tuple[list, list, list]:
     """States, offsets and rates as lists, ordered by (n, m)."""
-    src, m, rate = rm.src, rm.m, rm.rate
-    if not _increasing(src, m):
-        order = np.lexsort((m, src))
-        src, m, rate = src[order], m[order], rate[order]
-    return (src + rm.lo).tolist(), m.tolist(), rate.tolist()
+    order = np.lexsort((rm.m, rm.src))
+    return (rm.src[order] + rm.lo).tolist(), rm.m[order].tolist(), rm.rate[order].tolist()
 
 
 def ratematrix_to_dict(rm: RateMatrix) -> dict:
@@ -950,33 +939,21 @@ def ratematrix_to_dict(rm: RateMatrix) -> dict:
     return {"lo": rm.lo, "hi": rm.hi, "boundary": rm.boundary, "rates": rates}
 
 
-# One rate entry of the text: its n, m and rate go in the None slots, and
-# its first piece also closes the entry before it.
-_RATE_ENTRY = ('\n    },\n    {\n      "n": ', None, ',\n      "m": ', None,
-               ',\n      "rate": ', None)
+_RATE_ENTRY = '    {\n      "n": %d,\n      "m": %d,\n      "rate": %r\n    }'
 
 
 def ratematrix_to_json(rm: RateMatrix) -> str:
     """``json.dumps(ratematrix_to_dict(rm), indent=2)``, byte for byte.
 
-    Keys are ints and rates are floats, whose ``repr`` is what json
-    writes.  The text is _RATE_ENTRY repeated once per rate, its slots
-    filled a column at a time, joined once.  A table holding a non-finite
-    rate (json writes NaN, Infinity) goes through json itself.
+    One %-format per rate: keys are ints and rates are floats, whose
+    ``repr`` is what json writes.  A table holding a non-finite rate (json
+    writes NaN, Infinity) goes through json itself.
     """
     if not np.isfinite(rm.rate).all():
         return json.dumps(ratematrix_to_dict(rm), indent=2)
-    n, m, rate = _sorted_columns(rm)
-    body = "[]"
-    if rate:
-        pieces = [*_RATE_ENTRY] * len(rate)
-        pieces[0] = '[\n    {\n      "n": '
-        pieces[1::6], pieces[3::6], pieces[5::6] = (
-            map(str, n), map(str, m), map(float.__repr__, rate))
-        pieces.append("\n    }\n  ]")
-        body = "".join(pieces)
+    body = ",\n".join([_RATE_ENTRY % e for e in zip(*_sorted_columns(rm))])
     return '{\n  "lo": %d,\n  "hi": %d,\n  "boundary": %s,\n  "rates": %s\n}' % (
-        rm.lo, rm.hi, json.dumps(rm.boundary), body)
+        rm.lo, rm.hi, json.dumps(rm.boundary), "[\n" + body + "\n  ]" if body else "[]")
 
 
 def ratematrix_from_dict(obj: dict) -> RateMatrix:
@@ -988,11 +965,7 @@ def ratematrix_from_dict(obj: dict) -> RateMatrix:
     entries = obj["rates"]
     if not isinstance(entries, list):
         raise InputFormatError("'rates' must be a list of {n, m, rate} entries")
-    keys = ("n", "m", "rate")
-    try:
-        n, m, rate = (list(map(dict.get, entries, itertools.repeat(k))) for k in keys)
-    except TypeError:  # some entry is not a mapping: it reads as None
-        n, m, rate = ([e.get(k) if isinstance(e, dict) else None for e in entries]
-                      for k in keys)
+    n, m, rate = ([e.get(k) if isinstance(e, dict) else None for e in entries]
+                  for k in ("n", "m", "rate"))
     table = _Columns(n, m, rate, lambda i: repr(entries[i]))
     return RateMatrix(obj["lo"], obj["hi"], obj["boundary"], table)
