@@ -48,13 +48,14 @@ DUALITY_TOL = 1e-8
 # the step's time scale is covered; see transition_matrix.
 EXPM_TOL = 1e-12
 
-# Uniformization multiplies by B a block of this many rows at a time, each
-# block against only the rows and columns its band can reach.
-BLOCK_ROWS = 32
+# Uniformization holds B as tiles of this many rows, each against only the
+# rows and columns of the iterate its band can reach, and multiplies all
+# tiles of a series term in one stacked product.
+TILE_ROWS = 8
 
-# ... unless at most this share of the entries in those blocks is nonzero;
+# ... unless at most this share of the entries in those tiles is nonzero;
 # B is then multiplied as a sparse (CSR) matrix.  Far entries widen every
-# block: the dual of a killing chain has kill-rate steps in far columns.
+# tile: the dual of a killing chain has kill-rate steps in far columns.
 SPARSE_DENSITY = 0.05
 
 
@@ -760,11 +761,13 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     lam * t above 64 are halved recursively and the result squared, with a
     correspondingly tightened series tolerance (floored at 1e-15, below
     which the accumulated weight cannot resolve the cut).  The series is
-    summed backwards (Horner's rule), multiplying by B in blocks of
-    BLOCK_ROWS rows over only the band that the widest jump inside the
-    window allows, so a chain with jumps of width w costs O(N^2 w) per
-    term until the band fills.  When at most SPARSE_DENSITY of the entries
-    in those blocks is nonzero (a few far entries make the band wide), B
+    summed backwards (Horner's rule), one stacked product per term: B is
+    held as tiles of TILE_ROWS rows, each with only the columns that the
+    widest jump inside the window reaches, and each tile reads only the
+    rows and columns of the iterate that its band reaches.  So a chain
+    with jumps of width w costs O(N^2 w) per term until the band fills,
+    and no dense B is built.  When at most SPARSE_DENSITY of the entries
+    in those tiles is nonzero (a few far entries make the band wide), B
     is multiplied as a sparse matrix instead, at O(N nnz) per term.  The
     result reports the terms, halvings and the truncation bound achieved.
     """
@@ -819,43 +822,106 @@ def _expm_uniformized(
         weight *= a / k
         weights.append(weight)
         covered += weight
-    # B = I + q/lam, each entry as q / lam and then += 1 on the diagonal
-    b = np.zeros((n_states, n_states))
-    b.reshape(-1)[src * n_states + tgt] = rate / lam
-    b.reshape(-1)[:: n_states + 1] = (0.0 - exit_rate) / lam + 1.0
-    # x <- B x + w_j I from x = w_k I down to j = 0
-    x, spare = np.zeros((n_states, n_states)), np.zeros((n_states, n_states))
-    x.reshape(-1)[:: n_states + 1] = weights[k]
-    if nnz <= SPARSE_DENSITY * n_states * min(n_states, 2 * width + BLOCK_ROWS):
+    # B = I + q/lam: the entries as q / lam, the diagonal as q / lam + 1
+    b_rate, b_diag = rate / lam, (0.0 - exit_rate) / lam + 1.0
+    if nnz <= SPARSE_DENSITY * n_states * min(n_states, 2 * width + TILE_ROWS):
         # local: only this branch needs scipy.sparse, so other commands skip its import
         import scipy.sparse
 
-        b = scipy.sparse.csr_array(b)
+        # duplicate-free coordinates: the CSR array comes out in sorted order
+        diagonal = np.arange(n_states)
+        b = scipy.sparse.csr_array(
+            (np.concatenate([b_rate, b_diag]),
+             (np.concatenate([src, diagonal]), np.concatenate([tgt, diagonal]))),
+            shape=(n_states, n_states),
+        )
+        x = np.zeros((n_states, n_states))
+        x.reshape(-1)[:: n_states + 1] = weights[k]
         for w_j in reversed(weights[:k]):
             x = b @ x
             x.reshape(-1)[:: n_states + 1] += w_j
     else:
-        # After i steps x has band i*width; the spare buffer holds x from
-        # two steps back, whose narrower band lies inside every block's
-        # window, so writing the window clears it.  When a block reads
-        # every row, one block is used.
-        rows = n_states if 2 * width + BLOCK_ROWS >= n_states else BLOCK_ROWS
-        band = 0
-        for w_j in reversed(weights[:k]):
-            band = min(band + width, n_states)
-            for r0 in range(0, n_states, rows):
-                r1 = min(r0 + rows, n_states)
-                c0, c1 = max(r0 - width, 0), min(r1 + width, n_states)
-                d0, d1 = max(r0 - band, 0), min(r1 + band, n_states)
-                np.matmul(b[r0:r1, c0:c1], x[c0:c1, d0:d1], out=spare[r0:r1, d0:d1])
-            spare.reshape(-1)[:: n_states + 1] += w_j
-            x, spare = spare, x
+        x = _horner_tiled(src, tgt, b_rate, b_diag, width, weights)
+    spare = np.empty_like(x)
     for _ in range(halvings):
         np.matmul(x, x, out=spare)
         x, spare = spare, x
     # the Poisson mass beyond term k, free of the rounding in `covered`
     bound = 2.0 ** halvings * float(scipy.special.pdtrc(k, a))
     return x, k, halvings, bound
+
+
+def _horner_tiled(
+    src: np.ndarray, tgt: np.ndarray, b_rate: np.ndarray, b_diag: np.ndarray,
+    width: int, weights: list,
+) -> np.ndarray:
+    """sum_j weights[j] B^j by Horner's rule, one stacked product per term.
+
+    B has the off-diagonal entries ``b_rate`` at (src, tgt), the diagonal
+    ``b_diag`` and half-band ``width``.  It is held as tiles of TILE_ROWS
+    rows: tile I is rows [I R, I R + R) and columns [I R - width,
+    I R + R + width) of B, or every column when that window spans them.
+    After j terms the iterate x has half-band b = j * width, so tile I
+    needs only rows [I R - width, I R + R + width) and columns
+    [I R - b, I R + R + b) of x, and writes its R rows over those columns.
+    The windows of one term are a strided stack, so a term is one matmul.
+    x and its spare live in zero-padded buffers: guard rows above and
+    below the window keep every read inside the buffer, and pad columns at
+    the right of each row take the columns of a window that fall left of 0
+    (in the row above) or right of N - 1.  The pad is at most about N / 2,
+    so once 2b + R outgrows it, every tile reads and writes every column.
+    Returns x as a contiguous N x N array.
+    """
+    n = b_diag.size
+    r = TILE_ROWS
+    tiles_n = -(-n // r)
+    rows = tiles_n * r  # tile rows, the last few past the window
+    k = len(weights) - 1
+    slide_rows = 2 * width + r < n
+    lead = width if slide_rows else 0  # columns of a tile left of its first row
+    cols = r + 2 * width if slide_rows else n
+    # the widest band whose windows slide, at most n // 2 of pad per row
+    b_slide = min(k * width, (n // 2 - (rows - n)) // 2, (n - r - 1) // 2)
+    if width:
+        b_slide -= b_slide % width
+    pad = 2 * b_slide + rows - n if b_slide >= width else 0
+    ld = n + pad
+    top = lead + 1  # guard rows above the window
+    # tiles[I, i - I R, j - I R + lead] = B[i, j]
+    i = np.concatenate([src, np.arange(n)])
+    j = np.concatenate([tgt, np.arange(n)])
+    tile = i // r
+    tiles = np.zeros((tiles_n, r, cols))
+    tiles[tile, i - tile * r, j - tile * r * slide_rows + lead] = np.concatenate([b_rate, b_diag])
+    x, spare = np.zeros((top + rows + lead, ld)), np.zeros((top + rows + lead, ld))
+    diagonal = slice(top * ld, (top + n) * ld, ld + 1)
+    x.reshape(-1)[diagonal] = weights[k]
+    band = 0
+    for w_j in reversed(weights[:k]):
+        band = min(band + width, n)
+        if band <= b_slide:
+            c0, c_len, c_step = -band, r + 2 * band, r
+        else:
+            c0, c_len, c_step = 0, n, 0
+        np.matmul(
+            tiles,
+            _stack(x, (top - lead) * ld + c0, (tiles_n, cols, c_len), r * ld * slide_rows + c_step),
+            out=_stack(spare, top * ld + c0, (tiles_n, r, c_len), r * ld + c_step),
+        )
+        spare.reshape(-1)[diagonal] += w_j
+        x, spare = spare, x
+    del spare
+    return x[top : top + n, :n].copy()
+
+
+def _stack(buf: np.ndarray, start: int, shape: Tuple[int, int, int], step: int) -> np.ndarray:
+    """Windows of the row-major 2-D ``buf`` as one 3-D array.
+
+    Window I starts ``start + I * step`` elements into the buffer, and its
+    rows are rows of the buffer.
+    """
+    item = buf.itemsize
+    return np.ndarray(shape, buf.dtype, buf, start * item, (step * item, buf.strides[0], item))
 
 
 def check_stochastic_dominance(
@@ -908,11 +974,13 @@ def verify_duality(
     margin = max(0, min(int(margin), (n_states - 1) // 2))
     if dual is None:
         dual = dual_qmatrix(rm)
-    p_fwd = transition_matrix(rm, t).P
+    # both matrices are private, so the sums are taken in place
+    disc = transition_matrix(rm, t).P
     p_dual = transition_matrix(dual, t).P
-    fwd_tails = _tail_sums(p_fwd)  # [x, y] = P(X_t >= y)
-    dual_cum = np.cumsum(p_dual, axis=1)  # [y, x] = P(Y_t <= x)
-    disc = np.abs(fwd_tails - dual_cum.T)
+    np.cumsum(disc[:, ::-1], axis=1, out=disc[:, ::-1])  # [x, y] = P(X_t >= y)
+    np.cumsum(p_dual, axis=1, out=p_dual)  # [y, x] = P(Y_t <= x)
+    np.subtract(disc, p_dual.T, out=disc)
+    np.abs(disc, out=disc)
     sup_full = float(disc.max())
     box = disc[margin : n_states - margin, margin : n_states - margin]
     bx, by = np.unravel_index(np.argmax(box), box.shape)

@@ -43,7 +43,7 @@ tm = transition_matrix(dual_qmatrix(from_dense(0, n - 1, q, boundary="kill", kil
 result = [hashlib.sha256(tm.P.tobytes()).hexdigest(), tm.error_bound.hex()]
 """
 
-# a 13-state birth-death chain takes the blocked dense product
+# a 13-state birth-death chain takes the tiled dense product
 BIRTH_DEATH_EVOLVE = """
 rates = {**{(n, 1): 1.0 for n in range(12)}, **{(n, -1): 0.5 for n in range(1, 13)}}
 tm = transition_matrix(RateMatrix(0, 12, "absorb", rates), 0.5)

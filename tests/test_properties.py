@@ -105,7 +105,7 @@ def test_transition_matrix_matches_scipy(seed, t):
 @given(seed=seeds, log_lam_t=st.floats(min_value=-1.0, max_value=4.0))
 def test_transition_matrix_matches_scipy_up_to_lam_t_1e4(seed, log_lam_t):
     # lam*t up to 1e4 takes up to 8 halvings; windows up to 80 states take
-    # the blocked product.  The observed error is not compared with
+    # the tiled product.  The observed error is not compared with
     # error_bound: the bound leaves out rounding, and the observed error
     # exceeds it on about a quarter of such chains.  Nor is error_bound
     # compared with the tolerance: the series cut reads a rounded running

@@ -633,10 +633,10 @@ class TestSparseCost:
 class TestTransitionMatrix:
     @pytest.mark.parametrize("boundary", qmatrix.BOUNDARY_POLICIES)
     @pytest.mark.parametrize("n_states, band", [
-        (12, 1), (12, 3), (12, 11),  # below one block of rows
-        (120, 1), (120, 3),  # banded, blocked
-        (120, 40),  # band wider than a block, still blocked
-        (120, 119),  # dense: one block of every row
+        (12, 1), (12, 3), (12, 11),  # two tiles, the second past the window
+        (120, 1), (120, 3),  # banded: the tiles slide
+        (120, 40),  # band wider than a tile, the tiles still slide
+        (120, 119),  # dense: every tile holds every column
     ])
     def test_matches_scipy_expm(self, n_states, band, boundary):
         rng = np.random.default_rng(1000 * n_states + band)
@@ -662,11 +662,56 @@ class TestTransitionMatrix:
     ])
     def test_offsets_past_int64_bound_the_band(self, rates, boundary):
         # offsets are clipped to the window before the band is measured; a
-        # jump clamped onto an edge crosses blocks of rows
+        # jump clamped onto an edge crosses tiles of rows
         rm = RateMatrix(0, 99, boundary, rates)
-        q, _ = effective_generator(rm)
+        q, _ = reference_generator(rm)
         tm = transition_matrix(rm, 1.5)
+        assert tm.P.shape == (100, 100) and tm.P.flags.c_contiguous
         assert np.max(np.abs(tm.P - scipy.linalg.expm(q * 1.5))) < 1e-12
+
+    @pytest.mark.parametrize("boundary", qmatrix.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("n_states, band, lam_t", [
+        (2, 1, 3.0), (5, 2, 3.0), (7, 1, 3.0),  # fewer states than a tile
+        (13, 1, 3.0), (37, 3, 3.0),  # the last tile reaches past the window
+        (20, 6, 3.0),  # 2 * band + 8 >= N: every tile reads every column
+        # the windows slide until the band passes a quarter of the window,
+        # then every tile reads every column
+        (120, 1, 40.0), (123, 2, 20.0),
+        (37, 3, 300.0), (123, 2, 900.0),  # halvings
+    ])
+    def test_tiled_product_matches_scipy_expm(self, n_states, band, lam_t, boundary):
+        rng = np.random.default_rng(1000 * n_states + band)
+        rm = random_monotone_ratematrix(rng, n_states=n_states, band=band, boundary=boundary)
+        q, _ = reference_generator(rm)
+        t = lam_t / (np.max(-np.diag(q)) or 1.0)  # "absorb" freezes both states of N = 2
+        tm = transition_matrix(rm, t)
+        assert tm.P.shape == (n_states, n_states) and tm.P.flags.c_contiguous
+        assert (tm.halvings > 0) == (lam_t > 64.0)
+        assert np.max(np.abs(tm.P - scipy.linalg.expm(q * t))) < 1e-10
+
+    @pytest.mark.parametrize("boundary", qmatrix.BOUNDARY_POLICIES)
+    def test_single_state(self, boundary):
+        # only "kill" keeps a rate: the others clamp both jumps onto the state
+        rm = RateMatrix(3, 3, boundary, {(3, 1): 2.0, (3, -2): 0.5})
+        q, _ = reference_generator(rm)
+        tm = transition_matrix(rm, 1.5)
+        assert tm.P.shape == (1, 1) and tm.P.flags.c_contiguous
+        assert tm.P[0, 0] == pytest.approx(math.exp(1.5 * q[0, 0]), rel=1e-12)
+
+    def test_memory_is_about_two_results(self):
+        # the iterate and its spare sit in padded buffers, and no dense B is
+        # built; one dense N x N float array at N = 6400 takes 328 MB
+        import tracemalloc
+
+        rm = birth_death(0, 6399, up=1.0, down=0.5, boundary="reflect")
+        transition_matrix(birth_death(0, 3, up=1.0, down=0.5), 1.0)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            tm = transition_matrix(rm, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * tm.P.nbytes, peak / tm.P.nbytes
 
     @pytest.mark.parametrize("kill", ["uniform", "step", "linear"])
     def test_duals_of_killing_chains(self, kill):
@@ -787,6 +832,23 @@ class TestVerifyDuality:
         rm = RateMatrix(0, 2, "kill", {(0, 2): 5.0, (1, 1): 0.1})
         with pytest.raises(NotMonotone):
             verify_duality(rm, 0.5)
+
+    @pytest.mark.parametrize("boundary", qmatrix.BOUNDARY_POLICIES)
+    def test_report_equals_the_out_of_place_sums(self, boundary):
+        # verify_duality sums in place on its own two matrices; the report
+        # is the one that fresh arrays give on the same matrices, bit for bit
+        rm = random_monotone_ratematrix(np.random.default_rng(11), n_states=45, band=3,
+                                        boundary=boundary)
+        dual = dual_qmatrix(rm)
+        for t, margin in ((0.3, None), (2.0, 0), (2.0, 5)):
+            p_fwd, p_dual = transition_matrix(rm, t).P, transition_matrix(dual, t).P
+            disc = np.abs(qmatrix._tail_sums(p_fwd) - np.cumsum(p_dual, axis=1).T)
+            rep = verify_duality(rm, t, margin=margin, dual=dual)
+            m = rep.margin
+            box = disc[m: 45 - m, m: 45 - m]
+            bx, by = np.unravel_index(np.argmax(box), box.shape)
+            assert (rep.sup_full, rep.sup_margin) == (disc.max(), box[bx, by])
+            assert rep.at == (rm.lo + m + bx, rm.lo + m + by)
 
 
 class TestSerialization:
