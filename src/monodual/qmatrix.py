@@ -44,8 +44,8 @@ MONO_RTOL = 1e-12
 # Default ceiling for the sup-norm duality discrepancy on the margin box.
 DUALITY_TOL = 1e-8
 
-# Poisson series in the uniformized exponential is cut once this much of
-# the step's time scale is covered; see transition_matrix.
+# Poisson series in the uniformized exponential is cut once the Poisson
+# mass past the last term is at most this; see transition_matrix.
 EXPM_TOL = 1e-12
 
 # Uniformization holds B as tiles of this many rows, each against only the
@@ -299,10 +299,10 @@ class TransitionMatrix:
     ``terms`` and ``halvings`` say how the exponential was computed (Poisson
     series terms per step, and squarings of the step); ``error_bound`` is
     the truncation bound actually achieved, 2**halvings times the Poisson
-    mass the series left out.  It exceeds the requested tolerance when the
-    series floor or its term cap stopped short, and ``tol_met`` is then
-    False.  Rounding is not included, and the observed error can exceed
-    the bound.
+    mass the series left out.  It exceeds the requested tolerance only when
+    the term cap stopped the series, and ``tol_met`` is then False.
+    Rounding is not included, and the observed error can exceed the
+    bound.
     """
 
     lo: int
@@ -755,18 +755,17 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     """Substochastic transition matrix exp(t q) of the effective generator.
 
     Computed by uniformization: with lam the largest exit rate and
-    B = I + q/lam, the series sum_k Poisson(lam t)(k) B^k is cut once the
-    accumulated Poisson weight reaches 1 - tol; since the powers of B have
-    sup-norm at most one, the cut mass bounds the error.  Time steps with
-    lam * t above 64 are halved recursively and the result squared, with a
-    correspondingly tightened series tolerance (floored at 1e-15, below
-    which the accumulated weight cannot resolve the cut).  The series is
-    summed backwards (Horner's rule), one stacked product per term: B is
-    held as tiles of TILE_ROWS rows, each with only the columns that the
-    widest jump inside the window reaches, and each tile reads only the
-    rows and columns of the iterate that its band reaches.  So a chain
-    with jumps of width w costs O(N^2 w) per term until the band fills,
-    and no dense B is built.  When at most SPARSE_DENSITY of the entries
+    B = I + q/lam, the series sum_k Poisson(lam t)(k) B^k is cut at the
+    first term past which the Poisson mass (scipy's ``pdtrc``) is at most
+    tol; since the powers of B have sup-norm at most one, that mass bounds
+    the error.  Time steps with lam * t above 64 are halved recursively and
+    the result squared, with a correspondingly tightened series tolerance.
+    The series is summed backwards (Horner's rule), one stacked product per
+    term: B is held as tiles of TILE_ROWS rows, each with only the columns
+    that the widest jump inside the window reaches, and each tile reads
+    only the rows and columns of the iterate that its band reaches.  So a
+    chain with jumps of width w costs O(N^2 w) per term until the band
+    fills, and no dense B is built.  When at most SPARSE_DENSITY of the entries
     in those tiles is nonzero (a few far entries make the band wide), B
     is multiplied as a sparse matrix instead, at O(N nnz) per term.  The
     result reports the terms, halvings and the truncation bound achieved.
@@ -810,18 +809,20 @@ def _expm_uniformized(
     halvings = 0
     while lam * t / (2.0 ** halvings) > 64.0:
         halvings += 1
-    step_tol = max(tol / (2.0 ** halvings), 1e-15)
+    step_tol = tol / (2.0 ** halvings)
     a = lam * t / (2.0 ** halvings)
     weight = math.exp(-a)
     weights = [weight]
-    covered = weight
     k = 0
     k_max = int(a + 40.0 * math.sqrt(a + 1.0)) + 100
-    while covered < 1.0 - step_tol and k < k_max:
+    # the mass past term k is more than the next weight, so pdtrc is read
+    # only once that weight is at most step_tol
+    while k < k_max and (
+        weight * a / (k + 1) > step_tol or scipy.special.pdtrc(k, a) > step_tol
+    ):
         k += 1
         weight *= a / k
         weights.append(weight)
-        covered += weight
     # B = I + q/lam: the entries as q / lam, the diagonal as q / lam + 1
     b_rate, b_diag = rate / lam, (0.0 - exit_rate) / lam + 1.0
     if nnz <= SPARSE_DENSITY * n_states * min(n_states, 2 * width + TILE_ROWS):
@@ -846,7 +847,7 @@ def _expm_uniformized(
     for _ in range(halvings):
         np.matmul(x, x, out=spare)
         x, spare = spare, x
-    # the Poisson mass beyond term k, free of the rounding in `covered`
+    # the Poisson mass beyond term k
     bound = 2.0 ** halvings * float(scipy.special.pdtrc(k, a))
     return x, k, halvings, bound
 

@@ -107,9 +107,7 @@ def test_transition_matrix_matches_scipy_up_to_lam_t_1e4(seed, log_lam_t):
     # lam*t up to 1e4 takes up to 8 halvings; windows up to 80 states take
     # the tiled product.  The observed error is not compared with
     # error_bound: the bound leaves out rounding, and the observed error
-    # exceeds it on about a quarter of such chains.  Nor is error_bound
-    # compared with the tolerance: the series cut reads a rounded running
-    # sum, and after a few halvings the bound can exceed 1e-12 by up to 24%.
+    # exceeds it on about a quarter of such chains.
     rng = np.random.default_rng(seed)
     rm = random_ratematrix(rng, max_states=int(rng.integers(3, 81)), band=int(rng.integers(1, 7)))
     q, _ = effective_generator(rm)
@@ -117,6 +115,7 @@ def test_transition_matrix_matches_scipy_up_to_lam_t_1e4(seed, log_lam_t):
     t = 10.0 ** log_lam_t / lam if lam > 0.0 else 1.0
     tm = transition_matrix(rm, t)
     assert tm.halvings <= 8
+    assert tm.error_bound <= 1e-12 and tm.tol_met is True
     assert np.max(np.abs(tm.P - scipy.linalg.expm(q * t))) <= 1e-10
 
 

@@ -762,17 +762,37 @@ class TestTransitionMatrix:
         assert halvings[0] == 0 and halvings[1] > 0
 
     def test_reports_missed_tolerance(self):
-        # 19 halvings push the per-step tolerance under the 1e-15 floor of
-        # the series cut, so tol=1e-12 cannot be met; the report says so
+        # 19 halvings divide the tolerance by 2**19 per step, and the term
+        # cap stops the series with about 1e-241 of Poisson mass left, so
+        # tol=1e-300 cannot be met; the report says so
         rm = birth_death(0, 6, up=1e7, down=8e6, boundary="kill")
         q, _ = effective_generator(rm)
-        tm = transition_matrix(rm, 1.0)
+        tm = transition_matrix(rm, 1.0, tol=1e-300)
         assert tm.halvings == 19
-        assert tm.error_bound > qmatrix.EXPM_TOL
+        assert tm.error_bound > 1e-300
         assert tm.tol_met is False
         err = np.max(np.abs(tm.P - scipy.linalg.expm(q)))
-        assert err > qmatrix.EXPM_TOL
+        assert err > 1e-300
         assert set(tm.to_dict()) == {"lo", "hi", "t", "P", "defect"}
+
+    @pytest.mark.parametrize("lam_t, halvings", [
+        (35.778245614035086 * 2**7, 7), (55.98245614035088 * 2**6, 6),
+    ])
+    def test_series_is_cut_on_the_poisson_tail(self, lam_t, halvings):
+        # a cut where the rounded running sum of the weights reached
+        # 1 - tol / 2**halvings stopped one term early here and left an
+        # error_bound of 1.07e-12 and 1.05e-12 at tol=1e-12
+        import scipy.special
+
+        rm = RateMatrix(0, 1, "reflect", {(0, 1): 2.0, (1, -1): 2.0})
+        tm = transition_matrix(rm, lam_t / 2.0)
+        assert tm.halvings == halvings
+        assert tm.error_bound <= qmatrix.EXPM_TOL and tm.tol_met is True
+        # the first term past which the mass is at most the tolerance
+        a = lam_t / 2.0**halvings
+        assert 2.0**halvings * scipy.special.pdtrc(tm.terms - 1, a) > qmatrix.EXPM_TOL
+        # P = (1 + exp(-4t)) / 2 on the diagonal: both rows are 1/2, 1/2
+        assert np.max(np.abs(tm.P - 0.5)) < 1e-10
 
     def test_large_rate_uses_halving(self):
         rm = birth_death(0, 6, up=100.0, down=80.0, boundary="kill")
