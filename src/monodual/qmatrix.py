@@ -881,20 +881,20 @@ def _horner_tiled(
     slide_rows = 2 * width + r < n
     lead = width if slide_rows else 0  # columns of a tile left of its first row
     cols = r + 2 * width if slide_rows else n
-    # the widest band whose windows slide, at most n // 2 of pad per row
+    # windows slide at bands up to b_slide: narrower than a row, and at
+    # most n // 2 of pad per row
     b_slide = min(k * width, (n // 2 - (rows - n)) // 2, (n - r - 1) // 2)
-    if width:
-        b_slide -= b_slide % width
     pad = 2 * b_slide + rows - n if b_slide >= width else 0
     ld = n + pad
     top = lead + 1  # guard rows above the window
-    # tiles[I, i - I R, j - I R + lead] = B[i, j]
     i = np.concatenate([src, np.arange(n)])
     j = np.concatenate([tgt, np.arange(n)])
     tile = i // r
     tiles = np.zeros((tiles_n, r, cols))
-    tiles[tile, i - tile * r, j - tile * r * slide_rows + lead] = np.concatenate([b_rate, b_diag])
+    tiles[tile, i - tile * r, j - (tile * r - lead if slide_rows else 0)] = np.concatenate(
+        [b_rate, b_diag])
     x, spare = np.zeros((top + rows + lead, ld)), np.zeros((top + rows + lead, ld))
+    row_step = r * ld if slide_rows else 0
     diagonal = slice(top * ld, (top + n) * ld, ld + 1)
     x.reshape(-1)[diagonal] = weights[k]
     band = 0
@@ -906,7 +906,7 @@ def _horner_tiled(
             c0, c_len, c_step = 0, n, 0
         np.matmul(
             tiles,
-            _stack(x, (top - lead) * ld + c0, (tiles_n, cols, c_len), r * ld * slide_rows + c_step),
+            _stack(x, (top - lead) * ld + c0, (tiles_n, cols, c_len), row_step + c_step),
             out=_stack(spare, top * ld + c0, (tiles_n, r, c_len), r * ld + c_step),
         )
         spare.reshape(-1)[diagonal] += w_j
