@@ -765,10 +765,11 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     that the widest jump inside the window reaches, and each tile reads
     only the rows and columns of the iterate that its band reaches.  So a
     chain with jumps of width w costs O(N^2 w) per term until the band
-    fills, and no dense B is built.  When at most SPARSE_DENSITY of the entries
-    in those tiles is nonzero (a few far entries make the band wide), B
-    is multiplied as a sparse matrix instead, at O(N nnz) per term.  The
-    result reports the terms, halvings and the truncation bound achieved.
+    fills, and no dense B is built.  When at most SPARSE_DENSITY of the
+    entries in those tiles is nonzero (a few far entries make the band
+    wide), B is multiplied as a sparse matrix instead, at O(N nnz) per
+    term.  The result reports the terms, halvings and the truncation bound
+    achieved.
     """
     entries = _generator_entries(rm)[:4]
     t = float(t)
@@ -815,7 +816,7 @@ def _expm_uniformized(
     weights = [weight]
     k = 0
     k_max = int(a + 40.0 * math.sqrt(a + 1.0)) + 100
-    # the mass past term k is more than the next weight, so pdtrc is read
+    # the mass past term k is at least the next weight, so pdtrc is read
     # only once that weight is at most step_tol
     while k < k_max and (
         weight * a / (k + 1) > step_tol or scipy.special.pdtrc(k, a) > step_tol
