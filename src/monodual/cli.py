@@ -320,15 +320,26 @@ def _cmd_simulate(args) -> int:
     )
 
 
+def _finite(text: str) -> float:
+    """A flag's number; NaN and infinities are malformed input."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 # every flag a subcommand may read besides --in and --out: type, help
 _FLAGS = {
-    "t": (float, "time horizon"),
-    "h": (float, "lattice mesh width"),
+    "t": (_finite, "time horizon"),
+    "h": (_finite, "lattice mesh width"),
     "window": (str, "lattice window LO:HI"),
     "reps": (int, "Monte Carlo replicates"),
     "seed": (int, "random seed"),
     "margin": (int, "window margin excluded from the duality check"),
-    "tol": (float, "tolerance override"),
+    "tol": (_finite, "tolerance override"),
     "threads": (int, "worker threads for Monte Carlo"),
 }
 

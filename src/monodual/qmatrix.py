@@ -751,6 +751,18 @@ def dual_qmatrix(
     return RateMatrix(rm.lo, rm.hi, "kill", _Columns(rm.lo + rows, cols - rows, rate))
 
 
+def _horizon(t: float, tol: float) -> Tuple[float, float]:
+    """``t`` and ``tol`` as floats; a non-finite one, or a negative time, is malformed input."""
+    t, tol = float(t), float(tol)
+    if not math.isfinite(t):
+        raise InputFormatError(f"time must be finite, got {t!r}")
+    if not math.isfinite(tol):
+        raise InputFormatError(f"tolerance must be finite, got {tol!r}")
+    if t < 0.0:
+        raise InputFormatError(f"negative time {t!r}")
+    return t, tol
+
+
 def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> TransitionMatrix:
     """Substochastic transition matrix exp(t q) of the effective generator.
 
@@ -765,22 +777,18 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     that the widest jump inside the window reaches, and each tile reads
     only the rows and columns of the iterate that its band reaches.  So a
     chain with jumps of width w costs O(N^2 w) per term until the band
-    fills, and no dense B is built.  When at most SPARSE_DENSITY of the
-    entries in those tiles is nonzero (a few far entries make the band
-    wide), B is multiplied as a sparse matrix instead, at O(N nnz) per
-    term.  The result reports the terms, halvings and the truncation bound
-    achieved.
+    fills, and no dense B is built.  While the final half-band K (terms
+    times w) leaves TILE_ROWS + 2K < N, the iterate is held in band storage,
+    O(N K) memory, and densified once at the end.  When at most
+    SPARSE_DENSITY of the entries in those tiles is nonzero (a few far
+    entries make the band wide), B is multiplied as a sparse matrix
+    instead, at O(N nnz) per term.  The result reports the terms, halvings
+    and the truncation bound achieved.  A non-finite ``t`` or ``tol``, or a
+    negative ``t``, raises InputFormatError.
     """
-    entries = _generator_entries(rm)[:4]
-    t = float(t)
-    if t < 0.0:
-        raise InputFormatError(f"negative time {t!r}")
-    # jumps that leave the window under "kill" are on the diagonal of q
-    src, tgt, _, moves = _jumps(rm)
-    reach = np.abs(tgt[moves] - src[moves])
-    width = int(np.max(reach, initial=0))
-    nnz = rm.n_states + reach.size
-    p, terms, halvings, bound = _expm_uniformized(entries, t, tol, width, nnz)
+    t, tol = _horizon(t, tol)
+    x, half_band, terms, halvings, bound = _expm_uniformized(rm, t, tol)
+    p = x if half_band is None else _densify(x)
     defect = 1.0 - p.sum(axis=1)
     np.clip(defect, 0.0, 1.0, out=defect)
     return TransitionMatrix(
@@ -789,24 +797,26 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
 
 
 def _expm_uniformized(
-    entries: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    t: float, tol: float, width: int, nnz: int,
-) -> Tuple[np.ndarray, int, int, float]:
-    """exp(t q) with the series terms, halvings and truncation bound used.
+    rm: RateMatrix, t: float, tol: float
+) -> Tuple[np.ndarray, Optional[int], int, int, float]:
+    """exp(t q) with its half-band, and the series terms, halvings and truncation bound used.
 
-    ``entries`` is q as ``(src, tgt, rate, exit)``, as _generator_entries
-    gives it.  ``width`` bounds the jump width: q[i, j] == 0 whenever
-    |i - j| > width.  ``nnz`` bounds the number of nonzero entries of
-    B = I + q/lam.
+    The result is the N x N matrix with half-band None, or, without
+    halvings, its band with half-band K as _horner_tiled gives it.
     """
     # local: only transition matrices need pdtrc, so other commands skip its import
     import scipy.special
 
-    src, tgt, rate, exit_rate = entries
+    src, tgt, rate, exit_rate, _ = _generator_entries(rm)
     n_states = exit_rate.size
+    # q[i, j] == 0 whenever |i - j| > width; jumps that leave the window
+    # under "kill" are on the diagonal, and the frozen edge rows under
+    # "absorb" have no entries
+    width = int(np.max(np.abs(tgt - src), initial=0))
+    nnz = n_states + src.size  # bounds the nonzero entries of B = I + q/lam
     lam = float(np.max(exit_rate, initial=0.0))
     if t == 0.0 or lam == 0.0:
-        return np.eye(n_states), 0, 0, 0.0
+        return np.eye(n_states), None, 0, 0, 0.0
     halvings = 0
     while lam * t / (2.0 ** halvings) > 64.0:
         halvings += 1
@@ -837,26 +847,30 @@ def _expm_uniformized(
              (np.concatenate([src, diagonal]), np.concatenate([tgt, diagonal]))),
             shape=(n_states, n_states),
         )
-        x = np.zeros((n_states, n_states))
+        x, half_band = np.zeros((n_states, n_states)), None
         x.reshape(-1)[:: n_states + 1] = weights[k]
         for w_j in reversed(weights[:k]):
             x = b @ x
             x.reshape(-1)[:: n_states + 1] += w_j
     else:
-        x = _horner_tiled(src, tgt, b_rate, b_diag, width, weights)
-    spare = np.empty_like(x)
-    for _ in range(halvings):
-        np.matmul(x, x, out=spare)
-        x, spare = spare, x
+        x, half_band = _horner_tiled(src, tgt, b_rate, b_diag, width, weights)
+    if halvings:
+        if half_band is not None:
+            x, half_band = _densify(x), None
+        spare = np.empty_like(x)
+        for _ in range(halvings):
+            np.matmul(x, x, out=spare)
+            x, spare = spare, x
+        del spare
     # the Poisson mass beyond term k
     bound = 2.0 ** halvings * float(scipy.special.pdtrc(k, a))
-    return x, k, halvings, bound
+    return x, half_band, k, halvings, bound
 
 
 def _horner_tiled(
     src: np.ndarray, tgt: np.ndarray, b_rate: np.ndarray, b_diag: np.ndarray,
     width: int, weights: list,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, Optional[int]]:
     """sum_j weights[j] B^j by Horner's rule, one stacked product per term.
 
     B has the off-diagonal entries ``b_rate`` at (src, tgt), the diagonal
@@ -867,12 +881,22 @@ def _horner_tiled(
     needs only rows [I R - width, I R + R + width) and columns
     [I R - b, I R + R + b) of x, and writes its R rows over those columns.
     The windows of one term are a strided stack, so a term is one matmul.
-    x and its spare live in zero-padded buffers: guard rows above and
-    below the window keep every read inside the buffer, and pad columns at
-    the right of each row take the columns of a window that fall left of 0
-    (in the row above) or right of N - 1.  The pad is at most about N / 2,
-    so once 2b + R outgrows it, every tile reads and writes every column.
-    Returns x as a contiguous N x N array.
+
+    x and its spare live in buffers of row length ld: entry (i, j) sits
+    at flat offset i ld + j past guard rows above the window, whose zeros
+    keep every read inside the buffer.  When the tiles slide and the final
+    half-band K leaves R + 2K < N, ld is R + 2K (band storage): row i's
+    band runs along stride ld + 1, the write windows of two rows cannot
+    overlap, and a read window meets only zeros outside a row's band; a
+    few rows past the window hold the columns right of the last rows.
+    Otherwise ld is N plus pad columns, which take the columns of a window
+    that fall left of 0 (in the row above) or right of N - 1.  The pad is
+    at most about N / 2, so once 2b + R outgrows it, every tile reads and
+    writes every column.
+
+    Returns ``(x, None)`` with x a contiguous N x N array, or in band
+    storage ``(band, K)``: band is the (N, 2K + 1) view whose entry [i, d]
+    is x[i, i + d - K], zero where that column is outside the window.
     """
     n = b_diag.size
     r = TILE_ROWS
@@ -882,11 +906,20 @@ def _horner_tiled(
     slide_rows = 2 * width + r < n
     lead = width if slide_rows else 0  # columns of a tile left of its first row
     cols = r + 2 * width if slide_rows else n
-    # windows slide at bands up to b_slide: narrower than a row, and at
-    # most n // 2 of pad per row
-    b_slide = min(k * width, (n // 2 - (rows - n)) // 2, (n - r - 1) // 2)
-    pad = 2 * b_slide + rows - n if b_slide >= width else 0
-    ld = n + pad
+    half_band = min(k * width, n)
+    banded = slide_rows and r + 2 * half_band < n
+    if banded:
+        # the windows slide at every band; the reads of the last tile reach
+        # rows + K columns into its last row, which ld spans only past it
+        b_slide = half_band
+        ld = r + 2 * half_band
+        tail_rows = (rows + half_band - 1) // ld
+    else:
+        # windows slide at bands up to b_slide: narrower than a row, and at
+        # most n // 2 of pad per row
+        b_slide = min(half_band, (n // 2 - (rows - n)) // 2, (n - r - 1) // 2)
+        pad = 2 * b_slide + rows - n if b_slide >= width else 0
+        ld, tail_rows = n + pad, 0
     top = lead + 1  # guard rows above the window
     i = np.concatenate([src, np.arange(n)])
     j = np.concatenate([tgt, np.arange(n)])
@@ -894,9 +927,10 @@ def _horner_tiled(
     tiles = np.zeros((tiles_n, r, cols))
     tiles[tile, i - tile * r, j - (tile * r - lead if slide_rows else 0)] = np.concatenate(
         [b_rate, b_diag])
-    x, spare = np.zeros((top + rows + lead, ld)), np.zeros((top + rows + lead, ld))
+    shape = (top + rows + lead + tail_rows, ld)
+    x, spare = np.zeros(shape), np.zeros(shape)
     row_step = r * ld if slide_rows else 0
-    diagonal = slice(top * ld, (top + n) * ld, ld + 1)
+    diagonal = slice(top * ld, top * ld + n * (ld + 1), ld + 1)
     x.reshape(-1)[diagonal] = weights[k]
     band = 0
     for w_j in reversed(weights[:k]):
@@ -913,7 +947,26 @@ def _horner_tiled(
         spare.reshape(-1)[diagonal] += w_j
         x, spare = spare, x
     del spare
-    return x[top : top + n, :n].copy()
+    if banded:
+        item = x.itemsize
+        return np.ndarray((n, 2 * half_band + 1), x.dtype, x, (top * ld - half_band) * item,
+                          ((ld + 1) * item, item)), half_band
+    return x[top : top + n, :n].copy(), None
+
+
+def _densify(band: np.ndarray) -> np.ndarray:
+    """The N x N matrix whose entry (i, i + d - K) is band[i, d], zero off the band.
+
+    One copy through a sheared view of a buffer K longer at each end: a
+    column of the band outside the window lands beyond another row's band,
+    as 2K < N, and carries the zero the band holds there.
+    """
+    n, w = band.shape
+    k = w // 2
+    buf = np.zeros(n * n + 2 * k)
+    item = buf.itemsize
+    np.ndarray(band.shape, buf.dtype, buf, 0, ((n + 1) * item, item))[...] = band
+    return buf[k : k + n * n].reshape(n, n)
 
 
 def _stack(buf: np.ndarray, start: int, shape: Tuple[int, int, int], step: int) -> np.ndarray:
@@ -967,35 +1020,117 @@ def verify_duality(
     The report carries the sup discrepancy over the margin-trimmed box of
     start pairs (margin defaults to a quarter of the window, the
     conventional guard for duals obtained by truncation) and over the full
-    window.  The dual built here is exact on the window, so the two sups
-    agree to numerical precision.
+    window, and ``at``, the first pair of the box in row order where the
+    box sup is reached.  The dual built here is exact on the window, so the
+    two sups agree to numerical precision.
+
+    When both transition matrices come back in band storage (see
+    transition_matrix), the sums are taken on the bands, in O(N K) time
+    and memory for the wider half-band K; otherwise on the dense matrices.
+    Both routes give the same report, bit for bit.  A non-finite ``t`` or
+    ``tol``, or a negative ``t``, raises InputFormatError.
     """
+    t, tol = _horizon(t, tol)
     n_states = rm.n_states
     if margin is None:
         margin = math.ceil(n_states / 4)
     margin = max(0, min(int(margin), (n_states - 1) // 2))
     if dual is None:
         dual = dual_qmatrix(rm)
-    # both matrices are private, so the sums are taken in place
-    disc = transition_matrix(rm, t).P
-    p_dual = transition_matrix(dual, t).P
-    np.cumsum(disc[:, ::-1], axis=1, out=disc[:, ::-1])  # [x, y] = P(X_t >= y)
-    np.cumsum(p_dual, axis=1, out=p_dual)  # [y, x] = P(Y_t <= x)
-    np.subtract(disc, p_dual.T, out=disc)
-    np.abs(disc, out=disc)
-    sup_full = float(disc.max())
-    box = disc[margin : n_states - margin, margin : n_states - margin]
-    bx, by = np.unravel_index(np.argmax(box), box.shape)
-    sup_margin = float(box[bx, by])
+    fwd, k_fwd = _expm_uniformized(rm, t, EXPM_TOL)[:2]
+    bwd, k_bwd = _expm_uniformized(dual, t, EXPM_TOL)[:2]
+    if k_fwd is not None and k_bwd is not None:
+        sup_full, sup_margin, bx, by = _band_discrepancy(fwd, bwd, margin)
+    else:
+        # both matrices are private, so the sums are taken in place
+        disc = fwd if k_fwd is None else _densify(fwd)
+        p_dual = bwd if k_bwd is None else _densify(bwd)
+        del fwd, bwd
+        np.cumsum(disc[:, ::-1], axis=1, out=disc[:, ::-1])  # [x, y] = P(X_t >= y)
+        np.cumsum(p_dual, axis=1, out=p_dual)  # [y, x] = P(Y_t <= x)
+        np.subtract(disc, p_dual.T, out=disc)
+        np.abs(disc, out=disc)
+        sup_full = float(disc.max())
+        box = disc[margin : n_states - margin, margin : n_states - margin]
+        bx, by = np.unravel_index(np.argmax(box), box.shape)
+        sup_margin = float(box[bx, by])
     return DualityReport(
         ok=sup_margin <= tol,
-        t=float(t),
+        t=t,
         margin=margin,
         tol=tol,
         sup_margin=sup_margin,
         sup_full=sup_full,
         at=(rm.lo + margin + int(bx), rm.lo + margin + int(by)),
     )
+
+
+def _band_discrepancy(
+    fwd: np.ndarray, bwd: np.ndarray, margin: int
+) -> Tuple[float, float, int, int]:
+    """|P(X_t >= y | x) - P(Y_t <= x | y)| from the forward and dual bands.
+
+    Returns the sup over all pairs, the sup over the box [margin, N -
+    margin) of pairs and the first pair of the box (less margin) where it
+    is reached.  With K the wider half-band, pairs |x - y| <= K are
+    compared on the bands; for y < x - K both sides are row totals, the
+    forward one of row x and the dual one of row y; for y > x + K both are
+    0.  Every sum runs in the order the dense cumulative sums take, which
+    add only +0.0 outside the bands, so every value is the dense one.
+    """
+    n = fwd.shape[0]
+    k = max(fwd.shape[1], bwd.shape[1]) // 2
+    w = 2 * k + 1
+    # tails[x, d] = P(X_t >= x + d - k), summed right to left
+    kf = fwd.shape[1] // 2
+    tails = np.zeros((n, w))
+    tails[:, k - kf : k + kf + 1] = fwd
+    np.cumsum(tails[:, ::-1], axis=1, out=tails[:, ::-1])
+    # cum[k + y, e] = P(Y_t <= y + e - k), summed left to right, between
+    # k zero rows above and below
+    kd = bwd.shape[1] // 2
+    cum = np.zeros((n + 2 * k, w))
+    cum[k : k + n, k - kd : k + kd + 1] = bwd
+    np.cumsum(cum, axis=1, out=cum)
+    total_fwd, total_bwd = tails[:, 0].copy(), cum[k : k + n, w - 1].copy()
+    # the dual side of pair (x, x + d - k) is cum[x + d, 2k - d]: a sheared view
+    item = cum.itemsize
+    dual_side = np.ndarray((n, w), cum.dtype, cum, 2 * k * item, (w * item, (w - 1) * item))
+    near = np.abs(np.subtract(tails, dual_side, out=tails), out=tails)
+    del cum, dual_side
+    d = np.arange(w)
+
+    def restrict(lo: int, hi: int) -> None:
+        # near pairs with y outside [lo, hi) read as 0.0, below every sup
+        x = np.arange(min(n, lo + k))
+        np.copyto(near[: x.size], 0.0, where=d < (lo + k - x)[:, None])
+        x = np.arange(max(0, hi - k), n)
+        np.copyto(near[n - x.size :], 0.0, where=d >= (hi + k - x)[:, None])
+
+    def far(lo: int, hi: int) -> np.ndarray:
+        # row maxima over lo <= y < x - k of rows x in [lo + k + 1, hi), from
+        # the running min and max of the dual totals
+        prefix = total_bwd[lo : max(lo, hi - k - 1)]
+        fwd_x = total_fwd[lo + k + 1 : hi]
+        return np.maximum(fwd_x - np.minimum.accumulate(prefix),
+                          np.maximum.accumulate(prefix) - fwd_x)
+
+    restrict(0, n)
+    sup_full = float(max(near.max(), far(0, n).max(initial=0.0)))
+    lo, hi = margin, n - margin
+    restrict(lo, hi)
+    row_max = near[lo:hi].max(axis=1)
+    np.maximum(row_max[k + 1 :], far(lo, hi), out=row_max[k + 1 :])
+    bx = int(np.argmax(row_max))
+    sup_margin = float(row_max[bx])
+    # the first y of row x: far pairs come before near ones
+    x = lo + bx
+    hit = np.flatnonzero(np.abs(total_fwd[x] - total_bwd[lo : max(lo, x - k)]) == sup_margin)
+    if hit.size:
+        return sup_full, sup_margin, bx, int(hit[0])
+    d0 = max(0, lo + k - x)
+    y = x + d0 - k + int(np.argmax(near[x, d0:] == sup_margin))
+    return sup_full, sup_margin, bx, y - lo
 
 
 def _sorted_columns(rm: RateMatrix) -> Tuple[list, list, list]:

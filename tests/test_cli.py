@@ -227,6 +227,24 @@ class TestCommandLineErrors:
         assert doc["error"]["message"].startswith(message)
         assert "usage: monodual" in captured.err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["evolve", "--t", "1", "--tol", "nan"], "tol"),
+        (["evolve", "--t", "nan"], "t"),
+        (["evolve", "--t", "inf"], "t"),
+        (["duality", "--t", "1", "--tol", "nan"], "tol"),
+        (["monotone", "--tol", "nan"], "tol"),
+        (["validate", "--h=-inf", "--window=0:4"], "h"),
+    ])
+    def test_non_finite_numbers_exit_2(self, capsys, chain_file, argv, flag):
+        # a NaN tolerance used to pass every comparison it took part in
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--in", chain_file, *argv[1:]])
+        assert exc.value.code == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == argv[0] and doc["ok"] is False
+        assert doc["error"]["type"] == "InputFormatError"
+        assert doc["error"]["message"].startswith(f"argument --{flag}: not a finite number")
+
     def test_help_exits_0_without_an_envelope(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dual", "--help"])

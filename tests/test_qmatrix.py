@@ -699,8 +699,10 @@ class TestTransitionMatrix:
         assert tm.P[0, 0] == pytest.approx(math.exp(1.5 * q[0, 0]), rel=1e-12)
 
     def test_memory_is_about_two_results(self):
-        # the iterate and its spare sit in padded buffers, and no dense B is
-        # built; one dense N x N float array at N = 6400 takes 328 MB
+        # the result and little else: the iterate and its spare sit in band
+        # storage, no dense B is built, and no squaring spare is made
+        # without squarings; one dense N x N float array at N = 6400 takes
+        # 328 MB
         import tracemalloc
 
         rm = birth_death(0, 6399, up=1.0, down=0.5, boundary="reflect")
@@ -711,7 +713,7 @@ class TestTransitionMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.2 * tm.P.nbytes, peak / tm.P.nbytes
+        assert peak < 1.2 * tm.P.nbytes, peak / tm.P.nbytes
 
     @pytest.mark.parametrize("kill", ["uniform", "step", "linear"])
     def test_duals_of_killing_chains(self, kill):
@@ -818,6 +820,18 @@ class TestTransitionMatrix:
         with pytest.raises(InputFormatError):
             transition_matrix(rm, -1.0)
 
+    @pytest.mark.parametrize("t, tol", [
+        (math.nan, 1e-12), (math.inf, 1e-12), (-math.inf, 1e-12),
+        (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_non_finite_time_or_tolerance_rejected(self, t, tol):
+        # a NaN tolerance used to stop the series at its first term
+        rm = birth_death(0, 4, up=1.0, down=1.0, boundary="reflect")
+        with pytest.raises(InputFormatError, match="finite"):
+            transition_matrix(rm, t, tol=tol)
+        with pytest.raises(InputFormatError, match="finite"):
+            verify_duality(rm, t, tol=tol)
+
 
 class TestDominance:
     def test_monotone_chain_dominates(self):
@@ -869,6 +883,126 @@ class TestVerifyDuality:
             bx, by = np.unravel_index(np.argmax(box), box.shape)
             assert (rep.sup_full, rep.sup_margin) == (disc.max(), box[bx, by])
             assert rep.at == (rm.lo + m + bx, rm.lo + m + by)
+
+
+def dense_report(rm, t, margin=None, dual=None):
+    """The report that the dense sums give on the two transition matrices."""
+    n = rm.n_states
+    dual = dual_qmatrix(rm) if dual is None else dual
+    p_fwd, p_dual = transition_matrix(rm, t).P, transition_matrix(dual, t).P
+    disc = np.abs(qmatrix._tail_sums(p_fwd) - np.cumsum(p_dual, axis=1).T)
+    m = math.ceil(n / 4) if margin is None else max(0, min(margin, (n - 1) // 2))
+    box = disc[m: n - m, m: n - m]
+    bx, by = np.unravel_index(np.argmax(box), box.shape)
+    return qmatrix.DualityReport(bool(box[bx, by] <= qmatrix.DUALITY_TOL), float(t), m,
+                                 qmatrix.DUALITY_TOL, float(box[bx, by]), float(disc.max()),
+                                 (rm.lo + m + int(bx), rm.lo + m + int(by)))
+
+
+def half_bands(rm, t, dual=None):
+    """The half-bands of the forward and dual transition matrices, None when dense."""
+    dual = dual_qmatrix(rm) if dual is None else dual
+    return tuple(qmatrix._expm_uniformized(r, t, qmatrix.EXPM_TOL)[1] for r in (rm, dual))
+
+
+class TestBandDuality:
+    """verify_duality on band storage gives the report of the dense sums, bit for bit."""
+
+    @pytest.mark.parametrize("boundary", qmatrix.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("margin", [None, 0, "half"])
+    @pytest.mark.parametrize("n_states, band, t", [
+        (150, 2, 0.3),  # N a multiple of 2 but not of 8
+        (203, 1, 1.0), (200, 3, 0.1),
+    ])
+    def test_report_equals_the_dense_sums(self, n_states, band, t, margin, boundary):
+        rng = np.random.default_rng(100 * n_states + band)
+        rm = random_monotone_ratematrix(rng, n_states=n_states, band=band, boundary=boundary)
+        margin = (n_states - 1) // 2 if margin == "half" else margin
+        k_fwd, k_bwd = half_bands(rm, t)
+        assert k_fwd is not None and k_bwd is not None
+        assert repr(verify_duality(rm, t, margin=margin)) == repr(dense_report(rm, t, margin))
+
+    @pytest.mark.parametrize("boundary", qmatrix.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("n_states, banded", [
+        (5, False),  # fewer states than a tile
+        (41, True),  # 8 + 2K = N - 1
+        (40, False),  # 8 + 2K = N: every column
+    ])
+    def test_band_edge(self, n_states, banded, boundary):
+        # K = 16 on both sides at t = 1 for these rates
+        rm = birth_death(0, n_states - 1, up=1.0, down=0.5, boundary=boundary)
+        k_fwd, k_bwd = half_bands(rm, 1.0)
+        assert (k_fwd is not None and k_bwd is not None) == banded
+        for margin in (None, 0, (n_states - 1) // 2):
+            rep = verify_duality(rm, 1.0, margin=margin)
+            assert repr(rep) == repr(dense_report(rm, 1.0, margin))
+
+    def test_bands_of_different_widths(self):
+        rm = random_monotone_ratematrix(np.random.default_rng(1), n_states=150, band=2,
+                                        boundary="reflect")
+        k_fwd, k_bwd = half_bands(rm, 0.3)
+        assert None not in (k_fwd, k_bwd) and k_fwd != k_bwd
+        for margin in (None, 0, 74):
+            rep = verify_duality(rm, 0.3, margin=margin)
+            assert repr(rep) == repr(dense_report(rm, 0.3, margin))
+
+    @pytest.mark.parametrize("kf, kd, n, margin", [
+        (2, 5, 30, 0), (5, 2, 30, 3), (3, 3, 17, 8), (0, 4, 12, 0), (6, 1, 40, 10),
+    ])
+    def test_ties_take_the_first_pair_in_row_order(self, kf, kd, n, margin):
+        # small integer entries make row totals tie across many far pairs
+        # (y < x - K), and near pairs tie with them
+        rng = np.random.default_rng(kf + 10 * kd + n)
+
+        def band(k):
+            b = rng.integers(0, 3, size=(n, 2 * k + 1)).astype(float)
+            cols = np.arange(n)[:, None] + np.arange(-k, k + 1)
+            b[(cols < 0) | (cols >= n)] = 0.0
+            return b
+
+        for _ in range(20):
+            fwd, bwd = band(kf), band(kd)
+            disc = np.abs(qmatrix._tail_sums(qmatrix._densify(fwd))
+                          - np.cumsum(qmatrix._densify(bwd), axis=1).T)
+            box = disc[margin: n - margin, margin: n - margin]
+            bx, by = np.unravel_index(np.argmax(box), box.shape)
+            got = qmatrix._band_discrepancy(fwd, bwd, margin)
+            assert got == (disc.max(), box[bx, by], bx, by)
+
+    def test_halvings_and_the_sparse_branch_fall_back_to_dense_sums(self):
+        # a chain with halvings
+        rm = birth_death(0, 99, up=40.0, down=30.0, boundary="reflect")
+        assert transition_matrix(rm, 1.0).halvings > 0
+        assert half_bands(rm, 1.0) == (None, None)
+        assert repr(verify_duality(rm, 1.0)) == repr(dense_report(rm, 1.0))
+        # the dual of a kill-rate step has far entries: the CSR branch
+        n = 120
+        q = np.zeros((n, n))
+        i = np.arange(n - 1)
+        q[i, i + 1], q[i + 1, i] = 1.3, 0.7
+        rm = from_dense(0, n - 1, q, boundary="kill",
+                        kill=np.where(np.arange(n) < n // 2, 0.3, 0.0))
+        dual = dual_qmatrix(rm)
+        k_fwd, k_bwd = half_bands(rm, 1.0, dual)
+        assert k_fwd is not None and k_bwd is None
+        for margin in (None, 0):
+            rep = verify_duality(rm, 1.0, margin=margin, dual=dual)
+            assert repr(rep) == repr(dense_report(rm, 1.0, margin, dual))
+
+    def test_memory_is_linear_in_the_window(self):
+        # the dense route peaked at 989 MB here
+        import tracemalloc
+
+        rm = birth_death(0, 6399, up=1.0, down=0.5, boundary="reflect")
+        verify_duality(birth_death(0, 3, up=1.0, down=0.5), 1.0)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            rep = verify_duality(rm, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        assert peak < 50e6, peak
 
 
 class TestSerialization:
