@@ -163,8 +163,9 @@ def _cmd_monotone(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    rm = ratematrix_from_dict(_read_json(args.infile))
-    dual = dual_qmatrix(rm, **_tol(args))
+    # the chain is not bound to a name: it and the tail sums it keeps are
+    # freed before the dual's text is built
+    dual = dual_qmatrix(ratematrix_from_dict(_read_json(args.infile)), **_tol(args))
     _emit(ratematrix_to_json(dual), args.out)
     return EXIT_OK
 

@@ -5,9 +5,10 @@ off-diagonal jump rates.  Raw rates may target states outside the window;
 a boundary policy decides what the effective generator does with that mass.
 Everything else in the module (monotonicity criteria, dual construction,
 transition matrices, duality verification) operates on that effective
-generator, held as its sorted nonzero entries (``_generator_entries``),
-so the policy is applied in exactly one place.  Only transition matrices
-and the public ``effective_generator`` are N x N arrays.
+generator, held as its sorted nonzero entries (``_generator_entries``,
+kept on the chain as its row table ``_rows``), so the policy is applied in
+exactly one place.  Only transition matrices and the public
+``effective_generator`` are N x N arrays.
 
 Killed mass is accounted as a jump to an absorbing cemetery sitting below
 every state.  That convention makes the two monotonicity criteria (tail
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from collections.abc import Sequence
 from dataclasses import InitVar, asdict, dataclass, field
 from functools import cached_property
@@ -105,6 +107,16 @@ class RateMatrix:
     States, offsets and edges are integers (``int(v) == v``); no (n, m) repeats.
     The table is kept as read-only columns in table order: ``src = n - lo``
     (int64), ``m`` (int64, object past int64) and ``rate``.
+
+    A chain never changes, so what the functions of this module derive from
+    it is built once and kept on it, read-only: the effective generator's
+    row table (``_rows``), the tail sums of adjacent rows that
+    ``check_monotone`` and ``dual_qmatrix`` read (``_breaks``), and one slot
+    with the last uniformized exponential and its (t, tol).  The first two
+    take at most (30 N + 19 nnz) x 8 bytes for N states and nnz generator
+    entries (2.6 MB for a 6400-state birth-death chain).  A band result of the slot (O(N K)) is kept; a dense N x N one
+    only by weak reference, so it is freed once no caller holds it, and
+    another (t, tol) replaces the slot.  A copy or a pickle keeps none of it.
     """
 
     lo: int
@@ -174,6 +186,23 @@ class RateMatrix:
 
     def states(self) -> np.ndarray:
         return np.arange(self.lo, self.hi + 1)
+
+
+def _kept(rm: RateMatrix, key: str, build: Callable[[RateMatrix], tuple]) -> tuple:
+    """``build(rm)``, built on the first call and kept in the chain's instance dict.
+
+    Its arrays are made read-only, as every later caller gets the same
+    ones.  Two threads that race on the first call both build it and keep
+    equal values.
+    """
+    value = rm.__dict__.get(key)
+    if value is None:
+        value = build(rm)
+        for item in value:
+            if isinstance(item, np.ndarray):
+                item.flags.writeable = False
+        rm.__dict__[key] = value
+    return value
 
 
 @dataclass
@@ -294,7 +323,9 @@ class TransitionMatrix:
 
     ``P[i, j]`` is the probability of sitting at state ``lo + j`` at time t
     having started at ``lo + i`` and never been killed; ``defect[i]`` is the
-    killed mass, so each row of P sums to ``1 - defect[i]``.
+    killed mass, so each row of P sums to ``1 - defect[i]``.  P is
+    read-only: it may be the exponential that the chain keeps while P is
+    alive (see RateMatrix), which ``verify_duality`` then reuses.
 
     ``terms`` and ``halvings`` say how the exponential was computed (Poisson
     series terms per step, and squarings of the step); ``error_bound`` is
@@ -349,13 +380,13 @@ def validate_qmatrix(rm: RateMatrix) -> dict:
     non-finite one.  Structural problems (bad window, offset zero, unknown
     policy) are already rejected by the RateMatrix constructor.
     """
-    _, _, _, exit_rate, kill = _generator_entries(rm)
+    rows = _rows(rm)
     return {
         "n_states": rm.n_states,
         "n_rates": rm.rate.size,
-        "max_exit_rate": float(np.max(exit_rate, initial=0.0)),
-        "conservative": bool(np.all(kill == 0.0)),
-        "total_kill_rate": float(kill.sum()),
+        "max_exit_rate": float(np.max(rows.exit, initial=0.0)),
+        "conservative": bool(np.all(rows.kill == 0.0)),
+        "total_kill_rate": float(rows.kill.sum()),
     }
 
 
@@ -439,6 +470,32 @@ def _generator_entries(
     return src, tgt, rate, exit_rate, kill
 
 
+class _Rows(NamedTuple):
+    """The effective generator row by row: ``_generator_entries`` and each row's place.
+
+    Row i's entries are the ``counts[i]`` from ``start[i]`` on.
+    """
+
+    src: np.ndarray
+    tgt: np.ndarray
+    rate: np.ndarray
+    exit: np.ndarray
+    kill: np.ndarray
+    counts: np.ndarray
+    start: np.ndarray
+
+
+def _rows(rm: RateMatrix) -> _Rows:
+    """The row table of the chain's effective generator, built once per chain."""
+
+    def build(rm: RateMatrix) -> _Rows:
+        entries = _generator_entries(rm)
+        counts = np.bincount(entries[0], minlength=rm.n_states)
+        return _Rows(*entries, counts, np.cumsum(counts) - counts)
+
+    return _kept(rm, "_rows", build)
+
+
 def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
     """Dense generator and kill-rate vector induced by the boundary policy.
 
@@ -447,7 +504,7 @@ def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
     land on one entry are summed in rate-table order.  Raises NegativeRate
     for a negative rate and InputFormatError for a non-finite one.
     """
-    src, tgt, rate, exit_rate, kill = _generator_entries(rm)
+    src, tgt, rate, exit_rate, kill = _rows(rm)[:5]
     n_states = rm.n_states
     q = np.zeros((n_states, n_states))
     flat = q.ravel()
@@ -527,11 +584,9 @@ class _Breaks(NamedTuple):
 
 def _breaks(rm: RateMatrix) -> _Breaks:
     """The tail sums of adjacent generator rows, in O(nnz) memory; see _Breaks."""
-    src, tgt, rate, exit_rate, kill = _generator_entries(rm)
+    src, tgt, rate, exit_rate, kill, counts, start = _rows(rm)
     n = rm.n_states
     key = src * n + tgt
-    counts = np.bincount(src, minlength=n)
-    start = np.cumsum(counts) - counts
     rank = np.arange(src.size) - start[src]
     below = tgt < src
     width = int(counts.max(initial=0)) + 2
@@ -610,9 +665,11 @@ def check_monotone(
 
     A row's tail sums change only at its targets, so each pair is compared
     once per interval of thresholds on which both rows' sums are constant:
-    O(nnz) work and memory, plus the violations found.
+    O(nnz) work and memory, plus the violations found.  A non-finite
+    ``tol`` raises InputFormatError.
     """
-    b = _breaks(rm)
+    _finite(tol, "tolerance")
+    b = _kept(rm, "_breaks", _breaks)
     if method == "tails":
         return _check_tails(b, rm.lo, tol)
     if method == "offsets":
@@ -711,9 +768,11 @@ def dual_qmatrix(
     raised on failure; otherwise a genuinely negative dual rate (beyond
     ``tol`` times the exit-rate scale) raises DualRateNegative.  Either way,
     roundoff-scale negatives are clamped to zero.  The table lists the
-    entries row by row, then the leaks.
+    entries row by row, then the leaks.  A non-finite ``tol`` raises
+    InputFormatError.
     """
-    b = _breaks(rm)
+    _finite(tol, "tolerance")
+    b = _kept(rm, "_breaks", _breaks)
     if require_monotone:
         report = _check_tails(b, rm.lo, tol)
         if not report.ok:
@@ -751,13 +810,17 @@ def dual_qmatrix(
     return RateMatrix(rm.lo, rm.hi, "kill", _Columns(rm.lo + rows, cols - rows, rate))
 
 
+def _finite(value: float, name: str) -> float:
+    """``value`` as a float; a non-finite one is malformed input."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise InputFormatError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _horizon(t: float, tol: float) -> Tuple[float, float]:
     """``t`` and ``tol`` as floats; a non-finite one, or a negative time, is malformed input."""
-    t, tol = float(t), float(tol)
-    if not math.isfinite(t):
-        raise InputFormatError(f"time must be finite, got {t!r}")
-    if not math.isfinite(tol):
-        raise InputFormatError(f"tolerance must be finite, got {tol!r}")
+    t, tol = _finite(t, "time"), _finite(tol, "tolerance")
     if t < 0.0:
         raise InputFormatError(f"negative time {t!r}")
     return t, tol
@@ -783,17 +846,44 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     SPARSE_DENSITY of the entries in those tiles is nonzero (a few far
     entries make the band wide), B is multiplied as a sparse matrix
     instead, at O(N nnz) per term.  The result reports the terms, halvings
-    and the truncation bound achieved.  A non-finite ``t`` or ``tol``, or a
-    negative ``t``, raises InputFormatError.
+    and the truncation bound achieved.  The exponential is kept on the
+    chain (see RateMatrix), so a second call with the same ``t`` and
+    ``tol``, or ``verify_duality`` at the default ``tol``, reuses it; a
+    dense result is returned as ``P`` itself, read-only.  A non-finite
+    ``t`` or ``tol``, or a negative ``t``, raises InputFormatError.
     """
     t, tol = _horizon(t, tol)
-    x, half_band, terms, halvings, bound = _expm_uniformized(rm, t, tol)
-    p = x if half_band is None else _densify(x)
+    p, half_band, terms, halvings, bound = _exponential(rm, t, tol)
+    if half_band is not None:
+        p = _densify(p)
+        p.flags.writeable = False
     defect = 1.0 - p.sum(axis=1)
     np.clip(defect, 0.0, 1.0, out=defect)
     return TransitionMatrix(
         rm.lo, rm.hi, t, p, defect, terms, halvings, bound, bool(bound <= tol)
     )
+
+
+def _exponential(
+    rm: RateMatrix, t: float, tol: float
+) -> Tuple[np.ndarray, Optional[int], int, int, float]:
+    """``_expm_uniformized(rm, t, tol)`` through the chain's one exponential slot.
+
+    The slot holds a band result itself and a dense one by weak reference,
+    so a dense matrix lives only while a caller holds it.  Another ``t`` or
+    ``tol`` replaces the slot.  The matrix returned is read-only.
+    """
+    slot = rm.__dict__.get("_exponential")
+    if slot is not None and slot[0] == (t, tol):
+        held = slot[1]
+        x = held() if isinstance(held, weakref.ref) else held
+        if x is not None:
+            return (x, *slot[2:])
+    x, half_band, *rest = _expm_uniformized(rm, t, tol)
+    x.flags.writeable = False
+    held = weakref.ref(x) if half_band is None else x
+    rm.__dict__["_exponential"] = ((t, tol), held, half_band, *rest)
+    return (x, half_band, *rest)
 
 
 def _expm_uniformized(
@@ -807,7 +897,7 @@ def _expm_uniformized(
     # local: only transition matrices need pdtrc, so other commands skip its import
     import scipy.special
 
-    src, tgt, rate, exit_rate, _ = _generator_entries(rm)
+    src, tgt, rate, exit_rate = _rows(rm)[:4]
     n_states = exit_rate.size
     # q[i, j] == 0 whenever |i - j| > width; jumps that leave the window
     # under "kill" are on the diagonal, and the frozen edge rows under
@@ -854,6 +944,7 @@ def _expm_uniformized(
             x.reshape(-1)[:: n_states + 1] += w_j
     else:
         x, half_band = _horner_tiled(src, tgt, b_rate, b_diag, width, weights)
+    del b_rate, b_diag  # the chain keeps its entries; B's copy goes before the squarings
     if halvings:
         if half_band is not None:
             x, half_band = _densify(x), None
@@ -1027,8 +1118,11 @@ def verify_duality(
     When both transition matrices come back in band storage (see
     transition_matrix), the sums are taken on the bands, in O(N K) time
     and memory for the wider half-band K; otherwise on the dense matrices.
-    Both routes give the same report, bit for bit.  A non-finite ``t`` or
-    ``tol``, or a negative ``t``, raises InputFormatError.
+    Both routes give the same report, bit for bit.  The two exponentials go
+    through the chains' slots (see RateMatrix), so a forward one that
+    ``transition_matrix`` made at the same ``t`` and the default tolerance,
+    and that its caller still holds, is not computed again.  A non-finite
+    ``t`` or ``tol``, or a negative ``t``, raises InputFormatError.
     """
     t, tol = _horizon(t, tol)
     n_states = rm.n_states
@@ -1037,18 +1131,23 @@ def verify_duality(
     margin = max(0, min(int(margin), (n_states - 1) // 2))
     if dual is None:
         dual = dual_qmatrix(rm)
-    fwd, k_fwd = _expm_uniformized(rm, t, EXPM_TOL)[:2]
-    bwd, k_bwd = _expm_uniformized(dual, t, EXPM_TOL)[:2]
+    fwd, k_fwd = _exponential(rm, t, EXPM_TOL)[:2]
+    bwd, k_bwd = _exponential(dual, t, EXPM_TOL)[:2]
     if k_fwd is not None and k_bwd is not None:
         sup_full, sup_margin, bx, by = _band_discrepancy(fwd, bwd, margin)
     else:
-        # both matrices are private, so the sums are taken in place
-        disc = fwd if k_fwd is None else _densify(fwd)
+        # a densified band is private and summed in place; a dense matrix is
+        # the slot's, which callers may hold, so its sums go to a new array.
+        # Each source is dropped once summed: at most three N x N arrays are
+        # alive, as while the dual is squared.
         p_dual = bwd if k_bwd is None else _densify(bwd)
-        del fwd, bwd
-        np.cumsum(disc[:, ::-1], axis=1, out=disc[:, ::-1])  # [x, y] = P(X_t >= y)
-        np.cumsum(p_dual, axis=1, out=p_dual)  # [y, x] = P(Y_t <= x)
-        np.subtract(disc, p_dual.T, out=disc)
+        cum = np.cumsum(p_dual, axis=1, out=None if k_bwd is None else p_dual)
+        del bwd, p_dual
+        p_fwd = fwd if k_fwd is None else _densify(fwd)
+        disc = np.empty_like(p_fwd) if k_fwd is None else p_fwd
+        np.cumsum(p_fwd[:, ::-1], axis=1, out=disc[:, ::-1])  # [x, y] = P(X_t >= y)
+        del fwd, p_fwd
+        np.subtract(disc, cum.T, out=disc)  # cum[y, x] = P(Y_t <= x)
         np.abs(disc, out=disc)
         sup_full = float(disc.max())
         box = disc[margin : n_states - margin, margin : n_states - margin]

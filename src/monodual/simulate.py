@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InputFormatError, WindowEscape
 from .generator import Lattice, LevyModel, discretize
-from .qmatrix import RateMatrix, _generator_entries, dual_qmatrix
+from .qmatrix import RateMatrix, _rows, dual_qmatrix
 
 SALT_SURVIVAL = 1
 SALT_DUAL_X = 2
@@ -165,17 +165,16 @@ class _Dynamics:
     """
 
     def __init__(self, rm: RateMatrix):
-        src, tgt, rate, self.rates, _ = _generator_entries(rm)
+        src, tgt, rate, self.rates, _, counts, start = _rows(rm)
         n = rm.n_states
         self.lo = rm.lo
         self.n_states = n
-        counts = np.bincount(src, minlength=n)
         width = 1 + int(counts.max(initial=0))
         # the flat table position of each entry: its row times the width,
         # plus its rank within its row
         pos = np.arange(src.size)
-        pos += (np.arange(n) * width - (np.cumsum(counts) - counts))[src]
-        rate /= self.rates[src]
+        pos += (np.arange(n) * width - start)[src]
+        rate = rate / self.rates[src]
         del src
         # the smallest integer type that holds n: 4 bytes or fewer an entry
         self.target = np.full((n, width), n, dtype=np.min_scalar_type(n))

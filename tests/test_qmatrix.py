@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -401,7 +402,20 @@ class TestEffectiveGenerator:
         assert np.array_equal(kill, kill2)
 
 
+# not monotone: the pair (0, 1) fails the tail comparison at threshold 2
+NOT_MONOTONE = RateMatrix(0, 3, "reflect", {(0, 2): 5.0, (1, -1): 1.0, (2, -1): 1.0,
+                                             (3, -1): 1.0})
+
+
 class TestMonotonicity:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("method", ["both", "tails", "offsets"])
+    def test_non_finite_tolerance_rejected(self, tol, method):
+        # with tol = nan every comparison was false, and this chain read as monotone
+        assert check_monotone(NOT_MONOTONE, method=method).ok is False
+        with pytest.raises(InputFormatError, match="finite"):
+            check_monotone(NOT_MONOTONE, tol=tol, method=method)
+
     def test_offsets_match_per_pair_reference(self):
         # the down-family sums run in another order than the loop's, so
         # lhs/rhs may differ in the last bits; verdicts and order may not
@@ -543,6 +557,15 @@ class TestDual:
         rm = RateMatrix(0, 2, "kill", {(0, 2): 5.0, (1, 1): 0.1})
         with pytest.raises(DualRateNegative):
             dual_qmatrix(rm, require_monotone=False)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("require_monotone", [True, False])
+    def test_non_finite_tolerance_rejected(self, tol, require_monotone):
+        # with tol = nan this chain's negative dual rate was dropped silently
+        with pytest.raises(DualRateNegative):
+            dual_qmatrix(NOT_MONOTONE, require_monotone=False)
+        with pytest.raises(InputFormatError, match="finite"):
+            dual_qmatrix(NOT_MONOTONE, require_monotone=require_monotone, tol=tol)
 
     def test_band_kept_without_residue(self):
         # non-dyadic band-2 product-family chain: the dual uses no offset
@@ -905,6 +928,15 @@ def half_bands(rm, t, dual=None):
     return tuple(qmatrix._expm_uniformized(r, t, qmatrix.EXPM_TOL)[1] for r in (rm, dual))
 
 
+def kill_step_chain(n):
+    """Birth-death under kill, killed at a rate that steps down halfway: its dual has far entries."""
+    q = np.zeros((n, n))
+    i = np.arange(n - 1)
+    q[i, i + 1], q[i + 1, i] = 1.3, 0.7
+    return from_dense(0, n - 1, q, boundary="kill",
+                      kill=np.where(np.arange(n) < n // 2, 0.3, 0.0))
+
+
 class TestBandDuality:
     """verify_duality on band storage gives the report of the dense sums, bit for bit."""
 
@@ -976,12 +1008,7 @@ class TestBandDuality:
         assert half_bands(rm, 1.0) == (None, None)
         assert repr(verify_duality(rm, 1.0)) == repr(dense_report(rm, 1.0))
         # the dual of a kill-rate step has far entries: the CSR branch
-        n = 120
-        q = np.zeros((n, n))
-        i = np.arange(n - 1)
-        q[i, i + 1], q[i + 1, i] = 1.3, 0.7
-        rm = from_dense(0, n - 1, q, boundary="kill",
-                        kill=np.where(np.arange(n) < n // 2, 0.3, 0.0))
+        rm = kill_step_chain(120)
         dual = dual_qmatrix(rm)
         k_fwd, k_bwd = half_bands(rm, 1.0, dual)
         assert k_fwd is not None and k_bwd is None
@@ -1003,6 +1030,191 @@ class TestBandDuality:
             tracemalloc.stop()
         assert rep.ok
         assert peak < 50e6, peak
+
+
+def count_builds(monkeypatch):
+    """Count the calls of the builders of what a chain keeps, by builder name."""
+    counts = {}
+    for name in ("_generator_entries", "_breaks", "_expm_uniformized"):
+        def counted(*args, build=getattr(qmatrix, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return build(*args)
+        monkeypatch.setattr(qmatrix, name, counted)
+    return counts
+
+
+class TestKeptDerivations:
+    """A chain builds its row table, its tail sums and an exponential once, and keeps them."""
+
+    # one exponential kept as a band, one dense (halvings)
+    BAND = (birth_death(0, 199, up=1.0, down=0.5, boundary="reflect"), 1.0)
+    DENSE = (birth_death(0, 99, up=40.0, down=30.0, boundary="reflect"), 1.0)
+
+    @pytest.mark.parametrize("case", ["band", "dense"])
+    def test_a_duality_job_builds_each_value_once(self, case, monkeypatch):
+        # the calls of one chain-duality benchmark job: two chains (the
+        # forward one and its dual) have their entries built, the forward
+        # one its tail sums, and each one exponential
+        rm, t = copy.copy(self.BAND[0] if case == "band" else self.DENSE[0]), 1.0
+        counts = count_builds(monkeypatch)
+        mono = check_monotone(rm, method="both")
+        dual = dual_qmatrix(rm)
+        tm = transition_matrix(rm, t)
+        rep = verify_duality(rm, t, dual=dual)
+        assert mono.ok and rep.ok and (tm.halvings > 0) == (case == "dense")
+        assert counts == {"_generator_entries": 2, "_breaks": 1, "_expm_uniformized": 2}
+
+    def test_kept_arrays_are_read_only(self):
+        kept = []
+        for rm, t in (self.BAND, self.DENSE):
+            rm = copy.copy(rm)
+            dual_qmatrix(rm)
+            tm = transition_matrix(rm, t)
+            kept += [*qmatrix._rows(rm), *rm._breaks[:-1], tm.P,
+                     qmatrix._exponential(rm, t, qmatrix.EXPM_TOL)[0]]
+        assert all(isinstance(a, np.ndarray) for a in kept)
+        for a in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_a_second_call_returns_the_same_objects(self):
+        for rm, t in (self.BAND, self.DENSE):
+            rm = copy.copy(rm)
+            assert qmatrix._rows(rm) is qmatrix._rows(rm)
+            check_monotone(rm)
+            breaks = rm._breaks
+            dual_qmatrix(rm)
+            assert rm._breaks is breaks
+            first = qmatrix._exponential(rm, t, qmatrix.EXPM_TOL)
+            again = qmatrix._exponential(rm, t, qmatrix.EXPM_TOL)
+            assert all(a is b for a, b in zip(first, again))
+            tm = transition_matrix(rm, t)
+            if tm.halvings:  # a dense result is P itself
+                assert tm.P is first[0] and transition_matrix(rm, t).P is tm.P
+
+    def test_another_time_or_tolerance_misses(self, monkeypatch):
+        rm = copy.copy(self.BAND[0])
+        counts = count_builds(monkeypatch)
+        for t, tol, builds in ((1.0, 1e-12, 1), (1.0, 1e-12, 1), (2.0, 1e-12, 2),
+                               (2.0, 1e-10, 3), (2.0, 1e-10, 3), (1.0, 1e-12, 4)):
+            transition_matrix(rm, t, tol)
+            assert counts["_expm_uniformized"] == builds, (t, tol)
+        # a dense exponential is built again once no caller holds it
+        rm = copy.copy(self.DENSE[0])
+        tm = transition_matrix(rm, 1.0)
+        transition_matrix(rm, 1.0)
+        assert counts["_expm_uniformized"] == 5
+        del tm
+        transition_matrix(rm, 1.0)
+        assert counts["_expm_uniformized"] == 6
+
+    def test_copies_and_pickles_keep_nothing(self):
+        rm = copy.copy(self.BAND[0])
+        dual_qmatrix(rm)
+        tm = transition_matrix(rm, 1.0)
+        kept = {"_rows", "_breaks", "_exponential"}
+        assert kept <= set(vars(rm))
+        for other in (copy.copy(rm), copy.deepcopy(rm), pickle.loads(pickle.dumps(rm))):
+            assert other == rm and not kept & set(vars(other))
+            assert np.array_equal(transition_matrix(other, 1.0).P, tm.P)
+
+    def test_threads_racing_on_first_use_agree(self):
+        # threads that find nothing kept all build it; every one of them
+        # gets the serial job's results, bit for bit
+        import sys
+        import threading
+
+        def job(rm):
+            mono = check_monotone(rm, method="both")
+            dual = dual_qmatrix(rm)
+            tm = transition_matrix(rm, 1.0)
+            rep = verify_duality(rm, 1.0, dual=dual)
+            return repr(mono), ratematrix_to_json(dual), tm.P.tobytes(), repr(rep)
+
+        for rm, _ in (self.BAND, self.DENSE):
+            want = job(copy.copy(rm))
+            rm = copy.copy(rm)
+            got = []
+            threads = [threading.Thread(target=lambda: got.append(job(rm))) for _ in range(6)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(th.is_alive() for th in threads)
+            assert got == [want] * 6
+
+    def test_duality_report_does_not_depend_on_a_prior_transition_matrix(self):
+        # verify_duality on a fresh chain, and after transition_matrix at the
+        # same t has kept the forward exponential (a band, or a dense one
+        # that tm holds): 300 chains, with halvings and CSR kill-step duals
+        rng = np.random.default_rng(17)
+        seen = {"halvings": 0, "kill step": 0}
+        for trial in range(300):
+            if trial % 30 == 0:
+                rm = kill_step_chain(int(rng.integers(100, 140)))
+                seen["kill step"] += 1
+            else:
+                rm = random_monotone_ratematrix(rng, max_states=60, band=4)
+            t = float(10.0 ** rng.uniform(-1.3, 1.3))
+            alone = verify_duality(copy.copy(rm), t)
+            rm = copy.copy(rm)
+            tm = transition_matrix(rm, t)
+            seen["halvings"] += tm.halvings > 0
+            assert repr(verify_duality(rm, t)) == repr(alone), trial
+        assert seen["halvings"] >= 30 and seen["kill step"] == 10, seen
+
+    def test_a_dense_exponential_is_freed_with_its_last_holder(self):
+        import gc
+        import tracemalloc
+
+        rm, t = copy.copy(self.DENSE[0]), 1.0
+        validate_qmatrix(rm)  # the row table, kept before the trace
+        transition_matrix(birth_death(0, 3, up=1.0, down=0.5), 1.0)  # imports
+        tracemalloc.start()
+        try:
+            tm = transition_matrix(rm, t)
+            nbytes = tm.P.nbytes
+            assert tm.halvings > 0 and isinstance(rm._exponential[1], weakref.ref)
+            del tm
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.01 * nbytes, held / nbytes
+
+    @pytest.mark.parametrize("after_tm, bound", [(False, 3.0121), (True, 2.3)])
+    def test_dense_duality_peak(self, after_tm, bound):
+        # N = 1000 with one halving: both exponentials are dense, so the
+        # sums go to new arrays.  Alone, the peak is set while the dual is
+        # squared (forward, iterate and spare) and stays at or below the
+        # 3.0121 P measured before the exponentials were kept.  After
+        # transition_matrix, the forward matrix is tm's, made before the
+        # trace, and the dual's sums are taken before the forward ones:
+        # at most the dual's iterate and spare, or its sums and the
+        # forward ones, are traced (the parent made the forward matrix
+        # again and peaked at 3.0121 P here too)
+        import gc
+        import tracemalloc
+
+        rm = birth_death(0, 999, up=40.0, down=30.0, boundary="reflect")
+        dual = dual_qmatrix(rm)
+        verify_duality(birth_death(0, 3, up=1.0, down=0.5), 1.0)  # imports
+        holder = transition_matrix(rm, 1.0) if after_tm else None  # holds P during the check
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rep = verify_duality(rm, 1.0, dual=dual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok and transition_matrix(rm, 1.0).halvings == 1
+        assert peak <= bound * 1000 * 1000 * 8, peak / 8e6
+        assert holder is None or holder.P.flags.writeable is False
 
 
 class TestSerialization:
