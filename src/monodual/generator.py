@@ -1096,16 +1096,20 @@ def _discretize_block(m: LevyModel, lat: Lattice, n: np.ndarray, ball: int):
     right lump, the left bins with theirs and the left lump.  Summing each
     key's events in that order (np.add.at is sequential) and ordering keys
     by their first event gives the loop's table, sums and key order
-    included.  The first error in that order is raised.
+    included.  The first error in that order is raised; a negative or
+    non-finite G, then a non-finite b, come first at their state.
     """
     h = lat.h
     x = n * h
     g = _evaluate(m.G, x) if m.G is not None else np.zeros(n.size)
     b = _evaluate(m.b, x) if m.b is not None else np.zeros(n.size)
     errors = []
-    if (g < 0.0).any():
-        r = int(np.argmax(g < 0.0))
-        errors.append((r, 0, 0, InputFormatError(f"G is negative at x={float(x[r])}")))
+    for j, (name, v, bad) in enumerate((("G", g, g < 0.0), ("b", b, False))):
+        bad = bad | ~np.isfinite(v)
+        if bad.any():
+            r = int(np.argmax(bad))
+            what = "negative" if math.isfinite(v[r]) else "not finite"
+            errors.append((r, 0, j, InputFormatError(f"{name} is {what} at x={float(x[r])}")))
     diff = np.where(g > 0.0, g / (2.0 * h * h), 0.0)
     offs = [np.ones(n.size, dtype=np.int64), -np.ones(n.size, dtype=np.int64),
             np.where(b > 0.0, 1, -1)]

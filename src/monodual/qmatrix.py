@@ -90,6 +90,14 @@ def _column(values: Sequence, dtype) -> Tuple[np.ndarray, np.ndarray]:
     return col, bad
 
 
+def _read_only(value: tuple) -> tuple:
+    """``value`` with its arrays made read-only: every later reader gets the same ones."""
+    for item in value:
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Off-diagonal jump rates of a chain on a finite integer window.
@@ -109,14 +117,16 @@ class RateMatrix:
     (int64), ``m`` (int64, object past int64) and ``rate``.
 
     A chain never changes, so what the functions of this module derive from
-    it is built once and kept on it, read-only: the effective generator's
-    row table (``_rows``), the tail sums of adjacent rows that
-    ``check_monotone`` and ``dual_qmatrix`` read (``_breaks``), and one slot
-    with the last uniformized exponential and its (t, tol).  The first two
-    take at most (30 N + 19 nnz) x 8 bytes for N states and nnz generator
-    entries (2.6 MB for a 6400-state birth-death chain).  A band result of the slot (O(N K)) is kept; a dense N x N one
-    only by weak reference, so it is freed once no caller holds it, and
-    another (t, tol) replaces the slot.  A copy or a pickle keeps none of it.
+    it is built on first use and kept on it, read-only.  Two values are
+    ``cached_property``s, as ``rates`` is: the effective generator's row
+    table (``_rows``) and the tail sums of adjacent rows that
+    ``check_monotone`` and ``dual_qmatrix`` read (``_breaks``).  They take
+    at most (28 N + 19 nnz) x 8 bytes for N states and nnz generator
+    entries (2.6 MB for a 6400-state birth-death chain).  One slot keeps
+    the last uniformized exponential and its (t, tol): a band result
+    (O(N K)) itself, a dense N x N one only by weak reference, so it is
+    freed once no caller holds it.  Another (t, tol) replaces the slot.
+    A copy or a pickle keeps none of it.
     """
 
     lo: int
@@ -171,6 +181,16 @@ class RateMatrix:
         keys = zip((self.src + self.lo).tolist(), self.m.tolist())
         return MappingProxyType(dict(zip(keys, self.rate.tolist())))
 
+    @cached_property
+    def _rows(self) -> _Rows:
+        """The effective generator's row table, built on first read; see _generator_entries."""
+        return _read_only(_generator_entries(self))
+
+    @cached_property
+    def _breaks(self) -> _Breaks:
+        """The tail sums of adjacent generator rows, built on first read; see _tail_breaks."""
+        return _read_only(_tail_breaks(self))
+
     def __reduce__(self):  # a copy or unpickled table is validated again
         columns = _Columns(self.lo + self.src, self.m, self.rate)
         return RateMatrix, (self.lo, self.hi, self.boundary, columns)
@@ -186,23 +206,6 @@ class RateMatrix:
 
     def states(self) -> np.ndarray:
         return np.arange(self.lo, self.hi + 1)
-
-
-def _kept(rm: RateMatrix, key: str, build: Callable[[RateMatrix], tuple]) -> tuple:
-    """``build(rm)``, built on the first call and kept in the chain's instance dict.
-
-    Its arrays are made read-only, as every later caller gets the same
-    ones.  Two threads that race on the first call both build it and keep
-    equal values.
-    """
-    value = rm.__dict__.get(key)
-    if value is None:
-        value = build(rm)
-        for item in value:
-            if isinstance(item, np.ndarray):
-                item.flags.writeable = False
-        rm.__dict__[key] = value
-    return value
 
 
 @dataclass
@@ -380,7 +383,7 @@ def validate_qmatrix(rm: RateMatrix) -> dict:
     non-finite one.  Structural problems (bad window, offset zero, unknown
     policy) are already rejected by the RateMatrix constructor.
     """
-    rows = _rows(rm)
+    rows = rm._rows
     return {
         "n_states": rm.n_states,
         "n_rates": rm.rate.size,
@@ -390,14 +393,34 @@ def validate_qmatrix(rm: RateMatrix) -> dict:
     }
 
 
-def _jumps(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Source, target and rate of each nonzero jump, and which of them move.
+class _Rows(NamedTuple):
+    """The effective generator row by row; see _generator_entries.
 
-    Sources and targets are window indices.  Under "kill" a jump moves when
-    its target lies in the window and is killed mass otherwise; the other
-    policies clamp targets to the edges, and a jump clamped onto its own
-    source does not move.  Raises NegativeRate for a negative rate and
-    InputFormatError for a non-finite one.
+    Row i's entries are the ``counts[i]`` from ``start[i]`` on, and no
+    entry is more than ``width`` columns off the diagonal.
+    """
+
+    src: np.ndarray
+    tgt: np.ndarray
+    rate: np.ndarray
+    exit: np.ndarray
+    kill: np.ndarray
+    counts: np.ndarray
+    start: np.ndarray
+    width: int
+
+
+def _generator_entries(rm: RateMatrix) -> _Rows:
+    """The effective generator as a row table: O(nnz) memory, no N x N array.
+
+    The off-diagonal entries ``q[src, tgt] = rate``, in window indices,
+    sorted by (src, tgt), each a sum of the rates that land on it in
+    rate-table order; then the exit rate ``-q[i, i]`` and the kill rate of
+    every state, summed in the same order.  Under "kill" a jump whose
+    target leaves the window is killed mass; the other policies clamp
+    targets to the edges and drop a jump clamped onto its own source.
+    Raises NegativeRate for a negative rate and InputFormatError for a
+    non-finite one.
     """
     n_states = rm.n_states
     r = rm.rate
@@ -413,37 +436,17 @@ def _jumps(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     # cutting offsets to the window width moves no target into or out of the
     # window, keeps src + offset far from int64 overflow and makes them int64
     tgt = src + np.clip(rm.m[nonzero], -n_states, n_states).astype(np.int64, copy=False)
-    if rm.boundary == "kill":
-        moves = (tgt >= 0) & (tgt < n_states)
-    else:
-        tgt = np.clip(tgt, 0, n_states - 1)
-        moves = tgt != src
-    return src, tgt, r, moves
-
-
-def _generator_entries(
-    rm: RateMatrix,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The effective generator as entries: O(nnz) memory, no N x N array.
-
-    Returns ``(src, tgt, rate, exit, kill)``: the off-diagonal entries
-    ``q[src, tgt] = rate`` sorted by (src, tgt), each a sum of the rates
-    that land on it in rate-table order, then the exit rate ``-q[i, i]``
-    and the kill rate of every state, summed in the same order.  Raises
-    NegativeRate for a negative rate and InputFormatError for a non-finite
-    one.
-    """
-    n_states = rm.n_states
-    src, tgt, r, moves = _jumps(rm)
-    if rm.boundary == "absorb":
-        # the edge states are frozen: their rows of q are zero
-        moves &= (src != 0) & (src != n_states - 1)
     # bincount adds its weights in order, so every sum runs in table order
     if rm.boundary == "kill":
+        moves = (tgt >= 0) & (tgt < n_states)
         kill = np.bincount(src[~moves], weights=r[~moves], minlength=n_states)
         exits = slice(None)
     else:
-        # a jump clamped onto its own source has no net motion: dropped
+        tgt = np.clip(tgt, 0, n_states - 1)
+        moves = tgt != src
+        if rm.boundary == "absorb":
+            # the edge states are frozen: their rows of q are zero
+            moves &= (src != 0) & (src != n_states - 1)
         kill = np.zeros(n_states)
         exits = moves
     exit_rate = np.bincount(src[exits], weights=r[exits], minlength=n_states)
@@ -467,33 +470,9 @@ def _generator_entries(
     rate = np.bincount(slot, weights=r).astype(float, copy=False)
     del slot, r
     src, tgt = np.divmod(key[first], n_states)
-    return src, tgt, rate, exit_rate, kill
-
-
-class _Rows(NamedTuple):
-    """The effective generator row by row: ``_generator_entries`` and each row's place.
-
-    Row i's entries are the ``counts[i]`` from ``start[i]`` on.
-    """
-
-    src: np.ndarray
-    tgt: np.ndarray
-    rate: np.ndarray
-    exit: np.ndarray
-    kill: np.ndarray
-    counts: np.ndarray
-    start: np.ndarray
-
-
-def _rows(rm: RateMatrix) -> _Rows:
-    """The row table of the chain's effective generator, built once per chain."""
-
-    def build(rm: RateMatrix) -> _Rows:
-        entries = _generator_entries(rm)
-        counts = np.bincount(entries[0], minlength=rm.n_states)
-        return _Rows(*entries, counts, np.cumsum(counts) - counts)
-
-    return _kept(rm, "_rows", build)
+    counts = np.bincount(src, minlength=n_states)
+    width = int(np.max(np.abs(tgt - src), initial=0))
+    return _Rows(src, tgt, rate, exit_rate, kill, counts, np.cumsum(counts) - counts, width)
 
 
 def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -504,7 +483,7 @@ def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
     land on one entry are summed in rate-table order.  Raises NegativeRate
     for a negative rate and InputFormatError for a non-finite one.
     """
-    src, tgt, rate, exit_rate, kill = _rows(rm)[:5]
+    src, tgt, rate, exit_rate, kill = rm._rows[:5]
     n_states = rm.n_states
     q = np.zeros((n_states, n_states))
     flat = q.ravel()
@@ -577,14 +556,12 @@ class _Breaks(NamedTuple):
     off_up: np.ndarray
     off_lo: np.ndarray
     before_lo: np.ndarray
-    exit: np.ndarray
-    kill: np.ndarray
     first: int
 
 
-def _breaks(rm: RateMatrix) -> _Breaks:
+def _tail_breaks(rm: RateMatrix) -> _Breaks:
     """The tail sums of adjacent generator rows, in O(nnz) memory; see _Breaks."""
-    src, tgt, rate, exit_rate, kill, counts, start = _rows(rm)
+    src, tgt, rate, exit_rate, kill, counts, start, _ = rm._rows
     n = rm.n_states
     key = src * n + tgt
     rank = np.arange(src.size) - start[src]
@@ -635,7 +612,7 @@ def _breaks(rm: RateMatrix) -> _Breaks:
     before_lo, tail_lo, off_lo = sums(k, c, keys)
     tail_up, off_up = np.zeros(keys.size), np.zeros(keys.size)
     _, tail_up[first:], off_up[first:] = sums(k[first:] - 1, c[first:], keys[first:] - n)
-    return _Breaks(k, s, c, tail_up, tail_lo, off_up, off_lo, before_lo, exit_rate, kill, first)
+    return _Breaks(k, s, c, tail_up, tail_lo, off_up, off_lo, before_lo, first)
 
 
 def _runs(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -669,15 +646,14 @@ def check_monotone(
     ``tol`` raises InputFormatError.
     """
     _finite(tol, "tolerance")
-    b = _kept(rm, "_breaks", _breaks)
     if method == "tails":
-        return _check_tails(b, rm.lo, tol)
+        return _check_tails(rm, tol)
     if method == "offsets":
-        return _check_offsets(b, rm.lo, tol)
+        return _check_offsets(rm, tol)
     if method != "both":
         raise InputFormatError(f"unknown method {method!r}")
-    rep_t = _check_tails(b, rm.lo, tol)
-    rep_o = _check_offsets(b, rm.lo, tol)
+    rep_t = _check_tails(rm, tol)
+    rep_o = _check_offsets(rm, tol)
     report = _report("both", tol, rep_t.checked + rep_o.checked,
                      _Violations.concat(rm.lo, (rep_t.violations, rep_o.violations)))
     report.agreement = rep_t.ok == rep_o.ok
@@ -689,16 +665,17 @@ def _report(method: str, tol: float, checked: int, violations: _Violations) -> M
         not violations, method, tol, checked, violations.max_deficit, violations)
 
 
-def _pairs(b: _Breaks, tol: float):
-    """The intervals of rows k >= 1, and the slack of each one's pair (k - 1, k)."""
+def _pairs(rm: RateMatrix, tol: float):
+    """The chain's tail sums, the intervals of rows k >= 1, and the slack of each one's pair."""
+    b, exit_rate = rm._breaks, rm._rows.exit
     at = slice(b.first, None)
-    thr = tol * np.maximum(b.exit[:-1], b.exit[1:])
-    return b.k[at], b.s[at], b.c[at], thr[b.k[at] - 1], at
+    thr = tol * np.maximum(exit_rate[:-1], exit_rate[1:])
+    return b, b.k[at], b.s[at], b.c[at], thr[b.k[at] - 1], at
 
 
-def _check_tails(b: _Breaks, lo: int, tol: float) -> MonotonicityReport:
-    n_states = b.exit.size
-    k, s, c, thr, at = _pairs(b, tol)
+def _check_tails(rm: RateMatrix, tol: float) -> MonotonicityReport:
+    n_states, lo = rm.n_states, rm.lo
+    b, k, s, c, thr, at = _pairs(rm, tol)
     upper, lower = b.tail_up[at], b.tail_lo[at]
     deficit = upper - lower
     # c == k: the threshold separating the pair is exempt
@@ -710,9 +687,9 @@ def _check_tails(b: _Breaks, lo: int, tol: float) -> MonotonicityReport:
     return _report("tails", tol, (n_states - 1) * (n_states - 1), violations)
 
 
-def _check_offsets(b: _Breaks, lo: int, tol: float) -> MonotonicityReport:
-    n_states = b.exit.size
-    k, s, c, thr, at = _pairs(b, tol)
+def _check_offsets(rm: RateMatrix, tol: float) -> MonotonicityReport:
+    n_states, lo = rm.n_states, rm.lo
+    b, k, s, c, thr, at = _pairs(rm, tol)
     upper, lower = b.off_up[at], b.off_lo[at]
     # upward width l - i at thresholds l > i+1: mass from n jumping at
     # least that far up must be covered by mass from n+1 jumping one less
@@ -772,16 +749,15 @@ def dual_qmatrix(
     InputFormatError.
     """
     _finite(tol, "tolerance")
-    b = _kept(rm, "_breaks", _breaks)
     if require_monotone:
-        report = _check_tails(b, rm.lo, tol)
+        report = _check_tails(rm, tol)
         if not report.ok:
             raise NotMonotone(report)
-    n_states = rm.n_states
+    n_states, b, exit_rate, kill = rm.n_states, rm._breaks, rm._rows.exit, rm._rows.kill
     # dual[y, k] = T[k, y] - T[k-1, y] for y in [s, c]; the diagonal is 0
     dual = b.off_lo - b.off_up
     dual[b.c == b.k] = 0.0
-    thr = tol * float(np.max(b.exit, initial=0.0))
+    thr = tol * float(np.max(exit_rate, initial=0.0))
     neg = np.flatnonzero(dual < -thr)
     if neg.size:
         # the first in row-major order
@@ -799,7 +775,7 @@ def dual_qmatrix(
     # leak rate of dual row y: mass the top forward row sends below y,
     # accumulated from nonnegative terms so it can never go negative
     top = slice(int(np.searchsorted(b.k, n_states - 1)), None)
-    leak = b.kill[n_states - 1] + b.before_lo[top]
+    leak = kill[n_states - 1] + b.before_lo[top]
     keep = np.flatnonzero(leak != 0.0)
     s, c = b.s[top][keep], b.c[top][keep]
     run, step = _runs(c - s + 1)
@@ -850,9 +826,11 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     chain (see RateMatrix), so a second call with the same ``t`` and
     ``tol``, or ``verify_duality`` at the default ``tol``, reuses it; a
     dense result is returned as ``P`` itself, read-only.  A non-finite
-    ``t`` or ``tol``, or a negative ``t``, raises InputFormatError.
+    ``t`` or ``tol``, or a negative one, raises InputFormatError.
     """
     t, tol = _horizon(t, tol)
+    if tol < 0.0:
+        raise InputFormatError(f"negative tolerance {tol!r}")
     p, half_band, terms, halvings, bound = _exponential(rm, t, tol)
     if half_band is not None:
         p = _densify(p)
@@ -892,21 +870,18 @@ def _expm_uniformized(
     """exp(t q) with its half-band, and the series terms, halvings and truncation bound used.
 
     The result is the N x N matrix with half-band None, or, without
-    halvings, its band with half-band K as _horner_tiled gives it.
+    halvings, its band with half-band K as _horner_tiled gives it; the
+    identity (t = 0, or a chain that never moves) is a band of half-band 0.
     """
     # local: only transition matrices need pdtrc, so other commands skip its import
     import scipy.special
 
-    src, tgt, rate, exit_rate = _rows(rm)[:4]
+    src, tgt, rate, exit_rate, *_, width = rm._rows
     n_states = exit_rate.size
-    # q[i, j] == 0 whenever |i - j| > width; jumps that leave the window
-    # under "kill" are on the diagonal, and the frozen edge rows under
-    # "absorb" have no entries
-    width = int(np.max(np.abs(tgt - src), initial=0))
     nnz = n_states + src.size  # bounds the nonzero entries of B = I + q/lam
     lam = float(np.max(exit_rate, initial=0.0))
     if t == 0.0 or lam == 0.0:
-        return np.eye(n_states), None, 0, 0, 0.0
+        return np.ones((n_states, 1)), 0, 0, 0, 0.0
     halvings = 0
     while lam * t / (2.0 ** halvings) > 64.0:
         halvings += 1

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InputFormatError, WindowEscape
 from .generator import Lattice, LevyModel, discretize
-from .qmatrix import RateMatrix, _rows, dual_qmatrix
+from .qmatrix import RateMatrix, dual_qmatrix
 
 SALT_SURVIVAL = 1
 SALT_DUAL_X = 2
@@ -165,7 +165,7 @@ class _Dynamics:
     """
 
     def __init__(self, rm: RateMatrix):
-        src, tgt, rate, self.rates, _, counts, start = _rows(rm)
+        src, tgt, rate, self.rates, _, counts, start, _ = rm._rows
         n = rm.n_states
         self.lo = rm.lo
         self.n_states = n

@@ -329,6 +329,20 @@ class TestTransforms:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, evaluating the model
+    @pytest.mark.parametrize("model, message", [
+        ({"G": "1/(x-x)", "b": "0"}, "G is not finite at x=-1.0"),
+        ({"b": "(x-x)/(x-x)"}, "b is not finite at x=-1.0"),
+    ])
+    def test_discretize_rejects_non_finite_coefficients(self, capsys, files, model, message):
+        # they came out as Infinity and NaN rates, with exit 0
+        path = files("model.json", model)
+        code, doc = run_json(
+            capsys, ["discretize", "--in", path, "--h", "0.5", "--window=-2:2"]
+        )
+        assert code == 2
+        assert doc["error"]["message"] == message
+
     def test_bad_window_format(self, capsys, files):
         path = files("model.json", MODEL_DOC)
         code, _doc = run_json(
@@ -346,6 +360,11 @@ class TestTransforms:
     def test_evolve_needs_t(self, capsys, chain_file):
         code, _doc = run_json(capsys, ["evolve", "--in", chain_file])
         assert code == 2
+
+    def test_evolve_rejects_a_negative_tolerance(self, capsys, chain_file):
+        code, doc = run_json(capsys, ["evolve", "--in", chain_file, "--t", "1", "--tol", "-1"])
+        assert code == 2
+        assert doc["error"]["type"] == "InputFormatError"
 
     def test_dualgen_default_grid(self, capsys, files):
         path = files("model.json", MODEL_DOC)

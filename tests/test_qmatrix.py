@@ -344,7 +344,7 @@ class TestEffectiveGenerator:
         # no jump is killed, or there is no jump at all: the bincounts of
         # no entries must still be float
         rm = RateMatrix(0, 3, boundary, rates)
-        for column in qmatrix._generator_entries(rm)[2:]:
+        for column in qmatrix._generator_entries(rm)[2:5]:
             assert column.dtype == np.float64
         assert effective_generator(rm)[1].dtype == np.float64
 
@@ -855,6 +855,13 @@ class TestTransitionMatrix:
         with pytest.raises(InputFormatError, match="finite"):
             verify_duality(rm, t, tol=tol)
 
+    def test_negative_tolerance_rejected(self):
+        # it used to run the series to its term cap and report tol_met False
+        rm = RateMatrix(0, 2, "reflect", {(0, 1): 1.0, (1, -1): 1.0, (2, -1): 1.0})
+        with pytest.raises(InputFormatError, match="negative tolerance"):
+            transition_matrix(rm, 1.0, tol=-1.0)
+        assert transition_matrix(rm, 1.0, tol=0.0).terms > 0
+
 
 class TestDominance:
     def test_monotone_chain_dominates(self):
@@ -945,6 +952,7 @@ class TestBandDuality:
     @pytest.mark.parametrize("n_states, band, t", [
         (150, 2, 0.3),  # N a multiple of 2 but not of 8
         (203, 1, 1.0), (200, 3, 0.1),
+        (150, 2, 0.0),  # the identity: a band of half-band 0
     ])
     def test_report_equals_the_dense_sums(self, n_states, band, t, margin, boundary):
         rng = np.random.default_rng(100 * n_states + band)
@@ -1016,15 +1024,16 @@ class TestBandDuality:
             rep = verify_duality(rm, 1.0, margin=margin, dual=dual)
             assert repr(rep) == repr(dense_report(rm, 1.0, margin, dual))
 
-    def test_memory_is_linear_in_the_window(self):
-        # the dense route peaked at 989 MB here
+    @pytest.mark.parametrize("t", [1.0, 0.0])
+    def test_memory_is_linear_in_the_window(self, t):
+        # the dense route peaked at 989 MB here, and at 986 MB at t = 0
         import tracemalloc
 
         rm = birth_death(0, 6399, up=1.0, down=0.5, boundary="reflect")
         verify_duality(birth_death(0, 3, up=1.0, down=0.5), 1.0)  # imports outside the trace
         tracemalloc.start()
         try:
-            rep = verify_duality(rm, 1.0)
+            rep = verify_duality(rm, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1035,7 +1044,7 @@ class TestBandDuality:
 def count_builds(monkeypatch):
     """Count the calls of the builders of what a chain keeps, by builder name."""
     counts = {}
-    for name in ("_generator_entries", "_breaks", "_expm_uniformized"):
+    for name in ("_generator_entries", "_tail_breaks", "_expm_uniformized"):
         def counted(*args, build=getattr(qmatrix, name), name=name):
             counts[name] = counts.get(name, 0) + 1
             return build(*args)
@@ -1062,7 +1071,7 @@ class TestKeptDerivations:
         tm = transition_matrix(rm, t)
         rep = verify_duality(rm, t, dual=dual)
         assert mono.ok and rep.ok and (tm.halvings > 0) == (case == "dense")
-        assert counts == {"_generator_entries": 2, "_breaks": 1, "_expm_uniformized": 2}
+        assert counts == {"_generator_entries": 2, "_tail_breaks": 1, "_expm_uniformized": 2}
 
     def test_kept_arrays_are_read_only(self):
         kept = []
@@ -1070,7 +1079,7 @@ class TestKeptDerivations:
             rm = copy.copy(rm)
             dual_qmatrix(rm)
             tm = transition_matrix(rm, t)
-            kept += [*qmatrix._rows(rm), *rm._breaks[:-1], tm.P,
+            kept += [*rm._rows[:-1], *rm._breaks[:-1], tm.P,
                      qmatrix._exponential(rm, t, qmatrix.EXPM_TOL)[0]]
         assert all(isinstance(a, np.ndarray) for a in kept)
         for a in kept:
@@ -1080,7 +1089,7 @@ class TestKeptDerivations:
     def test_a_second_call_returns_the_same_objects(self):
         for rm, t in (self.BAND, self.DENSE):
             rm = copy.copy(rm)
-            assert qmatrix._rows(rm) is qmatrix._rows(rm)
+            assert rm._rows is rm._rows
             check_monotone(rm)
             breaks = rm._breaks
             dual_qmatrix(rm)
@@ -1119,8 +1128,11 @@ class TestKeptDerivations:
             assert np.array_equal(transition_matrix(other, 1.0).P, tm.P)
 
     def test_threads_racing_on_first_use_agree(self):
-        # threads that find nothing kept all build it; every one of them
-        # gets the serial job's results, bit for bit
+        # the row table and tail sums are cached_property values, built
+        # under the property's lock before Python 3.12 and by every racing
+        # thread from 3.12 on; threads that find the exponential slot empty
+        # all build it.  Every one of them gets the serial job's results,
+        # bit for bit
         import sys
         import threading
 
