@@ -12,7 +12,9 @@ deliberately tiny language:
 
 Names resolve to declared variables, the constants ``pi`` and ``e``, or the
 functions ``exp``, ``tanh``, ``abs``.  Everything compiles down to numpy
-operations, so compiled expressions accept and return arrays.
+operations, so compiled expressions accept and return arrays.  Division is
+``np.divide``: a zero divisor gives inf or NaN by IEEE rules, on Python
+floats as on arrays, where Python's ``/`` would raise.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class _Parser:
                 if tok[1] == "*":
                     left = (lambda a, b: lambda v: a(v) * b(v))(left, right)
                 else:
-                    left = (lambda a, b: lambda v: a(v) / b(v))(left, right)
+                    left = (lambda a, b: lambda v: np.divide(a(v), b(v)))(left, right)
             else:
                 return left
 

@@ -7,7 +7,9 @@ monotone, duality, simulate, boundary) emit an envelope
 document so outputs can feed straight back into --in.  Exit codes:
 0 success, else the ``exit_code`` of the raised error class: 1 a check
 failed, 2 unreadable or malformed input, 3 internal failure (quadrature
-breakdown, unresolved tail mass, bugs).
+breakdown, unresolved tail mass, bugs).  141 (128 + SIGPIPE, as a shell
+reports a process that SIGPIPE ended) means stdout was closed before the
+output was written, say by ``| head``; nothing more is written then.
 
 Input sniffing: a JSON document with a "rates" field is a rate matrix;
 anything else is a model description.  Commands that accept both pick
@@ -29,6 +31,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -66,6 +69,7 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INTERNAL = 3
+EXIT_CLOSED_PIPE = 141
 
 def _read_json(path: str) -> dict:
     try:
@@ -92,6 +96,8 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        # a closed pipe shows here, in run, not in the flush at exit
+        sys.stdout.flush()
 
 
 def _emit_json(doc: dict, out: Optional[str]) -> None:
@@ -407,19 +413,28 @@ def _error_doc(command: Optional[str], exc: Exception) -> dict:
 
 
 def run(args) -> int:
+    """Run a parsed command line and map what it raises to the exit code."""
     command = args.command
     try:
-        return _COMMANDS[command][0](args)
-    except Exception as exc:
-        doc = _error_doc(command, exc)
         try:
-            _emit_json(doc, args.out)
-        except InputFormatError:
-            # --out cannot be written: report on stdout
-            _emit_json(doc, None)
-            return InputFormatError.exit_code
-        # errors from outside the package are internal failures
-        return exc.exit_code if isinstance(exc, MonodualError) else EXIT_INTERNAL
+            return _COMMANDS[command][0](args)
+        except BrokenPipeError:
+            raise
+        except Exception as exc:
+            doc = _error_doc(command, exc)
+            try:
+                _emit_json(doc, args.out)
+            except InputFormatError:
+                # --out cannot be written: report on stdout
+                _emit_json(doc, None)
+                return InputFormatError.exit_code
+            # errors from outside the package are internal failures
+            return exc.exit_code if isinstance(exc, MonodualError) else EXIT_INTERNAL
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that what is
+        # still buffered is dropped at exit instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 def main(argv=None) -> int:

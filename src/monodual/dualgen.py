@@ -35,6 +35,7 @@ the convention per evaluation; the default is "y-factor".
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -229,7 +230,7 @@ def dual_levy_case_ii(
         out = []
         for y, mass in base.atoms:
             if y > 0.0:
-                out.append((y, kern.factor(x - y) * mass))
+                out.append((y, float(kern.factors(x - y)) * mass))
         return out
 
     @_pointwise
@@ -342,20 +343,22 @@ def tabulate_dual(
     """Sample the dual coefficients on a grid, for export.
 
     Returns a mapping with per-x rows of G, drift, and correction, plus a
-    nu_tilde matrix when magnitudes ys are given.  The correction is one
+    nu_tilde matrix when magnitudes ys are given.  A G or drift that is not
+    finite at some x raises InputFormatError naming the first such x.  The correction is one
     array call over xs and the nu_tilde matrix one call over the (x, y)
     grid: Gauss-Legendre 8/16 on panels, with a _quad fallback per failing
     panel, for the correction integral over [0, 1] and for the tails of a
     density-only kernel (see generator.density_tails).
     """
     xs = np.asarray(xs, dtype=float).ravel()
-    out = {
-        "x": xs.tolist(),
-        "G": [coeffs.G(x) for x in xs.tolist()],
-        "drift": [coeffs.drift(x) for x in xs.tolist()],
-        "correction": coeffs.correction(xs).tolist(),
-        "case": coeffs.case,
-    }
+    out = {"x": xs.tolist()}
+    for name, fn in (("G", coeffs.G), ("drift", coeffs.drift)):
+        out[name] = [fn(x) for x in out["x"]]
+        bad = [x for x, v in zip(out["x"], out[name]) if not math.isfinite(v)]
+        if bad:
+            raise InputFormatError(f"{name} is not finite at x={bad[0]}")
+    out["correction"] = coeffs.correction(xs).tolist()
+    out["case"] = coeffs.case
     if ys is not None:
         ys = np.asarray(ys, dtype=float).ravel()
         out["y"] = ys.tolist()

@@ -20,13 +20,16 @@ is a continuous part, given on arrays of states by ``continuous_tails``
 and ``continuous_bins``, plus atoms at fixed sizes with masses
 ``atom_masses(x)``.  ``LevyKernel`` adds the atoms once, to build
 ``tails`` on (state, threshold) arrays, the lumped ``far_tails`` and
-``bin_masses`` on (state, bin) arrays; the scalar tails, bins and
-``atoms(x)`` are one-element views of these.  Density-only tails go
-through the one routine ``density_tails``, and every moment through the
-one routine ``kernel_moment``, which sums the atoms exactly.  Tail
-callables follow one convention throughout: ``right_tail(x, a)`` is the
-mass of {y >= a} and ``left_tail(x, a)`` the mass of {y <= -a}, both for
-a >= 0, with closed-form tail callbacks covering the continuous part only.
+``bin_masses`` on (state, bin) arrays.  ``moments(weight, x)`` integrates
+a moment weight (``SMALL_WEIGHT``, ``ABS_WEIGHT``, ``BOUNDED_WEIGHT``, or
+``overshoot_weight`` with one level per state) over the kernel at every
+state of an array: atoms summed exactly, the continuous part by one
+routine, ``_weight_integrals``, on the Gauss-Legendre panels and qagi map
+of ``density_tails``, cut at the weight's kinks.  A density is integrated
+against the weight, closed tails against its derivative.  Tail callables
+follow one convention throughout: the right tail at a is the mass of
+{y >= a} and the left tail the mass of {y <= -a}, both for a >= 0, with
+closed-form tail callbacks covering the continuous part only.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,9 +64,9 @@ FD_SCALE = 1e-5
 # sits inside the unit ball (m*h can land a few ulp past an exact 1).
 _BALL_EPS = 1e-9
 
-# Density bins and tails are integrated by Gauss-Legendre with 8 and 16
-# nodes; a panel whose two values differ by more than this fraction of the
-# whole integral goes to _quad.
+# Density bins, tails and moments are integrated by Gauss-Legendre with 8
+# and 16 nodes; a panel whose two values differ by more than this fraction
+# of the whole integral goes to _quad.
 _GL_NODES = (8, 16)
 _GL_RTOL = 1e-13
 
@@ -71,7 +74,7 @@ _GL_RTOL = 1e-13
 # this many doubles per Gauss-Legendre node array (4 MB).
 _BLOCK_BUDGET = 1 << 19
 
-# Panel edges in s of density_tails: 2^(-k/2) for k = 16..0, and 0.  On
+# Panel edges in s of _side_integral: 2^(-k/2) for k = 16..0, and 0.  On
 # tails c e^(-beta z) with beta in [0.8, 3] and a in [0, 4], every panel
 # passes the 8/16 check and the error is below 2e-15 relative; dyadic
 # edges 2^-k fail a fifth of the checks there.
@@ -97,14 +100,32 @@ def _evaluate(fn: Callable, *args) -> np.ndarray:
     """``fn`` on the broadcast of its array arguments, as float64.
 
     A compiled ``Expression`` runs once on the whole arrays, and a constant
-    one broadcasts.  Any other callable is called element by element on
-    Python floats, as the scalar routines call it.
+    one broadcasts.  It runs under np.errstate(all="ignore"): a division by
+    zero gives inf or NaN without a warning, and callers check for finite
+    values.  Any other callable is called element by element on Python
+    floats, and once on Python floats alone, as _quad calls it.
     """
+    if all(type(a) is float for a in args) and not isinstance(fn, Expression):
+        return np.float64(fn(*args))
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     if isinstance(fn, Expression):
-        return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
+        with np.errstate(all="ignore"):
+            return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
     flat = [np.ravel(a).tolist() for a in np.broadcast_arrays(*args)]
     return np.array([float(fn(*v)) for v in zip(*flat)], dtype=float).reshape(shape)
+
+
+def _bad_coefficient(name: str, x: np.ndarray, v: np.ndarray, nonnegative: bool):
+    """(row, InputFormatError) for the first x where the coefficient values v
+    are not finite, or negative when they must not be; None if there is none."""
+    bad = ~np.isfinite(v)
+    if nonnegative:
+        bad |= v < 0.0
+    if not bad.any():
+        return None
+    r = int(np.argmax(bad))
+    what = "negative" if math.isfinite(v[r]) else "not finite"
+    return r, InputFormatError(f"{name} is {what} at x={float(x[r])}")
 
 
 @functools.cache
@@ -170,25 +191,23 @@ def _density_masses(density, args, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return out
 
 
-def density_tails(density, args, a, side: float, y_min: float, y_max: float) -> np.ndarray:
-    """Mass of ``density(*args, y) dy`` over {side * y >= a}, elementwise.
+def _side_integral(f: Callable, args, side: float, lo, hi: float) -> np.ndarray:
+    """Integral of ``f(*args, y)`` over the magnitudes t = side * y in
+    [lo, hi], elementwise.
 
-    The density lives on (y_min, y_max); ``a`` (>= 0) broadcasts with the
-    arrays ``args``.  The magnitude t = side * y runs over [lo, hi] with
-    lo = a clipped to the support and hi its far end, and t = lo + (1-s)/s,
-    the map of QUADPACK's qagi, turns it into s in [1/(1 + hi - lo), 1]:
-    the whole of (0, 1] when hi is infinite.  The s-interval is cut at the
-    fixed _TAIL_BREAKS, every piece is a gauss_panels panel, and a panel
-    that fails its check goes to _quad over the y-range it maps to.
-    Elements are handled in chunks of at most _BLOCK_BUDGET doubles per
-    node array.
+    ``f`` takes broadcast arrays; ``lo`` broadcasts with the arrays
+    ``args``, and ``hi`` is one number, possibly infinite.  The map
+    t = lo + (1-s)/s of QUADPACK's qagi turns [lo, hi] into s in
+    [1/(1 + hi - lo), 1]: the whole of (0, 1] when hi is infinite.  The
+    s-interval is cut at the fixed _TAIL_BREAKS, every piece is a
+    gauss_panels panel, and a panel that fails its check goes to _quad over
+    the y-range it maps to.  Elements are handled in chunks of at most
+    _BLOCK_BUDGET doubles per node array.
     """
-    a, *args = np.broadcast_arrays(np.asarray(a, dtype=float), *args)
-    lo = np.maximum(a, y_min if side > 0.0 else -y_max)
-    hi = y_max if side > 0.0 else -y_min
-    out = np.zeros(a.shape)
+    lo, *args = np.broadcast_arrays(np.asarray(lo, dtype=float), *args)
+    out = np.zeros(lo.shape)
     live = hi > lo
-    if density is None or not live.any():
+    if not live.any():
         return out
     lo = lo[live]
     args = [x[live] for x in args]
@@ -200,7 +219,7 @@ def density_tails(density, args, a, side: float, y_min: float, y_max: float) -> 
         t0, point = lo[part, None, None], [x[part, None, None] for x in args]
         edges = np.maximum(_TAIL_BREAKS, s_end[part, None])
         high, fail = gauss_panels(
-            lambda s: _evaluate(density, *point, side * (t0 + (1.0 - s) / s)) / (s * s),
+            lambda s: f(*point, side * (t0 + (1.0 - s) / s)) / (s * s),
             edges[:, :-1], edges[:, 1:],
         )
         for i, j in np.argwhere(fail).tolist():
@@ -210,10 +229,24 @@ def density_tails(density, args, a, side: float, y_min: float, y_max: float) -> 
             far = hi if s0 <= s_end[c + i] else t + (1.0 - s0) / s0
             y_lo, y_hi = (near, far) if side > 0.0 else (-far, -near)
             pt = [float(x[c + i]) for x in args]
-            high[i, j] = _quad(lambda y: float(density(*pt, y)), y_lo, y_hi)
+            high[i, j] = _quad(lambda y: float(f(*pt, y)), y_lo, y_hi)
         vals[part] = high.sum(axis=-1)
     out[live] = vals
     return out
+
+
+def density_tails(density, args, a, side: float, y_min: float, y_max: float) -> np.ndarray:
+    """Mass of ``density(*args, y) dy`` over {side * y >= a}, elementwise.
+
+    The density lives on (y_min, y_max); ``a`` (>= 0) broadcasts with the
+    arrays ``args``.  One _side_integral runs over the magnitudes from a,
+    clipped to the support, to its far end.
+    """
+    lo = np.maximum(a, y_min if side > 0.0 else -y_max)
+    if density is None:
+        return np.zeros(np.broadcast_shapes(lo.shape, *(np.shape(x) for x in args)))
+    return _side_integral(functools.partial(_evaluate, density), args, side, lo,
+                          y_max if side > 0.0 else -y_min)
 
 
 def _bin_edges(side: float, m: np.ndarray, h: float):
@@ -225,7 +258,7 @@ def _bin_edges(side: float, m: np.ndarray, h: float):
 def fd_derivative(fn: Callable[[float], float], x: float) -> float:
     """Central finite difference with the package-wide relative step."""
     h = FD_SCALE * (1.0 + abs(x))
-    return (float(fn(x + h)) - float(fn(x - h))) / (2.0 * h)
+    return (float(_evaluate(fn, x + h)) - float(_evaluate(fn, x - h))) / (2.0 * h)
 
 
 def _atom_bin_right(y: float, h: float) -> int:
@@ -238,68 +271,88 @@ def _atom_bin_left(s: float, h: float) -> int:
     return int(math.ceil(s / h - _BALL_EPS))
 
 
-# A moment weight is (w, dw, lo, hi, w0): w vanishes at 0 and outside
-# (lo, hi), dw is its derivative inside, and w0 is the limit of w at 0
-# from inside (lo, hi).  Only an overshoot of a negative level has w0 != 0.
-SMALL_WEIGHT = (
-    lambda y: min(abs(y), y * y),
-    lambda y: 2.0 * y if abs(y) < 1.0 else math.copysign(1.0, y),
-    -math.inf, math.inf, 0.0,
-)
-ABS_WEIGHT = (abs, lambda y: math.copysign(1.0, y), -math.inf, math.inf, 0.0)
-BOUNDED_WEIGHT = (
-    lambda y: min(1.0, y * y),
-    lambda y: 2.0 * y if abs(y) < 1.0 else 0.0,
-    -math.inf, math.inf, 0.0,
-)
+class Weight(NamedTuple):
+    """A moment weight: w(y) = c0 + c1 t + c2 t^2 of the magnitude t = |y|
+    on each piece [lo, hi) of t, and 0 off the pieces, for y on the sides
+    sign(y) in ``sides``.
 
-
-_FIXED_WEIGHTS = (SMALL_WEIGHT, ABS_WEIGHT, BOUNDED_WEIGHT)
-
-
-def overshoot_weight(level: float, side: float):
-    """The weight (|y| - level)+ on the side where sign(y) == side (+-1)."""
-    edge = side * max(level, 0.0)
-    return (
-        lambda y: max(side * y - level, 0.0) if side * y > 0.0 else 0.0,
-        lambda y: side,
-        edge if side > 0.0 else -math.inf,
-        math.inf if side > 0.0 else edge,
-        max(-level, 0.0),
-    )
-
-
-def kernel_moment(
-    weight,
-    atoms: Sequence[Tuple[float, float]] = (),
-    density: Optional[Callable[[float], float]] = None,
-    y_min: float = -math.inf,
-    y_max: float = math.inf,
-    right_tail: Optional[Callable[[float], float]] = None,
-    left_tail: Optional[Callable[[float], float]] = None,
-) -> float:
-    """Integral of a moment weight against atoms plus a continuous part.
-
-    Atoms are summed one by one.  A density on (y_min, y_max) is integrated
-    by one quadrature over the part where the weight is nonzero.  Failing a
-    density, the closed tails are used: the integral of w over y > 0 is
-    w0 R(0) plus that of w'(a) R(a) over a > 0, with R(a) the mass of
-    {y >= a}, and mirrored with L(a), the mass of {y <= -a}, for y < 0.
+    The pieces ascend and w is continuous across them: their edges are its
+    kinks.  An overshoot weight's lo and c0 are arrays, one level a state.
     """
-    w, dw, lo, hi, w0 = weight
-    total = sum(mass * w(y) for y, mass in atoms)
-    if density is not None:
-        return total + _quad(
-            lambda y: w(y) * float(density(y)), max(lo, y_min), min(hi, y_max)
-        )
-    if right_tail is not None:
-        if w0 and lo <= 0.0 < hi:
-            total += w0 * float(right_tail(0.0))
-        total += _quad(lambda a: dw(a) * float(right_tail(a)), max(lo, 0.0), hi)
-    if left_tail is not None:
-        if w0 and lo < 0.0 <= hi:
-            total += w0 * float(left_tail(0.0))
-        total += _quad(lambda a: -dw(-a) * float(left_tail(a)), max(-hi, 0.0), -lo)
+
+    pieces: tuple
+    sides: Tuple[float, ...] = (1.0, -1.0)
+
+    def at(self, t):
+        """w at the magnitudes t (arrays broadcast with the levels)."""
+        return sum(np.where((lo <= t) & (t < hi), c0 + c1 * t + c2 * t * t, 0.0)
+                   for lo, hi, (c0, c1, c2) in self.pieces)
+
+
+SMALL_WEIGHT = Weight(((0.0, 1.0, (0.0, 0.0, 1.0)), (1.0, math.inf, (0.0, 1.0, 0.0))))
+ABS_WEIGHT = Weight(((0.0, math.inf, (0.0, 1.0, 0.0)),))
+BOUNDED_WEIGHT = Weight(((0.0, 1.0, (0.0, 0.0, 1.0)), (1.0, math.inf, (1.0, 0.0, 0.0))))
+
+
+def overshoot_weight(level, side: float) -> Weight:
+    """The weight (|y| - level)+ on the side where sign(y) == side (+-1);
+    ``level`` is a number or an array of levels."""
+    level = np.asarray(level, dtype=float)
+    return Weight(((np.maximum(level, 0.0), math.inf, (-level, 1.0, 0.0)),), (side,))
+
+
+def _weight_integrals(weight: Weight, args, cut: float, density: Optional[Callable] = None,
+                      tail: Optional[Callable] = None, y_min: float = -math.inf,
+                      y_max: float = math.inf):
+    """Integral of a weight against a continuous part over the magnitudes
+    above ``cut`` (>= 0), elementwise over the broadcast of the arrays
+    ``args`` and the weight's levels.
+
+    A density, ``density(*args, y)`` on arrays, lives on (y_min, y_max) and
+    is integrated against w.  Failing one, ``tail(side, args, t)`` is the
+    mass of the magnitudes >= t on a side, and by parts the integral is
+    w(t0) tail(t0), t0 the first magnitude above the cut where w may be
+    nonzero, plus that of w'(t) tail(t) from t0.  Each piece of each side
+    is one _side_integral, so no panel holds a kink of the weight.
+    """
+    total = 0.0
+    for side in weight.sides:
+        t_min, t_max = cut, math.inf
+        if density is not None:
+            t_min = max(cut, y_min if side > 0.0 else -y_max)
+            t_max = y_max if side > 0.0 else -y_min
+        else:
+            t0 = np.maximum(cut, weight.pieces[0][0])
+            w0, t0, *point = np.broadcast_arrays(weight.at(t0), t0, *args)
+            hit = w0 != 0.0
+            if hit.any():
+                term = np.zeros(w0.shape)
+                term[hit] = w0[hit] * tail(side, [v[hit] for v in point], t0[hit])
+                total = total + term
+        for lo, hi, (c0, c1, c2) in weight.pieces:
+            lo, hi = np.maximum(lo, t_min), min(hi, t_max)
+            if density is not None:
+                def f(*v):  # v is (*args, c0, y)
+                    t = side * v[-1]
+                    return (v[-2] + c1 * t + c2 * t * t) * density(*v[:-2], v[-1])
+
+                total = total + _side_integral(f, (*args, c0), side, lo, hi)
+            elif c1 or c2:
+                def f(*v):  # v is (*args, y)
+                    t = side * v[-1]
+                    return (c1 + 2.0 * c2 * t) * tail(side, v[:-1], t)
+
+                total = total + _side_integral(f, args, side, lo, hi)
+    return total
+
+
+def _atom_moments(weight: Weight, atoms, cut: float):
+    """The sum of mass * w(y) over the atoms (y, mass) with |y| > cut, in
+    order; the masses may be arrays."""
+    total = 0.0
+    for y, mass in atoms:
+        if abs(y) > cut and math.copysign(1.0, y) in weight.sides:
+            total = total + mass * weight.at(abs(y))
     return total
 
 
@@ -318,6 +371,7 @@ class _ContinuousPart:
     ``density(*args, y)`` lives on (y_min, y_max), and the closed tails are
     ``right_tail_fn(*args, a)`` for {y >= a} and ``left_tail_fn(*args, a)``
     for {y <= -a}.  ``args`` is () for a base measure and (x,) for a kernel.
+    Moments take the density when there is one, else the closed tails.
     """
 
     def _tail_masses(self, side: float, args, a) -> np.ndarray:
@@ -348,6 +402,13 @@ class _ContinuousPart:
             self.density, args, np.maximum(lo, self.y_min), np.minimum(hi, self.y_max)
         )
 
+    def _moments(self, weight: Weight, args, cut: float) -> np.ndarray:
+        """Integrals of the weight over the magnitudes above ``cut`` at ``args``."""
+        if self.density is None:
+            return _weight_integrals(weight, args, cut, tail=self._tail_masses)
+        return _weight_integrals(weight, args, cut, functools.partial(_evaluate, self.density),
+                                 y_min=self.y_min, y_max=self.y_max)
+
 
 class BaseMeasure(_ContinuousPart):
     """A state-independent measure: continuous density plus atoms.
@@ -377,29 +438,15 @@ class BaseMeasure(_ContinuousPart):
                 raise InputFormatError(f"bad atom mass {mass!r} at y={y!r}")
         self.right_tail_fn = right_tail_fn
         self.left_tail_fn = left_tail_fn
-        self._moment_cache: Dict[tuple, float] = {}
-
-    def right_tail(self, a: float) -> float:
-        """Mass of {y >= a} for a > 0, or of {y > 0} for a = 0."""
-        return float(self.tails(1.0, np.array([float(a)]))[0])
-
-    def left_tail(self, a: float) -> float:
-        """Mass of {y <= -a} for a > 0, or of {y < 0} for a = 0."""
-        return float(self.tails(-1.0, np.array([float(a)]))[0])
 
     def tails(self, side: float, a) -> np.ndarray:
-        """right_tail (side +1) or left_tail (side -1) over an array a."""
+        """Masses of {y >= a} (side +1) or {y <= -a} (side -1) over an array
+        a; a = 0 gives the whole side."""
         shape = np.shape(a)
         a, back = np.unique(np.asarray(a, dtype=float), return_inverse=True)
         total = _plus_atoms(np.zeros(a.shape), side, self.atoms, lambda s: s >= a)
         total = total + self._tail_masses(side, (), np.maximum(a, 0.0))
         return total[back].reshape(shape)
-
-    def bin_mass_right(self, m: int, h: float) -> float:
-        return float(self.bin_masses(1.0, np.array([m]), h)[0])
-
-    def bin_mass_left(self, m: int, h: float) -> float:
-        return float(self.bin_masses(-1.0, np.array([m]), h)[0])
 
     def bin_masses(self, side: float, m: np.ndarray, h: float) -> np.ndarray:
         """Right bins [mh, mh+h) (side +1) or left magnitude bins (mh-h, mh]
@@ -409,34 +456,11 @@ class BaseMeasure(_ContinuousPart):
                             lambda s: m == atom_bin(s, h))
         return total + self._bin_masses(side, (), *_bin_edges(side, m, h))
 
-    def _integrate(self, weight) -> float:
-        # the fixed weights are kept: a decomposable kernel asks for the same
-        # base moment at every grid point (overshoot weights are per level)
-        args = (self.atoms, self.density, self.y_min, self.y_max,
-                self.right_tail_fn, self.left_tail_fn)
-        if weight not in _FIXED_WEIGHTS:
-            return kernel_moment(weight, *args)
-        if weight not in self._moment_cache:
-            self._moment_cache[weight] = kernel_moment(weight, *args)
-        return self._moment_cache[weight]
-
-    def small_moment(self) -> float:
-        return self._integrate(SMALL_WEIGHT)
-
-    def abs_moment(self) -> float:
-        return self._integrate(ABS_WEIGHT)
-
-    def bounded_moment(self) -> float:
-        return self._integrate(BOUNDED_WEIGHT)
-
-    def overshoot_right(self, level: float) -> float:
-        return self._integrate(overshoot_weight(level, 1.0))
-
-    def overshoot_left(self, level: float) -> float:
-        return self._integrate(overshoot_weight(level, -1.0))
-
-    def total_mass(self) -> float:
-        return self.right_tail(0.0) + self.left_tail(0.0)
+    def moments(self, weight: Weight, cut: float = 0.0) -> np.ndarray:
+        """Integral of the weight against the measure over |y| > cut, one
+        value per level of the weight: the atoms summed exactly, then the
+        continuous part."""
+        return _atom_moments(weight, self.atoms, cut) + self._moments(weight, (), cut)
 
 
 class LevyKernel:
@@ -448,7 +472,8 @@ class LevyKernel:
     that of [a, b): tail differences unless a subclass has sharper.  The
     atoms sit at the fixed sizes ``atom_sizes`` with masses
     ``atom_masses(x)``, one column per size, binned as a BaseMeasure bins
-    them.
+    them.  ``moments(weight, x)`` integrates a moment weight over the
+    kernel at every state of x.
     """
 
     case = "abstract"
@@ -494,56 +519,18 @@ class LevyKernel:
         total = self.continuous_bins(side, x, *_bin_edges(side, m, h))
         return self._with_atoms(total, side, x, lambda s: m == atom_bin(s, h))
 
-    def _one(self, method: Callable, side: float, x: float, v, *rest) -> float:
-        return float(method(side, np.array([float(x)]), np.array([v]), *rest)[0])
+    def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
+        """Integral of the weight over the jumps with |y| > cut at states x,
+        over the broadcast of x and the weight's levels: the atoms summed
+        exactly, and the continuous part through its tails."""
+        masses = np.moveaxis(self.atom_masses(x), -1, 0)
+        tail = lambda side, args, t: self.continuous_tails(side, *args, t)
+        return (_atom_moments(weight, zip(self.atom_sizes, masses), cut)
+                + _weight_integrals(weight, (x,), cut, tail=tail))
 
-    def right_tail(self, x: float, a: float) -> float:
-        return self._one(self.tails, 1.0, x, float(a))
-
-    def left_tail(self, x: float, a: float) -> float:
-        return self._one(self.tails, -1.0, x, float(a))
-
-    def left_tail_open(self, x: float, a: float) -> float:
-        """Mass of {y < -a} (strict), used for the lumped far tail."""
-        return self._one(self.far_tails, -1.0, x, float(a))
-
-    def bin_mass_right(self, x: float, m: int, h: float) -> float:
-        return self._one(self.bin_masses, 1.0, x, m, h)
-
-    def bin_mass_left(self, x: float, m: int, h: float) -> float:
-        return self._one(self.bin_masses, -1.0, x, m, h)
-
-    def atoms(self, x: float) -> List[Tuple[float, float]]:
-        """The atoms at state x as (size, mass) pairs."""
-        return list(zip(self.atom_sizes, self.atom_masses(np.array([float(x)]))[0].tolist()))
-
-    def _integrate(self, x: float, weight) -> float:
-        # the atoms are summed exactly, and quad sees the continuous tails only
-        tail = lambda side: lambda a: self._one(self.continuous_tails, side, x, a)
-        return kernel_moment(weight, self.atoms(x), right_tail=tail(1.0), left_tail=tail(-1.0))
-
-    def small_moment(self, x: float) -> float:
-        return self._integrate(x, SMALL_WEIGHT)
-
-    def abs_moment(self, x: float) -> float:
-        return self._integrate(x, ABS_WEIGHT)
-
-    def bounded_moment(self, x: float) -> float:
-        return self._integrate(x, BOUNDED_WEIGHT)
-
-    def overshoot_right(self, x: float, level: float) -> float:
-        """Integral of (y - level)+ over the positive side."""
-        return self._integrate(x, overshoot_weight(level, 1.0))
-
-    def overshoot_left(self, x: float, level: float) -> float:
-        """Integral of (|y| - level)+ over the negative side."""
-        return self._integrate(x, overshoot_weight(level, -1.0))
-
-    def total_mass(self, x: float) -> float:
-        return self.right_tail(x, 0.0) + self.left_tail(x, 0.0)
-
-    # Derivative-in-x moment bounds; None means "cannot check".
-    def dx_small_moment(self, x: float, order: int) -> Optional[float]:
+    def dx_small_moments(self, x, order: int) -> Optional[np.ndarray]:
+        """The small-jump moment of the order-th x-derivative of the kernel at
+        states x; None when the kernel supplies no such derivative."""
         return None
 
 
@@ -593,20 +580,16 @@ class DensityKernel(_ContinuousPart, LevyKernel):
     def continuous_bins(self, side: float, x: np.ndarray, a: np.ndarray, b: np.ndarray):
         return self._bin_masses(side, (x,), a, b)
 
-    def _integrate(self, x: float, weight) -> float:
-        return kernel_moment(
-            weight, density=lambda y: self.density(x, y),
-            y_min=self.y_min, y_max=self.y_max,
-        )
+    def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
+        return self._moments(weight, (x,), cut)
 
-    def dx_small_moment(self, x: float, order: int) -> Optional[float]:
+    def dx_small_moments(self, x, order: int) -> Optional[np.ndarray]:
         dens = self.dx_density if order == 1 else self.dx2_density
         if dens is None:
             return None
-        return kernel_moment(
-            SMALL_WEIGHT, density=lambda y: abs(float(dens(x, y))),
-            y_min=self.y_min, y_max=self.y_max,
-        )
+        return _weight_integrals(SMALL_WEIGHT, (x,), 0.0,
+                                 lambda x, y: np.abs(_evaluate(dens, x, y)),
+                                 y_min=self.y_min, y_max=self.y_max)
 
 
 class DecomposableKernel(LevyKernel):
@@ -632,8 +615,8 @@ class DecomposableKernel(LevyKernel):
         self.da = da
         self.da2 = da2
         if support_sign is None:
-            has_right = base.right_tail(0.0) > 0.0
-            has_left = base.left_tail(0.0) > 0.0
+            has_right = base.tails(1.0, 0.0) > 0.0
+            has_left = base.tails(-1.0, 0.0) > 0.0
             support_sign = (
                 "both" if (has_right and has_left)
                 else "negative" if has_left else "positive"
@@ -642,9 +625,6 @@ class DecomposableKernel(LevyKernel):
             raise InputFormatError(f"unknown support_sign {support_sign!r}")
         self.support_sign = support_sign
         self.atom_sizes = [y for y, _ in base.atoms]
-
-    def factor(self, x: float) -> float:
-        return float(self.a(x))
 
     def factors(self, x: np.ndarray) -> np.ndarray:
         return _evaluate(self.a, x)
@@ -657,15 +637,12 @@ class DecomposableKernel(LevyKernel):
         h = FD_SCALE * (1.0 + np.abs(x))
         return (_evaluate(self.a, x + h) - _evaluate(self.a, x - h)) / (2.0 * h)
 
-    def dfactor(self, x: float) -> float:
-        return float(self.dfactors(np.array([float(x)]))[0])
-
     def density_at(self, x: float, y: float) -> float:
         if self.base.density is None:
             return 0.0
         if y <= self.base.y_min or y >= self.base.y_max or y == 0.0:
             return 0.0
-        return self.factor(x) * float(self.base.density(y))
+        return float(self.factors(x)) * float(self.base.density(y))
 
     def atom_masses(self, x: np.ndarray) -> np.ndarray:
         return self.factors(x)[..., None] * np.array([mass for _, mass in self.base.atoms])
@@ -685,14 +662,15 @@ class DecomposableKernel(LevyKernel):
         ms, mi = np.unique(m, return_inverse=True)
         return _evaluate(self.a, xs)[xi] * self.base.bin_masses(side, ms, h)[mi]
 
-    def _integrate(self, x: float, weight) -> float:
-        return self.factor(x) * self.base._integrate(weight)
+    def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
+        # the base moments are x-free: one integral for every state
+        return self.factors(x) * self.base.moments(weight, cut)
 
-    def dx_small_moment(self, x: float, order: int) -> Optional[float]:
+    def dx_small_moments(self, x, order: int) -> Optional[np.ndarray]:
         deriv = self.da if order == 1 else self.da2
         if deriv is None:
             return None
-        return abs(float(deriv(x))) * self.base.small_moment()
+        return np.abs(_evaluate(deriv, x)) * self.base.moments(SMALL_WEIGHT)
 
 
 class TabulatedKernel(LevyKernel):
@@ -727,16 +705,10 @@ class TabulatedKernel(LevyKernel):
             return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a)))
         return _evaluate(tail, x, a)
 
-    def _integrate(self, x: float, weight) -> float:
-        # the raw callbacks: quad calls them one point at a time
-        tail = lambda fn: None if fn is None else (lambda a: float(fn(x, a)))
-        return kernel_moment(weight, right_tail=tail(self.right_tail_fn),
-                             left_tail=tail(self.left_tail_fn))
-
-    def small_moment(self, x: float) -> float:
-        if self.small_moment_fn is not None:
-            return float(self.small_moment_fn(x))
-        return super().small_moment(x)
+    def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
+        if weight is SMALL_WEIGHT and cut == 0.0 and self.small_moment_fn is not None:
+            return _evaluate(self.small_moment_fn, x)
+        return super().moments(weight, x, cut)
 
 
 class CutoffKernel(LevyKernel):
@@ -767,18 +739,10 @@ class CutoffKernel(LevyKernel):
             return 0.0
         return self.inner.density_at(x, y)
 
-    def _integrate(self, x: float, weight) -> float:
-        inner = self.inner
-        if not isinstance(inner, DensityKernel):
-            return super()._integrate(x, weight)
-        # the inner density over |y| > cut, one quadrature a side, as
-        # DensityKernel integrates it over its support
-        density = lambda y: inner.density(x, y)
-        return sum(
-            kernel_moment(weight, density=density, y_min=lo, y_max=hi)
-            for lo, hi in ((max(inner.y_min, self.cut), inner.y_max),
-                           (inner.y_min, min(inner.y_max, -self.cut)))
-        )
+    def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
+        # the inner kernel's own route above the cut: a density is
+        # integrated directly, not through its tails
+        return self.inner.moments(weight, x, max(cut, self.cut))
 
 
 @dataclass(frozen=True)
@@ -820,10 +784,10 @@ class LevyModel:
             raise InputFormatError(f"unknown support {self.support!r}")
 
     def G_at(self, x: float) -> float:
-        return 0.0 if self.G is None else float(self.G(x))
+        return 0.0 if self.G is None else float(_evaluate(self.G, x))
 
     def b_at(self, x: float) -> float:
-        return 0.0 if self.b is None else float(self.b(x))
+        return 0.0 if self.b is None else float(_evaluate(self.b, x))
 
     def kernels(self) -> List[Tuple[str, LevyKernel]]:
         out = []
@@ -843,114 +807,104 @@ class ValidationReport:
         return asdict(self)
 
 
+def _finite_moments(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values, after raising MomentUnbounded at the first x where one is not
+    finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise MomentUnbounded(float(x[i]), float(values[i]))
+    return values
+
+
 def validate_model(
     m: LevyModel, grid: Sequence[float], tol: float = 1e-9
 ) -> ValidationReport:
     """Check coefficient sanity and moment/growth bounds on a sample grid.
 
-    Raises MomentUnbounded when a kernel moment comes out non-finite and
-    GrowthViolated when the declared linear-growth constant fails the
-    drift inequality at a grid point with |x| > 1 (left and right variants
-    carry the overshoot of jumps past the origin).  Derivative-kernel
-    moment bounds are checked when the kernel representation supplies
-    x-derivatives and recorded as unchecked otherwise.
+    Every check is one array pass over the grid.  Raises InputFormatError
+    naming the first x where G, b or a decomposable factor is not finite (G
+    and the factor also where negative), MomentUnbounded when a kernel
+    moment comes out non-finite, and GrowthViolated when the declared
+    linear-growth constant fails the drift inequality at a grid point with
+    |x| > 1 (left and right variants carry the overshoot of jumps past the
+    origin).  Derivative-kernel moment bounds are checked when the kernel
+    representation supplies x-derivatives and recorded as unchecked
+    otherwise.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise InputFormatError("validation grid is empty")
     records: List[dict] = []
 
-    g_vals = np.array([m.G_at(x) for x in grid])
-    if not np.all(np.isfinite(g_vals)):
-        raise InputFormatError("G is not finite on the grid")
-    if np.any(g_vals < 0.0):
-        x_bad = float(grid[int(np.argmin(g_vals))])
-        raise InputFormatError(f"G is negative at x={x_bad}")
-    b_vals = np.array([m.b_at(x) for x in grid])
-    if not np.all(np.isfinite(b_vals)):
-        raise InputFormatError("b is not finite on the grid")
+    g_vals = np.zeros(grid.size) if m.G is None else _evaluate(m.G, grid)
+    b_vals = np.zeros(grid.size) if m.b is None else _evaluate(m.b, grid)
+    for name, v, nonnegative in (("G", g_vals, True), ("b", b_vals, False)):
+        bad = _bad_coefficient(name, grid, v, nonnegative)
+        if bad is not None:
+            raise bad[1]
     records.append({"check": "coefficients", "status": "ok",
                     "sup_G": float(g_vals.max()),
                     "sup_abs_b": float(np.abs(b_vals).max())})
 
     for name, kern in m.kernels():
-        moments = []
-        for x in grid:
-            val = kern.small_moment(x) if name == "nu" else kern.abs_moment(x)
-            if not math.isfinite(val):
-                raise MomentUnbounded(float(x), val)
-            moments.append(val)
+        moments = _finite_moments(grid, kern.moments(
+            SMALL_WEIGHT if name == "nu" else ABS_WEIGHT, grid))
         records.append({
             "check": f"{name}_moment", "status": "ok",
-            "sup": float(max(moments)),
+            "sup": float(moments.max()),
             "kind": "min(|y|, y^2)" if name == "nu" else "|y|",
         })
         for order in (1, 2):
-            vals = []
-            for x in grid:
-                v = kern.dx_small_moment(x, order)
-                if v is None:
-                    vals = None
-                    break
-                if not math.isfinite(v):
-                    raise MomentUnbounded(float(x), v)
-                vals.append(v)
+            vals = kern.dx_small_moments(grid, order)
             if vals is None:
                 records.append({"check": f"{name}_dx{order}_moment",
                                 "status": "unchecked",
                                 "reason": "kernel supplies no x-derivative"})
             else:
-                records.append({"check": f"{name}_dx{order}_moment",
-                                "status": "ok", "sup": float(max(vals))})
+                records.append({"check": f"{name}_dx{order}_moment", "status": "ok",
+                                "sup": float(_finite_moments(grid, vals).max())})
 
-    if isinstance(m.nu, DecomposableKernel) or isinstance(m.mu, DecomposableKernel):
-        for name, kern in m.kernels():
-            if isinstance(kern, DecomposableKernel):
-                factors = np.array([kern.factor(x) for x in grid])
-                if np.any(factors < 0.0):
-                    x_bad = float(grid[int(np.argmin(factors))])
-                    raise InputFormatError(
-                        f"decomposable factor of {name} is negative at x={x_bad}"
-                    )
+    for name, kern in m.kernels():
+        if isinstance(kern, DecomposableKernel):
+            bad = _bad_coefficient(f"decomposable factor of {name}", grid,
+                                   kern.factors(grid), True)
+            if bad is not None:
+                raise bad[1]
 
     if m.bounded_coefficients:
-        sup = 0.0
-        for i, x in enumerate(grid):
-            total = g_vals[i] + abs(b_vals[i])
-            if m.nu is not None:
-                total += m.nu.bounded_moment(x)
-            if not math.isfinite(total):
-                raise MomentUnbounded(float(x), total)
-            sup = max(sup, total)
+        total = g_vals + np.abs(b_vals)
+        if m.nu is not None:
+            total = total + m.nu.moments(BOUNDED_WEIGHT, grid)
         records.append({"check": "bounded_coefficients", "status": "ok",
-                        "sup": float(sup)})
+                        "sup": max(0.0, float(_finite_moments(grid, total).max()))})
 
     if m.growth_c is not None:
+        # lhs = +-b + the mu moment + the nu overshoot past the origin: of
+        # the left jumps beyond x at x > 1, of the right ones beyond -x at x < -1
         c = float(m.growth_c)
-        worst = -math.inf
-        worst_x = None
-        for i, x in enumerate(grid):
-            x = float(x)
-            if abs(x) <= 1.0:
-                continue
-            mu_abs = m.mu.abs_moment(x) if m.mu is not None else 0.0
-            if x > 1.0:
-                over = m.nu.overshoot_left(x, x) if m.nu is not None else 0.0
-                lhs = b_vals[i] + mu_abs + over
-            else:
-                over = m.nu.overshoot_right(x, -x) if m.nu is not None else 0.0
-                lhs = -b_vals[i] + mu_abs + over
-            rhs = c * (1.0 + abs(x))
-            if lhs > rhs + tol:
-                raise GrowthViolated(x, float(lhs), float(rhs))
-            margin = rhs - lhs
-            if -margin > worst:
-                worst = -margin
-                worst_x = x
+        far = np.abs(grid) > 1.0
+        x, right = grid[far], grid[far] > 1.0
+        lhs = np.where(right, b_vals[far], -b_vals[far])
+        if m.mu is not None:
+            lhs = lhs + m.mu.moments(ABS_WEIGHT, x)
+        if m.nu is not None:
+            over = np.empty(x.size)
+            for side, at in ((-1.0, right), (1.0, ~right)):
+                over[at] = m.nu.moments(overshoot_weight(np.abs(x[at]), side), x[at])
+            lhs = lhs + over
+        rhs = c * (1.0 + np.abs(x))
+        bad = lhs > rhs + tol
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GrowthViolated(float(x[i]), float(lhs[i]), float(rhs[i]))
+        margin = rhs - lhs
+        seen = np.flatnonzero(~np.isnan(margin))
+        worst = None if not seen.size else int(seen[np.argmin(margin[seen])])
         records.append({
             "check": "growth_condition", "status": "ok", "c": c,
-            "worst_margin": None if worst_x is None else float(-worst),
-            "at": worst_x,
+            "worst_margin": None if worst is None else float(margin[worst]),
+            "at": None if worst is None else float(x[worst]),
         })
 
     return ValidationReport(ok=True, records=records)
@@ -1104,12 +1058,10 @@ def _discretize_block(m: LevyModel, lat: Lattice, n: np.ndarray, ball: int):
     g = _evaluate(m.G, x) if m.G is not None else np.zeros(n.size)
     b = _evaluate(m.b, x) if m.b is not None else np.zeros(n.size)
     errors = []
-    for j, (name, v, bad) in enumerate((("G", g, g < 0.0), ("b", b, False))):
-        bad = bad | ~np.isfinite(v)
-        if bad.any():
-            r = int(np.argmax(bad))
-            what = "negative" if math.isfinite(v[r]) else "not finite"
-            errors.append((r, 0, j, InputFormatError(f"{name} is {what} at x={float(x[r])}")))
+    for j, (name, v) in enumerate((("G", g), ("b", b))):
+        bad = _bad_coefficient(name, x, v, name == "G")
+        if bad is not None:
+            errors.append((bad[0], 0, j, bad[1]))
     diff = np.where(g > 0.0, g / (2.0 * h * h), 0.0)
     offs = [np.ones(n.size, dtype=np.int64), -np.ones(n.size, dtype=np.int64),
             np.where(b > 0.0, 1, -1)]
@@ -1195,10 +1147,9 @@ def cutoff_model(m: LevyModel, h: float) -> LevyModel:
 
 def jump_intensity(m: LevyModel, x: float) -> float:
     """Total jump-rate mass of both kernels at state x (may be inf)."""
-    total = 0.0
-    for _, kern in m.kernels():
-        total += kern.total_mass(x)
-    return total
+    x = np.asarray(x, dtype=float)
+    return float(sum(kern.tails(1.0, x, 0.0) + kern.tails(-1.0, x, 0.0)
+                     for _, kern in m.kernels()))
 
 
 @dataclass(frozen=True)

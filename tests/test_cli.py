@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,14 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def fresh_cli(argv, python_flags=(), **popen):
+    """``python -m monodual.cli`` in a fresh interpreter, on this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.Popen([sys.executable, *python_flags, "-m", "monodual.cli", *argv],
+                            env=env, **popen)
 
 
 class TestChecks:
@@ -637,6 +649,41 @@ class TestErrorPaths:
         )
         assert code == 3
         assert doc["error"]["type"] == "TailMassUnresolved"
+
+    @pytest.mark.parametrize("argv, x", [
+        (["discretize", "--h", "0.1", "--window=-5:5"], -0.5),
+        (["validate"], -5.0),  # the default grid
+        (["validate", "--h", "0.1", "--window=-5:5"], -0.5),
+    ])
+    def test_non_finite_coefficient_warns_nothing(self, files, argv, x):
+        # numpy's divide by zero neither prints a warning nor, under
+        # warnings-as-errors, becomes an internal failure
+        path = files("model.json", {"G": "1/(x-x)", "b": "0"})
+        proc = fresh_cli([*argv, "--in", path], ("-W", "error::RuntimeWarning"),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, "")
+        doc = json.loads(out)
+        assert doc["error"] == {"type": "InputFormatError",
+                                "message": f"G is not finite at x={x}"}
+
+    def test_dualgen_with_a_pole_in_G_is_malformed(self, capsys, files):
+        path = files("pole.json", dict(MODEL_DOC, G="1/x"))
+        code, doc = run_json(capsys, ["dualgen", "--in", path, "--h", "0.25", "--window=-1:1"])
+        assert code == 2
+        assert doc["error"] == {"type": "InputFormatError",
+                                "message": "G is not finite at x=0.0"}
+
+    def test_closed_stdout_exits_with_the_pipe_code(self, files):
+        # the dual's text is far longer than a pipe buffer
+        rm = birth_death(0, 2999, up=1.0, down=0.5, boundary="reflect")
+        path = files("chain3000.json", ratematrix_to_dict(rm))
+        proc = fresh_cli(["dual", "--in", path], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_CLOSED_PIPE == 141
+        assert err == b""
 
     def test_error_envelope_written_to_out(self, tmp_path, files, capsys):
         bad = files("bad.json", BAD_CHAIN_DOC)

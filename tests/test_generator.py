@@ -16,6 +16,9 @@ from monodual.errors import (
     TailMassUnresolved,
 )
 from monodual.generator import (
+    ABS_WEIGHT,
+    BOUNDED_WEIGHT,
+    SMALL_WEIGHT,
     BaseMeasure,
     CutoffKernel,
     DecomposableKernel,
@@ -32,6 +35,7 @@ from monodual.generator import (
     jump_intensity,
     kernel_from_dict,
     model_from_dict,
+    overshoot_weight,
     validate_model,
 )
 from monodual.qmatrix import RateMatrix, check_monotone
@@ -47,16 +51,20 @@ def _reference_checked(value, what):
     return value
 
 
+def one(method, side, x, v, *rest):
+    """An array method of a kernel at one state x and one value v."""
+    return float(method(side, np.array([float(x)]), np.array([v]), *rest)[0])
+
+
 def kernel_bin(kern, side, x, mm, h):
-    return (kern.bin_mass_right(x, mm, h) if side > 0
-            else kern.bin_mass_left(x, mm, h))
+    return one(kern.bin_masses, side, x, mm, h)
 
 
 def reference_discretize(m, lat, bin_mass=kernel_bin):
     """The per-state, per-bin loop that discretize replaced by array passes.
 
     ``bin_mass(kern, side, x, mm, h)`` gives one bin; by default the
-    kernel's scalar bin_mass_right/left.
+    kernel's bin_masses at that one state and bin.
     """
     lo, hi, h = lat.lo, lat.hi, lat.h
     ball = int(math.floor(1.0 / h + 1e-9))
@@ -89,7 +97,7 @@ def reference_discretize(m, lat, bin_mass=kernel_bin):
                 if compensated and mm * h <= 1.0 + 1e-9:
                     add(n, -1, mm * c)
             add(n, k_right + 1, _reference_checked(
-                kern.right_tail(x, (k_right + 1) * h), f"{name} right tail at x={x}"))
+                one(kern.tails, 1, x, (k_right + 1) * h), f"{name} right tail at x={x}"))
             k_left = max(n - lo, ball if compensated else 0)
             for mm in range(1, k_left + 1):
                 d = _reference_checked(
@@ -100,7 +108,7 @@ def reference_discretize(m, lat, bin_mass=kernel_bin):
                 if compensated and mm * h <= 1.0 + 1e-9:
                     add(n, 1, mm * d)
             add(n, -(k_left + 1), _reference_checked(
-                kern.left_tail_open(x, k_left * h), f"{name} left tail at x={x}"))
+                one(kern.far_tails, -1, x, k_left * h), f"{name} left tail at x={x}"))
     return RateMatrix(lo, hi, lat.boundary, rates)
 
 
@@ -137,24 +145,20 @@ class TestBaseMeasure:
 
     def test_atom_tails_and_bins(self):
         bm = BaseMeasure(atoms=[(1.0, 2.0), (-0.5, 0.25)])
-        assert bm.right_tail(0.0) == 2.0
-        assert bm.right_tail(1.0) == 2.0  # closed tail includes the atom
-        assert bm.right_tail(1.5) == 0.0
-        assert bm.left_tail(0.25) == 0.25
-        assert bm.left_tail(0.75) == 0.0
-        # half-open bin conventions: [mh, mh+h) right, (mh-h, mh] left
-        assert bm.bin_mass_right(2, 0.5) == 2.0  # atom at edge 1.0 = 2*0.5
-        assert bm.bin_mass_right(1, 0.5) == 0.0
-        assert bm.bin_mass_left(1, 0.5) == 0.25  # magnitude 0.5 closes bin 1
-        assert bm.bin_mass_left(2, 0.5) == 0.0
+        # the closed tail includes the atom
+        assert bm.tails(1.0, [0.0, 1.0, 1.5]).tolist() == [2.0, 2.0, 0.0]
+        assert bm.tails(-1.0, [0.25, 0.75]).tolist() == [0.25, 0.0]
+        # half-open bin conventions: [mh, mh+h) right, (mh-h, mh] left; the
+        # atom at 1.0 sits on the edge 2*0.5, and magnitude 0.5 closes bin 1
+        assert bm.bin_masses(1.0, np.array([2, 1]), 0.5).tolist() == [2.0, 0.0]
+        assert bm.bin_masses(-1.0, np.array([1, 2]), 0.5).tolist() == [0.25, 0.0]
 
     def test_atom_moments_and_overshoot(self):
         bm = BaseMeasure(atoms=[(1.0, 2.0)])
-        assert bm.abs_moment() == 2.0
-        assert bm.small_moment() == 2.0
-        assert bm.overshoot_right(0.5) == pytest.approx(1.0)
-        assert bm.overshoot_right(1.5) == 0.0
-        assert bm.total_mass() == 2.0
+        assert bm.moments(ABS_WEIGHT) == 2.0
+        assert bm.moments(SMALL_WEIGHT) == 2.0
+        assert bm.moments(overshoot_weight([0.5, 1.5], 1.0)).tolist() == [pytest.approx(1.0), 0.0]
+        assert bm.tails(1.0, 0.0) + bm.tails(-1.0, 0.0) == 2.0
 
     def test_density_with_closed_tail(self):
         bm = BaseMeasure(
@@ -162,8 +166,8 @@ class TestBaseMeasure:
             y_min=0.0,
             right_tail_fn=lambda a: math.exp(-a),
         )
-        assert bm.right_tail(0.7) == math.exp(-0.7)
-        got = bm.bin_mass_right(2, 0.5)
+        assert bm.tails(1.0, 0.7) == math.exp(-0.7)
+        got = bm.bin_masses(1.0, np.array([2]), 0.5)[0]
         assert got == pytest.approx(math.exp(-1.0) - math.exp(-1.5), abs=1e-14)
 
 
@@ -202,47 +206,44 @@ class TestMomentsAcrossRepresentations:
         for name, want in self.WANT.items():
             assert abs(got[name] - want) <= 1e-13, (name, got[name], want)
 
+    def weights(self):
+        return {"small": SMALL_WEIGHT, "abs": ABS_WEIGHT, "bounded": BOUNDED_WEIGHT,
+                "overshoot_right": overshoot_weight(self.LEVEL, 1.0),
+                "overshoot_left": overshoot_weight(self.LEVEL, -1.0)}
+
     @pytest.mark.parametrize("rep", sorted(EXP_BASES))
     def test_base_measure(self, rep):
         bm = EXP_BASES[rep]
-        self.check({
-            "small": bm.small_moment(),
-            "abs": bm.abs_moment(),
-            "bounded": bm.bounded_moment(),
-            "overshoot_right": bm.overshoot_right(self.LEVEL),
-            "overshoot_left": bm.overshoot_left(self.LEVEL),
-        })
+        self.check({name: float(bm.moments(w)) for name, w in self.weights().items()})
 
     @pytest.mark.parametrize("rep", sorted(EXP_KERNELS))
     def test_kernel(self, rep):
+        # no kernel here depends on x: the same moments at every state
         kern = EXP_KERNELS[rep]
-        x = 0.3
-        self.check({
-            "small": kern.small_moment(x),
-            "abs": kern.abs_moment(x),
-            "bounded": kern.bounded_moment(x),
-            "overshoot_right": kern.overshoot_right(x, self.LEVEL),
-            "overshoot_left": kern.overshoot_left(x, self.LEVEL),
-        })
+        x = np.array([0.3, -1.2, 2.5])
+        for name, w in self.weights().items():
+            for got in np.broadcast_to(kern.moments(w, x), x.shape).tolist():
+                assert abs(got - self.WANT[name]) <= 1e-13, (name, got)
 
 
     def test_negative_level_overshoot_through_closed_tails(self):
         # (y + 1/2) against e^{-y} dy on y > 0 is 1 + 1/2; the tails route
         # needs the w(0+) R(0) term, since the weight is 1/2 at y = 0+
         right = lambda a: math.exp(-a)
-        assert EXP_BASES["tail"].overshoot_right(-0.5) == pytest.approx(1.5, abs=1e-13)
+        over = lambda side: overshoot_weight(-0.5, side)
+        assert EXP_BASES["tail"].moments(over(1.0)) == pytest.approx(1.5, abs=1e-13)
         left_only = BaseMeasure(left_tail_fn=right)
-        assert left_only.overshoot_left(-0.5) == pytest.approx(1.5, abs=1e-13)
-        assert left_only.overshoot_right(-0.5) == 0.0
+        assert left_only.moments(over(-1.0)) == pytest.approx(1.5, abs=1e-13)
+        assert left_only.moments(over(1.0)) == 0.0
         tab = EXP_KERNELS["tabulated"]
-        assert tab.overshoot_right(0.3, -0.5) == pytest.approx(1.5, abs=1e-13)
+        assert tab.moments(over(1.0), 0.3) == pytest.approx(1.5, abs=1e-13)
         for rep in ("density", "both"):
-            assert EXP_BASES[rep].overshoot_right(-0.5) == pytest.approx(1.5, abs=1e-13)
+            assert EXP_BASES[rep].moments(over(1.0)) == pytest.approx(1.5, abs=1e-13)
         # a cut c leaves (c + 3/2) e^{-c}, which tends to 3/2
         for cut in (1e-12, 0.5, 2.0):
-            got = CutoffKernel(tab, cut).overshoot_right(0.3, -0.5)
+            got = CutoffKernel(tab, cut).moments(over(1.0), 0.3)
             assert got == pytest.approx((cut + 1.5) * math.exp(-cut), abs=1e-13)
-        assert CutoffKernel(tab, 1e-12).overshoot_right(0.3, -0.5) == pytest.approx(
+        assert CutoffKernel(tab, 1e-12).moments(over(1.0), 0.3) == pytest.approx(
             1.5, abs=1e-11
         )
 
@@ -253,19 +254,19 @@ class TestKernels:
         quad_only = DensityKernel(
             density=lambda x, y: math.exp(-y), support_sign="positive"
         )
-        for m in (1, 2, 5):
-            a = with_tail.bin_mass_right(0.0, m, 0.3)
-            b = quad_only.bin_mass_right(0.0, m, 0.3)
-            assert a == pytest.approx(b, abs=1e-10)
-        assert quad_only.right_tail(0.0, 1.0) == pytest.approx(
+        m = np.array([1, 2, 5])
+        a = with_tail.bin_masses(1.0, 0.0, m, 0.3)
+        b = quad_only.bin_masses(1.0, 0.0, m, 0.3)
+        assert a == pytest.approx(b, abs=1e-10)
+        assert quad_only.tails(1.0, 0.0, 1.0) == pytest.approx(
             math.exp(-1.0), abs=1e-10
         )
 
     def test_left_tail_open_vs_closed(self):
         base = BaseMeasure(atoms=[(-1.0, 0.5)])
         kern = DecomposableKernel(a=lambda x: 2.0, base=base)
-        assert kern.left_tail(0.0, 1.0) == 1.0  # atom included
-        assert kern.left_tail_open(0.0, 1.0) == 0.0  # strict inequality
+        assert kern.tails(-1.0, 0.0, 1.0) == 1.0  # atom included
+        assert kern.far_tails(-1.0, 0.0, 1.0) == 0.0  # strict inequality
 
     def test_decomposable_scales_everything(self):
         base = BaseMeasure(
@@ -276,37 +277,37 @@ class TestKernels:
         kern = DecomposableKernel(a=lambda x: 1.0 + math.tanh(x), base=base)
         x = 0.7
         f = 1.0 + math.tanh(x)
-        assert kern.right_tail(x, 0.5) == pytest.approx(f * math.exp(-0.5))
-        assert kern.abs_moment(x) == pytest.approx(f * 1.0, abs=1e-9)
-        assert kern.dfactor(x) == pytest.approx(1.0 / math.cosh(x) ** 2, abs=1e-7)
+        assert kern.tails(1.0, x, 0.5) == pytest.approx(f * math.exp(-0.5))
+        assert kern.moments(ABS_WEIGHT, x) == pytest.approx(f * 1.0, abs=1e-9)
+        assert kern.dfactors(x) == pytest.approx(1.0 / math.cosh(x) ** 2, abs=1e-7)
 
     def test_decomposable_explicit_derivative_used(self):
         base = BaseMeasure(atoms=[(1.0, 1.0)])
         kern = DecomposableKernel(
             a=lambda x: x * x, base=base, da=lambda x: 2.0 * x
         )
-        assert kern.dfactor(3.0) == 6.0
+        assert kern.dfactors(3.0) == 6.0
 
     def test_tabulated_kernel(self):
         kern = TabulatedKernel(
             right_tail_fn=lambda x, a: (1.0 + math.tanh(x)) * math.exp(-a),
             small_moment_fn=lambda x: 1.0 + math.tanh(x),
         )
-        assert kern.atoms(0.0) == []
-        assert kern.right_tail(0.0, 1.0) == math.exp(-1.0)
-        assert kern.left_tail(0.0, 1.0) == 0.0
-        assert kern.small_moment(0.0) == 1.0
-        got = kern.bin_mass_right(0.0, 2, 0.5)
+        assert kern.atom_sizes == () and kern.atom_masses(np.zeros(2)).shape == (2, 0)
+        assert kern.tails(1.0, 0.0, 1.0) == math.exp(-1.0)
+        assert kern.tails(-1.0, 0.0, 1.0) == 0.0
+        assert kern.moments(SMALL_WEIGHT, 0.0) == 1.0
+        got = kern.bin_masses(1.0, 0.0, 2, 0.5)
         assert got == pytest.approx(math.exp(-1.0) - math.exp(-1.5), abs=1e-14)
 
     def test_cutoff_strict_with_atom_at_cut(self):
         base = BaseMeasure(atoms=[(0.5, 0.4), (2.0, 0.3)])
         inner = DecomposableKernel(a=lambda x: 1.0, base=base)
         cut = CutoffKernel(inner, 0.5)
-        assert cut.atoms(0.0) == [(2.0, 0.3)]
-        assert cut.right_tail(0.0, 0.1) == pytest.approx(0.3)
-        assert cut.right_tail(0.0, 3.0) == 0.0
-        assert cut.total_mass(0.0) == pytest.approx(0.3)
+        assert cut.atom_sizes == [2.0] and cut.atom_masses(0.0).tolist() == [0.3]
+        assert cut.tails(1.0, 0.0, 0.1) == pytest.approx(0.3)
+        assert cut.tails(1.0, 0.0, 3.0) == 0.0
+        assert jump_intensity(LevyModel(nu=cut), 0.0) == pytest.approx(0.3)
 
     def test_fd_derivative(self):
         assert fd_derivative(math.tanh, 0.0) == pytest.approx(1.0, abs=1e-9)
@@ -573,14 +574,14 @@ class TestDensityTails:
         assert calls == []
         assert np.max(np.abs(got / (1.3 / beta * np.exp(-beta * a)) - 1.0)) < 1e-14
 
-    def test_scalar_tails_are_views(self):
+    def test_one_state_tails_match_the_block(self):
         x = np.repeat(np.linspace(-1.0, 1.0, 5), 4)
         a = np.tile([0.0, 0.3, 1.0, 2.5], 5)
         for name in ("pipeline dens_expr", "two-sided densities", "bounded support"):
             for _, kern in ALL_MODELS[name]().kernels():
-                for side, scalar in ((1.0, kern.right_tail), (-1.0, kern.left_tail)):
-                    one = [scalar(float(xi), float(ai)) for xi, ai in zip(x, a)]
-                    assert kern.tails(side, x, a).tolist() == one, (name, side)
+                for side in (1.0, -1.0):
+                    single = [one(kern.tails, side, xi, ai) for xi, ai in zip(x, a)]
+                    assert kern.tails(side, x, a).tolist() == single, (name, side)
 
 
 class TestNoFallbackOnPipelineDensities:
@@ -639,17 +640,17 @@ class TestArrayDiscretize:
         monkeypatch.setattr(generator, "_BLOCK_BUDGET", 1)  # one state per block
         assert list(discretize(m, lat).rates.items()) == whole
 
-    def test_scalar_bins_are_views_of_the_array_pass(self):
+    def test_one_state_bins_match_the_block(self):
         h = 0.1
         x = np.repeat(np.linspace(-1.0, 1.0, 5), 12)
         mm = np.tile(np.arange(1, 13), 5)
         for name in ("atoms", "cutoff", "tabulated", "pipeline dens_expr",
                      "two-sided densities"):
             for _, kern in ALL_MODELS[name]().kernels():
-                for side, scalar in ((1.0, kern.bin_mass_right), (-1.0, kern.bin_mass_left)):
+                for side in (1.0, -1.0):
                     batch = kern.bin_masses(side, x, mm, h)
-                    one = [scalar(float(xi), int(mi), h) for xi, mi in zip(x, mm)]
-                    assert batch.tolist() == one, (name, side)
+                    single = [kernel_bin(kern, side, xi, int(mi), h) for xi, mi in zip(x, mm)]
+                    assert batch.tolist() == single, (name, side)
 
     def test_errors_in_loop_order(self):
         lat = Lattice(h=0.1, lo=-10, hi=10)
@@ -701,8 +702,8 @@ def reference_levy_monotone(m, grid, thresholds=(0.25, 0.5, 1.0, 2.0, 4.0), tol=
     checked = 0
     for name, kern in m.kernels():
         for a in thresholds:
-            right = [kern.right_tail(float(x), a) for x in grid]
-            left = [kern.left_tail(float(x), a) for x in grid]
+            right = [one(kern.tails, 1.0, x, a) for x in grid]
+            left = [one(kern.tails, -1.0, x, a) for x in grid]
             for i in range(len(grid) - 1):
                 checked += 2
                 if right[i] > right[i + 1] + tol:
@@ -887,11 +888,9 @@ class TestValidateModel:
             validate_model(LevyModel(G=lambda x: 1.0), [])
 
     def test_base_moment_computed_once(self, monkeypatch):
-        # a decomposable kernel's base moment is x-free: one quadrature for
-        # the whole grid; only the overshoot checks (one level per |x| > 1)
-        # add one each
-        from monodual import generator
-
+        # a decomposable kernel's base moment is x-free, and the overshoot
+        # levels (one per |x| > 1) are one array: the number of integrals
+        # does not grow with the grid, and no panel falls back to _quad
         def model():
             base = BaseMeasure(density=lambda y: 0.8 * math.exp(-1.2 * y), y_min=0.0)
             return LevyModel(
@@ -904,29 +903,30 @@ class TestValidateModel:
                 growth_c=3.0,
             )
 
-        calls = []
-        quad = generator._quad
+        integrals = []
+        inner = generator._side_integral
 
-        def counting(f, a, b):
-            calls.append((a, b))
-            return quad(f, a, b)
+        def counting(f, args, side, lo, hi):
+            integrals.append(np.size(lo))
+            return inner(f, args, side, lo, hi)
 
-        monkeypatch.setattr(generator, "_quad", counting)
-        reports = {}
+        monkeypatch.setattr(generator, "_side_integral", counting)
+        quads = _all_quads(monkeypatch)
+        counts, reports = {}, {}
         for points in (41, 161):
-            grid = np.linspace(-5.0, 5.0, points)
-            m = model()
-            calls.clear()
-            reports[points] = validate_model(m, grid).to_dict()
-            levels = int(np.sum(np.abs(grid) > 1.0))
-            assert len(calls) == 1 + levels
-        # the same report as computing the base moment at every point
-        monkeypatch.setattr(generator, "_FIXED_WEIGHTS", ())
-        m = model()
-        calls.clear()
-        fresh = validate_model(m, np.linspace(-5.0, 5.0, 41)).to_dict()
-        assert len(calls) == 3 * 41 + 32
-        assert fresh == reports[41]
+            integrals.clear()
+            reports[points] = validate_model(model(), np.linspace(-5.0, 5.0, points)).to_dict()
+            counts[points] = len(integrals)
+        assert counts[41] == counts[161]
+        assert quads == []
+        # the records are those of the grid's points one at a time
+        singles = [validate_model(model(), [x]).to_dict()["records"]
+                   for x in np.linspace(-5.0, 5.0, 41)]
+        for i, rec in enumerate(reports[41]["records"][:4]):
+            if "sup" in rec:
+                assert rec["sup"] == max(r[i]["sup"] for r in singles), rec["check"]
+        assert reports[41]["records"][4]["worst_margin"] == min(
+            r[4]["worst_margin"] for r in singles if r[4]["at"] is not None)
 
 
 class TestCutoffIntensity:
@@ -980,13 +980,14 @@ class TestCutoffDiscretize:
 
     @pytest.mark.parametrize("case", ["dens_expr", "two-sided densities"])
     def test_density_moments_skip_the_tails(self, monkeypatch, case):
-        # the inner density is integrated over |y| > cut directly; the
-        # tails route made hundreds of density_tails runs a moment
+        # the inner density is integrated over |y| > cut directly; through
+        # the cut kernel's tails, every node of every panel is a tail
         model = ALL_MODELS[f"pipeline {case}" if case in PIPELINE_DOCS else case]()
         kern = cutoff_model(model, 0.3).nu
-        weights = [generator.SMALL_WEIGHT, generator.ABS_WEIGHT, generator.BOUNDED_WEIGHT,
-                   generator.overshoot_weight(0.5, 1.0), generator.overshoot_weight(-0.5, -1.0)]
-        want = [generator.LevyKernel._integrate(kern, 0.4, w) for w in weights]
+        x = 0.4
+        weights = [SMALL_WEIGHT, ABS_WEIGHT, BOUNDED_WEIGHT,
+                   overshoot_weight(0.5, 1.0), overshoot_weight(-0.5, -1.0)]
+        want = [generator.LevyKernel.moments(kern, w, x) for w in weights]
         calls = []
         inner = generator.density_tails
 
@@ -995,16 +996,16 @@ class TestCutoffDiscretize:
             return inner(*args)
 
         monkeypatch.setattr(generator, "density_tails", counting)
-        got = [kern._integrate(0.4, w) for w in weights]
-        assert kern.small_moment(0.4) == got[0]
+        got = [kern.moments(w, x) for w in weights]
         assert calls == []
-        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-8, abs=0.0)
 
     def test_atoms_summed_exactly_in_moments(self):
         cut = CutoffKernel(DecomposableKernel(a=lambda x: 1.0, base=_atoms()), 0.2)
-        assert cut.atoms(0.3) == [(1.0, 0.7), (-0.35, 0.2), (0.5, 0.1), (-0.5, 0.3),
-                                  (2.25, 0.05)]
-        assert cut.abs_moment(0.3) == pytest.approx(1.0825, rel=1e-15, abs=0.0)
+        assert list(zip(cut.atom_sizes, cut.atom_masses(0.3).tolist())) == [
+            (1.0, 0.7), (-0.35, 0.2), (0.5, 0.1), (-0.5, 0.3), (2.25, 0.05)]
+        assert cut.moments(ABS_WEIGHT, 0.3) == pytest.approx(1.0825, rel=1e-15, abs=0.0)
 
 
 class TestBoundaryClass:

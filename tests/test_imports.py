@@ -14,6 +14,8 @@ from pathlib import Path
 
 from monodual import qmatrix
 
+from test_cli import MODEL_DOC
+
 SCIPY_SUBPACKAGES = ("scipy.integrate", "scipy.sparse", "scipy.special", "scipy.optimize")
 
 # Each case assigns a JSON value to `result`.
@@ -30,6 +32,14 @@ from monodual.qmatrix import (
 KINKED_DISCRETIZE = """
 doc = {"nu": {"case": "density", "density": "e^(-abs(y-0.37))", "support_sign": "positive"}}
 result = ratematrix_to_json(discretize(model_from_dict(doc), Lattice(h=0.1, lo=0, hi=10)))
+"""
+
+# every moment panel of the CLI tests' model passes its check on the
+# 101-point grid of x in [-5, 5]
+VALIDATE_MODEL_DOC = f"""
+from monodual.generator import validate_model
+grid = Lattice(h=0.1, lo=-50, hi=50).points()
+result = validate_model(model_from_dict({MODEL_DOC!r}), grid).to_dict()
 """
 
 # kill-rate steps put dual entries in far columns: B is multiplied as CSR
@@ -84,6 +94,12 @@ def test_quad_fallback_imports_integrate():
     before, result, after = _fresh(KINKED_DISCRETIZE)
     assert before == [] and "scipy.integrate" in after
     assert result == _here(KINKED_DISCRETIZE)
+
+
+def test_validate_without_fallback_imports_no_integrate():
+    before, result, after = _fresh(VALIDATE_MODEL_DOC)
+    assert before == [] and after == []
+    assert result == _here(VALIDATE_MODEL_DOC)
 
 
 def test_sparse_product_imports_sparse():
