@@ -344,11 +344,11 @@ def tabulate_dual(
 
     Returns a mapping with per-x rows of G, drift, and correction, plus a
     nu_tilde matrix when magnitudes ys are given.  A G or drift that is not
-    finite at some x raises InputFormatError naming the first such x.  The correction is one
-    array call over xs and the nu_tilde matrix one call over the (x, y)
-    grid: Gauss-Legendre 8/16 on panels, with a _quad fallback per failing
-    panel, for the correction integral over [0, 1] and for the tails of a
-    density-only kernel (see generator.density_tails).
+    finite at some x raises InputFormatError naming the first such x.  The
+    correction is one array call over xs and the nu_tilde matrix one call
+    over the (x, y) grid: Gauss-Legendre 8/16 on panels, with a _quad
+    fallback per failing panel, for the correction integral over [0, 1] and
+    for the tails of a density-only kernel (see generator.density_tails).
     """
     xs = np.asarray(xs, dtype=float).ravel()
     out = {"x": xs.tolist()}

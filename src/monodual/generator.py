@@ -277,7 +277,7 @@ class Weight(NamedTuple):
     sign(y) in ``sides``.
 
     The pieces ascend and w is continuous across them: their edges are its
-    kinks.  An overshoot weight's lo and c0 are arrays, one level a state.
+    kinks.  An overshoot weight's lo and c0 are arrays, one level per state.
     """
 
     pieces: tuple
