@@ -11,10 +11,11 @@ deliberately tiny language:
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 Names resolve to declared variables, the constants ``pi`` and ``e``, or the
-functions ``exp``, ``tanh``, ``abs``.  Everything compiles down to numpy
-operations, so compiled expressions accept and return arrays.  Division is
-``np.divide``: a zero divisor gives inf or NaN by IEEE rules, on Python
-floats as on arrays, where Python's ``/`` would raise.
+functions ``exp``, ``tanh``, ``cosh``, ``abs``.  Everything compiles down
+to numpy operations on float64 arrays: a compiled expression converts its
+arguments to arrays, a scalar to a 0-d array.  Division is ``np.divide``:
+a zero divisor gives inf or NaN by IEEE rules, where Python's ``/`` would
+raise.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ class Expression:
                 f"expression {self.source!r} takes {len(self.variables)} "
                 f"argument(s) ({', '.join(self.variables)}), got {len(args)}"
             )
-        return self._fn(args)
+        return self._fn([np.asarray(a, dtype=float) for a in args])
 
     def __repr__(self):
         return f"Expression({self.source!r}, variables={self.variables})"

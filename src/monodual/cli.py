@@ -101,7 +101,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(doc: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(doc, indent=2), out)
+    # NaN and infinities are not JSON (RFC 8259): writing one is a failure
+    _emit(json.dumps(doc, indent=2, allow_nan=False), out)
 
 
 def _envelope(args, ok: bool, report) -> int:

@@ -35,9 +35,8 @@ the convention per evaluation; the default is "y-factor".
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,14 +47,17 @@ from .errors import (
     UnsupportedKernelCase,
 )
 from .generator import (
-    FD_SCALE,
+    _GL_RTOL,
     DecomposableKernel,
     DensityKernel,
     LevyModel,
+    _coefficient_values,
+    _evaluate,
     _quad,
+    central_difference,
     density_tails,
-    fd_derivative,
     gauss_panels,
+    gauss_rules,
 )
 
 COMPENSATOR_CONVENTIONS = ("y-factor", "indicator")
@@ -63,12 +65,12 @@ COMPENSATOR_CONVENTIONS = ("y-factor", "indicator")
 # Dual densities below this are a construction error, not noise.
 DUAL_DENSITY_TOL = 1e-9
 
-# Step scale for second-derivative finite differences (wider than the
-# first-derivative step to keep roundoff out of f'').
-FD_SCALE_D2 = 6e-4
-
 _Y_SETTLE_TOL = 1e-13
 _Y_HARD_CAP = 2.0 ** 20
+
+# dual_generator_apply integrates each segment of y on this many equal
+# Gauss-Legendre 8/16 panels.
+_APPLY_PANELS = 4
 
 # The correction integral over [0, 1] runs Gauss-Legendre 8/16 on two
 # panels.  Its integrand holds central differences (step FD_SCALE), whose
@@ -78,120 +80,120 @@ _UNIT_PANELS = np.linspace(0.0, 1.0, 3)
 _CORRECTION_RTOL = 1e-10
 
 
+def _no_atoms(x) -> np.ndarray:
+    return np.zeros(np.shape(x) + (0,))
+
+
 @dataclass
 class DualGeneratorCoeffs:
-    """Coefficient functions of the dual generator.
+    """Coefficient functions of the dual generator, on float64 arrays.
 
     G is shared with the forward process; drift is the full dual drift
     -(G'/2 + b); nu_tilde(x, y) is the magnitude density of the downward
-    dual jumps at y > 0; atom_terms(x) lists discrete dual jumps as
-    (magnitude, mass) pairs; correction(x) is the residual drift integral
-    of y (nu - nu~) over 0 < y <= 1.  nu_tilde and correction take
-    broadcast arrays, and floats when every argument is a scalar.
+    dual jumps at y > 0; correction(x) is the residual drift integral of
+    y (nu - nu~) over 0 < y <= 1.  Discrete dual jumps sit at the fixed
+    magnitudes ``atom_sizes``, with masses ``atom_masses(x)``, one column
+    per size.  Every function takes broadcast arrays, a scalar as a 0-d
+    array, and returns float64 arrays.
     """
 
-    G: Callable[[float], float]
-    drift: Callable[[float], float]
-    nu_tilde: Callable[[float, float], float]
-    correction: Callable[[float], float]
+    G: Callable[[np.ndarray], np.ndarray]
+    drift: Callable[[np.ndarray], np.ndarray]
+    nu_tilde: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    correction: Callable[[np.ndarray], np.ndarray]
     case: str
-    atom_terms: Optional[Callable[[float], List[Tuple[float, float]]]] = None
-
-    def atoms_at(self, x: float) -> List[Tuple[float, float]]:
-        return [] if self.atom_terms is None else self.atom_terms(x)
+    atom_sizes: Sequence[float] = ()
+    atom_masses: Callable[[np.ndarray], np.ndarray] = _no_atoms
 
 
-def _pointwise(fn):
-    """``fn`` on the flattened broadcast of its float arguments, reshaped
-    back; a float when every argument is a scalar."""
-
-    @functools.wraps(fn)
-    def wrapped(*args):
-        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-        flat = [np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in args]
-        out = fn(*flat).reshape(shape)
-        return float(out) if not shape else out
-
-    return wrapped
+def _coefficient(fn: Optional[Callable]) -> Callable[[np.ndarray], np.ndarray]:
+    """``fn`` on arrays; 0 everywhere when it is absent."""
+    if fn is None:
+        return lambda x: np.zeros(np.shape(x))
+    return functools.partial(_evaluate, fn)
 
 
 def _checked_density(x: np.ndarray, y: np.ndarray, val: np.ndarray) -> np.ndarray:
-    """val with roundoff negatives set to 0; the first value below
-    -DUAL_DENSITY_TOL raises NegativeDualDensity."""
-    bad = val < -DUAL_DENSITY_TOL
+    """val with roundoff negatives set to 0.  At the first (x, y) where val
+    is not finite or below -DUAL_DENSITY_TOL, InputFormatError or
+    NegativeDualDensity is raised."""
+    bad = ~np.isfinite(val) | (val < -DUAL_DENSITY_TOL)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise NegativeDualDensity(float(x[i]), float(y[i]), float(val[i]))
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        x, y = (float(np.broadcast_to(v, bad.shape)[i]) for v in (x, y))
+        if not np.isfinite(val[i]):
+            raise InputFormatError(f"nu_tilde is not finite at x={x}, y={y}")
+        raise NegativeDualDensity(x, y, float(val[i]))
     return np.maximum(val, 0.0)
 
 
 def _unit_integrals(integrand, x: np.ndarray) -> np.ndarray:
-    """Integral over [0, 1] of integrand(x, y) dy for each x of a 1-D array.
+    """Integral over [0, 1] of integrand(x, y) dy at every x of an array.
 
     gauss_panels on the _UNIT_PANELS; a failing panel goes to _quad.
     """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
     lo, hi = _UNIT_PANELS[:-1], _UNIT_PANELS[1:]
     high, fail = gauss_panels(
-        lambda y: integrand(x[:, None, None], y), lo, hi, rtol=_CORRECTION_RTOL
+        lambda y: integrand(flat[:, None, None], y), lo, hi, rtol=_CORRECTION_RTOL
     )
     for i, j in np.argwhere(fail).tolist():
-        point = x[i:i + 1]
+        point = flat[i:i + 1]
         high[i, j] = _quad(lambda y: float(integrand(point, y)[0]), lo[j], hi[j])
-    return high.sum(axis=-1)
+    return high.sum(axis=-1).reshape(x.shape)
 
 
-def _dual_drift(m: LevyModel, dG: Optional[Callable[[float], float]]):
-    def drift(x: float) -> float:
-        if m.G is None:
-            gp = 0.0
-        elif dG is not None:
-            gp = float(dG(x))
-        else:
-            gp = fd_derivative(m.G, x)
-        return -(0.5 * gp + m.b_at(x))
+def _dual_drift(m: LevyModel, dG: Optional[Callable]):
+    """-(G'/2 + b) on arrays: G' from dG, else a central difference of G."""
+    if m.G is None:
+        dG = _coefficient(None)
+    elif dG is None:
+        dG = functools.partial(central_difference, _coefficient(m.G))
+    else:
+        dG = _coefficient(dG)
+    b = _coefficient(m.b)
+    return lambda x: -(0.5 * dG(x) + b(x))
 
-    return drift
+
+def _upward(m: LevyModel, kind, what: str):
+    """m.nu, after checking that it is a ``kind`` with upward jumps only."""
+    kern = m.nu
+    if not isinstance(kern, kind):
+        raise UnsupportedKernelCase(f"{what} dual construction needs a {kind.case} kernel")
+    if kern.support_sign != "positive":
+        raise UnsupportedKernelCase("dual construction needs a kernel with upward jumps only")
+    return kern
 
 
-def dual_levy_case_i(
-    m: LevyModel, dG: Optional[Callable[[float], float]] = None
-) -> DualGeneratorCoeffs:
+def dual_levy_case_i(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeffs:
     """Dual coefficients from an explicit density kernel.
 
     Needs nu given as a density in both arguments with upward jumps only.
     The state derivative of the tail uses the kernel's dx_density when
-    supplied and a central finite difference on the tail otherwise.
+    supplied and a central difference of the tail otherwise.
     """
-    kern = m.nu
-    if not isinstance(kern, DensityKernel):
-        raise UnsupportedKernelCase(
-            "explicit-density dual construction needs a density kernel"
-        )
-    if kern.support_sign != "positive":
-        raise UnsupportedKernelCase(
-            "dual construction needs a kernel with upward jumps only"
-        )
+    kern = _upward(m, DensityKernel, "explicit-density")
 
     def tail_du(u: np.ndarray, y: np.ndarray) -> np.ndarray:
         if kern.dx_density is not None:
             # the tail only holds mass inside (y_min, y_max)
             return density_tails(kern.dx_density, (u,), y, 1.0, kern.y_min, kern.y_max)
-        d = FD_SCALE * (1.0 + np.abs(u))
-        return (kern.tails(1.0, u + d, y) - kern.tails(1.0, u - d, y)) / (2.0 * d)
+        return central_difference(lambda v: kern.tails(1.0, v, y), u)
 
-    @_pointwise
-    def nu_tilde(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def nu_tilde(x, y) -> np.ndarray:
         u = x - y
-        return _checked_density(x, y, kern.density_values((u,), y) + tail_du(u, y))
+        with np.errstate(all="ignore"):  # _checked_density rejects inf and NaN
+            val = kern.density_values((u,), y) + tail_du(u, y)
+        return _checked_density(x, y, val)
 
-    @_pointwise
-    def correction(x: np.ndarray) -> np.ndarray:
+    def correction(x) -> np.ndarray:
         return _unit_integrals(
             lambda x, y: y * (kern.density_values((x,), y) - nu_tilde(x, y)), x
         )
 
     return DualGeneratorCoeffs(
-        G=m.G_at,
+        G=_coefficient(m.G),
         drift=_dual_drift(m, dG),
         nu_tilde=nu_tilde,
         correction=correction,
@@ -199,42 +201,29 @@ def dual_levy_case_i(
     )
 
 
-def dual_levy_case_ii(
-    m: LevyModel, dG: Optional[Callable[[float], float]] = None
-) -> DualGeneratorCoeffs:
+def dual_levy_case_ii(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeffs:
     """Dual coefficients from a decomposable kernel a(x) * base(dy).
 
     Needs upward jumps only.  Atoms of the base measure reappear in the
     dual as discrete downward jumps of mass a(x - y) * m at magnitude y;
     the derivative term stays a density against the base tail.
     """
-    kern = m.nu
-    if not isinstance(kern, DecomposableKernel):
-        raise UnsupportedKernelCase(
-            "factored dual construction needs a decomposable kernel"
-        )
-    if kern.support_sign != "positive":
-        raise UnsupportedKernelCase(
-            "dual construction needs a kernel with upward jumps only"
-        )
+    kern = _upward(m, DecomposableKernel, "factored")
     base = kern.base
+    sizes = np.array([y for y, _ in base.atoms if y > 0.0])
+    masses = np.array([mass for y, mass in base.atoms if y > 0.0])
 
-    @_pointwise
-    def nu_tilde(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def nu_tilde(x, y) -> np.ndarray:
         u = x - y
-        val = (kern.factors(u) * base.density_values((), y)
-               + kern.dfactors(u) * base.tails(1.0, y))
+        with np.errstate(all="ignore"):  # _checked_density rejects inf and NaN
+            val = (kern.factors(u) * base.density_values((), y)
+                   + kern.dfactors(u) * base.tails(1.0, y))
         return _checked_density(x, y, val)
 
-    def atom_terms(x: float) -> List[Tuple[float, float]]:
-        out = []
-        for y, mass in base.atoms:
-            if y > 0.0:
-                out.append((y, float(kern.factors(x - y)) * mass))
-        return out
+    def atom_masses(x) -> np.ndarray:
+        return kern.factors(np.asarray(x, dtype=float)[..., None] - sizes) * masses
 
-    @_pointwise
-    def correction(x: np.ndarray) -> np.ndarray:
+    def correction(x) -> np.ndarray:
         fac = kern.factors(x)
         total = _unit_integrals(
             lambda x, y: y * (kern.factors(x) * base.density_values((), y) - nu_tilde(x, y)), x
@@ -245,18 +234,17 @@ def dual_levy_case_ii(
         return total
 
     return DualGeneratorCoeffs(
-        G=m.G_at,
+        G=_coefficient(m.G),
         drift=_dual_drift(m, dG),
         nu_tilde=nu_tilde,
         correction=correction,
         case="decomposable",
-        atom_terms=atom_terms,
+        atom_sizes=sizes.tolist(),
+        atom_masses=atom_masses,
     )
 
 
-def dual_levy(
-    m: LevyModel, dG: Optional[Callable[[float], float]] = None
-) -> DualGeneratorCoeffs:
+def dual_levy(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeffs:
     """Dispatch on the kernel representation of the model."""
     if m.nu is None:
         raise UnsupportedKernelCase("model has no compensated jump kernel")
@@ -267,11 +255,6 @@ def dual_levy(
     raise UnsupportedKernelCase(
         f"no dual construction for kernel case {m.nu.case!r}"
     )
-
-
-def _fd2(f: Callable[[float], float], x: float) -> float:
-    h = FD_SCALE_D2 * (1.0 + abs(x))
-    return (float(f(x + h)) - 2.0 * float(f(x)) + float(f(x - h))) / (h * h)
 
 
 def dual_generator_apply(
@@ -289,31 +272,42 @@ def dual_generator_apply(
     central differences.  The jump integral runs over (0, 1] and then
     doubling segments until a segment contributes below the settle
     tolerance; a hard cap guards kernels whose tail never settles.
-    y_max truncates the integral explicitly instead.
+    y_max (> 0) truncates the integral explicitly instead.  Each segment is
+    _APPLY_PANELS Gauss-Legendre 8/16 panels, one nu_tilde call per rule on
+    their nodes; a panel whose two values differ by more than 1e-13 of the
+    integral of the |integrand| over all segments goes to _quad.
     """
     if convention not in COMPENSATOR_CONVENTIONS:
         raise InputFormatError(
             f"unknown compensator convention {convention!r}; "
             f"expected one of {COMPENSATOR_CONVENTIONS}"
         )
-    fx = float(f(x))
-    fp = float(df(x)) if df is not None else fd_derivative(f, x)
-    fpp = float(d2f(x)) if d2f is not None else _fd2(f, x)
+    if y_max is not None and not y_max > 0.0:
+        raise InputFormatError(f"y_max must be positive, got {y_max!r}")
+    fn = functools.partial(_evaluate, f)
+    fx = fn(x)
+    fp = central_difference(fn, x) if df is None else _evaluate(df, x)
+    fpp = central_difference(fn, x, 2) if d2f is None else _evaluate(d2f, x)
 
-    if convention == "y-factor":
-        comp = lambda y: y if y <= 1.0 else 0.0
-    else:
-        comp = lambda y: 1.0 if y <= 1.0 else 0.0
+    def comp(y):
+        return np.where(y <= 1.0, y if convention == "y-factor" else 1.0, 0.0)
 
-    def integrand(y: float) -> float:
-        return (float(f(x - y)) - fx + fp * comp(y)) * coeffs.nu_tilde(x, y)
+    def integrand(y):
+        return (fn(x - y) - fx + fp * comp(y)) * coeffs.nu_tilde(x, y)
+
+    panels = []  # (lo, hi, 16-node values, their 8/16 distance, |f| integrals)
+
+    def segment(lo: float, hi: float) -> float:
+        e = np.linspace(lo, hi, _APPLY_PANELS + 1)
+        panels.append((e[:-1], e[1:], *gauss_rules(integrand, e[:-1], e[1:])))
+        return float(panels[-1][2].sum())
 
     cap = _Y_HARD_CAP if y_max is None else float(y_max)
-    total = _quad(integrand, 0.0, min(1.0, cap))
+    total = segment(0.0, min(1.0, cap))
     lo = 1.0
     while lo < cap:
         hi = min(2.0 * lo, cap)
-        seg = _quad(integrand, lo, hi)
+        seg = segment(lo, hi)
         total += seg
         lo = hi
         if abs(seg) < _Y_SETTLE_TOL * (1.0 + abs(total)):
@@ -324,10 +318,14 @@ def dual_generator_apply(
                 "dual jump integral did not settle below the hard cap"
             )
 
-    for y, mass in coeffs.atoms_at(x):
-        total += (float(f(x - y)) - fx + fp * comp(y)) * mass
+    a, b, high, err, size = (np.concatenate(p) for p in zip(*panels))
+    for i in np.flatnonzero(~(err <= _GL_RTOL * size.sum())).tolist():
+        high[i] = _quad(lambda y: float(integrand(y)), a[i], b[i])
+    total = high.sum()
+    for y, mass in zip(coeffs.atom_sizes, coeffs.atom_masses(x)):
+        total += (fn(x - y) - fx + fp * comp(y)) * mass
 
-    return (
+    return float(
         0.5 * coeffs.G(x) * fpp
         + coeffs.drift(x) * fp
         + total
@@ -343,30 +341,32 @@ def tabulate_dual(
     """Sample the dual coefficients on a grid, for export.
 
     Returns a mapping with per-x rows of G, drift, and correction, plus a
-    nu_tilde matrix when magnitudes ys are given.  A G or drift that is not
-    finite at some x raises InputFormatError naming the first such x.  The
-    correction is one array call over xs and the nu_tilde matrix one call
-    over the (x, y) grid: Gauss-Legendre 8/16 on panels, with a _quad
-    fallback per failing panel, for the correction integral over [0, 1] and
-    for the tails of a density-only kernel (see generator.density_tails).
+    nu_tilde matrix and the atoms when magnitudes ys are given.  Each
+    coefficient is one array call: G, drift, correction and the atom masses
+    over xs, nu_tilde over the (x, y) grid.  A value that is not finite
+    raises InputFormatError naming the first x (and y, for nu_tilde).  The
+    correction integral over [0, 1], and the tails of a density-only kernel
+    (see generator.density_tails), run Gauss-Legendre 8/16 on panels, with
+    a _quad fallback per failing panel.
     """
     xs = np.asarray(xs, dtype=float).ravel()
-    out = {"x": xs.tolist()}
-    for name, fn in (("G", coeffs.G), ("drift", coeffs.drift)):
-        out[name] = [fn(x) for x in out["x"]]
-        bad = [x for x, v in zip(out["x"], out[name]) if not math.isfinite(v)]
-        if bad:
-            raise InputFormatError(f"{name} is not finite at x={bad[0]}")
-    out["correction"] = coeffs.correction(xs).tolist()
-    out["case"] = coeffs.case
+    finite = lambda name, v: _coefficient_values(name, xs, v).tolist()
+    out = {"x": xs.tolist(), "G": finite("G", coeffs.G(xs)),
+           "drift": finite("drift", coeffs.drift(xs))}
     if ys is not None:
         ys = np.asarray(ys, dtype=float).ravel()
+        table = coeffs.nu_tilde(xs[:, None], ys[None, :]).tolist()
+        masses = [finite(f"atom mass at y={y}", col)
+                  for y, col in zip(coeffs.atom_sizes, coeffs.atom_masses(xs).T)]
+    out["correction"] = finite("correction", coeffs.correction(xs))
+    out["case"] = coeffs.case
+    if ys is not None:
         out["y"] = ys.tolist()
-        out["nu_tilde"] = coeffs.nu_tilde(xs[:, None], ys[None, :]).tolist()
-        atoms = {x: coeffs.atoms_at(x) for x in out["x"]}
-        if any(atoms.values()):
+        out["nu_tilde"] = table
+        if masses:
             out["atoms"] = [
-                {"x": x, "terms": [{"y": y, "mass": mss} for y, mss in atoms[x]]}
-                for x in out["x"]
+                {"x": x, "terms": [{"y": y, "mass": col[i]}
+                                   for y, col in zip(coeffs.atom_sizes, masses)]}
+                for i, x in enumerate(out["x"])
             ]
     return out

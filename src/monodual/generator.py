@@ -56,9 +56,11 @@ SUPPORT_SIGNS = ("both", "positive", "negative")
 # Absolute tolerance for per-bin adaptive quadrature.
 QUAD_ABS_TOL = 1e-12
 
-# Relative step for central finite differences of smooth coefficient
-# functions: h_fd = FD_SCALE * (1 + |x|).
+# Relative steps of central differences, h = scale * (1 + |x|): FD_SCALE
+# for first derivatives of smooth coefficient functions, and the wider
+# FD_SCALE_D2 for second derivatives, to keep roundoff out of f''.
 FD_SCALE = 1e-5
+FD_SCALE_D2 = 6e-4
 
 # Slack for the floating-point comparison m*h <= 1 deciding whether a bin
 # sits inside the unit ball (m*h can land a few ulp past an exact 1).
@@ -97,13 +99,15 @@ def _quad(f: Callable[[float], float], a: float, b: float) -> float:
 
 
 def _evaluate(fn: Callable, *args) -> np.ndarray:
-    """``fn`` on the broadcast of its array arguments, as float64.
+    """``fn`` on the broadcast of its array arguments, as float64; scalar
+    arguments give a 0-d value.
 
     A compiled ``Expression`` runs once on the whole arrays, and a constant
     one broadcasts.  It runs under np.errstate(all="ignore"): a division by
     zero gives inf or NaN without a warning, and callers check for finite
     values.  Any other callable is called element by element on Python
-    floats, and once on Python floats alone, as _quad calls it.
+    floats, and on Python floats alone, as _quad's integrands call it, once
+    without building arrays.
     """
     if all(type(a) is float for a in args) and not isinstance(fn, Expression):
         return np.float64(fn(*args))
@@ -128,6 +132,15 @@ def _bad_coefficient(name: str, x: np.ndarray, v: np.ndarray, nonnegative: bool)
     return r, InputFormatError(f"{name} is {what} at x={float(x[r])}")
 
 
+def _coefficient_values(name: str, x: np.ndarray, v: np.ndarray,
+                        nonnegative: bool = False) -> np.ndarray:
+    """v, after raising the InputFormatError of _bad_coefficient if any."""
+    bad = _bad_coefficient(name, x, v, nonnegative)
+    if bad is not None:
+        raise bad[1]
+    return v
+
+
 @functools.cache
 def _gauss_legendre(nodes: int):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
@@ -146,14 +159,12 @@ def _gauss_legendre(nodes: int):
     return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
-def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_RTOL):
+def gauss_rules(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """Gauss-Legendre with 8 and 16 nodes of ``f`` over panels [lo, hi].
 
-    The panels run along the last axis of the broadcast of lo and hi, and
-    ``f`` takes an array of nodes with one more axis.  Returns the 16-node
-    values and a mask of the panels whose two values differ by more than
-    ``rtol`` of the integral of |f| over all panels of their row: the
-    caller integrates those by _quad.
+    ``f`` takes an array of nodes with one more axis than the broadcast of
+    lo and hi.  Returns, per panel, the 16-node integral of f, its distance
+    to the 8-node one, and the 16-node integral of |f|.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
@@ -162,8 +173,17 @@ def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_
         return half * (v * weights).sum(axis=-1), half * (np.abs(v) * weights).sum(axis=-1)
 
     (low, _), (high, size) = (rule(*_gauss_legendre(nodes)) for nodes in _GL_NODES)
-    scale = size.sum(axis=-1, keepdims=True)
-    return high, ~(np.abs(high - low) <= rtol * scale)
+    return high, np.abs(high - low), size
+
+
+def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_RTOL):
+    """gauss_rules over panels that run along the last axis of the broadcast
+    of lo and hi.  Returns the 16-node values and a mask of the panels whose
+    two values differ by more than ``rtol`` of the integral of |f| over all
+    panels of their row: the caller integrates those by _quad.
+    """
+    high, err, size = gauss_rules(f, lo, hi)
+    return high, ~(err <= rtol * size.sum(axis=-1, keepdims=True))
 
 
 def _density_masses(density, args, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -186,7 +206,7 @@ def _density_masses(density, args, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     )
     for i in np.flatnonzero(fail):
         point = [float(a[i]) for a in args]
-        high[i] = _quad(lambda y: float(density(*point, y)), float(lo[i]), float(hi[i]))
+        high[i] = _quad(lambda y: float(_evaluate(density, *point, y)), float(lo[i]), float(hi[i]))
     out[live] = high[:, 0]
     return out
 
@@ -255,10 +275,16 @@ def _bin_edges(side: float, m: np.ndarray, h: float):
     return (a, a + h) if side > 0.0 else (a - h, a)
 
 
-def fd_derivative(fn: Callable[[float], float], x: float) -> float:
-    """Central finite difference with the package-wide relative step."""
-    h = FD_SCALE * (1.0 + abs(x))
-    return (float(_evaluate(fn, x + h)) - float(_evaluate(fn, x - h))) / (2.0 * h)
+def central_difference(fn: Callable, x, order: int = 1) -> np.ndarray:
+    """The first (order 1) or second (order 2) central difference of the
+    array function ``fn`` at the array x, with the step FD_SCALE or
+    FD_SCALE_D2 times 1 + |x|."""
+    x = np.asarray(x, dtype=float)
+    if order == 1:
+        h = FD_SCALE * (1.0 + np.abs(x))
+        return (fn(x + h) - fn(x - h)) / (2.0 * h)
+    h = FD_SCALE_D2 * (1.0 + np.abs(x))
+    return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
 
 
 def _atom_bin_right(y: float, h: float) -> int:
@@ -489,10 +515,6 @@ class LevyKernel:
     def atom_masses(self, x: np.ndarray) -> np.ndarray:
         return np.zeros(np.shape(x) + (0,))
 
-    def density_at(self, x: float, y: float) -> float:
-        """Continuous-part density at jump size y (0 where undefined)."""
-        return 0.0
-
     def _with_atoms(self, total, side: float, x: np.ndarray, hit: Callable):
         masses = np.moveaxis(self.atom_masses(x), -1, 0)
         return _plus_atoms(total, side, zip(self.atom_sizes, masses), hit)
@@ -569,11 +591,6 @@ class DensityKernel(_ContinuousPart, LevyKernel):
         self.right_tail_fn = right_tail_fn
         self.left_tail_fn = left_tail_fn
 
-    def density_at(self, x: float, y: float) -> float:
-        if y <= self.y_min or y >= self.y_max or y == 0.0:
-            return 0.0
-        return float(self.density(x, y))
-
     def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         return self._tail_masses(side, (x,), a)
 
@@ -630,19 +647,10 @@ class DecomposableKernel(LevyKernel):
         return _evaluate(self.a, x)
 
     def dfactors(self, x: np.ndarray) -> np.ndarray:
-        """The derivative of a over an array: da, else a central difference
-        with the step of fd_derivative."""
+        """The derivative of a over an array: da, else a central difference."""
         if self.da is not None:
             return _evaluate(self.da, x)
-        h = FD_SCALE * (1.0 + np.abs(x))
-        return (_evaluate(self.a, x + h) - _evaluate(self.a, x - h)) / (2.0 * h)
-
-    def density_at(self, x: float, y: float) -> float:
-        if self.base.density is None:
-            return 0.0
-        if y <= self.base.y_min or y >= self.base.y_max or y == 0.0:
-            return 0.0
-        return float(self.factors(x)) * float(self.base.density(y))
+        return central_difference(self.factors, x)
 
     def atom_masses(self, x: np.ndarray) -> np.ndarray:
         return self.factors(x)[..., None] * np.array([mass for _, mass in self.base.atoms])
@@ -734,11 +742,6 @@ class CutoffKernel(LevyKernel):
         return self.inner.continuous_bins(
             side, x, np.maximum(a, self.cut), np.maximum(b, self.cut))
 
-    def density_at(self, x: float, y: float) -> float:
-        if abs(y) <= self.cut:
-            return 0.0
-        return self.inner.density_at(x, y)
-
     def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
         # the inner kernel's own route above the cut: a density is
         # integrated directly, not through its tails
@@ -782,12 +785,6 @@ class LevyModel:
     def __post_init__(self):
         if self.support not in ("line", "halfline"):
             raise InputFormatError(f"unknown support {self.support!r}")
-
-    def G_at(self, x: float) -> float:
-        return 0.0 if self.G is None else float(_evaluate(self.G, x))
-
-    def b_at(self, x: float) -> float:
-        return 0.0 if self.b is None else float(_evaluate(self.b, x))
 
     def kernels(self) -> List[Tuple[str, LevyKernel]]:
         out = []
@@ -837,12 +834,10 @@ def validate_model(
         raise InputFormatError("validation grid is empty")
     records: List[dict] = []
 
-    g_vals = np.zeros(grid.size) if m.G is None else _evaluate(m.G, grid)
-    b_vals = np.zeros(grid.size) if m.b is None else _evaluate(m.b, grid)
-    for name, v, nonnegative in (("G", g_vals, True), ("b", b_vals, False)):
-        bad = _bad_coefficient(name, grid, v, nonnegative)
-        if bad is not None:
-            raise bad[1]
+    g_vals = _coefficient_values(
+        "G", grid, np.zeros(grid.size) if m.G is None else _evaluate(m.G, grid), True)
+    b_vals = _coefficient_values(
+        "b", grid, np.zeros(grid.size) if m.b is None else _evaluate(m.b, grid))
     records.append({"check": "coefficients", "status": "ok",
                     "sup_G": float(g_vals.max()),
                     "sup_abs_b": float(np.abs(b_vals).max())})
@@ -867,10 +862,7 @@ def validate_model(
 
     for name, kern in m.kernels():
         if isinstance(kern, DecomposableKernel):
-            bad = _bad_coefficient(f"decomposable factor of {name}", grid,
-                                   kern.factors(grid), True)
-            if bad is not None:
-                raise bad[1]
+            _coefficient_values(f"decomposable factor of {name}", grid, kern.factors(grid), True)
 
     if m.bounded_coefficients:
         total = g_vals + np.abs(b_vals)
@@ -941,7 +933,8 @@ def check_levy_monotone(
     For every threshold a > 0 and adjacent grid pair x < x', the mass of
     {y >= a} must not decrease and the mass of {y <= -a} must not increase
     from x to x'.  The same conditions apply to the uncompensated kernel
-    when present.  Diffusion and drift impose nothing.
+    when present.  Diffusion and drift impose nothing.  A tail mass that is
+    not finite raises InputFormatError naming its kernel, side, a and x.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size < 2:
@@ -960,6 +953,12 @@ def check_levy_monotone(
         # one row of tails per threshold
         right = kern.tails(1.0, grid, column)
         left = kern.tails(-1.0, grid, column)
+        for label, tails in (("right", right), ("left", left)):
+            bad = np.argwhere(~np.isfinite(tails))
+            if bad.size:
+                j, i = bad[0]
+                raise InputFormatError(
+                    f"{name} {label} tail at a={thresholds[j]} is not finite at x={xs[i]}")
         drop = right[:, :-1] > right[:, 1:] + tol
         rise = left[:, 1:] > left[:, :-1] + tol
         checked += 2 * drop.size

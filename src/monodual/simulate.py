@@ -609,8 +609,18 @@ def mc_growth_bound(
     wide enough that escapes (edge visits or kills) stay below 0.1% of
     replicates; more escapes raise WindowEscape since the truncated mean
     would not be trustworthy.  Killed replicates contribute their last
-    state, which the escape gate keeps negligible.
+    state, which the escape gate keeps negligible.  A bound that is not
+    finite (a c, x0 or t that is not, or an e^{ct} that overflows) raises
+    InputFormatError before anything is drawn.
     """
+    try:
+        bound = math.exp(c * t) * (abs(x0) + c)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise InputFormatError(
+            f"the growth bound e^(ct) (|x0| + c) is not finite at c={c}, t={t}, x0={x0}"
+        )
     n0_real = x0 / lat.h
     n0 = int(round(n0_real))
     if abs(n0_real - n0) > 1e-9 * max(1.0, abs(n0_real)):
@@ -626,7 +636,6 @@ def mc_growth_bound(
     mean = float(np.mean(values))
     sd = float(np.std(values, ddof=1)) if reps > 1 else 0.0
     half = Z_95 * sd / math.sqrt(reps)
-    bound = math.exp(c * t) * (abs(x0) + c)
     return GrowthMCReport(
         ok=(mean - 3.0 * half) <= bound,
         value=mean,

@@ -462,6 +462,19 @@ class TestSimulate:
         assert doc["report"]["ok"] is True
         assert doc["report"]["escape_fraction"] == 0.0
 
+    @pytest.mark.parametrize("c, t", [(1000.0, 1.0), (math.nan, 1.0), (1.0, 1e6)])
+    def test_growth_bound_that_overflows_is_malformed(self, capsys, files, c, t):
+        # math.exp(c * t) raised OverflowError: exit 3
+        doc_in = {
+            "op": "growth", "model": GROWTH_MODEL_DOC, "c": c,
+            "lattice": {"h": 1.0, "lo": 0, "hi": 60},
+            "x0": 5.0, "t": t, "reps": 3000, "seed": 11,
+        }
+        code, doc = run_json(capsys, ["simulate", "--in", files("sim.json", doc_in)])
+        assert code == 2
+        assert doc["error"]["type"] == "InputFormatError"
+        assert doc["error"]["message"].startswith("the growth bound")
+
     def test_path_op(self, capsys, files, chain_file):
         doc_in = {
             "op": "path",
@@ -665,6 +678,41 @@ class TestErrorPaths:
         doc = json.loads(out)
         assert doc["error"] == {"type": "InputFormatError",
                                 "message": f"G is not finite at x={x}"}
+
+    @pytest.mark.parametrize("base", [
+        MODEL_DOC["nu"]["base"],
+        # the base tail is 0 past y_max, where inf * 0 is NaN
+        {"density": "1", "support_sign": "positive", "y_min": 0, "y_max": 0.75},
+    ])
+    def test_dualgen_with_a_pole_in_da_warns_nothing(self, files, base):
+        # the dual density came out as Infinity, with exit 0 and numpy's
+        # warning on stderr
+        doc = dict(MODEL_DOC, nu=dict(MODEL_DOC["nu"], da="1/(x-x)", base=base))
+        path = files("pole.json", doc)
+        proc = fresh_cli(["dualgen", "--in", path, "--h", "0.5", "--window=-1:1"],
+                         ("-W", "error::RuntimeWarning"),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, "")
+        assert json.loads(out)["error"] == {
+            "type": "InputFormatError", "message": "nu_tilde is not finite at x=-0.5, y=0.5"}
+
+    @pytest.mark.parametrize("tail, message", [
+        ("e^(-a)/x", "nu right tail at a=0.25 is not finite at x=0.0"),
+        ("(x-x)/(x-x)", "nu right tail at a=0.25 is not finite at x=-1.0"),
+    ])
+    def test_monotone_rejects_a_tail_that_is_not_finite(self, capsys, files, tail, message):
+        # an infinite tail was a violation written as Infinity (exit 1), and
+        # a NaN one passed the check
+        path = files("model.json", {"nu": {"case": "tabulated", "right_tail": tail}})
+        code, doc = run_json(capsys, ["monotone", "--in", path, "--h", "0.25", "--window=-4:4"])
+        assert code == 2
+        assert doc["error"] == {"type": "InputFormatError", "message": message}
+
+    def test_non_finite_json_is_not_written(self, capsys):
+        with pytest.raises(ValueError):
+            cli._emit_json({"value": math.inf}, None)
+        assert capsys.readouterr().out == ""
 
     def test_dualgen_with_a_pole_in_G_is_malformed(self, capsys, files):
         path = files("pole.json", dict(MODEL_DOC, G="1/x"))

@@ -24,11 +24,10 @@ from monodual.generator import (
     DensityKernel,
     LevyModel,
     TabulatedKernel,
-    fd_derivative,
     model_from_dict,
 )
 
-from test_generator import PIPELINE_DOCS
+from test_generator import PIPELINE_DOCS, _all_quads, density_at
 
 
 def a_fn(x):
@@ -97,7 +96,7 @@ def reference_nu_tilde(kern, x, y):
                 return _tight(lambda z: float(kern.density(v, z)), max(y, kern.y_min), kern.y_max)
             d = FD_SCALE * (1.0 + abs(u))
             du = (tail(u + d) - tail(u - d)) / (2.0 * d)
-        return kern.density_at(u, y) + du
+        return density_at(kern, u, y) + du
     base = kern.base
     inside = base.density is not None and base.y_min < y < base.y_max
     g = float(base.density(y)) if inside else 0.0
@@ -106,14 +105,18 @@ def reference_nu_tilde(kern, x, y):
         tail += float(base.right_tail_fn(y))
     elif base.density is not None:
         tail += _tight(lambda z: float(base.density(z)), max(y, base.y_min), base.y_max)
-    da = float(kern.da(u)) if kern.da is not None else fd_derivative(kern.a, u)
+    if kern.da is not None:
+        da = float(kern.da(u))
+    else:
+        d = FD_SCALE * (1.0 + abs(u))
+        da = (float(kern.a(u + d)) - float(kern.a(u - d))) / (2.0 * d)
     return float(kern.a(u)) * g + da * tail
 
 
 def reference_correction(kern, x):
     # central differences leave rounding of about 1e-11 in the integrand
     total = quad(
-        lambda y: y * (kern.density_at(x, y) - reference_nu_tilde(kern, x, y)), 0.0, 1.0,
+        lambda y: y * (density_at(kern, x, y) - reference_nu_tilde(kern, x, y)), 0.0, 1.0,
         epsabs=1e-13, epsrel=1e-11, limit=200,
     )[0]
     if isinstance(kern, DecomposableKernel):
@@ -213,7 +216,8 @@ class TestDualDensity:
         m = LevyModel(nu=DecomposableKernel(a=a_fn, base=base, da=da_fn))
         coeffs = dual_levy(m)
         x = 0.7
-        assert coeffs.atoms_at(x) == [(1.0, pytest.approx(2.0 * a_fn(x - 1.0)))]
+        assert coeffs.atom_sizes == [1.0]
+        assert coeffs.atom_masses(x).tolist() == [pytest.approx(2.0 * a_fn(x - 1.0))]
         # the derivative part stays a density against the step tail
         assert coeffs.nu_tilde(x, 0.4) == pytest.approx(
             da_fn(x - 0.4) * 2.0, rel=1e-12
@@ -276,6 +280,19 @@ class TestApply:
         coeffs = dual_levy(tanh_exp_model())
         with pytest.raises(InputFormatError):
             dual_generator_apply(coeffs, bump, 0.4, convention="sideways")
+
+    @pytest.mark.parametrize("y_max", [0.0, -1.0, math.nan])
+    def test_truncation_must_be_positive(self, y_max):
+        coeffs = dual_levy(tanh_exp_model())
+        with pytest.raises(InputFormatError):
+            dual_generator_apply(coeffs, bump, 0.4, y_max=y_max)
+
+    @pytest.mark.parametrize("convention", ["y-factor", "indicator"])
+    def test_gauss_panels_need_no_quad(self, convention, monkeypatch):
+        coeffs = dual_levy(tanh_exp_model())
+        calls = _all_quads(monkeypatch)
+        dual_generator_apply(coeffs, bump, 0.4, df=dbump, d2f=d2bump, convention=convention)
+        assert calls == []
 
     def test_fd_fallback_close_to_analytic(self):
         coeffs = dual_levy(tanh_exp_model())
@@ -363,16 +380,21 @@ class TestArrayTables:
             assert abs(got - want) <= tol * (1.0 + abs(want)), x
 
     @pytest.mark.parametrize("name", ["tanh exp", "pipeline dens_expr", "atoms"])
-    def test_scalars_give_floats_equal_to_the_array_entries(self, name):
+    def test_scalars_give_0d_arrays_equal_to_the_array_entries(self, name):
         coeffs = dual_levy(REFERENCE_MODELS[name][0]())
         grid = coeffs.nu_tilde(self.XS[:, None], self.YS[None, :])
         corr = coeffs.correction(self.XS)
+        masses = coeffs.atom_masses(self.XS)
         for i in (0, 7, 16):
-            got = coeffs.correction(float(self.XS[i]))
-            assert type(got) is float and got == corr[i]
+            x = float(self.XS[i])
+            for what, got, want in (("G", coeffs.G(x), coeffs.G(self.XS)[i]),
+                                    ("drift", coeffs.drift(x), coeffs.drift(self.XS)[i]),
+                                    ("correction", coeffs.correction(x), corr[i])):
+                assert got.shape == () and got == want, what
+            assert coeffs.atom_masses(x).tolist() == masses[i].tolist()
             for j in (0, 5):
-                got = coeffs.nu_tilde(float(self.XS[i]), float(self.YS[j]))
-                assert type(got) is float and got == grid[i, j]
+                got = coeffs.nu_tilde(x, float(self.YS[j]))
+                assert got.shape == () and got == grid[i, j]
 
 
 class TestTabulate:
@@ -387,6 +409,12 @@ class TestTabulate:
             nu_tilde_closed(0.5, 0.25), rel=1e-12
         )
         assert "atoms" not in out
+
+    def test_non_finite_dual_density_is_malformed(self):
+        base = BaseMeasure(density=lambda y: 1.0, y_min=0.0, y_max=1.0)
+        m = LevyModel(nu=DecomposableKernel(a=a_fn, base=base, da=lambda x: math.inf))
+        with pytest.raises(InputFormatError, match=r"nu_tilde is not finite at x=0.5, y=0.25"):
+            tabulate_dual(dual_levy(m), xs=[0.5, 0.7], ys=[0.25, 0.5])
 
     def test_atoms_exported(self):
         base = BaseMeasure(atoms=[(1.0, 2.0)])

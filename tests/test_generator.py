@@ -26,12 +26,12 @@ from monodual.generator import (
     Lattice,
     LevyModel,
     TabulatedKernel,
+    central_difference,
     check_levy_monotone,
     classify_boundary,
     cutoff_model,
     density_tails,
     discretize,
-    fd_derivative,
     jump_intensity,
     kernel_from_dict,
     model_from_dict,
@@ -60,6 +60,22 @@ def kernel_bin(kern, side, x, mm, h):
     return one(kern.bin_masses, side, x, mm, h)
 
 
+def coefficient(fn, x):
+    """A model coefficient at one state x; 0 when the model has none."""
+    return 0.0 if fn is None else float(fn(x))
+
+
+def density_at(kern, x, y):
+    """The continuous density of a density or decomposable kernel at (x, y),
+    from the kernel's own callables; 0 off its support and at y = 0."""
+    dens = kern.base if isinstance(kern, DecomposableKernel) else kern
+    if dens.density is None or not dens.y_min < y < dens.y_max or y == 0.0:
+        return 0.0
+    if isinstance(kern, DecomposableKernel):
+        return float(kern.a(x)) * float(dens.density(y))
+    return float(kern.density(x, y))
+
+
 def reference_discretize(m, lat, bin_mass=kernel_bin):
     """The per-state, per-bin loop that discretize replaced by array passes.
 
@@ -76,13 +92,13 @@ def reference_discretize(m, lat, bin_mass=kernel_bin):
 
     for n in range(lo, hi + 1):
         x = n * h
-        g = m.G_at(x)
+        g = coefficient(m.G, x)
         if g < 0.0:
             raise InputFormatError(f"G is negative at x={x}")
         if g > 0.0:
             add(n, 1, g / (2.0 * h * h))
             add(n, -1, g / (2.0 * h * h))
-        bb = m.b_at(x)
+        bb = coefficient(m.b, x)
         if bb != 0.0:
             add(n, 1 if bb > 0.0 else -1, abs(bb) / h)
         for name, kern in m.kernels():
@@ -115,7 +131,7 @@ def reference_discretize(m, lat, bin_mass=kernel_bin):
 def quad_bin(kern, side, x, mm, h):
     """A bin of the kernel's density by adaptive quadrature."""
     a, b = (mm * h, mm * h + h) if side > 0 else (-mm * h, -mm * h + h)
-    return quad(lambda y: kern.density_at(x, y), a, b, epsabs=0.0, epsrel=1e-13,
+    return quad(lambda y: density_at(kern, x, y), a, b, epsabs=0.0, epsrel=1e-13,
                 limit=200)[0]
 
 
@@ -309,8 +325,12 @@ class TestKernels:
         assert cut.tails(1.0, 0.0, 3.0) == 0.0
         assert jump_intensity(LevyModel(nu=cut), 0.0) == pytest.approx(0.3)
 
-    def test_fd_derivative(self):
-        assert fd_derivative(math.tanh, 0.0) == pytest.approx(1.0, abs=1e-9)
+    def test_central_difference(self):
+        assert central_difference(np.tanh, 0.0) == pytest.approx(1.0, abs=1e-9)
+        x = np.array([-1.0, 0.5])
+        assert central_difference(np.tanh, x) == pytest.approx(1.0 - np.tanh(x) ** 2, abs=1e-9)
+        assert central_difference(np.tanh, x, 2) == pytest.approx(
+            -2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2), abs=1e-6)
 
 
 class TestStructures:

@@ -42,6 +42,16 @@ grid = Lattice(h=0.1, lo=-50, hi=50).points()
 result = validate_model(model_from_dict({MODEL_DOC!r}), grid).to_dict()
 """
 
+# the dual generator of the CLI tests' model on a Gaussian bump: every
+# Gauss-Legendre panel of the jump integral passes its check
+APPLY_MODEL_DOC = f"""
+import math
+from monodual.dualgen import dual_generator_apply, dual_levy
+coeffs = dual_levy(model_from_dict({MODEL_DOC!r}))
+result = [dual_generator_apply(coeffs, lambda x: math.exp(-x * x), x, convention=c).hex()
+          for x in (-1.5, 0.4) for c in ("y-factor", "indicator")]
+"""
+
 # kill-rate steps put dual entries in far columns: B is multiplied as CSR
 KILL_STEP_DUAL_EVOLVE = """
 n = 120
@@ -100,6 +110,12 @@ def test_validate_without_fallback_imports_no_integrate():
     before, result, after = _fresh(VALIDATE_MODEL_DOC)
     assert before == [] and after == []
     assert result == _here(VALIDATE_MODEL_DOC)
+
+
+def test_dual_generator_apply_imports_no_integrate():
+    before, result, after = _fresh(APPLY_MODEL_DOC)
+    assert before == [] and after == []
+    assert result == _here(APPLY_MODEL_DOC)
 
 
 def test_sparse_product_imports_sparse():
