@@ -16,6 +16,8 @@ The package has four layers:
 The command-line entry point lives in ``cli``.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DualRateNegative,
     GrowthViolated,
@@ -93,70 +95,6 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDARY_POLICIES",
-    "BaseMeasure",
-    "BoundaryClass",
-    "COMPENSATOR_CONVENTIONS",
-    "CutoffKernel",
-    "DecomposableKernel",
-    "DensityKernel",
-    "DominanceReport",
-    "DualGeneratorCoeffs",
-    "DualRateNegative",
-    "DualityMCReport",
-    "DualityReport",
-    "GrowthMCReport",
-    "GrowthViolated",
-    "InputFormatError",
-    "Lattice",
-    "LevyKernel",
-    "LevyModel",
-    "MCEstimate",
-    "MomentUnbounded",
-    "MonodualError",
-    "MonotonicityReport",
-    "NegativeDualDensity",
-    "NegativeRate",
-    "NotMonotone",
-    "PathSample",
-    "QuadratureFailure",
-    "RateMatrix",
-    "TabulatedKernel",
-    "TailMassUnresolved",
-    "TailMonotonicityReport",
-    "TransitionMatrix",
-    "UnsupportedKernelCase",
-    "ValidationReport",
-    "Violation",
-    "WindowEscape",
-    "check_levy_monotone",
-    "check_monotone",
-    "check_stochastic_dominance",
-    "classify_boundary",
-    "cutoff_model",
-    "discretize",
-    "dual_generator_apply",
-    "dual_levy",
-    "dual_levy_case_i",
-    "dual_levy_case_ii",
-    "dual_qmatrix",
-    "effective_generator",
-    "from_dense",
-    "jump_intensity",
-    "kernel_from_dict",
-    "mc_duality_check",
-    "mc_growth_bound",
-    "mc_survival",
-    "model_from_dict",
-    "ratematrix_from_dict",
-    "ratematrix_to_dict",
-    "ratematrix_to_json",
-    "sample_path",
-    "tabulate_dual",
-    "transition_matrix",
-    "validate_model",
-    "validate_qmatrix",
-    "verify_duality",
-    "__version__",
-]
+# every name imported above, and the version; not the submodules
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)] + ["__version__"]

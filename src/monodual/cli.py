@@ -413,11 +413,14 @@ def _error_doc(command: Optional[str], exc: Exception) -> dict:
     return doc
 
 
-def run(args) -> int:
-    """Run a parsed command line and map what it raises to the exit code."""
+def run(args, error: Optional[InputFormatError] = None) -> int:
+    """Run a parsed command line, or report ``error``, that of one that did
+    not parse, and map what it raises to the exit code."""
     command = args.command
     try:
         try:
+            if error is not None:
+                raise error
             return _COMMANDS[command][0](args)
         except BrokenPipeError:
             raise
@@ -440,14 +443,14 @@ def run(args) -> int:
 
 def main(argv=None) -> int:
     """Run one command line.  A malformed one writes the error envelope to
-    stdout and raises SystemExit(2), as argparse exits; --help exits 0."""
+    stdout and raises SystemExit(2), as argparse exits, or SystemExit(141)
+    when stdout is closed; --help exits 0."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
     except InputFormatError as exc:
         command = argv[0] if argv and argv[0] in _COMMANDS else None
-        _emit_json(_error_doc(command, exc), None)
-        raise SystemExit(exc.exit_code) from None
+        raise SystemExit(run(argparse.Namespace(command=command, out=None), exc)) from None
     return run(args)
 
 

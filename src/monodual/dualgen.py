@@ -51,9 +51,9 @@ from .generator import (
     DecomposableKernel,
     DensityKernel,
     LevyModel,
+    _bisect,
     _coefficient_values,
     _evaluate,
-    _quad,
     central_difference,
     density_tails,
     gauss_panels,
@@ -75,7 +75,8 @@ _APPLY_PANELS = 4
 # The correction integral over [0, 1] runs Gauss-Legendre 8/16 on two
 # panels.  Its integrand holds central differences (step FD_SCALE), whose
 # rounding of about 2e-11 relative shows in the 8/16 difference, so a panel
-# passes at _quad's relative tolerance, 1e-10, rather than at 1e-13.
+# and its bisection pieces pass at 1e-10 of the integral of |integrand|
+# rather than at 1e-13.
 _UNIT_PANELS = np.linspace(0.0, 1.0, 3)
 _CORRECTION_RTOL = 1e-10
 
@@ -128,19 +129,12 @@ def _checked_density(x: np.ndarray, y: np.ndarray, val: np.ndarray) -> np.ndarra
 
 
 def _unit_integrals(integrand, x: np.ndarray) -> np.ndarray:
-    """Integral over [0, 1] of integrand(x, y) dy at every x of an array.
-
-    gauss_panels on the _UNIT_PANELS; a failing panel goes to _quad.
-    """
+    """Integral over [0, 1] of integrand(x, y) dy at every x of an array:
+    gauss_panels on the _UNIT_PANELS."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    lo, hi = _UNIT_PANELS[:-1], _UNIT_PANELS[1:]
-    high, fail = gauss_panels(
-        lambda y: integrand(flat[:, None, None], y), lo, hi, rtol=_CORRECTION_RTOL
-    )
-    for i, j in np.argwhere(fail).tolist():
-        point = flat[i:i + 1]
-        high[i, j] = _quad(lambda y: float(integrand(point, y)[0]), lo[j], hi[j])
+    lo, hi = (np.broadcast_to(e, (flat.size, 2)) for e in (_UNIT_PANELS[:-1], _UNIT_PANELS[1:]))
+    high = gauss_panels(lambda r, y: integrand(flat[r], y), lo, hi, rtol=_CORRECTION_RTOL)
     return high.sum(axis=-1).reshape(x.shape)
 
 
@@ -273,9 +267,10 @@ def dual_generator_apply(
     doubling segments until a segment contributes below the settle
     tolerance; a hard cap guards kernels whose tail never settles.
     y_max (> 0) truncates the integral explicitly instead.  Each segment is
-    _APPLY_PANELS Gauss-Legendre 8/16 panels, one nu_tilde call per rule on
-    their nodes; a panel whose two values differ by more than 1e-13 of the
-    integral of the |integrand| over all segments goes to _quad.
+    _APPLY_PANELS Gauss-Legendre 8/16 panels, one nu_tilde call on the
+    nodes of both rules; a panel whose two values differ by more than 1e-13
+    of the integral of the |integrand| over all segments is bisected, as
+    generator._bisect does, until every piece passes at that bound.
     """
     if convention not in COMPENSATOR_CONVENTIONS:
         raise InputFormatError(
@@ -299,7 +294,7 @@ def dual_generator_apply(
 
     def segment(lo: float, hi: float) -> float:
         e = np.linspace(lo, hi, _APPLY_PANELS + 1)
-        panels.append((e[:-1], e[1:], *gauss_rules(integrand, e[:-1], e[1:])))
+        panels.append((e[:-1], e[1:], *gauss_rules(integrand, e[:-1], e[1:])[:3]))
         return float(panels[-1][2].sum())
 
     cap = _Y_HARD_CAP if y_max is None else float(y_max)
@@ -319,8 +314,10 @@ def dual_generator_apply(
             )
 
     a, b, high, err, size = (np.concatenate(p) for p in zip(*panels))
-    for i in np.flatnonzero(~(err <= _GL_RTOL * size.sum())).tolist():
-        high[i] = _quad(lambda y: float(integrand(y)), a[i], b[i])
+    bound = np.full(high.size, _GL_RTOL * size.sum())
+    fail = ~(err <= bound)
+    if fail.any():
+        high[fail] = _bisect(lambda k, y: integrand(y), a[fail], b[fail], bound[fail])
     total = high.sum()
     for y, mass in zip(coeffs.atom_sizes, coeffs.atom_masses(x)):
         total += (fn(x - y) - fx + fp * comp(y)) * mass
@@ -346,8 +343,9 @@ def tabulate_dual(
     over xs, nu_tilde over the (x, y) grid.  A value that is not finite
     raises InputFormatError naming the first x (and y, for nu_tilde).  The
     correction integral over [0, 1], and the tails of a density-only kernel
-    (see generator.density_tails), run Gauss-Legendre 8/16 on panels, with
-    a _quad fallback per failing panel.
+    (see generator.density_tails), run Gauss-Legendre 8/16 on panels, and
+    the panels that fail the 8/16 check are bisected in one array pass per
+    level.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     finite = lambda name, v: _coefficient_values(name, xs, v).tolist()

@@ -53,9 +53,6 @@ from .qmatrix import RateMatrix, _Columns
 
 SUPPORT_SIGNS = ("both", "positive", "negative")
 
-# Absolute tolerance for per-bin adaptive quadrature.
-QUAD_ABS_TOL = 1e-12
-
 # Relative steps of central differences, h = scale * (1 + |x|): FD_SCALE
 # for first derivatives of smooth coefficient functions, and the wider
 # FD_SCALE_D2 for second derivatives, to keep roundoff out of f''.
@@ -68,7 +65,7 @@ _BALL_EPS = 1e-9
 
 # Density bins, tails and moments are integrated by Gauss-Legendre with 8
 # and 16 nodes; a panel whose two values differ by more than this fraction
-# of the whole integral goes to _quad.
+# of the whole integral is bisected.
 _GL_NODES = (8, 16)
 _GL_RTOL = 1e-13
 
@@ -76,26 +73,19 @@ _GL_RTOL = 1e-13
 # this many doubles per Gauss-Legendre node array (4 MB).
 _BLOCK_BUDGET = 1 << 19
 
+# More halves than this in one bisection level raise QuadratureFailure: a
+# level's node arrays stay within the budget of a block's.
+_MAX_PIECES = _BLOCK_BUDGET // _GL_NODES[-1]
+
+# A piece narrower than this is not split: the nodes of its halves near 0
+# would be subnormal floats, short of full precision.
+_MIN_WIDTH = 2.0 ** 10 * np.finfo(float).tiny
+
 # Panel edges in s of _side_integral: 2^(-k/2) for k = 16..0, and 0.  On
 # tails c e^(-beta z) with beta in [0.8, 3] and a in [0, 4], every panel
 # passes the 8/16 check and the error is below 2e-15 relative; dyadic
 # edges 2^-k fail a fifth of the checks there.
 _TAIL_BREAKS = np.concatenate(([0.0], 2.0 ** (-np.arange(16, -1, -1) / 2.0)))
-
-
-def _quad(f: Callable[[float], float], a: float, b: float) -> float:
-    if b <= a:
-        return 0.0
-    # local: importing scipy.integrate loads most of scipy, and only this fallback needs it
-    from scipy.integrate import quad
-
-    res = quad(f, a, b, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200, full_output=1)
-    value, abserr = res[0], res[1]
-    if len(res) == 4 and abserr > max(1e-9, 1e-8 * abs(value)):
-        raise QuadratureFailure(
-            f"integral over ({a}, {b}) did not converge: {res[3]}"
-        )
-    return float(value)
 
 
 def _evaluate(fn: Callable, *args) -> np.ndarray:
@@ -106,11 +96,8 @@ def _evaluate(fn: Callable, *args) -> np.ndarray:
     one broadcasts.  It runs under np.errstate(all="ignore"): a division by
     zero gives inf or NaN without a warning, and callers check for finite
     values.  Any other callable is called element by element on Python
-    floats, and on Python floats alone, as _quad's integrands call it, once
-    without building arrays.
+    floats.
     """
-    if all(type(a) is float for a in args) and not isinstance(fn, Expression):
-        return np.float64(fn(*args))
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     if isinstance(fn, Expression):
         with np.errstate(all="ignore"):
@@ -162,52 +149,143 @@ def _gauss_legendre(nodes: int):
 def gauss_rules(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """Gauss-Legendre with 8 and 16 nodes of ``f`` over panels [lo, hi].
 
-    ``f`` takes an array of nodes with one more axis than the broadcast of
-    lo and hi.  Returns, per panel, the 16-node integral of f, its distance
-    to the 8-node one, and the 16-node integral of |f|.
+    ``f`` takes an array of points with one more axis than the broadcast of
+    lo and hi: it runs once, on both rules' nodes and the centre of each
+    panel.  Returns, per panel, the 16-node integral of f, its distance to
+    the 8-node one, the 16-node integral of |f|, and f at the 16 nodes
+    followed by f at the centre.
     """
+    (x8, w8), (x16, w16) = (_gauss_legendre(nodes) for nodes in _GL_NODES)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    v = f(mid[..., None] + half[..., None] * np.concatenate((x8, x16, [0.0])))
+    if not (half > 0.0).all():  # an empty panel adds 0, even where f is not finite
+        v = np.where((half > 0.0)[..., None], v, 0.0)
+    low, v = half * (v[..., :x8.size] * w8).sum(axis=-1), v[..., x8.size:]
+    high = half * (v[..., :x16.size] * w16).sum(axis=-1)
+    size = half * (np.abs(v[..., :x16.size]) * w16).sum(axis=-1)
+    return high, np.abs(high - low), size, v
 
-    def rule(nodes, weights):
-        v = f(mid[..., None] + half[..., None] * nodes)
-        return half * (v * weights).sum(axis=-1), half * (np.abs(v) * weights).sum(axis=-1)
 
-    (low, _), (high, size) = (rule(*_gauss_legendre(nodes)) for nodes in _GL_NODES)
-    return high, np.abs(high - low), size
+@functools.cache
+def _end_weights() -> np.ndarray:
+    """The 16 x 2 matrix that takes f at the 16 Gauss-Legendre nodes to the
+    values at -1 and +1 of the polynomial through them."""
+    x = _gauss_legendre(_GL_NODES[-1])[0]
+    diff = x[:, None] - x
+    np.fill_diagonal(diff, 1.0)
+    # Lagrange's basis at 1: the product over j != i of (1 - x_j) / (x_i - x_j)
+    right = np.prod(np.where(np.eye(x.size, dtype=bool), 1.0, (1.0 - x) / diff), axis=1)
+    return np.column_stack((right[::-1], right))
 
 
-def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_RTOL):
-    """gauss_rules over panels that run along the last axis of the broadcast
-    of lo and hi.  Returns the 16-node values and a mask of the panels whose
-    two values differ by more than ``rtol`` of the integral of |f| over all
-    panels of their row: the caller integrates those by _quad.
+def _geometric_rest(steps: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """The rest of the series whose last three terms (rows of ``steps``)
+    fall geometrically: d2 q / (1 - q) with q = d2 / d1.
+
+    The ratio d1 / d0 must give the same limit to within ``bound``, and both
+    ratios must lie in (0, 1); else QuadratureFailure.
     """
-    high, err, size = gauss_rules(f, lo, hi)
-    return high, ~(err <= rtol * size.sum(axis=-1, keepdims=True))
+    d0, d1, d2 = steps
+    q1, q2 = d1 / d0, d2 / d1
+    rest1, rest2 = d1 * q1 / (1.0 - q1), d2 * q2 / (1.0 - q2)
+    ok = (q1 > 0.0) & (q1 < 1.0) & (q2 > 0.0) & (q2 < 1.0) & (np.abs(d2 + rest2 - rest1) <= bound)
+    if not ok.all():
+        raise QuadratureFailure("bisection did not converge")
+    return rest2
+
+
+def _bisect(f: Callable, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Integrals of ``f(k, y)`` over the pieces [lo[k], hi[k]], k = 0..K-1,
+    that failed their 8/16 check at ``bound``.
+
+    Each level splits every open piece at its midpoint, evaluates f there,
+    and runs gauss_rules once over all the halves.  A half is kept when its
+    8/16 distance is at most the bound of its k, and so is its width times
+    the distance, at each end that is a midpoint, of the polynomial through
+    its 16 nodes to f: both rules miss a kink near a piece's end, and a
+    kink near the middle of a piece lies near the end of a half.  Any other
+    half is open.  When a piece of k can no longer be split (its midpoint
+    rounds to an end, or it is narrower than _MIN_WIDTH) or f is not finite
+    on a half, as at an integrable singularity at 0 that overflows first,
+    k's total stops: what the last three levels added to it must fall
+    geometrically, and _geometric_rest adds the rest of that series.  A
+    level of more than _MAX_PIECES halves raises QuadratureFailure.
+    """
+    n = lo.size
+    out = np.zeros(n)
+    opened = np.zeros(n)  # the 16-node values of each k's open pieces
+    steps = np.full((3, n), np.nan)  # what the last three levels added to each k
+    k = np.arange(n)
+    ends = np.full((n, 2), np.nan)  # f at the ends that are midpoints
+    with np.errstate(all="ignore"):  # overflow and inf - inf, on pieces that then stop
+        centre = f(k[:, None], 0.5 * (lo + hi)[:, None])[:, 0]
+        while k.size:
+            if 2 * k.size > _MAX_PIECES:
+                raise QuadratureFailure(f"bisection needs more than {_MAX_PIECES} pieces")
+            mid = 0.5 * (lo + hi)
+            whole = np.repeat((mid <= lo) | (mid >= hi) | (hi - lo < _MIN_WIDTH), 2)
+            ends = np.column_stack((ends[:, 0], centre, centre, ends[:, 1])).reshape(-1, 2)
+            k = np.repeat(k, 2)
+            lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+            value, err, _, nodes = gauss_rules(lambda y: f(k[:, None], y), lo, hi)
+            stop = np.unique(k[whole | ~np.isfinite(value)])
+            if stop.size:
+                out[stop] += opened[stop] + _geometric_rest(steps[:, stop], bound[stop])
+                go = ~np.isin(k, stop)
+                k, lo, hi, ends, value, err, nodes = (
+                    a[go] for a in (k, lo, hi, ends, value, err, nodes))
+            gap = np.abs(nodes[:, :-1] @ _end_weights() - ends)
+            gap = np.where(np.isfinite(ends), gap, 0.0).max(axis=1) * (hi - lo)
+            done = (err <= bound[k]) & (gap <= bound[k])
+            kept = np.bincount(k[done], value[done], minlength=n)
+            out += kept
+            k, lo, hi, ends, centre = k[~done], lo[~done], hi[~done], ends[~done], nodes[~done, -1]
+            now_open = np.bincount(k, value[~done], minlength=n)
+            steps = np.vstack((steps[1:], kept + now_open - opened))
+            opened = now_open
+    return out
+
+
+def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_RTOL,
+                 pieces: Optional[Callable] = None) -> np.ndarray:
+    """Integrals of f over the panels [lo, hi], rows by panels.
+
+    ``f(rows, v)`` takes an array of row indices broadcast with the nodes
+    v.  The 16-node value of gauss_rules is kept where it is within
+    ``rtol`` of the integral of |f| over all panels of its row from the
+    8-node one.  The panels that fail, (row[k], col[k]), are integrated by
+    _bisect at that bound: over themselves, or over the pieces (g, a, b) =
+    ``pieces(row, col)`` give, g(k, y) over [a[k], b[k]].
+    """
+    lo, hi = np.broadcast_arrays(lo, hi)
+    rows = np.arange(lo.shape[0])[:, None, None]
+    high, err, size, _ = gauss_rules(lambda v: f(rows, v), lo, hi)
+    bound = np.broadcast_to(rtol * size.sum(axis=-1, keepdims=True), high.shape)
+    fail = ~(err <= bound)
+    if fail.any():
+        row, col = np.nonzero(fail)
+        if pieces is None:
+            g, a, b = (lambda k, v: f(row[k], v)), lo[row, col], hi[row, col]
+        else:
+            g, a, b = pieces(row, col)
+        high[row, col] = _bisect(g, a, b, bound[row, col])
+    return high
 
 
 def _density_masses(density, args, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integrals of ``density(*args, y)`` over [lo, hi], elementwise.
 
-    Each interval with hi > lo is one gauss_panels panel, and _quad
-    integrates the intervals that fail its check.  Empty intervals, or no
-    density, give 0.
+    Each interval with hi > lo is one gauss_panels panel, bisected where it
+    fails its check.  Empty intervals, or no density, give 0.
     """
     lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
     out = np.zeros(lo.shape)
     live = hi > lo
     if density is None or not live.any():
         return out
-    lo, hi = lo[live], hi[live]
     args = [a[live] for a in args]
-    high, fail = gauss_panels(
-        lambda y: _evaluate(density, *(a[:, None, None] for a in args), y),
-        lo[:, None], hi[:, None],
-    )
-    for i in np.flatnonzero(fail):
-        point = [float(a[i]) for a in args]
-        high[i] = _quad(lambda y: float(_evaluate(density, *point, y)), float(lo[i]), float(hi[i]))
-    out[live] = high[:, 0]
+    out[live] = gauss_panels(lambda r, y: _evaluate(density, *(a[r] for a in args), y),
+                             lo[live, None], hi[live, None])[:, 0]
     return out
 
 
@@ -219,10 +297,11 @@ def _side_integral(f: Callable, args, side: float, lo, hi: float) -> np.ndarray:
     ``args``, and ``hi`` is one number, possibly infinite.  The map
     t = lo + (1-s)/s of QUADPACK's qagi turns [lo, hi] into s in
     [1/(1 + hi - lo), 1]: the whole of (0, 1] when hi is infinite.  The
-    s-interval is cut at the fixed _TAIL_BREAKS, every piece is a
-    gauss_panels panel, and a panel that fails its check goes to _quad over
-    the y-range it maps to.  Elements are handled in chunks of at most
-    _BLOCK_BUDGET doubles per node array.
+    s-interval is cut at the fixed _TAIL_BREAKS, and every piece is a
+    gauss_panels panel.  A panel that fails its check is bisected over the
+    y-range it maps to, where floats stay dense at a singular tail start;
+    only a panel that reaches t = inf is bisected in s.  Elements are
+    handled in chunks of at most _BLOCK_BUDGET doubles per node array.
     """
     lo, *args = np.broadcast_arrays(np.asarray(lo, dtype=float), *args)
     out = np.zeros(lo.shape)
@@ -236,21 +315,29 @@ def _side_integral(f: Callable, args, side: float, lo, hi: float) -> np.ndarray:
     step = max(1, _BLOCK_BUDGET // (_TAIL_BREAKS.size * _GL_NODES[-1]))
     for c in range(0, lo.size, step):
         part = slice(c, c + step)
-        t0, point = lo[part, None, None], [x[part, None, None] for x in args]
+        t0, point = lo[part], [x[part] for x in args]
         edges = np.maximum(_TAIL_BREAKS, s_end[part, None])
-        high, fail = gauss_panels(
-            lambda s: f(*point, side * (t0 + (1.0 - s) / s)) / (s * s),
-            edges[:, :-1], edges[:, 1:],
-        )
-        for i, j in np.argwhere(fail).tolist():
+
+        def pieces(row, col):
             # the panel [s0, s1] holds the magnitudes from t(s1) to t(s0)
-            s0, s1, t = float(edges[i, j]), float(edges[i, j + 1]), float(lo[c + i])
+            s0, s1, t = edges[row, col], edges[row, col + 1], t0[row]
             near = t + (1.0 - s1) / s1
-            far = hi if s0 <= s_end[c + i] else t + (1.0 - s0) / s0
-            y_lo, y_hi = (near, far) if side > 0.0 else (-far, -near)
-            pt = [float(x[c + i]) for x in args]
-            high[i, j] = _quad(lambda y: float(f(*pt, y)), y_lo, y_hi)
-        vals[part] = high.sum(axis=-1)
+            with np.errstate(divide="ignore"):
+                far = np.where(s0 <= s_end[part][row], hi, t + (1.0 - s0) / s0)
+            in_s = np.isinf(far)
+            a, b = (near, far) if side > 0.0 else (-far, -near)
+
+            def g(k, v):  # v is y, or s on the pieces in_s
+                s = np.where(in_s[k], v, 1.0)
+                y = np.where(in_s[k], side * (t[k] + (1.0 - s) / s), v)
+                return f(*(x[row[k]] for x in point), y) / (s * s)
+
+            return g, np.where(in_s, 0.0, a), np.where(in_s, s1, b)
+
+        vals[part] = gauss_panels(
+            lambda r, s: f(*(x[r] for x in point), side * (t0[r] + (1.0 - s) / s)) / (s * s),
+            edges[:, :-1], edges[:, 1:], pieces=pieces,
+        ).sum(axis=-1)
     out[live] = vals
     return out
 

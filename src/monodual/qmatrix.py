@@ -802,6 +802,15 @@ def _horizon(t: float, tol: float) -> Tuple[float, float]:
     return t, tol
 
 
+def _jump_scale(lam: float, t: float) -> float:
+    """lam * t, the mean number of uniformized jumps by the horizon t; one
+    that overflows is malformed input."""
+    lam_t = lam * t
+    if not math.isfinite(lam_t):
+        raise InputFormatError(f"lambda * t overflows: lambda={lam!r}, t={t!r}")
+    return lam_t
+
+
 def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> TransitionMatrix:
     """Substochastic transition matrix exp(t q) of the effective generator.
 
@@ -882,11 +891,12 @@ def _expm_uniformized(
     lam = float(np.max(exit_rate, initial=0.0))
     if t == 0.0 or lam == 0.0:
         return np.ones((n_states, 1)), 0, 0, 0, 0.0
+    lam_t = _jump_scale(lam, t)
     halvings = 0
-    while lam * t / (2.0 ** halvings) > 64.0:
+    while lam_t / (2.0 ** halvings) > 64.0:
         halvings += 1
     step_tol = tol / (2.0 ** halvings)
-    a = lam * t / (2.0 ** halvings)
+    a = lam_t / (2.0 ** halvings)
     weight = math.exp(-a)
     weights = [weight]
     k = 0

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InputFormatError, WindowEscape
 from .generator import Lattice, LevyModel, discretize
-from .qmatrix import RateMatrix, dual_qmatrix
+from .qmatrix import RateMatrix, _jump_scale, dual_qmatrix
 
 SALT_SURVIVAL = 1
 SALT_DUAL_X = 2
@@ -224,7 +224,7 @@ def _jump_targets(dyn: _Dynamics, states: np.ndarray, u: np.ndarray) -> np.ndarr
 
 
 def _block_columns(dyn: _Dynamics, t_end: float) -> int:
-    lam_t = dyn.max_rate * t_end
+    lam_t = _jump_scale(dyn.max_rate, t_end)
     cols = 2 * int(math.ceil(lam_t + 6.0 * math.sqrt(lam_t + 1.0) + 20.0))
     return min(cols, _BLOCK_COL_CAP)
 
@@ -494,6 +494,7 @@ def sample_path(rm: RateMatrix, x0: int, t_end: float, seed: int) -> PathSample:
     idx = dyn.index_of(x0)
     if t_end < 0.0 or not math.isfinite(t_end):
         raise InputFormatError(f"bad horizon {t_end!r}")
+    _jump_scale(dyn.max_rate, t_end)
     gen = np.random.Generator(np.random.Philox(key=[seed, SALT_PATH]))
     path = [(0.0, idx)]
     _, killed, _ = _finish_scalar(dyn, idx, 0.0, t_end, gen, path)

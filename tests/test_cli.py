@@ -58,6 +58,17 @@ BAD_CHAIN_DOC = {
     ],
 }
 
+# lambda = 10: a horizon of 1e308 overflows lambda * t
+THREE_STATE_DOC = {
+    "lo": 0, "hi": 2, "boundary": "reflect",
+    "rates": [
+        {"n": 0, "m": 1, "rate": 10.0},
+        {"n": 1, "m": 1, "rate": 5.0},
+        {"n": 2, "m": -1, "rate": 3.0},
+    ],
+}
+OVERFLOW_MESSAGE = "lambda * t overflows: lambda=10.0, t=1e+308"
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -721,16 +732,57 @@ class TestErrorPaths:
         assert doc["error"] == {"type": "InputFormatError",
                                 "message": "G is not finite at x=0.0"}
 
-    def test_closed_stdout_exits_with_the_pipe_code(self, files):
-        # the dual's text is far longer than a pipe buffer
+    @pytest.mark.parametrize("flags", [[], ["--t", "1"]])
+    def test_closed_stdout_exits_with_the_pipe_code(self, files, flags):
+        # the dual's text is far longer than a pipe buffer: its reader
+        # closes after the first byte.  The error envelope of a command line
+        # that does not parse is shorter than one, so its reader is closed
+        # before the command starts.
         rm = birth_death(0, 2999, up=1.0, down=0.5, boundary="reflect")
         path = files("chain3000.json", ratematrix_to_dict(rm))
-        proc = fresh_cli(["dual", "--in", path], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert proc.stdout.read(1) == b"{"
-        proc.stdout.close()
+        read, write = os.pipe()
+        if flags:
+            os.close(read)
+        proc = fresh_cli(["dual", "--in", path, *flags], stdout=write, stderr=subprocess.PIPE)
+        os.close(write)
+        if not flags:
+            with os.fdopen(read, "rb") as out:
+                assert out.read(1) == b"{"
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == cli.EXIT_CLOSED_PIPE == 141
-        assert err == b""
+        if flags:  # argparse's usage and message, and no traceback
+            assert err.startswith(b"usage: monodual") and b"Traceback" not in err
+        else:
+            assert err == b""
+
+    @pytest.mark.parametrize("command", ["evolve", "duality"])
+    def test_overflowing_horizon_is_malformed(self, capsys, files, command):
+        # the halving loop of uniformization raised OverflowError (exit 3)
+        path = files("chain.json", THREE_STATE_DOC)
+        code, doc = run_json(capsys, [command, "--in", path, "--t", "1e308"])
+        assert code == 2
+        assert doc["error"] == {"type": "InputFormatError", "message": OVERFLOW_MESSAGE}
+
+    def test_overflowing_survival_horizon_is_malformed(self, capsys, files):
+        # the block width raised OverflowError (exit 3)
+        job = {"op": "survival", "x0": 0, "y": 1, "reps": 10, "chain": THREE_STATE_DOC}
+        path = files("job.json", job)
+        code, doc = run_json(capsys, ["simulate", "--in", path, "--t", "1e308"])
+        assert code == 2
+        assert doc["error"] == {"type": "InputFormatError", "message": OVERFLOW_MESSAGE}
+
+    def test_overflowing_path_horizon_is_malformed(self, files):
+        # the path jumped until it was stopped: a fresh process, with a timeout
+        path = files("job.json", {"op": "path", "x0": 0, "chain": THREE_STATE_DOC})
+        proc = fresh_cli(["simulate", "--in", path, "--t", "1e308"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2 and err == b""
+        assert json.loads(out)["error"] == {"type": "InputFormatError",
+                                            "message": OVERFLOW_MESSAGE}
 
     def test_error_envelope_written_to_out(self, tmp_path, files, capsys):
         bad = files("bad.json", BAD_CHAIN_DOC)

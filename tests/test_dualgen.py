@@ -27,7 +27,7 @@ from monodual.generator import (
     model_from_dict,
 )
 
-from test_generator import PIPELINE_DOCS, _all_quads, density_at
+from test_generator import PIPELINE_DOCS, _bisected_panels, density_at
 
 
 def a_fn(x):
@@ -288,9 +288,9 @@ class TestApply:
             dual_generator_apply(coeffs, bump, 0.4, y_max=y_max)
 
     @pytest.mark.parametrize("convention", ["y-factor", "indicator"])
-    def test_gauss_panels_need_no_quad(self, convention, monkeypatch):
+    def test_gauss_panels_need_no_bisection(self, convention, monkeypatch):
         coeffs = dual_levy(tanh_exp_model())
-        calls = _all_quads(monkeypatch)
+        calls = _bisected_panels(monkeypatch)
         dual_generator_apply(coeffs, bump, 0.4, df=dbump, d2f=d2bump, convention=convention)
         assert calls == []
 

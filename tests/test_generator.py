@@ -13,6 +13,7 @@ from monodual.errors import (
     GrowthViolated,
     InputFormatError,
     MomentUnbounded,
+    QuadratureFailure,
     TailMassUnresolved,
 )
 from monodual.generator import (
@@ -532,27 +533,16 @@ DENSITY_MODELS.update({
 ALL_MODELS = {**EXACT_MODELS, **DENSITY_MODELS}
 
 
-def _finite_quads(monkeypatch):
-    calls = []
-    inner = generator._quad
-
-    def counting(f, a, b):
-        if math.isfinite(a) and math.isfinite(b):
-            calls.append((a, b))
-        return inner(f, a, b)
-
-    monkeypatch.setattr(generator, "_quad", counting)
-    return calls
-
-
-def _all_quads(monkeypatch):
+def _bisected_panels(monkeypatch):
+    """The (lo, hi) of every panel that fails its 8/16 check and is bisected:
+    its y-range, or for a qagi panel that reaches t = inf its s-range."""
     calls = []
     for module in (generator, dualgen):
-        def counting(f, a, b, inner=module._quad):
-            calls.append((a, b))
-            return inner(f, a, b)
+        def counting(f, lo, hi, bound, inner=module._bisect):
+            calls.extend(zip(lo.tolist(), hi.tolist()))
+            return inner(f, lo, hi, bound)
 
-        monkeypatch.setattr(module, "_quad", counting)
+        monkeypatch.setattr(module, "_bisect", counting)
     return calls
 
 
@@ -572,21 +562,21 @@ class TestDensityTails:
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     @pytest.mark.parametrize("y_max", [math.inf, 3.3])
-    def test_kinked_tail_falls_back_on_the_kinked_panel(self, side, y_max, monkeypatch):
+    def test_kinked_tail_is_bisected_on_the_kinked_panel(self, side, y_max, monkeypatch):
         kink = self.KINK
         density = lambda x, y: math.exp(-abs(y)) * (1.0 + abs(y - side * kink))
         a = np.linspace(0.0, 4.0, 161)
         lo, hi = (0.0, y_max) if side > 0 else (-y_max, 0.0)
-        calls = _all_quads(monkeypatch)
+        calls = _bisected_panels(monkeypatch)
         got = density_tails(density, (np.zeros(a.size),), a, side, lo, hi)
         # one panel per tail that holds the kink, and that panel only
         assert len(calls) == np.count_nonzero(a < kink)
         assert all(c < side * kink < d for c, d in calls)
-        for ai, g in zip(a, got):  # to the accuracy asked of _quad
+        for ai, g in zip(a, got):  # to 1e-10 relative, 1e-12 absolute
             assert g == pytest.approx(_exact_tail(ai, kink, y_max), rel=1e-10, abs=1e-12)
 
     def test_exponential_tails_without_fallback(self, monkeypatch):
-        calls = _all_quads(monkeypatch)
+        calls = _bisected_panels(monkeypatch)
         beta = np.linspace(0.8, 3.0, 12)[:, None]
         a = np.linspace(0.0, 4.0, 17)[None, :]
         density = generator.parse_expression("1.3*e^(-b*y)", ("b", "y"))
@@ -608,7 +598,7 @@ class TestNoFallbackOnPipelineDensities:
     @pytest.mark.parametrize("case", ["dec_dens", "dens_expr"])
     def test_discretize_and_tabulate_dual(self, case, monkeypatch):
         m = model_from_dict(PIPELINE_DOCS[case])
-        calls = _all_quads(monkeypatch)
+        calls = _bisected_panels(monkeypatch)
         discretize(m, Lattice(h=0.05, lo=-40, hi=40, boundary="reflect"))
         tabulate_dual(dual_levy(m), 0.25 * np.arange(-2, 3), 0.25 * np.arange(1, 17))
         assert calls == []
@@ -629,20 +619,20 @@ class TestArrayDiscretize:
         m = DENSITY_MODELS[name]()
         lat = Lattice(h=0.1, lo=-15, hi=15, boundary="reflect")
         want = reference_discretize(m, lat, bin_mass=quad_bin).rates
-        calls = _finite_quads(monkeypatch)
+        calls = _bisected_panels(monkeypatch)
         got = discretize(m, lat).rates
         assert calls == []  # smooth on every bin: Gauss-Legendre throughout
         assert list(got) == list(want)
         for key, r in got.items():
             assert r == pytest.approx(want[key], rel=1e-12, abs=0.0), key
 
-    def test_kinked_bin_falls_back_to_quad(self, monkeypatch):
+    def test_kinked_bin_is_bisected(self, monkeypatch):
         kink = 0.37
         m = LevyModel(nu=DensityKernel(
             density=lambda x, y: math.exp(-abs(y - kink)), support_sign="positive"))
         lat = Lattice(h=0.1, lo=0, hi=10)
         want = reference_discretize(m, lat, bin_mass=quad_bin).rates
-        calls = _finite_quads(monkeypatch)
+        calls = _bisected_panels(monkeypatch)
         got = discretize(m, lat).rates
         # the bin [0.3, 0.4) of every state, and no other
         assert len(calls) == 11
@@ -910,7 +900,7 @@ class TestValidateModel:
     def test_base_moment_computed_once(self, monkeypatch):
         # a decomposable kernel's base moment is x-free, and the overshoot
         # levels (one per |x| > 1) are one array: the number of integrals
-        # does not grow with the grid, and no panel falls back to _quad
+        # does not grow with the grid, and no panel is bisected
         def model():
             base = BaseMeasure(density=lambda y: 0.8 * math.exp(-1.2 * y), y_min=0.0)
             return LevyModel(
@@ -931,7 +921,7 @@ class TestValidateModel:
             return inner(f, args, side, lo, hi)
 
         monkeypatch.setattr(generator, "_side_integral", counting)
-        quads = _all_quads(monkeypatch)
+        quads = _bisected_panels(monkeypatch)
         counts, reports = {}, {}
         for points in (41, 161):
             integrals.clear()
@@ -965,6 +955,40 @@ class TestCutoffIntensity:
             vals.append(got)
         assert vals == sorted(vals, reverse=True)
         assert vals[1] == pytest.approx(4.324555320336758, rel=1e-10)
+
+
+def _power_law(exponent: str, **support) -> LevyModel:
+    return model_from_dict({"nu": {"case": "density", "density": exponent,
+                                   "support_sign": "positive", **support}})
+
+
+class TestSingularDensities:
+    # the moment of min(|y|, y^2) under y^(-1-alpha) on (0, 5]:
+    # 1/(2 - alpha) + (1 - 5^(1-alpha))/(alpha - 1); at alpha = 1.9 the
+    # density overflows below y = 1e-106, before bisection resolves y^(-0.9)
+    @pytest.mark.parametrize("alpha, want", [
+        (0.5, 2.0 / 3.0 + 2.0 * (math.sqrt(5.0) - 1.0)),
+        (1.5, 2.0 + 2.0 * (1.0 - 5.0 ** -0.5)),
+        (1.9, 10.0 + (1.0 - 5.0 ** -0.9) / 0.9),
+    ])
+    def test_stable_like_moment(self, alpha, want):
+        m = _power_law(f"y^(-1-{alpha})", y_max=5.0)
+        records = validate_model(m, [-1.0, 0.0, 1.0]).records
+        rec = next(r for r in records if r["check"] == "nu_moment")
+        assert rec["sup"] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("density, support, want", [
+        ("y^(-0.5)*e^(-y)", {}, math.sqrt(math.pi)),
+        # pieces reach the subnormal floats before y^(-0.99) is resolved
+        ("y^(-0.99)", {"y_max": 1.0}, 100.0),
+    ])
+    def test_integrable_singularity_intensity(self, density, support, want):
+        assert jump_intensity(_power_law(density, **support), 0.0) == pytest.approx(want, rel=1e-10)
+
+    def test_divergent_intensity_fails(self):
+        # adaptive quadrature's extrapolation gave -0.2
+        with pytest.raises(QuadratureFailure):
+            jump_intensity(_power_law("y^(-2)", y_max=5.0), 0.0)
 
 
 class TestCutoffDiscretize:

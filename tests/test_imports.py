@@ -28,7 +28,7 @@ from monodual.qmatrix import (
 """
 
 # a kink inside the bin [0.3, 0.4) fails the Gauss-Legendre check, so
-# the rate table goes through the adaptive-quadrature fallback
+# the rate table goes through the bisection of failing panels
 KINKED_DISCRETIZE = """
 doc = {"nu": {"case": "density", "density": "e^(-abs(y-0.37))", "support_sign": "positive"}}
 result = ratematrix_to_json(discretize(model_from_dict(doc), Lattice(h=0.1, lo=0, hi=10)))
@@ -100,9 +100,9 @@ def test_package_import_loads_no_scipy_subpackage():
     assert _fresh("result = None\n") == [[], None, []]
 
 
-def test_quad_fallback_imports_integrate():
+def test_kinked_discretize_imports_no_integrate():
     before, result, after = _fresh(KINKED_DISCRETIZE)
-    assert before == [] and "scipy.integrate" in after
+    assert before == [] and after == []
     assert result == _here(KINKED_DISCRETIZE)
 
 
