@@ -183,15 +183,13 @@ def _geometric_rest(steps: np.ndarray, bound: np.ndarray) -> np.ndarray:
     fall geometrically: d2 q / (1 - q) with q = d2 / d1.
 
     The ratio d1 / d0 must give the same limit to within ``bound``, and both
-    ratios must lie in (0, 1); else QuadratureFailure.
+    ratios must lie in (0, 1); else the rest is NaN.
     """
     d0, d1, d2 = steps
     q1, q2 = d1 / d0, d2 / d1
     rest1, rest2 = d1 * q1 / (1.0 - q1), d2 * q2 / (1.0 - q2)
     ok = (q1 > 0.0) & (q1 < 1.0) & (q2 > 0.0) & (q2 < 1.0) & (np.abs(d2 + rest2 - rest1) <= bound)
-    if not ok.all():
-        raise QuadratureFailure("bisection did not converge")
-    return rest2
+    return np.where(ok, rest2, np.nan)
 
 
 def _bisect(f: Callable, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -208,8 +206,9 @@ def _bisect(f: Callable, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray) -> n
     rounds to an end, or it is narrower than _MIN_WIDTH) or f is not finite
     on a half, as at an integrable singularity at 0 that overflows first,
     k's total stops: what the last three levels added to it must fall
-    geometrically, and _geometric_rest adds the rest of that series.  A
-    level of more than _MAX_PIECES halves raises QuadratureFailure.
+    geometrically, and _geometric_rest adds the rest of that series; else
+    QuadratureFailure is raised, naming a half of k.  A level of more than
+    _MAX_PIECES halves raises it too.
     """
     n = lo.size
     out = np.zeros(n)
@@ -230,7 +229,11 @@ def _bisect(f: Callable, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray) -> n
             value, err, _, nodes = gauss_rules(lambda y: f(k[:, None], y), lo, hi)
             stop = np.unique(k[whole | ~np.isfinite(value)])
             if stop.size:
-                out[stop] += opened[stop] + _geometric_rest(steps[:, stop], bound[stop])
+                rest = _geometric_rest(steps[:, stop], bound[stop])
+                if np.isnan(rest).any():
+                    i = int(np.argmax(k == stop[np.argmax(np.isnan(rest))]))
+                    raise QuadratureFailure(f"integral over ({lo[i]}, {hi[i]}) did not converge")
+                out[stop] += opened[stop] + rest
                 go = ~np.isin(k, stop)
                 k, lo, hi, ends, value, err, nodes = (
                     a[go] for a in (k, lo, hi, ends, value, err, nodes))
@@ -261,7 +264,7 @@ def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_
     rows = np.arange(lo.shape[0])[:, None, None]
     high, err, size, _ = gauss_rules(lambda v: f(rows, v), lo, hi)
     bound = np.broadcast_to(rtol * size.sum(axis=-1, keepdims=True), high.shape)
-    fail = ~(err <= bound)
+    fail = ~(err <= bound) & (hi > lo)  # an empty panel is exact, whatever its row
     if fail.any():
         row, col = np.nonzero(fail)
         if pieces is None:
