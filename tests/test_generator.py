@@ -957,8 +957,8 @@ class TestCutoffIntensity:
         assert vals[1] == pytest.approx(4.324555320336758, rel=1e-10)
 
 
-def _power_law(exponent: str, **support) -> LevyModel:
-    return model_from_dict({"nu": {"case": "density", "density": exponent,
+def _upward_density(density: str, **support) -> LevyModel:
+    return model_from_dict({"nu": {"case": "density", "density": density,
                                    "support_sign": "positive", **support}})
 
 
@@ -972,7 +972,7 @@ class TestSingularDensities:
         (1.9, 10.0 + (1.0 - 5.0 ** -0.9) / 0.9),
     ])
     def test_stable_like_moment(self, alpha, want):
-        m = _power_law(f"y^(-1-{alpha})", y_max=5.0)
+        m = _upward_density(f"y^(-1-{alpha})", y_max=5.0)
         records = validate_model(m, [-1.0, 0.0, 1.0]).records
         rec = next(r for r in records if r["check"] == "nu_moment")
         assert rec["sup"] == pytest.approx(want, rel=1e-10)
@@ -983,12 +983,18 @@ class TestSingularDensities:
         ("y^(-0.99)", {"y_max": 1.0}, 100.0),
     ])
     def test_integrable_singularity_intensity(self, density, support, want):
-        assert jump_intensity(_power_law(density, **support), 0.0) == pytest.approx(want, rel=1e-10)
+        m = _upward_density(density, **support)
+        assert jump_intensity(m, 0.0) == pytest.approx(want, rel=1e-10)
+
+    def test_density_undefined_at_the_support_end(self):
+        # NaN at y = 1 alone, where the empty tail panels sit
+        m = _upward_density("(1-y)^0.5/(1-y)^0.5*e^(-y)", y_max=1.0)
+        assert jump_intensity(m, 0.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_divergent_intensity_fails(self):
         # adaptive quadrature's extrapolation gave -0.2
         with pytest.raises(QuadratureFailure):
-            jump_intensity(_power_law("y^(-2)", y_max=5.0), 0.0)
+            jump_intensity(_upward_density("y^(-2)", y_max=5.0), 0.0)
 
 
 class TestCutoffDiscretize:
