@@ -81,6 +81,21 @@ _MAX_PIECES = _BLOCK_BUDGET // _GL_NODES[-1]
 # would be subnormal floats, short of full precision.
 _MIN_WIDTH = 2.0 ** 10 * np.finfo(float).tiny
 
+# Bisection extrapolates a total from its steps over 1, 2, 4, ... and at
+# most this many levels, when their ratio is at most _MAX_RATIO.  Near a
+# singularity y^(-0.99) the rest shrinks by 0.993 per level, and only steps
+# this long rise above the rounding; a ratio nearer 1 is not told apart
+# from the ratio 1 of a divergent y^(-1), which gave 7e13 without the cap.
+_MAX_STRIDE = 32
+_MAX_RATIO = 0.98
+
+# A total that cannot be bisected further is taken from its best
+# extrapolation if that agreed to this many bounds: 1e-10 of the integral
+# of |f| at the first pass's 1e-13.  Near a singularity away from 0, f
+# carries the rounding of y, which grows like 1/width, and the two limits
+# of _geometric_rest agree no better than about 50 bounds for (1-y)^(-0.9).
+_REST_SLACK = 1e3
+
 # Panel edges in s of _side_integral: 2^(-k/2) for k = 16..0, and 0.  On
 # tails c e^(-beta z) with beta in [0.8, 3] and a in [0, 4], every panel
 # passes the 8/16 check and the error is below 2e-15 relative; dyadic
@@ -150,19 +165,18 @@ def gauss_rules(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """Gauss-Legendre with 8 and 16 nodes of ``f`` over panels [lo, hi].
 
     ``f`` takes an array of points with one more axis than the broadcast of
-    lo and hi: it runs once, on both rules' nodes and the centre of each
-    panel.  Returns, per panel, the 16-node integral of f, its distance to
-    the 8-node one, the 16-node integral of |f|, and f at the 16 nodes
-    followed by f at the centre.
+    lo and hi: it runs once, on the nodes of both rules.  Returns, per
+    panel, the 16-node integral of f, its distance to the 8-node one, the
+    16-node integral of |f|, and f at the 16 nodes.
     """
     (x8, w8), (x16, w16) = (_gauss_legendre(nodes) for nodes in _GL_NODES)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    v = f(mid[..., None] + half[..., None] * np.concatenate((x8, x16, [0.0])))
+    v = f(mid[..., None] + half[..., None] * np.concatenate((x8, x16)))
     if not (half > 0.0).all():  # an empty panel adds 0, even where f is not finite
         v = np.where((half > 0.0)[..., None], v, 0.0)
     low, v = half * (v[..., :x8.size] * w8).sum(axis=-1), v[..., x8.size:]
-    high = half * (v[..., :x16.size] * w16).sum(axis=-1)
-    size = half * (np.abs(v[..., :x16.size]) * w16).sum(axis=-1)
+    high = half * (v * w16).sum(axis=-1)
+    size = half * (np.abs(v) * w16).sum(axis=-1)
     return high, np.abs(high - low), size, v
 
 
@@ -178,75 +192,95 @@ def _end_weights() -> np.ndarray:
     return np.column_stack((right[::-1], right))
 
 
-def _geometric_rest(steps: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """The rest of the series whose last three terms (rows of ``steps``)
-    fall geometrically: d2 q / (1 - q) with q = d2 / d1.
+def _geometric_rest(totals: list):
+    """The rest of each column's series of ``totals`` (one row per level)
+    where its last steps fall geometrically, and how well that is known.
 
-    The ratio d1 / d0 must give the same limit to within ``bound``, and both
-    ratios must lie in (0, 1); else the rest is NaN.
+    For m = 1, 2, 4, ... up to _MAX_STRIDE, the steps d0, d1, d2 between
+    the totals m levels apart give two limits: the last total plus the rest
+    d2 q / (1 - q), q = d2 / d1, and the one before plus its rest by the
+    ratio d1 / d0.  Where both ratios lie in (0, _MAX_RATIO], their
+    distance is a miss.  Returns the rest and the miss of the m with the
+    least miss, or NaN and inf where no m has one.
     """
-    d0, d1, d2 = steps
-    q1, q2 = d1 / d0, d2 / d1
-    rest1, rest2 = d1 * q1 / (1.0 - q1), d2 * q2 / (1.0 - q2)
-    ok = (q1 > 0.0) & (q1 < 1.0) & (q2 > 0.0) & (q2 < 1.0) & (np.abs(d2 + rest2 - rest1) <= bound)
-    return np.where(ok, rest2, np.nan)
+    rest, miss = np.full(totals[-1].shape, np.nan), np.full(totals[-1].shape, np.inf)
+    m = 1
+    while 3 * m < len(totals) and m <= _MAX_STRIDE:
+        d0, d1, d2 = np.diff(totals[-1 - 3 * m::m], axis=0)
+        q1, q2 = d1 / d0, d2 / d1
+        rest1, rest2 = d1 * q1 / (1.0 - q1), d2 * q2 / (1.0 - q2)
+        ok = (q1 > 0.0) & (q1 <= _MAX_RATIO) & (q2 > 0.0) & (q2 <= _MAX_RATIO)
+        gap = np.where(ok, np.abs(d2 + rest2 - rest1), np.inf)
+        rest, miss = np.where(gap < miss, rest2, rest), np.fmin(gap, miss)
+        m *= 2
+    return rest, miss
 
 
 def _bisect(f: Callable, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Integrals of ``f(k, y)`` over the pieces [lo[k], hi[k]], k = 0..K-1,
     that failed their 8/16 check at ``bound``.
 
-    Each level splits every open piece at its midpoint, evaluates f there,
-    and runs gauss_rules once over all the halves.  A half is kept when its
-    8/16 distance is at most the bound of its k, and so is its width times
-    the distance, at each end that is a midpoint, of the polynomial through
-    its 16 nodes to f: both rules miss a kink near a piece's end, and a
-    kink near the middle of a piece lies near the end of a half.  Any other
-    half is open.  When a piece of k can no longer be split (its midpoint
-    rounds to an end, or it is narrower than _MIN_WIDTH) or f is not finite
-    on a half, as at an integrable singularity at 0 that overflows first,
-    k's total stops: what the last three levels added to it must fall
-    geometrically, and _geometric_rest adds the rest of that series; else
-    QuadratureFailure is raised, naming a half of k.  A level of more than
-    _MAX_PIECES halves raises it too.
+    Each level evaluates f at the midpoint of every open piece, splits it
+    there and runs gauss_rules once over all the halves.  A half is kept
+    when its 8/16 distance is at most the bound of its k, and so is its
+    width times the distance, at each end that is a midpoint, of the
+    polynomial through its 16 nodes to f: both rules miss a kink near a
+    piece's end, and a kink near the middle of a piece lies near the end of
+    a half.  Any other half is open.  k is done when it has no open half.
+
+    k's total, its kept halves and the 16-node values of its open ones, is
+    recorded at each level.  Where its steps fall geometrically, as they do
+    at an integrable singularity, _geometric_rest extrapolates it, and k
+    keeps its best limit: k is done with that limit once its miss is
+    within the bound.  When k cannot go on (an open piece whose midpoint
+    rounds to an end or that is narrower than _MIN_WIDTH, a half where f
+    is not finite, or a level of more than _MAX_PIECES halves), it is done
+    with its best limit if that missed by at most _REST_SLACK bounds, as
+    the rounding of y near a singularity away from 0 allows; else
+    QuadratureFailure is raised, naming k's piece.
     """
     n = lo.size
-    out = np.zeros(n)
-    opened = np.zeros(n)  # the 16-node values of each k's open pieces
-    steps = np.full((3, n), np.nan)  # what the last three levels added to each k
+    piece = np.column_stack((lo, hi))
+    out = np.zeros(n)  # the kept halves of each k, then its limit
+    totals = []  # out + the 16-node values of the open halves, at the last levels
+    best, best_miss = np.full(n, np.nan), np.full(n, np.inf)
+    stuck = np.zeros(n, dtype=bool)  # the k that cannot go on
     k = np.arange(n)
     ends = np.full((n, 2), np.nan)  # f at the ends that are midpoints
-    with np.errstate(all="ignore"):  # overflow and inf - inf, on pieces that then stop
-        centre = f(k[:, None], 0.5 * (lo + hi)[:, None])[:, 0]
-        while k.size:
+    with np.errstate(all="ignore"):  # overflow and inf - inf, on halves that then stop k
+        while True:
+            if totals:
+                rest, miss = _geometric_rest(totals)
+                best = np.where(miss < best_miss, totals[-1] + rest, best)
+                best_miss = np.fmin(miss, best_miss)
+            live = np.bincount(k, minlength=n) > 0
             if 2 * k.size > _MAX_PIECES:
-                raise QuadratureFailure(f"bisection needs more than {_MAX_PIECES} pieces")
+                stuck |= live
+            lost = stuck & live & ~(best_miss <= _REST_SLACK * bound)
+            if lost.any():
+                a, b = piece[np.argmax(lost)]
+                raise QuadratureFailure(f"integral over ({a}, {b}) did not converge")
+            stop = live & ((best_miss <= bound) | stuck)
+            out[stop] = best[stop]
+            go = ~stop[k]
+            k, lo, hi, ends = k[go], lo[go], hi[go], ends[go]
+            if not k.size:
+                return out
             mid = 0.5 * (lo + hi)
-            whole = np.repeat((mid <= lo) | (mid >= hi) | (hi - lo < _MIN_WIDTH), 2)
+            stuck[k[(mid <= lo) | (mid >= hi) | (hi - lo < _MIN_WIDTH)]] = True
+            centre = f(k[:, None], mid[:, None])[:, 0]
             ends = np.column_stack((ends[:, 0], centre, centre, ends[:, 1])).reshape(-1, 2)
             k = np.repeat(k, 2)
             lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
             value, err, _, nodes = gauss_rules(lambda y: f(k[:, None], y), lo, hi)
-            stop = np.unique(k[whole | ~np.isfinite(value)])
-            if stop.size:
-                rest = _geometric_rest(steps[:, stop], bound[stop])
-                if np.isnan(rest).any():
-                    i = int(np.argmax(k == stop[np.argmax(np.isnan(rest))]))
-                    raise QuadratureFailure(f"integral over ({lo[i]}, {hi[i]}) did not converge")
-                out[stop] += opened[stop] + rest
-                go = ~np.isin(k, stop)
-                k, lo, hi, ends, value, err, nodes = (
-                    a[go] for a in (k, lo, hi, ends, value, err, nodes))
-            gap = np.abs(nodes[:, :-1] @ _end_weights() - ends)
+            stuck[k[~np.isfinite(value)]] = True
+            gap = np.abs(nodes @ _end_weights() - ends)
             gap = np.where(np.isfinite(ends), gap, 0.0).max(axis=1) * (hi - lo)
             done = (err <= bound[k]) & (gap <= bound[k])
-            kept = np.bincount(k[done], value[done], minlength=n)
-            out += kept
-            k, lo, hi, ends, centre = k[~done], lo[~done], hi[~done], ends[~done], nodes[~done, -1]
-            now_open = np.bincount(k, value[~done], minlength=n)
-            steps = np.vstack((steps[1:], kept + now_open - opened))
-            opened = now_open
-    return out
+            out += np.bincount(k[done], value[done], minlength=n)
+            k, lo, hi, ends = k[~done], lo[~done], hi[~done], ends[~done]
+            total = out + np.bincount(k, value[~done], minlength=n)
+            totals = (totals + [total])[-3 * _MAX_STRIDE - 1:]
 
 
 def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_RTOL,

@@ -964,12 +964,14 @@ def _upward_density(density: str, **support) -> LevyModel:
 
 class TestSingularDensities:
     # the moment of min(|y|, y^2) under y^(-1-alpha) on (0, 5]:
-    # 1/(2 - alpha) + (1 - 5^(1-alpha))/(alpha - 1); at alpha = 1.9 the
-    # density overflows below y = 1e-106, before bisection resolves y^(-0.9)
+    # 1/(2 - alpha) + (1 - 5^(1-alpha))/(alpha - 1); at alpha = 1.99 the rest
+    # of y^(-0.99) shrinks by 0.993 a level, and at y = 1e-103, where the
+    # density overflows, it is still 9.3
     @pytest.mark.parametrize("alpha, want", [
         (0.5, 2.0 / 3.0 + 2.0 * (math.sqrt(5.0) - 1.0)),
         (1.5, 2.0 + 2.0 * (1.0 - 5.0 ** -0.5)),
         (1.9, 10.0 + (1.0 - 5.0 ** -0.9) / 0.9),
+        (1.99, 100.0 + (1.0 - 5.0 ** -0.99) / 0.99),
     ])
     def test_stable_like_moment(self, alpha, want):
         m = _upward_density(f"y^(-1-{alpha})", y_max=5.0)
@@ -979,8 +981,13 @@ class TestSingularDensities:
 
     @pytest.mark.parametrize("density, support, want", [
         ("y^(-0.5)*e^(-y)", {}, math.sqrt(math.pi)),
-        # pieces reach the subnormal floats before y^(-0.99) is resolved
+        # pieces would reach the subnormal floats before y^(-0.99) is resolved
         ("y^(-0.99)", {"y_max": 1.0}, 100.0),
+        # at the far end of the support, where floats are 1e-16 apart
+        ("(1-y)^(-0.5)", {"y_max": 1.0}, 2.0),
+        # there the rounding of 1 - y keeps the pieces from settling at the
+        # bound, and bisection takes the limit that missed by 50 bounds
+        ("(1-y)^(-0.9)", {"y_max": 1.0}, 10.0),
     ])
     def test_integrable_singularity_intensity(self, density, support, want):
         m = _upward_density(density, **support)
@@ -991,10 +998,28 @@ class TestSingularDensities:
         m = _upward_density("(1-y)^0.5/(1-y)^0.5*e^(-y)", y_max=1.0)
         assert jump_intensity(m, 0.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
-    def test_divergent_intensity_fails(self):
-        # adaptive quadrature's extrapolation gave -0.2
+    def test_singularity_settles_far_above_the_float_spacing(self, monkeypatch):
+        # floats near y = 1 are 1.1e-16 apart; the steps of (1 - y)^(-1/2)
+        # fall by 2^(-1/2) a level, and their limit ends the bisection
+        widths = []
+
+        def spy(f, lo, hi, inner=generator.gauss_rules):
+            widths.append(np.min(hi - lo, where=hi > lo, initial=np.inf))  # not the empty panels
+            return inner(f, lo, hi)
+
+        monkeypatch.setattr(generator, "gauss_rules", spy)
+        got = jump_intensity(_upward_density("(1-y)^(-0.5)", y_max=1.0), 0.0)
+        assert got == pytest.approx(2.0, rel=1e-12)
+        assert min(widths) > 1e-9
+
+    @pytest.mark.parametrize("density, y_max", [
+        ("y^(-2)", 5.0),  # adaptive quadrature's extrapolation gave -0.2
+        ("y^(-1)", 1.0),  # steps of ln 2 a level, a ratio of 1
+        ("(1-y)^(-1)", 1.0),  # adaptive quadrature gave inf
+    ])
+    def test_divergent_intensity_fails(self, density, y_max):
         with pytest.raises(QuadratureFailure):
-            jump_intensity(_upward_density("y^(-2)", y_max=5.0), 0.0)
+            jump_intensity(_upward_density(density, y_max=y_max), 0.0)
 
 
 class TestCutoffDiscretize:
