@@ -73,12 +73,14 @@ _Y_HARD_CAP = 2.0 ** 20
 _APPLY_PANELS = 4
 
 # The correction integral over [0, 1] runs Gauss-Legendre 8/16 on two
-# panels.  Its integrand holds central differences (step FD_SCALE), whose
-# rounding of about 2e-11 relative shows in the 8/16 difference, so a panel
-# and its bisection pieces pass at 1e-10 of the integral of |integrand|
-# rather than at 1e-13.
+# panels.  Its integrand holds central differences (step FD_SCALE), and so
+# does nu_tilde unless the model gives da or dx_density.  Their rounding of
+# about 2e-11 relative shows in the 8/16 difference and in bisection's end
+# check, so the correction's panels, and the bisected pieces of both the
+# correction and dual_generator_apply, pass at 1e-10 of the integral of
+# |integrand| rather than at 1e-13.
 _UNIT_PANELS = np.linspace(0.0, 1.0, 3)
-_CORRECTION_RTOL = 1e-10
+_DIFFERENCE_RTOL = 1e-10
 
 
 def _no_atoms(x) -> np.ndarray:
@@ -134,7 +136,7 @@ def _unit_integrals(integrand, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     lo, hi = (np.broadcast_to(e, (flat.size, 2)) for e in (_UNIT_PANELS[:-1], _UNIT_PANELS[1:]))
-    high = gauss_panels(lambda r, y: integrand(flat[r], y), lo, hi, rtol=_CORRECTION_RTOL)
+    high = gauss_panels(lambda r, y: integrand(flat[r], y), lo, hi, rtol=_DIFFERENCE_RTOL)
     return high.sum(axis=-1).reshape(x.shape)
 
 
@@ -268,9 +270,10 @@ def dual_generator_apply(
     tolerance; a hard cap guards kernels whose tail never settles.
     y_max (> 0) truncates the integral explicitly instead.  Each segment is
     _APPLY_PANELS Gauss-Legendre 8/16 panels, one nu_tilde call on the
-    nodes of both rules; a panel whose two values differ by more than 1e-13
-    of the integral of the |integrand| over all segments is bisected, as
-    generator._bisect does, until every piece passes at that bound.
+    nodes of both rules.  A panel whose two values differ by more than
+    1e-13 of the integral of the |integrand| over all segments is bisected
+    by generator._bisect, and its pieces pass at _DIFFERENCE_RTOL of that
+    integral.
     """
     if convention not in COMPENSATOR_CONVENTIONS:
         raise InputFormatError(
@@ -314,10 +317,10 @@ def dual_generator_apply(
             )
 
     a, b, high, err, size = (np.concatenate(p) for p in zip(*panels))
-    bound = np.full(high.size, _GL_RTOL * size.sum())
-    fail = ~(err <= bound)
+    fail = ~(err <= _GL_RTOL * size.sum())
     if fail.any():
-        high[fail] = _bisect(lambda k, y: integrand(y), a[fail], b[fail], bound[fail])
+        bound = np.full(np.count_nonzero(fail), _DIFFERENCE_RTOL * size.sum())
+        high[fail] = _bisect(lambda k, y: integrand(y), a[fail], b[fail], bound)
     total = high.sum()
     for y, mass in zip(coeffs.atom_sizes, coeffs.atom_masses(x)):
         total += (fn(x - y) - fx + fp * comp(y)) * mass
