@@ -64,6 +64,10 @@ _BLOCK_COL_CAP = 256
 # Uniforms held per streamed sub-chunk of the block (16 MB of doubles).
 _BLOCK_BUDGET = 1 << 21
 
+# sample_path keeps every jump, about 100 bytes each: a horizon with more
+# than this many jumps expected (lambda * t) is malformed input.
+_PATH_JUMP_CAP = 1e6
+
 # Cost fields of the Monte Carlo reports, left out of to_dict.
 _COST_FIELDS = ("block_columns", "stragglers")
 
@@ -494,7 +498,11 @@ def sample_path(rm: RateMatrix, x0: int, t_end: float, seed: int) -> PathSample:
     idx = dyn.index_of(x0)
     if t_end < 0.0 or not math.isfinite(t_end):
         raise InputFormatError(f"bad horizon {t_end!r}")
-    _jump_scale(dyn.max_rate, t_end)
+    if _jump_scale(dyn.max_rate, t_end) > _PATH_JUMP_CAP:
+        raise InputFormatError(
+            f"a path expects more than {_PATH_JUMP_CAP:g} jumps: "
+            f"lambda={dyn.max_rate!r}, t={t_end!r}"
+        )
     gen = np.random.Generator(np.random.Philox(key=[seed, SALT_PATH]))
     path = [(0.0, idx)]
     _, killed, _ = _finish_scalar(dyn, idx, 0.0, t_end, gen, path)

@@ -771,18 +771,21 @@ class TestErrorPaths:
         assert code == 2
         assert doc["error"] == {"type": "InputFormatError", "message": OVERFLOW_MESSAGE}
 
-    def test_overflowing_path_horizon_is_malformed(self, files):
+    @pytest.mark.parametrize("t, message", [
+        ("1e308", OVERFLOW_MESSAGE),
+        ("1e300", "a path expects more than 1e+06 jumps: lambda=10.0, t=1e+300"),
+    ])
+    def test_path_horizon_without_end_is_malformed(self, files, t, message):
         # the path jumped until it was stopped: a fresh process, with a timeout
         path = files("job.json", {"op": "path", "x0": 0, "chain": THREE_STATE_DOC})
-        proc = fresh_cli(["simulate", "--in", path, "--t", "1e308"],
+        proc = fresh_cli(["simulate", "--in", path, "--t", t],
                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             out, err = proc.communicate(timeout=60)
         finally:
             proc.kill()
         assert proc.returncode == 2 and err == b""
-        assert json.loads(out)["error"] == {"type": "InputFormatError",
-                                            "message": OVERFLOW_MESSAGE}
+        assert json.loads(out)["error"] == {"type": "InputFormatError", "message": message}
 
     def test_error_envelope_written_to_out(self, tmp_path, files, capsys):
         bad = files("bad.json", BAD_CHAIN_DOC)
