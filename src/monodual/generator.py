@@ -84,17 +84,20 @@ _MIN_WIDTH = 2.0 ** 10 * np.finfo(float).tiny
 # Bisection extrapolates a total from its steps over 1, 2, 4, ... and at
 # most this many levels, when their ratio is at most _MAX_RATIO.  Near a
 # singularity y^(-0.99) the rest shrinks by 0.993 per level, and only steps
-# this long rise above the rounding; a ratio nearer 1 is not told apart
-# from the ratio 1 of a divergent y^(-1), which gave 7e13 without the cap.
+# over 32 levels rise above the rounding of the totals at 1e-13; a ratio
+# nearer 1 is not told apart from the ratio 1 of a divergent y^(-1), which
+# gave 7e13 without the cap.
 _MAX_STRIDE = 32
-_MAX_RATIO = 0.98
+_MAX_RATIO = 0.999
 
 # A total that cannot be bisected further is taken from its best
-# extrapolation if that agreed to this many bounds: 1e-10 of the integral
+# extrapolation if that agreed to this many bounds: 1e-9 of the integral
 # of |f| at the first pass's 1e-13.  Near a singularity away from 0, f
-# carries the rounding of y, which grows like 1/width, and the two limits
-# of _geometric_rest agree no better than about 50 bounds for (1-y)^(-0.9).
-_REST_SLACK = 1e3
+# carries the rounding of y, which grows like 1/width, and the limits of
+# _geometric_rest agree no better than 50 bounds for (1-y)^(-0.9) and 6,100
+# for (1-y)^(-0.99).  (1-y)^(-0.9) e^(-y), whose steps are two geometric
+# series, needs 70,000 and is 7e-8 off there, so it fails.
+_REST_SLACK = 1e4
 
 # Panel edges in s of _side_integral: 2^(-k/2) for k = 16..0, and 0.  On
 # tails c e^(-beta z) with beta in [0.8, 3] and a in [0, 4], every panel

@@ -986,8 +986,10 @@ class TestSingularDensities:
         # at the far end of the support, where floats are 1e-16 apart
         ("(1-y)^(-0.5)", {"y_max": 1.0}, 2.0),
         # there the rounding of 1 - y keeps the pieces from settling at the
-        # bound, and bisection takes the limit that missed by 50 bounds
+        # bound, and bisection takes the limit that missed by 50 bounds, or
+        # by 6,100 at a ratio of 0.993 a level
         ("(1-y)^(-0.9)", {"y_max": 1.0}, 10.0),
+        ("(1-y)^(-0.99)", {"y_max": 1.0}, 100.0),
     ])
     def test_integrable_singularity_intensity(self, density, support, want):
         m = _upward_density(density, **support)
