@@ -101,32 +101,21 @@ class _Parser:
         return fn
 
     def expr(self) -> Callable:
-        left = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.take()
-                right = self.term()
-                if tok[1] == "+":
-                    left = (lambda a, b: lambda v: a(v) + b(v))(left, right)
-                else:
-                    left = (lambda a, b: lambda v: a(v) - b(v))(left, right)
-            else:
-                return left
+        return self.binary({"+": np.add, "-": np.subtract}, self.term)
 
     def term(self) -> Callable:
-        left = self.unary()
+        return self.binary({"*": np.multiply, "/": np.divide}, self.unary)
+
+    def binary(self, ops: Dict[str, Callable], operand: Callable) -> Callable:
+        """``operand (op operand)*``, left-associative, for the operators
+        in ops, each mapped to its numpy function."""
+        left = operand()
         while True:
             tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                self.take()
-                right = self.unary()
-                if tok[1] == "*":
-                    left = (lambda a, b: lambda v: a(v) * b(v))(left, right)
-                else:
-                    left = (lambda a, b: lambda v: np.divide(a(v), b(v)))(left, right)
-            else:
+            if not (tok and tok[0] == "op" and tok[1] in ops):
                 return left
+            self.take()
+            left = (lambda op, a, b: lambda v: op(a(v), b(v)))(ops[tok[1]], left, operand())
 
     def unary(self) -> Callable:
         tok = self.peek()
@@ -210,7 +199,10 @@ def parse_expression(source: str, variables: Sequence[str] = ("x",)) -> Expressi
 
 
 def _number(v, kind):
-    """``kind(v)``, or None when that fails or, for int, does not equal v."""
+    """``kind(v)``, or None when v is a bool, when that fails or, for int,
+    when it does not equal v."""
+    if isinstance(v, bool):
+        return None
     try:
         x = kind(v)
     except (TypeError, ValueError, OverflowError):

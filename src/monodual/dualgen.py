@@ -25,6 +25,9 @@ and a decomposable kernel nu(x, dy) = a(x) g(y) dy, where
 
     nu~(x, y) = a(x - y) g(y) + a'(x - y) * integral_y^inf g(z) dz.
 
+Both are the first formula, built once from the kernel's own density,
+tail-derivative and atom methods.
+
 The small-jump compensator comp of the dual integral admits two readings
 and the package carries both: "y-factor" uses comp(y) = y 1{y <= 1}
 (dimensionally matching the correction integral, and the one the lattice
@@ -55,7 +58,6 @@ from .generator import (
     _coefficient_values,
     _evaluate,
     central_difference,
-    density_tails,
     gauss_panels,
     gauss_rules,
 )
@@ -83,10 +85,6 @@ _UNIT_PANELS = np.linspace(0.0, 1.0, 3)
 _DIFFERENCE_RTOL = 1e-10
 
 
-def _no_atoms(x) -> np.ndarray:
-    return np.zeros(np.shape(x) + (0,))
-
-
 @dataclass
 class DualGeneratorCoeffs:
     """Coefficient functions of the dual generator, on float64 arrays.
@@ -105,8 +103,8 @@ class DualGeneratorCoeffs:
     nu_tilde: Callable[[np.ndarray, np.ndarray], np.ndarray]
     correction: Callable[[np.ndarray], np.ndarray]
     case: str
-    atom_sizes: Sequence[float] = ()
-    atom_masses: Callable[[np.ndarray], np.ndarray] = _no_atoms
+    atom_sizes: Sequence[float]
+    atom_masses: Callable[[np.ndarray], np.ndarray]
 
 
 def _coefficient(fn: Optional[Callable]) -> Callable[[np.ndarray], np.ndarray]:
@@ -162,71 +160,38 @@ def _upward(m: LevyModel, kind, what: str):
     return kern
 
 
-def dual_levy_case_i(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeffs:
-    """Dual coefficients from an explicit density kernel.
+def _dual_coefficients(m: LevyModel, kern, dG: Optional[Callable]) -> DualGeneratorCoeffs:
+    """Dual coefficients of m, whose kernel ``kern`` has upward jumps only,
+    from the kernel interface alone.
 
-    Needs nu given as a density in both arguments with upward jumps only.
-    The state derivative of the tail uses the kernel's dx_density when
-    supplied and a central difference of the tail otherwise.
+    The dual density is nu~(x, y) = density_values((x - y,), y) +
+    dx_tails(1, x - y, y).  Each positive atom size s is a dual atom of
+    mass atom_masses(x - s) in its column.  The correction integrates
+    y (nu - nu~) over (0, 1] and adds s times the change of mass of each
+    atom in (0, 1].
     """
-    kern = _upward(m, DensityKernel, "explicit-density")
-
-    def tail_du(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if kern.dx_density is not None:
-            # the tail only holds mass inside (y_min, y_max)
-            return density_tails(kern.dx_density, (u,), y, 1.0, kern.y_min, kern.y_max)
-        return central_difference(lambda v: kern.tails(1.0, v, y), u)
+    sizes = np.array(kern.atom_sizes, dtype=float)
+    up = sizes > 0.0
+    small = sizes[up] <= 1.0
 
     def nu_tilde(x, y) -> np.ndarray:
         u = x - y
         with np.errstate(all="ignore"):  # _checked_density rejects inf and NaN
-            val = kern.density_values((u,), y) + tail_du(u, y)
-        return _checked_density(x, y, val)
-
-    def correction(x) -> np.ndarray:
-        return _unit_integrals(
-            lambda x, y: y * (kern.density_values((x,), y) - nu_tilde(x, y)), x
-        )
-
-    return DualGeneratorCoeffs(
-        G=_coefficient(m.G),
-        drift=_dual_drift(m, dG),
-        nu_tilde=nu_tilde,
-        correction=correction,
-        case="density",
-    )
-
-
-def dual_levy_case_ii(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeffs:
-    """Dual coefficients from a decomposable kernel a(x) * base(dy).
-
-    Needs upward jumps only.  Atoms of the base measure reappear in the
-    dual as discrete downward jumps of mass a(x - y) * m at magnitude y;
-    the derivative term stays a density against the base tail.
-    """
-    kern = _upward(m, DecomposableKernel, "factored")
-    base = kern.base
-    sizes = np.array([y for y, _ in base.atoms if y > 0.0])
-    masses = np.array([mass for y, mass in base.atoms if y > 0.0])
-
-    def nu_tilde(x, y) -> np.ndarray:
-        u = x - y
-        with np.errstate(all="ignore"):  # _checked_density rejects inf and NaN
-            val = (kern.factors(u) * base.density_values((), y)
-                   + kern.dfactors(u) * base.tails(1.0, y))
+            val = kern.density_values((u,), y) + kern.dx_tails(1.0, u, y)
         return _checked_density(x, y, val)
 
     def atom_masses(x) -> np.ndarray:
-        return kern.factors(np.asarray(x, dtype=float)[..., None] - sizes) * masses
+        # atom i's column of the masses at x - sizes[i]
+        shifted = kern.atom_masses(np.asarray(x, dtype=float)[..., None] - sizes)
+        return np.diagonal(shifted, axis1=-2, axis2=-1)[..., up]
 
     def correction(x) -> np.ndarray:
-        fac = kern.factors(x)
         total = _unit_integrals(
-            lambda x, y: y * (kern.factors(x) * base.density_values((), y) - nu_tilde(x, y)), x
+            lambda x, y: y * (kern.density_values((x,), y) - nu_tilde(x, y)), x
         )
-        for y, mass in base.atoms:
-            if 0.0 < y <= 1.0:
-                total = total + y * (fac - kern.factors(x - y)) * mass
+        if small.any():
+            jumps = sizes[up] * (kern.atom_masses(x)[..., up] - atom_masses(x))
+            total = total + jumps[..., small].sum(axis=-1)
         return total
 
     return DualGeneratorCoeffs(
@@ -234,10 +199,27 @@ def dual_levy_case_ii(m: LevyModel, dG: Optional[Callable] = None) -> DualGenera
         drift=_dual_drift(m, dG),
         nu_tilde=nu_tilde,
         correction=correction,
-        case="decomposable",
-        atom_sizes=sizes.tolist(),
+        case=kern.case,
+        atom_sizes=sizes[up].tolist(),
         atom_masses=atom_masses,
     )
+
+
+def dual_levy_case_i(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeffs:
+    """Dual coefficients from an explicit density kernel with upward jumps
+    only.  The state derivative of the tail is the tail of the kernel's
+    dx_density when supplied, else a central difference of the tail.
+    """
+    return _dual_coefficients(m, _upward(m, DensityKernel, "explicit-density"), dG)
+
+
+def dual_levy_case_ii(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeffs:
+    """Dual coefficients from a decomposable kernel a(x) * base(dy) with
+    upward jumps only.  Atoms of the base measure reappear in the dual as
+    discrete downward jumps of mass a(x - y) * m at magnitude y; the
+    derivative term stays a density against the base tail.
+    """
+    return _dual_coefficients(m, _upward(m, DecomposableKernel, "factored"), dG)
 
 
 def dual_levy(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeffs:
@@ -248,9 +230,7 @@ def dual_levy(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeff
         return dual_levy_case_i(m, dG)
     if isinstance(m.nu, DecomposableKernel):
         return dual_levy_case_ii(m, dG)
-    raise UnsupportedKernelCase(
-        f"no dual construction for kernel case {m.nu.case!r}"
-    )
+    raise UnsupportedKernelCase(f"no dual construction for a {type(m.nu).__name__}")
 
 
 def dual_generator_apply(

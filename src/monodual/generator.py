@@ -300,6 +300,8 @@ def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_
     lo, hi = np.broadcast_arrays(lo, hi)
     rows = np.arange(lo.shape[0])[:, None, None]
     high, err, size, _ = gauss_rules(lambda v: f(rows, v), lo, hi)
+    if np.isnan(size).any():  # NaN at a node of a panel of nonzero width
+        raise InputFormatError("the model's integrand is not a number")
     bound = np.broadcast_to(rtol * size.sum(axis=-1, keepdims=True), high.shape)
     fail = ~(err <= bound) & (hi > lo)  # an empty panel is exact, whatever its row
     if fail.any():
@@ -727,6 +729,13 @@ class DensityKernel(_ContinuousPart, LevyKernel):
     def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
         return self._moments(weight, (x,), cut)
 
+    def dx_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The x-derivative of ``tails`` over broadcast arrays x and a: the
+        tail of dx_density when given, else a central difference of the tails."""
+        if self.dx_density is not None:
+            return density_tails(self.dx_density, (x,), a, side, self.y_min, self.y_max)
+        return central_difference(lambda v: self.tails(side, v, a), x)
+
     def dx_small_moments(self, x, order: int) -> Optional[np.ndarray]:
         dens = self.dx_density if order == 1 else self.dx2_density
         if dens is None:
@@ -781,6 +790,14 @@ class DecomposableKernel(LevyKernel):
 
     def atom_masses(self, x: np.ndarray) -> np.ndarray:
         return self.factors(x)[..., None] * np.array([mass for _, mass in self.base.atoms])
+
+    def density_values(self, args, y) -> np.ndarray:
+        """a(x) times the base density at y, over broadcast arrays (x,) = args and y."""
+        return self.factors(*args) * self.base.density_values((), y)
+
+    def dx_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The x-derivative of ``tails``: a'(x) times the base tails."""
+        return self.dfactors(x) * self.base.tails(side, a)
 
     def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         return self.factors(x) * self.base._tail_masses(side, (), a)

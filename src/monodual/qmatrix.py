@@ -73,15 +73,18 @@ class _Columns(NamedTuple):
 def _column(values: Sequence, dtype) -> Tuple[np.ndarray, np.ndarray]:
     """``values`` as a column, and the mask of entries that are not ``dtype`` numbers.
 
-    A column that numpy reads as a dtype casting safely to ``dtype`` takes
-    one step.  Any other goes entry by entry into an object column, where
-    an integer past int64 keeps its value and a rejected entry reads as 0.
+    A column without bools that numpy reads as a dtype casting safely to
+    ``dtype`` takes one step.  Any other goes entry by entry into an object
+    column, where an integer past int64 keeps its value and a rejected
+    entry, a bool among them, reads as 0.
     """
     try:
         col = np.asarray(values) if len(values) else np.zeros(0, dtype)
     except ValueError:  # ragged: some entry is a sequence
         col = np.empty(0, dtype=object)
-    if col.shape == (len(values),) and np.can_cast(col.dtype, dtype):
+    bools = (values.dtype == bool if isinstance(values, np.ndarray)
+             else bool in set(map(type, values)))
+    if col.shape == (len(values),) and np.can_cast(col.dtype, dtype) and not bools:
         return col.astype(dtype, copy=False), np.zeros(col.size, dtype=bool)
     kind = int if dtype == np.int64 else float
     col = np.array([_number(v, kind) for v in values], dtype=object)

@@ -520,7 +520,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field", ["x0", "y", "lattice.h", "reps", "pairs",
                                        "x0 2.7", "y 3.9", "reps 1000.6", "seed 1.5",
-                                       "lattice.lo -0.5", "pairs 2.5"])
+                                       "lattice.lo -0.5", "pairs 2.5", "reps true"])
     def test_malformed_job_is_parse_error(self, capsys, files, field):
         doc_in = {
             "op": "survival",
@@ -528,14 +528,15 @@ class TestSimulate:
             "lattice": {"h": 0.5, "lo": -4, "hi": 4},
             "x0": 0, "y": 2, "t": 0.5, "reps": 1000, "seed": 2,
         }
-        if " " in field:  # a non-integral number where an integer belongs
+        if " " in field:  # a non-integral number or a bool where an integer belongs
             key, value = field.split()
+            value = json.loads(value)
             if key == "pairs":
-                doc_in.update(op="duality", pairs=[[0, float(value)]])
+                doc_in.update(op="duality", pairs=[[0, value]])
             elif key == "lattice.lo":
-                doc_in["lattice"]["lo"] = float(value)
+                doc_in["lattice"]["lo"] = value
             else:
-                doc_in[key] = float(value)
+                doc_in[key] = value
         elif field == "reps":
             doc_in["reps"] = "many"
         elif field == "pairs":
@@ -707,6 +708,38 @@ class TestErrorPaths:
         assert (proc.returncode, err) == (2, "")
         assert json.loads(out)["error"] == {
             "type": "InputFormatError", "message": "nu_tilde is not finite at x=-0.5, y=0.5"}
+
+    @pytest.mark.parametrize("command", ["discretize", "validate", "monotone", "dualgen"])
+    @pytest.mark.parametrize("nu", [
+        {"case": "density", "density": "(y-y)/(y-y)", "support_sign": "positive"},
+        {"case": "decomposable", "a": "1",
+         "base": {"density": "(y-y)/(y-y)", "support_sign": "positive"}},
+    ], ids=["density", "base"])
+    def test_nan_density_is_malformed(self, files, command, nu):
+        # bisection of the NaN panels raised QuadratureFailure (exit 3)
+        path = files("nan.json", {"nu": nu})
+        proc = fresh_cli([command, "--in", path, "--h", "0.5", "--window=-2:2"],
+                         ("-W", "error::RuntimeWarning"),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, "")
+        assert json.loads(out)["error"] == {
+            "type": "InputFormatError", "message": "the model's integrand is not a number"}
+
+    @pytest.mark.parametrize("window, entries", [
+        ((0, 2), [{"n": 0, "m": 1, "rate": True}, {"n": 1, "m": True, "rate": 0.5}]),
+        ((0, 2), [{"n": 0, "m": 1, "rate": True}, {"n": 1, "m": 1, "rate": 0.5}]),
+        ((0, 2), [{"n": 0, "m": 1, "rate": True}]),
+        ((0, 2), [{"n": 0, "m": 1, "rate": 1.0}, {"n": 1, "m": True, "rate": 0.5}]),
+        ((False, True), [{"n": 0, "m": 1, "rate": 1.0}]),
+    ], ids=["rate and m", "rate", "all rates", "m", "lo and hi"])
+    def test_booleans_are_not_numbers(self, capsys, files, window, entries):
+        # a bool was read as 1 or 0 (exit 0)
+        lo, hi = window
+        path = files("chain.json", {"lo": lo, "hi": hi, "boundary": "reflect", "rates": entries})
+        code, doc = run_json(capsys, ["dual", "--in", path])
+        assert code == 2
+        assert doc["error"]["type"] == "InputFormatError"
 
     @pytest.mark.parametrize("tail, message", [
         ("e^(-a)/x", "nu right tail at a=0.25 is not finite at x=0.0"),

@@ -20,6 +20,7 @@ from monodual.errors import (
 from monodual.generator import (
     FD_SCALE,
     BaseMeasure,
+    CutoffKernel,
     DecomposableKernel,
     DensityKernel,
     LevyModel,
@@ -140,6 +141,13 @@ class TestDispatch:
     def test_tabulated_rejected(self):
         kern = TabulatedKernel(right_tail_fn=lambda x, a: math.exp(-a))
         with pytest.raises(UnsupportedKernelCase):
+            dual_levy(LevyModel(nu=kern))
+
+    def test_cutoff_rejection_names_the_kernel_class(self):
+        # a CutoffKernel takes its case from the inner kernel: the message
+        # named the supported case 'density'
+        kern = CutoffKernel(tanh_exp_density_model().nu, 0.1)
+        with pytest.raises(UnsupportedKernelCase, match="CutoffKernel"):
             dual_levy(LevyModel(nu=kern))
 
     def test_two_sided_rejected(self):
