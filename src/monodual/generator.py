@@ -14,22 +14,24 @@ stochastically monotone, discretizes the operator onto an integer lattice
 as a RateMatrix, truncates small jumps, and classifies the boundary point
 of half-line models from declared asymptotic orders.
 
-Every kernel (a density in x and y, a state factor times a fixed base
-measure, plain tail callbacks, or one of these with small jumps cut off)
-is a continuous part, given on arrays of states by ``continuous_tails``
-and ``continuous_bins``, plus atoms at fixed sizes with masses
-``atom_masses(x)``.  ``LevyKernel`` adds the atoms once, to build
-``tails`` on (state, threshold) arrays, the lumped ``far_tails`` and
-``bin_masses`` on (state, bin) arrays.  ``moments(weight, x)`` integrates
-a moment weight (``SMALL_WEIGHT``, ``ABS_WEIGHT``, ``BOUNDED_WEIGHT``, or
-``overshoot_weight`` with one level per state) over the kernel at every
-state of an array: atoms summed exactly, the continuous part by one
-routine, ``_weight_integrals``, on the Gauss-Legendre panels and qagi map
-of ``density_tails``, cut at the weight's kinks.  A density is integrated
-against the weight, closed tails against its derivative.  Tail callables
-follow one convention throughout: the right tail at a is the mass of
-{y >= a} and the left tail the mass of {y <= -a}, both for a >= 0, with
-closed-form tail callbacks covering the continuous part only.
+Every base measure and every kernel (a density in x and y, a state factor
+times a fixed base measure, plain tail callbacks, or one of these with
+small jumps cut off) is a ``_Measure``: a continuous part, given by
+``_continuous_tails`` and ``_continuous_bins``, plus atoms at fixed sizes
+with masses ``atom_masses``, on the arguments () of a base measure or the
+states (x,) of a kernel.  It builds ``tails`` on (state, threshold)
+arrays, the lumped ``far_tails`` and ``bin_masses`` on (state, bin) arrays
+once, each adding the atoms first, then the continuous part.
+``moments(weight, x)`` integrates a moment weight (``SMALL_WEIGHT``,
+``ABS_WEIGHT``, ``BOUNDED_WEIGHT``, or ``overshoot_weight`` with one level
+per state) over the kernel at every state of an array: atoms summed
+exactly, the continuous part by one routine, ``_weight_integrals``, on the
+Gauss-Legendre panels and qagi map of ``density_tails``, cut at the
+weight's kinks.  A density is integrated against the weight, closed tails
+against its derivative.  Tail callables follow one convention throughout:
+the right tail at a is the mass of {y >= a} and the left tail the mass of
+{y <= -a}, both for a >= 0, with closed-form tail callbacks covering the
+continuous part only.
 """
 
 from __future__ import annotations
@@ -177,10 +179,11 @@ def gauss_rules(f: Callable, lo: np.ndarray, hi: np.ndarray):
     v = f(mid[..., None] + half[..., None] * np.concatenate((x8, x16)))
     if not (half > 0.0).all():  # an empty panel adds 0, even where f is not finite
         v = np.where((half > 0.0)[..., None], v, 0.0)
-    low, v = half * (v[..., :x8.size] * w8).sum(axis=-1), v[..., x8.size:]
-    high = half * (v * w16).sum(axis=-1)
-    size = half * (np.abs(v) * w16).sum(axis=-1)
-    return high, np.abs(high - low), size, v
+    with np.errstate(all="ignore"):  # f not finite: callers check the sums
+        low, v = half * (v[..., :x8.size] * w8).sum(axis=-1), v[..., x8.size:]
+        high = half * (v * w16).sum(axis=-1)
+        size = half * (np.abs(v) * w16).sum(axis=-1)
+        return high, np.abs(high - low), size, v
 
 
 @functools.cache
@@ -302,6 +305,8 @@ def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_
     high, err, size, _ = gauss_rules(lambda v: f(rows, v), lo, hi)
     if np.isnan(size).any():  # NaN at a node of a panel of nonzero width
         raise InputFormatError("the model's integrand is not a number")
+    if np.isinf(size).any():
+        raise InputFormatError("the model's integrand is not finite")
     bound = np.broadcast_to(rtol * size.sum(axis=-1, keepdims=True), high.shape)
     fail = ~(err <= bound) & (hi > lo)  # an empty panel is exact, whatever its row
     if fail.any():
@@ -501,41 +506,52 @@ def _weight_integrals(weight: Weight, args, cut: float, density: Optional[Callab
     return total
 
 
-def _atom_moments(weight: Weight, atoms, cut: float):
-    """The sum of mass * w(y) over the atoms (y, mass) with |y| > cut, in
-    order; the masses may be arrays."""
-    total = 0.0
-    for y, mass in atoms:
-        if abs(y) > cut and math.copysign(1.0, y) in weight.sides:
-            total = total + mass * weight.at(abs(y))
-    return total
+class _Measure:
+    """A jump measure: a continuous part plus atoms, on an argument tuple
+    ``args``, () for a base measure and (x,) for a kernel at the states x.
 
-
-def _plus_atoms(total, side: float, atoms, hit: Callable):
-    """``total`` plus the mass of every atom (y, mass) with side * y > 0
-    whose magnitude s = side * y has ``hit(s)``; masses may be arrays."""
-    for y, mass in atoms:
-        if side * y > 0.0:
-            total = total + np.where(hit(side * y), mass, 0.0)
-    return total
-
-
-class _ContinuousPart:
-    """Masses of a continuous part: closed tails if given, else the density.
-
-    ``density(*args, y)`` lives on (y_min, y_max), and the closed tails are
-    ``right_tail_fn(*args, a)`` for {y >= a} and ``left_tail_fn(*args, a)``
-    for {y <= -a}.  ``args`` is () for a base measure and (x,) for a kernel.
-    Moments take the density when there is one, else the closed tails.
+    The continuous part lives on (y_min, y_max): a density ``density(*args,
+    y)``, closed tails ``right_tail_fn(*args, a)`` for {y >= a} and
+    ``left_tail_fn(*args, a)`` for {y <= -a}, or both, when the tails give
+    the masses and the density the moments.  The atoms sit at the sizes
+    ``atom_sizes`` with masses ``atom_masses(*args)``, one column per size.
+    Every tail, bin and moment adds the atoms first, in order, then the
+    continuous part.
     """
 
-    def _tail_masses(self, side: float, args, a) -> np.ndarray:
-        """Masses of [a, inf) for side +1, of (-inf, -a] for side -1, over
-        the broadcast of the arrays ``args`` and a >= 0."""
+    density = right_tail_fn = left_tail_fn = None
+    y_min, y_max = -math.inf, math.inf
+    atom_sizes: Sequence[float] = ()
+
+    def atom_masses(self, *args) -> np.ndarray:
+        return np.zeros(np.broadcast_shapes(*map(np.shape, args)) + (0,))
+
+    def _atom_sum(self, side: float, args, hit: Callable):
+        """The mass of every atom y with side * y > 0 whose magnitude s = side
+        * y has ``hit(s)``, at ``args``."""
+        total = 0.0
+        for y, mass in zip(self.atom_sizes, np.moveaxis(self.atom_masses(*args), -1, 0)):
+            if side * y > 0.0:
+                total = total + np.where(hit(side * y), mass, 0.0)
+        return total
+
+    def _continuous_tails(self, side: float, args, a) -> np.ndarray:
+        """Continuous masses of the magnitudes side * y >= a (a >= 0), over
+        the broadcast of the arrays ``args`` and a."""
         tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
         if tail is not None:
             return _evaluate(tail, *args, a)
         return density_tails(self.density, args, a, side, self.y_min, self.y_max)
+
+    def _continuous_bins(self, side: float, args, a, b) -> np.ndarray:
+        """Continuous masses of the magnitudes side * y in [a, b), on arrays."""
+        tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
+        if tail is not None:
+            return _evaluate(tail, *args, a) - _evaluate(tail, *args, b)
+        lo, hi = (a, b) if side > 0.0 else (-b, -a)
+        return _density_masses(
+            self.density, args, np.maximum(lo, self.y_min), np.minimum(hi, self.y_max)
+        )
 
     def density_values(self, args, y) -> np.ndarray:
         """``density(*args, y)`` inside (y_min, y_max) and off 0, else 0, over
@@ -547,25 +563,31 @@ class _ContinuousPart:
             out[live] = _evaluate(self.density, *(v[live] for v in args), y[live])
         return out
 
-    def _bin_masses(self, side: float, args, a, b) -> np.ndarray:
-        """Masses of the magnitudes side * y in [a, b) at ``args``, on arrays."""
-        tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
-        if tail is not None:
-            return _evaluate(tail, *args, a) - _evaluate(tail, *args, b)
-        lo, hi = (a, b) if side > 0.0 else (-b, -a)
-        return _density_masses(
-            self.density, args, np.maximum(lo, self.y_min), np.minimum(hi, self.y_max)
-        )
+    def _tails(self, side: float, args, a) -> np.ndarray:
+        a = np.asarray(a, dtype=float)
+        return (self._atom_sum(side, args, lambda s: s >= a)
+                + self._continuous_tails(side, args, np.maximum(a, 0.0)))
+
+    def _bins(self, side: float, args, m: np.ndarray, h: float) -> np.ndarray:
+        atom_bin = _atom_bin_right if side > 0.0 else _atom_bin_left
+        return (self._atom_sum(side, args, lambda s: m == atom_bin(s, h))
+                + self._continuous_bins(side, args, *_bin_edges(side, m, h)))
 
     def _moments(self, weight: Weight, args, cut: float) -> np.ndarray:
-        """Integrals of the weight over the magnitudes above ``cut`` at ``args``."""
+        """Integrals of the weight over the magnitudes above ``cut``: the
+        atoms summed exactly, then the density, failing one the closed tails."""
+        total = 0.0
+        for y, mass in zip(self.atom_sizes, np.moveaxis(self.atom_masses(*args), -1, 0)):
+            if abs(y) > cut and math.copysign(1.0, y) in weight.sides:
+                total = total + mass * weight.at(abs(y))
         if self.density is None:
-            return _weight_integrals(weight, args, cut, tail=self._tail_masses)
-        return _weight_integrals(weight, args, cut, functools.partial(_evaluate, self.density),
-                                 y_min=self.y_min, y_max=self.y_max)
+            return total + _weight_integrals(weight, args, cut, tail=self._continuous_tails)
+        density = functools.partial(_evaluate, self.density)
+        return total + _weight_integrals(weight, args, cut, density, y_min=self.y_min,
+                                         y_max=self.y_max)
 
 
-class BaseMeasure(_ContinuousPart):
+class BaseMeasure(_Measure):
     """A state-independent measure: continuous density plus atoms.
 
     The continuous part is either a density on (y_min, y_max) or a pair of
@@ -587,97 +609,67 @@ class BaseMeasure(_ContinuousPart):
         self.y_max = float(y_max)
         self.atoms = [(float(y), float(mass)) for y, mass in atoms]
         for y, mass in self.atoms:
-            if y == 0.0:
-                raise InputFormatError("atom at 0 is not a jump")
+            if y == 0.0 or not math.isfinite(y):
+                raise InputFormatError(f"atom at y={y!r} is not a finite nonzero jump")
             if mass < 0.0 or not math.isfinite(mass):
                 raise InputFormatError(f"bad atom mass {mass!r} at y={y!r}")
+        self.atom_sizes = [y for y, _ in self.atoms]
         self.right_tail_fn = right_tail_fn
         self.left_tail_fn = left_tail_fn
+
+    def atom_masses(self) -> np.ndarray:
+        return np.array([mass for _, mass in self.atoms])
 
     def tails(self, side: float, a) -> np.ndarray:
         """Masses of {y >= a} (side +1) or {y <= -a} (side -1) over an array
         a; a = 0 gives the whole side."""
         shape = np.shape(a)
         a, back = np.unique(np.asarray(a, dtype=float), return_inverse=True)
-        total = _plus_atoms(np.zeros(a.shape), side, self.atoms, lambda s: s >= a)
-        total = total + self._tail_masses(side, (), np.maximum(a, 0.0))
-        return total[back].reshape(shape)
+        return self._tails(side, (), a)[back].reshape(shape)
 
     def bin_masses(self, side: float, m: np.ndarray, h: float) -> np.ndarray:
         """Right bins [mh, mh+h) (side +1) or left magnitude bins (mh-h, mh]
         (side -1) for an integer array m, atoms included."""
-        atom_bin = _atom_bin_right if side > 0.0 else _atom_bin_left
-        total = _plus_atoms(np.zeros(np.shape(m)), side, self.atoms,
-                            lambda s: m == atom_bin(s, h))
-        return total + self._bin_masses(side, (), *_bin_edges(side, m, h))
+        return self._bins(side, (), m, h)
 
     def moments(self, weight: Weight, cut: float = 0.0) -> np.ndarray:
         """Integral of the weight against the measure over |y| > cut, one
-        value per level of the weight: the atoms summed exactly, then the
-        continuous part."""
-        return _atom_moments(weight, self.atoms, cut) + self._moments(weight, (), cut)
+        value per level of the weight."""
+        return self._moments(weight, (), cut)
 
 
-class LevyKernel:
-    """Shared interface of all jump-kernel representations.
+class LevyKernel(_Measure):
+    """Shared interface of all jump-kernel representations: a ``_Measure``
+    at arrays of states x.
 
-    A kernel is a continuous part plus atoms, on broadcast arrays of states
-    x.  ``continuous_tails(side, x, a)`` is the continuous mass of the
-    magnitudes side * y >= a (a >= 0), and ``continuous_bins(side, x, a, b)``
-    that of [a, b): tail differences unless a subclass has sharper.  The
-    atoms sit at the fixed sizes ``atom_sizes`` with masses
-    ``atom_masses(x)``, one column per size, binned as a BaseMeasure bins
-    them.  ``moments(weight, x)`` integrates a moment weight over the
-    kernel at every state of x.
+    ``tails`` and ``far_tails`` take (state, threshold) arrays,
+    ``bin_masses`` (state, bin) arrays, and ``moments(weight, x)``
+    integrates a moment weight over the kernel at every state of x.
     """
 
     case = "abstract"
     support_sign = "both"
-    atom_sizes: Sequence[float] = ()
-
-    def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def continuous_bins(self, side: float, x: np.ndarray, a: np.ndarray, b: np.ndarray):
-        return self.continuous_tails(side, x, a) - self.continuous_tails(side, x, b)
-
-    def atom_masses(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(np.shape(x) + (0,))
-
-    def _with_atoms(self, total, side: float, x: np.ndarray, hit: Callable):
-        masses = np.moveaxis(self.atom_masses(x), -1, 0)
-        return _plus_atoms(total, side, zip(self.atom_sizes, masses), hit)
 
     def tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Masses of {y >= a} (side +1) or {y <= -a} (side -1) at states x,
         over broadcast arrays x and a; a = 0 gives the whole side."""
-        a = np.asarray(a, dtype=float)
-        total = self.continuous_tails(side, x, np.maximum(a, 0.0))
-        return self._with_atoms(total, side, x, lambda s: s >= a)
+        return self._tails(side, (x,), a)
 
     def far_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """The lumped far tails over broadcast arrays x and a: the mass of
         {y >= a} for side +1 and of the strict {y < -a} for side -1."""
         tails = self.tails(side, x, a)
-        if side > 0.0:
-            return tails
-        return tails - self._with_atoms(0.0, side, x, lambda s: s == a)
+        return tails if side > 0.0 else tails - self._atom_sum(side, (x,), lambda s: s == a)
 
     def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
         """Masses of right bins [mh, mh+h) (side +1) or left magnitude bins
         (mh-h, mh] (side -1) at states x, over broadcast arrays x and m."""
-        atom_bin = _atom_bin_right if side > 0.0 else _atom_bin_left
-        total = self.continuous_bins(side, x, *_bin_edges(side, m, h))
-        return self._with_atoms(total, side, x, lambda s: m == atom_bin(s, h))
+        return self._bins(side, (x,), m, h)
 
     def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
         """Integral of the weight over the jumps with |y| > cut at states x,
-        over the broadcast of x and the weight's levels: the atoms summed
-        exactly, and the continuous part through its tails."""
-        masses = np.moveaxis(self.atom_masses(x), -1, 0)
-        tail = lambda side, args, t: self.continuous_tails(side, *args, t)
-        return (_atom_moments(weight, zip(self.atom_sizes, masses), cut)
-                + _weight_integrals(weight, (x,), cut, tail=tail))
+        over the broadcast of x and the weight's levels."""
+        return self._moments(weight, (x,), cut)
 
     def dx_small_moments(self, x, order: int) -> Optional[np.ndarray]:
         """The small-jump moment of the order-th x-derivative of the kernel at
@@ -685,7 +677,7 @@ class LevyKernel:
         return None
 
 
-class DensityKernel(_ContinuousPart, LevyKernel):
+class DensityKernel(LevyKernel):
     """Kernel nu(x, dy) = nu(x, y) dy with the density given explicitly.
 
     Optional closed-form tail callables short-circuit the per-bin
@@ -720,15 +712,6 @@ class DensityKernel(_ContinuousPart, LevyKernel):
         self.right_tail_fn = right_tail_fn
         self.left_tail_fn = left_tail_fn
 
-    def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self._tail_masses(side, (x,), a)
-
-    def continuous_bins(self, side: float, x: np.ndarray, a: np.ndarray, b: np.ndarray):
-        return self._bin_masses(side, (x,), a, b)
-
-    def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
-        return self._moments(weight, (x,), cut)
-
     def dx_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """The x-derivative of ``tails`` over broadcast arrays x and a: the
         tail of dx_density when given, else a central difference of the tails."""
@@ -750,7 +733,8 @@ class DecomposableKernel(LevyKernel):
 
     The state factor a must be nonnegative wherever the model is used.
     Its derivative is taken from the supplied callable or by central
-    finite differences.
+    finite differences.  Tails, bins and moments are a(x) times the base's,
+    whose integrals are x-free: each is computed once for all states.
     """
 
     case = "decomposable"
@@ -777,7 +761,7 @@ class DecomposableKernel(LevyKernel):
         if support_sign not in SUPPORT_SIGNS:
             raise InputFormatError(f"unknown support_sign {support_sign!r}")
         self.support_sign = support_sign
-        self.atom_sizes = [y for y, _ in base.atoms]
+        self.atom_sizes = base.atom_sizes
 
     def factors(self, x: np.ndarray) -> np.ndarray:
         return _evaluate(self.a, x)
@@ -789,7 +773,7 @@ class DecomposableKernel(LevyKernel):
         return central_difference(self.factors, x)
 
     def atom_masses(self, x: np.ndarray) -> np.ndarray:
-        return self.factors(x)[..., None] * np.array([mass for _, mass in self.base.atoms])
+        return self.factors(x)[..., None] * self.base.atom_masses()
 
     def density_values(self, args, y) -> np.ndarray:
         """a(x) times the base density at y, over broadcast arrays (x,) = args and y."""
@@ -799,11 +783,11 @@ class DecomposableKernel(LevyKernel):
         """The x-derivative of ``tails``: a'(x) times the base tails."""
         return self.dfactors(x) * self.base.tails(side, a)
 
-    def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self.factors(x) * self.base._tail_masses(side, (), a)
+    def _continuous_tails(self, side: float, args, a) -> np.ndarray:
+        return self.factors(*args) * self.base._continuous_tails(side, (), a)
 
-    def continuous_bins(self, side: float, x: np.ndarray, a: np.ndarray, b: np.ndarray):
-        return self.factors(x) * self.base._bin_masses(side, (), a, b)
+    def _continuous_bins(self, side: float, args, a, b) -> np.ndarray:
+        return self.factors(*args) * self.base._continuous_bins(side, (), a, b)
 
     def tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         return self.factors(x) * self.base.tails(side, a)
@@ -815,7 +799,6 @@ class DecomposableKernel(LevyKernel):
         return _evaluate(self.a, xs)[xi] * self.base.bin_masses(side, ms, h)[mi]
 
     def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
-        # the base moments are x-free: one integral for every state
         return self.factors(x) * self.base.moments(weight, cut)
 
     def dx_small_moments(self, x, order: int) -> Optional[np.ndarray]:
@@ -851,12 +834,6 @@ class TabulatedKernel(LevyKernel):
             raise InputFormatError(f"unknown support_sign {support_sign!r}")
         self.support_sign = support_sign
 
-    def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
-        if tail is None:
-            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a)))
-        return _evaluate(tail, x, a)
-
     def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
         if weight is SMALL_WEIGHT and cut == 0.0 and self.small_moment_fn is not None:
             return _evaluate(self.small_moment_fn, x)
@@ -879,12 +856,12 @@ class CutoffKernel(LevyKernel):
     def atom_masses(self, x: np.ndarray) -> np.ndarray:
         return self.inner.atom_masses(x)[..., self._kept]
 
-    def continuous_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self.inner.continuous_tails(side, x, np.maximum(a, self.cut))
+    def _continuous_tails(self, side: float, args, a) -> np.ndarray:
+        return self.inner._continuous_tails(side, args, np.maximum(a, self.cut))
 
-    def continuous_bins(self, side: float, x: np.ndarray, a: np.ndarray, b: np.ndarray):
-        return self.inner.continuous_bins(
-            side, x, np.maximum(a, self.cut), np.maximum(b, self.cut))
+    def _continuous_bins(self, side: float, args, a, b) -> np.ndarray:
+        return self.inner._continuous_bins(
+            side, args, np.maximum(a, self.cut), np.maximum(b, self.cut))
 
     def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
         # the inner kernel's own route above the cut: a density is
@@ -1194,7 +1171,9 @@ def _discretize_block(m: LevyModel, lat: Lattice, n: np.ndarray, ball: int):
     key's events in that order (np.add.at is sequential) and ordering keys
     by their first event gives the loop's table, sums and key order
     included.  The first error in that order is raised; a negative or
-    non-finite G, then a non-finite b, come first at their state.
+    non-finite G, then a non-finite b, come first at their state.  Then a
+    summed rate that is not finite (it overflowed) raises InputFormatError
+    at its (n, m), the first in table order.
     """
     h = lat.h
     x = n * h
@@ -1232,7 +1211,12 @@ def _discretize_block(m: LevyModel, lat: Lattice, n: np.ndarray, ball: int):
     np.add.at(total, code, val)
     _, first = np.unique(code, return_index=True)
     code = code[np.sort(first)]
-    return n[code // width], code % width - width // 2, total[code]
+    n, off, rate = n[code // width], code % width - width // 2, total[code]
+    bad = ~np.isfinite(rate)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputFormatError(f"rate at (n, m) = ({n[i]}, {off[i]}) is not finite at mesh h={h}")
+    return n, off, rate
 
 
 def discretize(m: LevyModel, lat: Lattice) -> RateMatrix:
@@ -1264,8 +1248,9 @@ def discretize(m: LevyModel, lat: Lattice) -> RateMatrix:
     lo, hi, h = lat.lo, lat.hi, lat.h
     ball = int(math.floor(1.0 / h + _BALL_EPS))  # bins with m*h <= 1
     step = max(1, _BLOCK_BUDGET // (_GL_NODES[-1] * (hi - lo + ball + 1)))
-    blocks = [_discretize_block(m, lat, np.arange(n0, min(n0 + step, hi + 1)), ball)
-              for n0 in range(lo, hi + 1, step)]
+    with np.errstate(over="ignore"):  # a rate that overflows is raised by its block
+        blocks = [_discretize_block(m, lat, np.arange(n0, min(n0 + step, hi + 1)), ball)
+                  for n0 in range(lo, hi + 1, step)]
     return RateMatrix(lo, hi, lat.boundary, _Columns(*map(np.concatenate, zip(*blocks))))
 
 
@@ -1371,8 +1356,8 @@ def base_measure_from_dict(obj: dict) -> BaseMeasure:
     atoms = []
     for entry in entries:
         try:
-            atoms.append((float(entry["y"]), float(entry["mass"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            atoms.append((number(entry["y"], "atom y"), number(entry["mass"], "atom mass")))
+        except (KeyError, TypeError) as exc:
             raise InputFormatError(f"bad atom entry {entry!r}") from exc
     sign = obj.get("support_sign", "both")
     if sign not in SUPPORT_SIGNS:

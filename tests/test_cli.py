@@ -726,6 +726,54 @@ class TestErrorPaths:
         assert json.loads(out)["error"] == {
             "type": "InputFormatError", "message": "the model's integrand is not a number"}
 
+    @pytest.mark.parametrize("command", ["discretize", "validate", "monotone", "dualgen"])
+    @pytest.mark.parametrize("nu", [
+        {"case": "density", "density": "1/(y-y)", "support_sign": "positive"},
+        {"case": "decomposable", "a": "1",
+         "base": {"density": "1/(y-y)", "support_sign": "positive"}},
+    ], ids=["density", "base"])
+    def test_infinite_density_is_malformed(self, files, command, nu):
+        # inf - inf in the Gauss-Legendre error estimate warned, and the
+        # warning was an internal failure (exit 3)
+        path = files("inf.json", {"nu": nu})
+        proc = fresh_cli([command, "--in", path, "--h", "0.5", "--window=-2:2"],
+                         ("-W", "error::RuntimeWarning"),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, "")
+        assert json.loads(out)["error"] == {
+            "type": "InputFormatError", "message": "the model's integrand is not finite"}
+
+    @pytest.mark.parametrize("coefficient", ["G", "b"])
+    def test_overflowing_rate_is_malformed(self, files, coefficient):
+        # the rate was written as Infinity, not JSON, with exit 0 and
+        # numpy's overflow warning on stderr
+        path = files("big.json", {coefficient: "1e308"})
+        proc = fresh_cli(["discretize", "--in", path, "--h", "0.1", "--window=-2:2"],
+                         ("-W", "error::RuntimeWarning"),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, "")
+        assert json.loads(out)["error"] == {
+            "type": "InputFormatError",
+            "message": "rate at (n, m) = (-2, 1) is not finite at mesh h=0.1"}
+
+    @pytest.mark.parametrize("atom, message", [
+        ('{"y": true, "mass": true}', "'atom y' must be a number, got True"),
+        ('{"y": "nan", "mass": 1}', "atom at y=nan is not a finite nonzero jump"),
+        ('{"y": 1e400, "mass": 1}', "atom at y=inf is not a finite nonzero jump"),
+    ], ids=["bool", "nan", "overflow"])
+    def test_atom_entries_are_finite_numbers(self, capsys, tmp_path, atom, message):
+        # a bool was a unit atom and a NaN size was dropped (exit 0); an
+        # infinite size was an OverflowError in discretize (exit 3)
+        path = tmp_path / "atom.json"
+        path.write_text('{"mu": {"case": "decomposable", "a": "1", "base": {"atoms": [%s]}}}'
+                        % atom)
+        for argv in (["discretize", "--h", "0.5", "--window=-2:2"], ["validate"]):
+            code, doc = run_json(capsys, [*argv, "--in", str(path)])
+            assert code == 2
+            assert doc["error"] == {"type": "InputFormatError", "message": message}
+
     @pytest.mark.parametrize("window, entries", [
         ((0, 2), [{"n": 0, "m": 1, "rate": True}, {"n": 1, "m": True, "rate": 0.5}]),
         ((0, 2), [{"n": 0, "m": 1, "rate": True}, {"n": 1, "m": 1, "rate": 0.5}]),

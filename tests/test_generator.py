@@ -1084,6 +1084,26 @@ class TestCutoffDiscretize:
             (1.0, 0.7), (-0.35, 0.2), (0.5, 0.1), (-0.5, 0.3), (2.25, 0.05)]
         assert cut.moments(ABS_WEIGHT, 0.3) == pytest.approx(1.0825, rel=1e-15, abs=0.0)
 
+    def test_cut_adds_atoms_as_the_uncut_kernel(self):
+        # one atom rule for kernels and base measures: the atoms first, in
+        # order, then the continuous part; with a = 1, every tail and bin
+        # above the cut is the uncut kernel's to the bit
+        base = BaseMeasure(density=lambda y: 0.9 * math.exp(-1.3 * abs(y)),
+                           atoms=[(0.3, 0.25), (0.75, 0.4), (1.5, 0.15),
+                                  (-0.45, 0.35), (-0.9, 0.2), (-1.65, 0.1)])
+        uncut = DecomposableKernel(a=lambda x: 1.0, base=base)
+        cut = CutoffKernel(uncut, 0.01)
+        x = np.linspace(-1.0, 1.0, 5)[:, None]
+        a = np.array([0.05, 0.3, 0.45, 0.6, 0.75, 0.9, 1.2, 1.5, 1.65, 2.0])
+        h, m = 0.15, np.arange(1, 13)
+        for side in (1.0, -1.0):
+            for method in ("tails", "far_tails"):
+                got, want = getattr(cut, method)(side, x, a), getattr(uncut, method)(side, x, a)
+                assert got.tolist() == want.tolist(), (method, side)
+            bins = m if side > 0.0 else m[1:]  # left bin 1, (0, h], holds the cut
+            assert (cut.bin_masses(side, x, bins, h).tolist()
+                    == uncut.bin_masses(side, x, bins, h).tolist()), side
+
 
 class TestBoundaryClass:
     def test_linear_G_small_slope_inaccessible(self):
