@@ -766,6 +766,18 @@ class DecomposableKernel(LevyKernel):
     def factors(self, x: np.ndarray) -> np.ndarray:
         return _evaluate(self.a, x)
 
+    @staticmethod
+    def _scaled(x, factors, values) -> np.ndarray:
+        """``factors`` (a or a derivative at the states x) times x-free base
+        values; a product of finite numbers that overflows is malformed input."""
+        with np.errstate(over="ignore"):
+            out = factors * values
+        over = np.isinf(out) & np.isfinite(factors) & np.isfinite(values)
+        if over.any():
+            at = float(np.broadcast_to(x, out.shape)[over][0])
+            raise InputFormatError(f"a(x) times the base measure overflows at x={at}")
+        return out
+
     def dfactors(self, x: np.ndarray) -> np.ndarray:
         """The derivative of a over an array: da, else a central difference."""
         if self.da is not None:
@@ -773,39 +785,41 @@ class DecomposableKernel(LevyKernel):
         return central_difference(self.factors, x)
 
     def atom_masses(self, x: np.ndarray) -> np.ndarray:
-        return self.factors(x)[..., None] * self.base.atom_masses()
+        x = np.asarray(x)[..., None]
+        return self._scaled(x, self.factors(x), self.base.atom_masses())
 
     def density_values(self, args, y) -> np.ndarray:
         """a(x) times the base density at y, over broadcast arrays (x,) = args and y."""
-        return self.factors(*args) * self.base.density_values((), y)
+        return self._scaled(args[0], self.factors(*args), self.base.density_values((), y))
 
     def dx_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """The x-derivative of ``tails``: a'(x) times the base tails."""
-        return self.dfactors(x) * self.base.tails(side, a)
+        return self._scaled(x, self.dfactors(x), self.base.tails(side, a))
 
     def _continuous_tails(self, side: float, args, a) -> np.ndarray:
-        return self.factors(*args) * self.base._continuous_tails(side, (), a)
+        return self._scaled(args[0], self.factors(*args), self.base._continuous_tails(side, (), a))
 
     def _continuous_bins(self, side: float, args, a, b) -> np.ndarray:
-        return self.factors(*args) * self.base._continuous_bins(side, (), a, b)
+        return self._scaled(args[0], self.factors(*args),
+                            self.base._continuous_bins(side, (), a, b))
 
     def tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self.factors(x) * self.base.tails(side, a)
+        return self._scaled(x, self.factors(x), self.base.tails(side, a))
 
     def bin_masses(self, side: float, x: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
         # the factor once per distinct state, the base bins once per distinct m
         xs, xi = np.unique(x, return_inverse=True)
         ms, mi = np.unique(m, return_inverse=True)
-        return _evaluate(self.a, xs)[xi] * self.base.bin_masses(side, ms, h)[mi]
+        return self._scaled(x, _evaluate(self.a, xs)[xi], self.base.bin_masses(side, ms, h)[mi])
 
     def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
-        return self.factors(x) * self.base.moments(weight, cut)
+        return self._scaled(x, self.factors(x), self.base.moments(weight, cut))
 
     def dx_small_moments(self, x, order: int) -> Optional[np.ndarray]:
         deriv = self.da if order == 1 else self.da2
         if deriv is None:
             return None
-        return np.abs(_evaluate(deriv, x)) * self.base.moments(SMALL_WEIGHT)
+        return self._scaled(x, np.abs(_evaluate(deriv, x)), self.base.moments(SMALL_WEIGHT))
 
 
 class TabulatedKernel(LevyKernel):

@@ -1220,32 +1220,46 @@ def _band_discrepancy(
     return sup_full, sup_margin, bx, y - lo
 
 
-def _sorted_columns(rm: RateMatrix) -> Tuple[list, list, list]:
-    """States, offsets and rates as lists, ordered by (n, m)."""
-    order = np.lexsort((rm.m, rm.src))
-    return (rm.src[order] + rm.lo).tolist(), rm.m[order].tolist(), rm.rate[order].tolist()
-
-
 def ratematrix_to_dict(rm: RateMatrix) -> dict:
-    rates = [{"n": n, "m": m, "rate": r} for n, m, r in zip(*_sorted_columns(rm))]
+    order = np.lexsort((rm.m, rm.src))
+    columns = (rm.src[order] + rm.lo).tolist(), rm.m[order].tolist(), rm.rate[order].tolist()
+    rates = [{"n": n, "m": m, "rate": r} for n, m, r in zip(*columns)]
     return {"lo": rm.lo, "hi": rm.hi, "boundary": rm.boundary, "rates": rates}
-
-
-_RATE_ENTRY = '    {\n      "n": %d,\n      "m": %d,\n      "rate": %r\n    }'
 
 
 def ratematrix_to_json(rm: RateMatrix) -> str:
     """``json.dumps(ratematrix_to_dict(rm), indent=2)``, byte for byte.
 
-    One %-format per rate: keys are ints and rates are floats, whose
-    ``repr`` is what json writes.  A table holding a non-finite rate (json
-    writes NaN, Infinity) goes through json itself.
+    Built from the columns, sorted once by (n, m), in O(nnz) strings
+    whatever the window: one entry head per state that has entries (it
+    closes the entry before), one string per distinct offset and one
+    ``repr`` (what json writes for a float) per distinct rate bit pattern,
+    so -0.0 stays apart from 0.0.  They are gathered into one list with the
+    document's head and tail and joined once.  A table holding a non-finite
+    rate (json writes NaN, Infinity) goes through json itself.
     """
     if not np.isfinite(rm.rate).all():
         return json.dumps(ratematrix_to_dict(rm), indent=2)
-    body = ",\n".join([_RATE_ENTRY % e for e in zip(*_sorted_columns(rm))])
-    return '{\n  "lo": %d,\n  "hi": %d,\n  "boundary": %s,\n  "rates": %s\n}' % (
-        rm.lo, rm.hi, json.dumps(rm.boundary), "[\n" + body + "\n  ]" if body else "[]")
+    head = '{\n  "lo": %d,\n  "hi": %d,\n  "boundary": %s,\n  "rates": ' % (
+        rm.lo, rm.hi, json.dumps(rm.boundary))
+    nnz = rm.rate.size
+    if not nnz:
+        return head + "[]\n}"
+    order = np.lexsort((rm.m, rm.src))
+    src, m, rate = rm.src[order], rm.m[order], rm.rate[order]
+    first = np.diff(src, prepend=-1) != 0  # src >= 0: entry 0 starts a state
+    entry = '{\n      "n": %d,\n      "m": '
+    states = ['\n    },\n    ' + entry % (s + rm.lo) for s in src[first].tolist()]
+    offsets, at_m = np.unique(m, return_inverse=True)
+    rates, at_r = np.unique(rate.view(np.int64), return_inverse=True)
+    parts = np.empty(3 * nnz + 1, dtype=object)
+    parts[0:-1:3] = np.array(states, dtype=object)[np.cumsum(first) - 1]
+    parts[1::3] = np.array(['%d,\n      "rate": ' % v for v in offsets.tolist()],
+                           dtype=object)[at_m]
+    parts[2::3] = np.array(list(map(repr, rates.view(float).tolist())), dtype=object)[at_r]
+    parts[0] = head + "[\n    " + entry % (int(src[0]) + rm.lo)
+    parts[-1] = "\n    }\n  ]\n}"
+    return "".join(parts.tolist())
 
 
 def ratematrix_from_dict(obj: dict) -> RateMatrix:

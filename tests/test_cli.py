@@ -758,6 +758,21 @@ class TestErrorPaths:
             "type": "InputFormatError",
             "message": "rate at (n, m) = (-2, 1) is not finite at mesh h=0.1"}
 
+    @pytest.mark.parametrize("command", ["validate", "discretize", "monotone", "dualgen"])
+    def test_overflowing_kernel_mass_is_malformed(self, files, command):
+        # a(x) times the base measure overflowed with numpy's warning: validate
+        # exited 1, discretize 3, monotone and dualgen 2
+        path = files("mass.json", {"nu": {"case": "decomposable", "a": "1e308",
+                                          "base": {"atoms": [{"y": 1.0, "mass": 2.0}]}}})
+        mesh = ["--h", "0.5", "--window=-2:2"] if command == "discretize" else []
+        proc = fresh_cli([command, "--in", path, *mesh], ("-W", "error::RuntimeWarning"),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, "")
+        error = json.loads(out)["error"]
+        assert error["type"] == "InputFormatError"
+        assert error["message"].startswith("a(x) times the base measure overflows at x=")
+
     @pytest.mark.parametrize("atom, message", [
         ('{"y": true, "mass": true}', "'atom y' must be a number, got True"),
         ('{"y": "nan", "mass": 1}', "atom at y=nan is not a finite nonzero jump"),

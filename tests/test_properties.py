@@ -54,6 +54,21 @@ def test_rate_table_writer_is_json_dumps(lo, width, boundary, data):
     assert ratematrix_to_json(rm) == json.dumps(ratematrix_to_dict(rm), indent=2)
 
 
+@settings(deadline=None, max_examples=300)
+@given(lo=st.integers(-60, 60), width=st.integers(0, 6), data=st.data())
+def test_rate_table_writer_repeats_rates_and_offsets(lo, width, data):
+    # rates from a small pool so values repeat, offsets past int64 among
+    # small ones, entries in any order, the empty table
+    hi = lo + width
+    offsets = st.one_of(st.integers(-3, 3).filter(bool),
+                        st.sampled_from([2 ** 63, -2 ** 63, -2 ** 63 - 1, 10 ** 30]))
+    pool = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 0.5, 1.0 / 3.0])
+    keys = data.draw(st.lists(st.tuples(st.integers(lo, hi), offsets), unique=True, max_size=30))
+    entries = data.draw(st.permutations([(k, data.draw(pool)) for k in keys]))
+    rm = RateMatrix(lo, hi, "kill", dict(entries))
+    assert ratematrix_to_json(rm) == json.dumps(ratematrix_to_dict(rm), indent=2)
+
+
 @settings(deadline=None, max_examples=80)
 @given(seed=seeds)
 def test_monotonicity_routes_always_agree(seed):

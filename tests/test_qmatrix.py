@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -1254,6 +1255,18 @@ class TestSerialization:
     def test_writer_is_json_dumps(self, rates):
         rm = RateMatrix(-1, 3, "kill", rates)
         assert ratematrix_to_json(rm) == json.dumps(ratematrix_to_dict(rm), indent=2)
+
+    def test_wide_window_writes_in_the_entries_only(self):
+        # one entry head per state that has entries, none per window state
+        rm = RateMatrix(0, 10 ** 12, "reflect", {(0, 1): 1.0, (10 ** 12, -1): 1.0})
+        tracemalloc.start()
+        try:
+            text = ratematrix_to_json(rm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert text == json.dumps(ratematrix_to_dict(rm), indent=2)
 
     def test_schema_errors(self):
         with pytest.raises(InputFormatError):
