@@ -298,11 +298,15 @@ def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_
     ``rtol`` of the integral of |f| over all panels of its row from the
     8-node one.  The panels that fail, (row[k], col[k]), are integrated by
     _bisect at that bound: over themselves, or over the pieces (g, a, b) =
-    ``pieces(row, col)`` give, g(k, y) over [a[k], b[k]].
+    ``pieces(row, col)`` give, g(k, y) over [a[k], b[k]].  A column of
+    panels empty on every row adds 0.0, and f is not evaluated on it.
     """
     lo, hi = np.broadcast_arrays(lo, hi)
     rows = np.arange(lo.shape[0])[:, None, None]
-    high, err, size, _ = gauss_rules(lambda v: f(rows, v), lo, hi)
+    live = (hi > lo).any(axis=0)
+    high, err, size = np.zeros((3, *lo.shape))
+    high[:, live], err[:, live], size[:, live], _ = gauss_rules(
+        lambda v: f(rows, v), lo[:, live], hi[:, live])
     if np.isnan(size).any():  # NaN at a node of a panel of nonzero width
         raise InputFormatError("the model's integrand is not a number")
     if np.isinf(size).any():
@@ -1185,9 +1189,9 @@ def _discretize_block(m: LevyModel, lat: Lattice, n: np.ndarray, ball: int):
     key's events in that order (np.add.at is sequential) and ordering keys
     by their first event gives the loop's table, sums and key order
     included.  The first error in that order is raised; a negative or
-    non-finite G, then a non-finite b, come first at their state.  Then a
-    summed rate that is not finite (it overflowed) raises InputFormatError
-    at its (n, m), the first in table order.
+    non-finite G, then a non-finite b, come first at their state.  A summed
+    rate that overflowed is left to the RateMatrix constructor, which names
+    the first such (n, m) in table order.
     """
     h = lat.h
     x = n * h
@@ -1225,12 +1229,7 @@ def _discretize_block(m: LevyModel, lat: Lattice, n: np.ndarray, ball: int):
     np.add.at(total, code, val)
     _, first = np.unique(code, return_index=True)
     code = code[np.sort(first)]
-    n, off, rate = n[code // width], code % width - width // 2, total[code]
-    bad = ~np.isfinite(rate)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InputFormatError(f"rate at (n, m) = ({n[i]}, {off[i]}) is not finite at mesh h={h}")
-    return n, off, rate
+    return n[code // width], code % width - width // 2, total[code]
 
 
 def discretize(m: LevyModel, lat: Lattice) -> RateMatrix:
@@ -1262,7 +1261,7 @@ def discretize(m: LevyModel, lat: Lattice) -> RateMatrix:
     lo, hi, h = lat.lo, lat.hi, lat.h
     ball = int(math.floor(1.0 / h + _BALL_EPS))  # bins with m*h <= 1
     step = max(1, _BLOCK_BUDGET // (_GL_NODES[-1] * (hi - lo + ball + 1)))
-    with np.errstate(over="ignore"):  # a rate that overflows is raised by its block
+    with np.errstate(over="ignore"):  # a rate that overflows is raised by RateMatrix
         blocks = [_discretize_block(m, lat, np.arange(n0, min(n0 + step, hi + 1)), ball)
                   for n0 in range(lo, hi + 1, step)]
     return RateMatrix(lo, hi, lat.boundary, _Columns(*map(np.concatenate, zip(*blocks))))

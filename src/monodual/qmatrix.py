@@ -115,9 +115,14 @@ class RateMatrix:
       the chain keeps moving; a jump clamped onto its own source is dropped.
     * ``"kill"``: out-of-window mass is removed from the window.
 
-    States, offsets and edges are integers (``int(v) == v``); no (n, m) repeats.
-    The table is kept as read-only columns in table order: ``src = n - lo``
-    (int64), ``m`` (int64, object past int64) and ``rate``.
+    The constructor is the one place that judges a table, and raises for
+    the first bad entry in table order.  Edges and states are integers
+    (``int(v) == v``) within int64, and the edges bound a nonempty window
+    (else InputFormatError).  Offsets are integers other than 0, of any
+    size, and no (n, m) repeats (else InputFormatError).  Rates are finite
+    (else InputFormatError) and nonnegative (else NegativeRate); -0.0 is
+    0.  The table is kept as read-only columns in table order:
+    ``src = n - lo`` (int64), ``m`` (int64, object past int64) and ``rate``.
 
     A chain never changes, so what the functions of this module derive from
     it is built on first use and kept on it, read-only.  Two values are
@@ -144,8 +149,8 @@ class RateMatrix:
         lo, hi = _number(self.lo, int), _number(self.hi, int)
         if lo is None or hi is None:
             raise InputFormatError("window edges must be integers")
-        if lo > hi:
-            raise InputFormatError(f"empty window [{lo}, {hi}]")
+        if not -2 ** 63 <= lo <= hi < 2 ** 63:
+            raise InputFormatError(f"window [{lo}, {hi}] is empty or reaches past int64")
         if self.boundary not in BOUNDARY_POLICIES:
             raise InputFormatError(
                 f"unknown boundary policy {self.boundary!r}; "
@@ -158,24 +163,27 @@ class RateMatrix:
             table = _Columns(n, m, values, lambda i: f"{keys[i]!r}: {values[i]!r}")
         (n, bad_n), (m, bad_m), (rate, bad_r) = (
             _column(table.n, np.int64), _column(table.m, np.int64), _column(table.rate, float))
+        rate = rate.astype(float, copy=False)
         bad, jump0, outside = bad_n | bad_m | bad_r, m == 0, (n < lo) | (n > hi)
         order = np.lexsort((m, n))  # stable: a repeat follows the first (n, m)
         a, b = order[:-1], order[1:]
         repeat = np.zeros(n.size, dtype=bool)
         repeat[b[(n[a] == n[b]) & (m[a] == m[b])]] = True
-        failed = bad | jump0 | outside | repeat
+        malformed = bad | jump0 | outside | repeat | ~np.isfinite(rate)
+        failed = malformed | (rate < 0.0)
         if failed.any():
             i = int(np.argmax(failed))
+            if not malformed[i]:
+                raise NegativeRate(int(n[i]), int(m[i]), float(rate[i]))
             raise InputFormatError(
                 f"bad rate entry {table.entry(i)}" if bad[i]
                 else f"offset 0 at state {n[i]} is not a jump" if jump0[i]
                 else f"source state {n[i]} outside window [{lo}, {hi}]" if outside[i]
-                else f"duplicate rate entry for ({n[i]}, {m[i]})"
+                else f"duplicate rate entry for ({n[i]}, {m[i]})" if repeat[i]
+                else f"rate at ({n[i]}, {m[i]}) is not finite: {float(rate[i])!r}"
             )
-        src, rate = (n - lo).astype(np.int64), rate.astype(float, copy=False)
-        for name, value in zip(("lo", "hi", "src", "m", "rate"), (lo, hi, src, m, rate)):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+        columns = _read_only(((n - lo).astype(np.int64), m, rate))
+        for name, value in zip(("lo", "hi", "src", "m", "rate"), (lo, hi, *columns)):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -336,10 +344,12 @@ class TransitionMatrix:
     ``terms`` and ``halvings`` say how the exponential was computed (Poisson
     series terms per step, and squarings of the step); ``error_bound`` is
     the truncation bound actually achieved, 2**halvings times the Poisson
-    mass the series left out.  It exceeds the requested tolerance only when
-    the term cap stopped the series, and ``tol_met`` is then False.
-    Rounding is not included, and the observed error can exceed the
-    bound.
+    mass the series left out.  On a chain that kills nothing, whose true
+    rows sum to 1, it is at least the largest defect: the mass lost to
+    rounding in the squarings is an error the truncation bound leaves out.
+    ``tol_met`` says whether ``error_bound`` is within the requested
+    tolerance.  Rounding is not included otherwise, and the observed error
+    can exceed the bound.
     """
 
     lo: int
@@ -363,6 +373,8 @@ class TransitionMatrix:
             "t": self.t,
             "P": self.P.tolist(),
             "defect": self.defect.tolist(),
+            "error_bound": self.error_bound,
+            "tol_met": self.tol_met,
         }
 
 
@@ -380,11 +392,11 @@ class DominanceReport:
 
 
 def validate_qmatrix(rm: RateMatrix) -> dict:
-    """Check rate values and return a small summary of the table.
+    """A small summary of the table's effective generator.
 
-    Raises NegativeRate for a negative entry and InputFormatError for a
-    non-finite one.  Structural problems (bad window, offset zero, unknown
-    policy) are already rejected by the RateMatrix constructor.
+    It raises nothing: a table that is not valid (a bad window, an offset
+    0, a negative or non-finite rate) was rejected by the RateMatrix
+    constructor.
     """
     rows = rm._rows
     return {
@@ -422,18 +434,9 @@ def _generator_entries(rm: RateMatrix) -> _Rows:
     every state, summed in the same order.  Under "kill" a jump whose
     target leaves the window is killed mass; the other policies clamp
     targets to the edges and drop a jump clamped onto its own source.
-    Raises NegativeRate for a negative rate and InputFormatError for a
-    non-finite one.
     """
     n_states = rm.n_states
     r = rm.rate
-    bad = np.flatnonzero(~np.isfinite(r) | (r < 0.0))
-    if bad.size:
-        i = bad[0]
-        n, m, value = rm.lo + int(rm.src[i]), int(rm.m[i]), float(r[i])
-        if not math.isfinite(value):
-            raise InputFormatError(f"rate at ({n}, {m}) is not finite: {value!r}")
-        raise NegativeRate(n, m, value)
     nonzero = r != 0.0
     src, r = rm.src[nonzero], r[nonzero]
     # cutting offsets to the window width moves no target into or out of the
@@ -481,10 +484,11 @@ def _generator_entries(rm: RateMatrix) -> _Rows:
 def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
     """Dense generator and kill-rate vector induced by the boundary policy.
 
-    Returns ``(q, kill)`` where ``q`` is (N, N) with row sums ``-kill``.
-    The kill vector is nonzero only under the "kill" policy.  Rates that
-    land on one entry are summed in rate-table order.  Raises NegativeRate
-    for a negative rate and InputFormatError for a non-finite one.
+    Returns ``(q, kill)`` where ``q`` is (N, N) with row sums ``-kill``: a
+    dense view of the chain's row table (see _generator_entries).  The
+    kill vector is nonzero only under the "kill" policy.  Rates that land
+    on one entry are summed in rate-table order.  It raises nothing: the
+    RateMatrix constructor has judged the rates.
     """
     src, tgt, rate, exit_rate, kill = rm._rows[:5]
     n_states = rm.n_states
@@ -834,11 +838,11 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     SPARSE_DENSITY of the entries in those tiles is nonzero (a few far
     entries make the band wide), B is multiplied as a sparse matrix
     instead, at O(N nnz) per term.  The result reports the terms, halvings
-    and the truncation bound achieved.  The exponential is kept on the
-    chain (see RateMatrix), so a second call with the same ``t`` and
-    ``tol``, or ``verify_duality`` at the default ``tol``, reuses it; a
-    dense result is returned as ``P`` itself, read-only.  A non-finite
-    ``t`` or ``tol``, or a negative one, raises InputFormatError.
+    and the error bound achieved (see TransitionMatrix).  The exponential
+    is kept on the chain (see RateMatrix), so a second call with the same
+    ``t`` and ``tol``, or ``verify_duality`` at the default ``tol``, reuses
+    it; a dense result is returned as ``P`` itself, read-only.  A
+    non-finite ``t`` or ``tol``, or a negative one, raises InputFormatError.
     """
     t, tol = _horizon(t, tol)
     if tol < 0.0:
@@ -849,6 +853,8 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
         p.flags.writeable = False
     defect = 1.0 - p.sum(axis=1)
     np.clip(defect, 0.0, 1.0, out=defect)
+    if not rm._rows.kill.any():  # rows that should sum to 1: their loss is error too
+        bound = max(bound, float(defect.max()))
     return TransitionMatrix(
         rm.lo, rm.hi, t, p, defect, terms, halvings, bound, bool(bound <= tol)
     )
@@ -1235,11 +1241,9 @@ def ratematrix_to_json(rm: RateMatrix) -> str:
     closes the entry before), one string per distinct offset and one
     ``repr`` (what json writes for a float) per distinct rate bit pattern,
     so -0.0 stays apart from 0.0.  They are gathered into one list with the
-    document's head and tail and joined once.  A table holding a non-finite
-    rate (json writes NaN, Infinity) goes through json itself.
+    document's head and tail and joined once.  The rates of a RateMatrix
+    are finite, so the text is always strict JSON.
     """
-    if not np.isfinite(rm.rate).all():
-        return json.dumps(ratematrix_to_dict(rm), indent=2)
     head = '{\n  "lo": %d,\n  "hi": %d,\n  "boundary": %s,\n  "rates": ' % (
         rm.lo, rm.hi, json.dumps(rm.boundary))
     nnz = rm.rate.size

@@ -146,6 +146,28 @@ class TestRateMatrixStructure:
             RateMatrix(0, 3, "kill", {(0, 0.5): 1.0, (2, 0): 1.0, (7, 1): 1.0})
         with pytest.raises(InputFormatError, match="source state 7"):
             RateMatrix(0, 3, "kill", {(7, 1): 1.0, (2, 0): 1.0})
+        # rate values are judged in the same pass
+        with pytest.raises(NegativeRate, match="at state 2, offset -1"):
+            RateMatrix(0, 3, "kill", {(1, 1): 1.0, (2, -1): -0.5, (2, 0): 1.0})
+        with pytest.raises(InputFormatError, match="offset 0 at state 2"):
+            RateMatrix(0, 3, "kill", {(2, 0): 1.0, (1, 1): -0.5})
+        with pytest.raises(InputFormatError, match=r"rate at \(1, 1\) is not finite: -inf"):
+            RateMatrix(0, 3, "kill", {(1, 1): -math.inf, (2, -1): -0.5})
+
+    @pytest.mark.parametrize("lo, hi", [(2 ** 63, 2 ** 63 + 2), (-2 ** 63 - 1, 0),
+                                        (0, 2 ** 63), (-2 ** 64, 2 ** 64)])
+    def test_window_past_int64_rejected(self, lo, hi):
+        with pytest.raises(InputFormatError, match="reaches past int64"):
+            RateMatrix(lo, hi, "reflect", {})
+
+    def test_window_at_the_int64_edges(self):
+        top = RateMatrix(2 ** 63 - 3, 2 ** 63 - 1, "reflect", {(2 ** 63 - 1, -1): 0.5})
+        bottom = RateMatrix(-2 ** 63, -2 ** 63 + 2, "kill",
+                            {(-2 ** 63, -2 ** 64): 0.5, (-2 ** 63, 1): 1.0})
+        for rm in (top, bottom):
+            dual = dual_qmatrix(rm)
+            assert (dual.lo, dual.hi) == (rm.lo, rm.hi)
+            assert ratematrix_from_dict(json.loads(ratematrix_to_json(rm))) == rm
 
     def test_rates_is_a_read_only_view_in_table_order(self):
         rm = RateMatrix(0, 3, "kill", {(3, 1): 1.0, (0, 1): 0.5, (1, -1): 0.25})
@@ -283,15 +305,14 @@ def _random_chains(seed, count):
 
 
 class TestValidate:
+    # the constructor judges the rates, so a bad table never reaches validate_qmatrix
     def test_negative_rate(self):
-        rm = RateMatrix(0, 2, "kill", {(0, 1): -0.5})
         with pytest.raises(NegativeRate):
-            validate_qmatrix(rm)
+            validate_qmatrix(RateMatrix(0, 2, "kill", {(0, 1): -0.5}))
 
     def test_non_finite_rate(self):
-        rm = RateMatrix(0, 2, "kill", {(0, 1): math.nan})
         with pytest.raises(InputFormatError):
-            validate_qmatrix(rm)
+            validate_qmatrix(RateMatrix(0, 2, "kill", {(0, 1): math.nan}))
 
     def test_summary_fields(self):
         rm = birth_death(0, 4, up=2.0, down=1.0, boundary="kill")
@@ -799,7 +820,26 @@ class TestTransitionMatrix:
         assert tm.tol_met is False
         err = np.max(np.abs(tm.P - scipy.linalg.expm(q)))
         assert err > 1e-300
-        assert set(tm.to_dict()) == {"lo", "hi", "t", "P", "defect"}
+        assert set(tm.to_dict()) == {"lo", "hi", "t", "P", "defect", "error_bound", "tol_met"}
+        assert tm.to_dict()["tol_met"] is False
+
+    @pytest.mark.parametrize("t, halvings, defect", [
+        (1e4, 11, 2.3987478670051132e-12),
+        (1e10, 31, 3.0344137005311467e-06),
+        (1e30, 97, 1.0),
+    ])
+    def test_lost_mass_counts_against_the_tolerance(self, t, halvings, defect):
+        # the squarings lose mass to rounding; a conservative chain's rows
+        # should sum to 1, so the loss bounds the error from below
+        rm = RateMatrix(0, 2, "reflect", {(0, 1): 10.0, (1, 1): 5.0, (2, -1): 3.0})
+        tm = transition_matrix(rm, t)
+        assert tm.halvings == halvings
+        assert tm.defect.max() == pytest.approx(defect, rel=0.05)
+        assert tm.error_bound == tm.defect.max() and tm.tol_met is False
+        # a killing chain loses mass by design: its bound stays the truncation one
+        rm = RateMatrix(0, 2, "kill", {(0, 1): 10.0, (1, 1): 5.0, (2, -1): 3.0, (2, 1): 0.5})
+        tm = transition_matrix(rm, t)
+        assert tm.defect.min() > 0.5 and tm.error_bound <= qmatrix.EXPM_TOL and tm.tol_met is True
 
     @pytest.mark.parametrize("lam_t, halvings", [
         (35.778245614035086 * 2**7, 7), (55.98245614035088 * 2**6, 6),
@@ -1250,11 +1290,15 @@ class TestSerialization:
         {(-1, 1): 0.1, (-1, 2): 2.5, (1, -1): 1e-300, (2, 1): 1.0},
         {},
         {(1, 10 ** 30): 0.5, (2, -1): 1.0, (0, 1): 1 / 3},
-        {(0, 1): math.inf, (1, -1): math.nan, (2, 1): -math.inf},
-    ], ids=["unsorted", "sorted", "empty", "offset past int64", "non-finite"])
+    ], ids=["unsorted", "sorted", "empty", "offset past int64"])
     def test_writer_is_json_dumps(self, rates):
         rm = RateMatrix(-1, 3, "kill", rates)
         assert ratematrix_to_json(rm) == json.dumps(ratematrix_to_dict(rm), indent=2)
+
+    def test_non_finite_table_is_never_written(self):
+        # json wrote NaN and Infinity for these, which is not JSON
+        with pytest.raises(InputFormatError, match=r"rate at \(0, 1\) is not finite: inf"):
+            RateMatrix(-1, 3, "kill", {(0, 1): math.inf, (1, -1): math.nan, (2, 1): -math.inf})
 
     def test_wide_window_writes_in_the_entries_only(self):
         # one entry head per state that has entries, none per window state
