@@ -903,6 +903,22 @@ class Lattice:
         object.__setattr__(self, "hi", number(self.hi, "hi", int))
         if self.hi <= self.lo:
             raise InputFormatError(f"empty lattice window [{self.lo}, {self.hi}]")
+        # while |n| < 2**52 and the points are finite, n is exact in float
+        # and h exceeds the float spacing at every point, so the points
+        # ascend strictly; past 2**52 they can collapse anywhere in the
+        # window, not only at its ends, so all of them are looked at
+        top = max(abs(self.lo), abs(self.hi))
+        try:
+            finite = math.isfinite(self.h * top)
+        except OverflowError:  # top itself is past the float range
+            finite = False
+        if not finite:
+            raise InputFormatError(
+                f"lattice point {top} * {self.h!r} is past the float range")
+        if top >= 2 ** 52 and not np.all(np.diff(self.points()) > 0.0):
+            raise InputFormatError(
+                f"lattice window [{self.lo}, {self.hi}] at mesh {self.h!r} has "
+                f"points that are equal in float")
 
     def points(self) -> np.ndarray:
         return self.h * np.arange(self.lo, self.hi + 1)

@@ -121,7 +121,10 @@ class RateMatrix:
     (else InputFormatError).  Offsets are integers other than 0, of any
     size, and no (n, m) repeats (else InputFormatError).  Rates are finite
     (else InputFormatError) and nonnegative (else NegativeRate); -0.0 is
-    0.  The table is kept as read-only columns in table order:
+    0.  The rates out of each state, added in table order, sum to a finite
+    float (else InputFormatError naming the lowest such state), so every
+    exit and kill rate is finite.  The table is kept as read-only columns
+    in table order:
     ``src = n - lo`` (int64), ``m`` (int64, object past int64) and ``rate``.
 
     A chain never changes, so what the functions of this module derive from
@@ -167,8 +170,9 @@ class RateMatrix:
         bad, jump0, outside = bad_n | bad_m | bad_r, m == 0, (n < lo) | (n > hi)
         order = np.lexsort((m, n))  # stable: a repeat follows the first (n, m)
         a, b = order[:-1], order[1:]
+        same_n = n[a] == n[b]
         repeat = np.zeros(n.size, dtype=bool)
-        repeat[b[(n[a] == n[b]) & (m[a] == m[b])]] = True
+        repeat[b[same_n & (m[a] == m[b])]] = True
         malformed = bad | jump0 | outside | repeat | ~np.isfinite(rate)
         failed = malformed | (rate < 0.0)
         if failed.any():
@@ -182,6 +186,20 @@ class RateMatrix:
                 else f"duplicate rate entry for ({n[i]}, {m[i]})" if repeat[i]
                 else f"rate at ({n[i]}, {m[i]}) is not finite: {float(rate[i])!r}"
             )
+        # the rates out of each source state, summed in table order as the
+        # exit rates are, must be finite.  A total under half the float
+        # maximum bounds every such sum, whatever the order, so only a larger
+        # one is summed by state; the states are numbered in sorted order,
+        # so no array spans the window.
+        with np.errstate(over="ignore"):
+            total = rate.sum()
+        if not total < 2.0 ** 1023:
+            group = np.zeros(n.size, dtype=np.intp)
+            group[b] = np.cumsum(~same_n)
+            overflow = ~np.isfinite(np.bincount(group, weights=rate))
+            if overflow.any():
+                state = int(n[np.argmax(group == np.argmax(overflow))])
+                raise InputFormatError(f"the rates out of state {state} sum past the float range")
         columns = _read_only(((n - lo).astype(np.int64), m, rate))
         for name, value in zip(("lo", "hi", "src", "m", "rate"), (lo, hi, *columns)):
             object.__setattr__(self, name, value)

@@ -10,8 +10,9 @@ results bit-identical however the replicates are chunked across threads.
 
 The block is never held whole.  Each thread's chunk of rows starts from
 the Philox counter of its first row and is streamed through one buffer
-of at most ``_BLOCK_BUDGET`` doubles, so memory is bounded by twice that
-budget per worker (the block and its stragglers' rows) plus the O(reps)
+of at most ``_BLOCK_BUDGET`` doubles (4 MB), and the stragglers of a
+sub-chunk read their private rows into the first rows of that same
+buffer, so a worker thread holds one such buffer plus the O(reps)
 outputs and the jump table.  The table is padded: row i holds the
 cumulative probabilities of the states that state i can reach, then the
 kill entry at 1, so it is N by one plus the most targets of any state,
@@ -21,7 +22,9 @@ times the widest row when they are not.  Each step
 works on compacted arrays of the rows still jumping, and finds their
 targets by a vectorized binary search over the table rows.  Rows hold
 six standard deviations of the jump count, up to ``_BLOCK_COL_CAP``
-uniforms, so a replicate that stops early never pays for a long row.  A
+uniforms, and every row is drawn whole, since the replay contract fixes
+its width: a replicate that stops early still draws its full row, so at
+lambda*t near 5 a row of 80 uniforms serves about 12.  A
 replicate that exhausts its row (a straggler) reads on from a private
 stream keyed by (seed, salt + r << 32), in rows of the same width, still
 in lockstep with the other stragglers; its draws are those of a scalar
@@ -61,8 +64,8 @@ ESCAPE_LIMIT = 1e-3
 # Uniforms per replicate row of the block; a replicate that jumps past its
 # row (a straggler) reads on from a private stream in rows of the same width.
 _BLOCK_COL_CAP = 256
-# Uniforms held per streamed sub-chunk of the block (16 MB of doubles).
-_BLOCK_BUDGET = 1 << 21
+# Uniforms held per streamed sub-chunk of the block (4 MB of doubles).
+_BLOCK_BUDGET = 1 << 19
 
 # sample_path keeps every jump, about 100 bytes each: a horizon with more
 # than this many jumps expected (lambda * t) is malformed input.
@@ -343,7 +346,9 @@ def _run_block(
     """Evolve block rows in lockstep; row i is replicate row0 + i.
 
     Writes final state indices and kill and edge flags into ``states``,
-    ``killed`` and ``hit`` and returns the number of stragglers.
+    ``killed`` and ``hit`` and returns the number of stragglers.  Each
+    round of the stragglers' private rows overwrites the first rows of
+    ``block``, whose uniforms are spent by then.
     """
     n = dyn.n_states
     m, cols = block.shape
@@ -366,7 +371,7 @@ def _run_block(
     k = 0
     while live.size:
         counter[0], skip = divmod(k * cols, 4)
-        more = np.empty((live.size, cols))
+        more = block[: live.size]
         for row, r in zip(more, (row0 + live).tolist()):
             key[1] = salt + (r << 32)
             bitgen.state = state

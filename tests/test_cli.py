@@ -774,6 +774,53 @@ class TestErrorPaths:
         assert error["type"] == "InputFormatError"
         assert error["message"].startswith("a(x) times the base measure overflows at x=")
 
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["monotone"], ["dual"], ["evolve", "--t", "1"], ["duality", "--t", "1"],
+        ["simulate"],
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_row_sum_is_malformed(self, files, argv):
+        # every rate is finite but the rows of states 0 and 2 sum to inf:
+        # validate exited 3 writing the infinite exit rate, monotone 0 and
+        # dual 2 with numpy's overflow warnings on stderr
+        chain = {"lo": 0, "hi": 2, "boundary": "reflect",
+                 "rates": [{"n": n, "m": m, "rate": 1e308}
+                           for n, m in [(0, 1), (0, 2), (1, 1), (2, -1), (2, -2)]]}
+        doc = ({"op": "survival", "x0": 1, "y": 2, "t": 1.0, "reps": 100, "chain": chain}
+               if argv == ["simulate"] else chain)
+        path = files("rowsum.json", doc)
+        proc = fresh_cli([*argv, "--in", path], ("-W", "error::RuntimeWarning"),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, "")
+        assert json.loads(out)["error"] == {
+            "type": "InputFormatError",
+            "message": "the rates out of state 0 sum past the float range"}
+
+    @pytest.mark.parametrize("command", [
+        "validate", "dualgen", "monotone", "discretize", "simulate"])
+    def test_window_whose_points_collapse_is_malformed(self, files, command):
+        # past 2**53 the window's integers, so its grid points, meet in
+        # float: validate and dualgen exited 0 on three equal points,
+        # monotone exited 2 from its own grid check and discretize from
+        # the rate table
+        lo, hi = 2 ** 63, 2 ** 63 + 2
+        if command == "simulate":
+            doc = {"op": "growth", "model": GROWTH_MODEL_DOC,
+                   "lattice": {"h": 0.5, "lo": lo, "hi": hi},
+                   "x0": 5.0, "t": 1.0, "reps": 100}
+            argv = [command, "--in", files("sim.json", doc)]
+        else:
+            argv = [command, "--in", files("model.json", MODEL_DOC),
+                    "--h", "0.5", f"--window={lo}:{hi}"]
+        proc = fresh_cli(argv, ("-W", "error::RuntimeWarning"),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, "")
+        assert json.loads(out)["error"] == {
+            "type": "InputFormatError",
+            "message": f"lattice window [{lo}, {hi}] at mesh 0.5 has points that are "
+                       f"equal in float"}
+
     @pytest.mark.parametrize("atom, message", [
         ('{"y": true, "mass": true}', "'atom y' must be a number, got True"),
         ('{"y": "nan", "mass": 1}', "atom at y=nan is not a finite nonzero jump"),

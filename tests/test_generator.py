@@ -348,6 +348,29 @@ class TestStructures:
         with pytest.raises(InputFormatError):
             Lattice(h=0.5, lo=lo, hi=hi)
 
+    @pytest.mark.parametrize("h, lo, hi", [
+        (0.5, 2 ** 63, 2 ** 63 + 2),  # every point is 2**62
+        # here two inner pairs meet while the pairs at both ends ascend
+        (0.5, 2 ** 53 + 1, 2 ** 53 + 6),
+        (1.0, -2 ** 53 - 6, -2 ** 53 - 1),
+    ])
+    def test_lattice_rejects_points_equal_in_float(self, h, lo, hi):
+        # validate and dualgen read such a grid as repeated points (exit 0)
+        with pytest.raises(InputFormatError, match="points that are equal in float"):
+            Lattice(h=h, lo=lo, hi=hi)
+
+    def test_lattice_points_far_out_that_ascend(self):
+        lat = Lattice(h=0.5, lo=2 ** 53 + 1, hi=2 ** 53 + 3)
+        assert np.all(np.diff(lat.points()) > 0.0)
+        # below 2**52 nothing is looked at, so no window is built
+        assert Lattice(h=1.0, lo=-(2 ** 52) + 1, hi=2 ** 52 - 1).hi == 2 ** 52 - 1
+
+    @pytest.mark.parametrize("h, lo, hi", [(1e300, -10 ** 10, 0), (0.5, 10 ** 400, 10 ** 400 + 2)],
+                             ids=["product", "edge"])
+    def test_lattice_rejects_points_past_the_float_range(self, h, lo, hi):
+        with pytest.raises(InputFormatError, match="past the float range"):
+            Lattice(h=h, lo=lo, hi=hi)
+
     def test_lattice_integral_float_edges_become_ints(self):
         lat = Lattice(h=0.5, lo=-2.0, hi=2.0)
         assert (lat.lo, lat.hi) == (-2, 2) and type(lat.lo) is int and type(lat.hi) is int

@@ -43,6 +43,21 @@ rate_values = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1e16, 1e22, 0.1, 1.0 / 3.0, 1e300]),
 )
 
+
+def _row_sums(table):
+    """The rates out of each state, added in table order."""
+    sums = {}
+    for (n, _), rate in table.items():
+        sums[n] = sums.get(n, 0.0) + rate
+    return sums
+
+
+def rate_tables(keys, **size):
+    """The tables RateMatrix admits: the rates out of each state sum finite."""
+    return st.dictionaries(keys, rate_values, **size).filter(
+        lambda table: all(map(math.isfinite, _row_sums(table).values())))
+
+
 bad_rates = st.sampled_from([math.nan, math.inf, -math.inf, -5e-324, -1e-300, -1.0, -1e300])
 
 
@@ -57,7 +72,7 @@ def test_rate_table_writer_is_json_dumps(lo, width, boundary, data):
     # empty tables, negative states, subnormal and huge rates, -0.0
     hi = lo + width
     keys = st.tuples(st.integers(lo, hi), st.integers(-9, 9).filter(bool))
-    rates = data.draw(st.dictionaries(keys, rate_values, max_size=25))
+    rates = data.draw(rate_tables(keys, max_size=25))
     rm = RateMatrix(lo, hi, boundary, rates)
     assert ratematrix_to_json(rm) == json.dumps(ratematrix_to_dict(rm), indent=2)
 
@@ -71,7 +86,7 @@ def test_bad_rate_raises_at_construction(lo, width, boundary, data):
     # document, for the first in table order
     hi = lo + width
     keys = st.tuples(st.integers(lo, hi), st.integers(-9, 9).filter(bool))
-    table = data.draw(st.dictionaries(keys, rate_values, min_size=1, max_size=25))
+    table = data.draw(rate_tables(keys, min_size=1, max_size=25))
     rm = RateMatrix(lo, hi, boundary, table)
     assert ratematrix_from_dict(json.loads(ratematrix_to_json(rm), parse_constant=_reject)) == rm
     entries = list(table.items())
@@ -92,6 +107,26 @@ def test_bad_rate_raises_at_construction(lo, width, boundary, data):
         assert type(exc.value) is error and str(exc.value) == message
         if error is NegativeRate:
             assert (exc.value.n, exc.value.m, exc.value.rate) == (n, m, rate)
+
+
+@settings(deadline=None, max_examples=300)
+@given(lo=st.integers(-60, 60), width=st.integers(0, 6),
+       boundary=st.sampled_from(BOUNDARY_POLICIES), data=st.data())
+def test_row_sum_past_the_float_range_raises(lo, width, boundary, data):
+    # rates near the float maximum, so that rows overflow often: the table
+    # is refused exactly when the rates out of some state, added in table
+    # order, are not finite, and the lowest such state is named
+    hi = lo + width
+    keys = st.tuples(st.integers(lo, hi), st.integers(-9, 9).filter(bool))
+    big = st.sampled_from([0.0, 1.0, 1e307, 8.98846567431158e307, 1.7976931348623157e308])
+    table = data.draw(st.dictionaries(keys, big, min_size=1, max_size=25))
+    over = sorted(n for n, total in _row_sums(table).items() if not math.isfinite(total))
+    if over:
+        with pytest.raises(InputFormatError, match=f"state {over[0]} sum past"):
+            RateMatrix(lo, hi, boundary, table)
+    else:
+        rows = RateMatrix(lo, hi, boundary, table)._rows
+        assert np.all(np.isfinite(rows.exit)) and np.all(np.isfinite(rows.kill))
 
 
 @settings(deadline=None, max_examples=300)

@@ -169,6 +169,19 @@ class TestRateMatrixStructure:
             assert (dual.lo, dual.hi) == (rm.lo, rm.hi)
             assert ratematrix_from_dict(json.loads(ratematrix_to_json(rm))) == rm
 
+    def test_row_sum_past_the_float_range_rejected(self):
+        # every rate is finite, yet the exit rate of state 0 and 2 is inf
+        big = {(2, -1): 1e308, (2, -2): 1e308, (0, 1): 1e308, (0, 2): 1e308, (1, 1): 1e308}
+        with pytest.raises(InputFormatError, match="rates out of state 0 sum past"):
+            RateMatrix(0, 2, "reflect", big)
+        # only rows are summed, never a whole column or the table
+        rm = RateMatrix(0, 2, "reflect", {(0, 1): 1e308, (1, 1): 1e308, (2, -1): 1e308})
+        assert validate_qmatrix(rm)["max_exit_rate"] == 1e308
+        # the sums span the sources of the table, not the window
+        with pytest.raises(InputFormatError, match=f"state {2 ** 63 - 1} sum past"):
+            RateMatrix(-2 ** 63, 2 ** 63 - 1, "kill",
+                       {(-2 ** 63, 1): 1.0, (2 ** 63 - 1, -1): 1e308, (2 ** 63 - 1, 1): 1e308})
+
     def test_rates_is_a_read_only_view_in_table_order(self):
         rm = RateMatrix(0, 3, "kill", {(3, 1): 1.0, (0, 1): 0.5, (1, -1): 0.25})
         with pytest.raises(TypeError):

@@ -390,6 +390,23 @@ class TestLockstepEngine:
         assert per_rep < 40.0, per_rep
         assert peaks[200_000] < 8 * simulate._BLOCK_BUDGET + 40 * 200_000
 
+    def test_stragglers_share_the_block_buffer(self):
+        # lambda*t = 200: rows are capped at 256 uniforms and every replicate
+        # is a straggler, so each sub-chunk's straggler rounds are as large
+        # as the sub-chunk; they go into its buffer, not a second one
+        import tracemalloc
+
+        rm = birth_death(0, 40, up=1.0, down=1.0, boundary="reflect")
+        reps = 20_000
+        tracemalloc.start()
+        try:
+            est = mc_survival(rm, x0=20, y=21, t=100.0, reps=reps, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.block_columns == 256 and est.stragglers == reps
+        assert peak < 1.5 * 8 * simulate._BLOCK_BUDGET + 40 * reps, peak
+
     def test_killed_and_absorbed_rows_match_the_scalar_loop(self):
         # state 0 has no rate (absorbing) and state 9 is killed on its way
         # up; every row ends as the scalar loop on its uniforms ends
