@@ -51,6 +51,7 @@ from .generator import (
 from .dualgen import dual_levy, tabulate_dual
 from .qmatrix import (
     RateMatrix,
+    _check_size,
     check_monotone,
     dual_qmatrix,
     ratematrix_from_dict,
@@ -226,6 +227,7 @@ def _cmd_dualgen(args) -> int:
         xs, ys = np.linspace(-4.0, 4.0, 33), None
     else:
         xs = lattice.points()
+        _check_size(xs.size * 4.0 / lattice.h, "nu_tilde cells")
         ys = lattice.h * np.arange(1, int(math.ceil(4.0 / lattice.h)) + 1)
     tab = tabulate_dual(coeffs, xs, ys)
     if args.out is not None and args.out.endswith(".csv"):

@@ -51,7 +51,7 @@ from .errors import (
     TailMassUnresolved,
 )
 from ._expr import Expression, number, parse_expression
-from .qmatrix import RateMatrix, _Columns
+from .qmatrix import RateMatrix, _check_size, _Columns
 
 SUPPORT_SIGNS = ("both", "positive", "negative")
 
@@ -915,6 +915,7 @@ class Lattice:
         if not finite:
             raise InputFormatError(
                 f"lattice point {top} * {self.h!r} is past the float range")
+        _check_size(self.hi - self.lo + 1, "lattice points")
         if top >= 2 ** 52 and not np.all(np.diff(self.points()) > 0.0):
             raise InputFormatError(
                 f"lattice window [{self.lo}, {self.hi}] at mesh {self.h!r} has "
@@ -1274,6 +1275,7 @@ def discretize(m: LevyModel, lat: Lattice) -> RateMatrix:
     """
     if lat.h > 1.0:
         raise InputFormatError(f"mesh {lat.h} too coarse; need h <= 1")
+    _check_size(1.0 / lat.h, "unit-ball bins")
     lo, hi, h = lat.lo, lat.hi, lat.h
     ball = int(math.floor(1.0 / h + _BALL_EPS))  # bins with m*h <= 1
     step = max(1, _BLOCK_BUDGET // (_GL_NODES[-1] * (hi - lo + ball + 1)))

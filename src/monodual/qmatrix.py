@@ -60,6 +60,15 @@ TILE_ROWS = 8
 # tile: the dual of a killing chain has kill-rate steps in far columns.
 SPARSE_DENSITY = 0.05
 
+RATE_HEADROOM = 2.0 ** 1020  # a table's rates sum below it: no sum or difference overflows
+SIZE_BUDGET = 2 ** 30  # bytes of one array that a window, count or mesh sizes
+
+
+def _check_size(count, what: str) -> None:
+    """Refuse ``count`` 8-byte items past SIZE_BUDGET (InputFormatError), before allocating."""
+    if not count * 8 <= SIZE_BUDGET:
+        raise InputFormatError(f"{count} {what} exceed the size bound {SIZE_BUDGET // 8}")
+
 
 class _Columns(NamedTuple):
     """A rate table on its way into RateMatrix; ``entry(i)`` names entry i."""
@@ -121,10 +130,10 @@ class RateMatrix:
     (else InputFormatError).  Offsets are integers other than 0, of any
     size, and no (n, m) repeats (else InputFormatError).  Rates are finite
     (else InputFormatError) and nonnegative (else NegativeRate); -0.0 is
-    0.  The rates out of each state, added in table order, sum to a finite
-    float (else InputFormatError naming the lowest such state), so every
-    exit and kill rate is finite.  The table is kept as read-only columns
-    in table order:
+    0.  The rates sum below RATE_HEADROOM, 2**1020 (else InputFormatError),
+    so no exit or kill rate, nor any sum or difference of them, overflows.
+    The window's size is judged only where an array spans it (see
+    SIZE_BUDGET).  The table is kept as read-only columns in table order:
     ``src = n - lo`` (int64), ``m`` (int64, object past int64) and ``rate``.
 
     A chain never changes, so what the functions of this module derive from
@@ -170,9 +179,8 @@ class RateMatrix:
         bad, jump0, outside = bad_n | bad_m | bad_r, m == 0, (n < lo) | (n > hi)
         order = np.lexsort((m, n))  # stable: a repeat follows the first (n, m)
         a, b = order[:-1], order[1:]
-        same_n = n[a] == n[b]
         repeat = np.zeros(n.size, dtype=bool)
-        repeat[b[same_n & (m[a] == m[b])]] = True
+        repeat[b[(n[a] == n[b]) & (m[a] == m[b])]] = True
         malformed = bad | jump0 | outside | repeat | ~np.isfinite(rate)
         failed = malformed | (rate < 0.0)
         if failed.any():
@@ -186,20 +194,10 @@ class RateMatrix:
                 else f"duplicate rate entry for ({n[i]}, {m[i]})" if repeat[i]
                 else f"rate at ({n[i]}, {m[i]}) is not finite: {float(rate[i])!r}"
             )
-        # the rates out of each source state, summed in table order as the
-        # exit rates are, must be finite.  A total under half the float
-        # maximum bounds every such sum, whatever the order, so only a larger
-        # one is summed by state; the states are numbered in sorted order,
-        # so no array spans the window.
         with np.errstate(over="ignore"):
             total = rate.sum()
-        if not total < 2.0 ** 1023:
-            group = np.zeros(n.size, dtype=np.intp)
-            group[b] = np.cumsum(~same_n)
-            overflow = ~np.isfinite(np.bincount(group, weights=rate))
-            if overflow.any():
-                state = int(n[np.argmax(group == np.argmax(overflow))])
-                raise InputFormatError(f"the rates out of state {state} sum past the float range")
+        if not total < RATE_HEADROOM:
+            raise InputFormatError(f"the rates sum to {float(total)!r}, past the headroom 2**1020")
         columns = _read_only(((n - lo).astype(np.int64), m, rate))
         for name, value in zip(("lo", "hi", "src", "m", "rate"), (lo, hi, *columns)):
             object.__setattr__(self, name, value)
@@ -412,9 +410,9 @@ class DominanceReport:
 def validate_qmatrix(rm: RateMatrix) -> dict:
     """A small summary of the table's effective generator.
 
-    It raises nothing: a table that is not valid (a bad window, an offset
-    0, a negative or non-finite rate) was rejected by the RateMatrix
-    constructor.
+    A table that is not valid (a bad window, an offset 0, a negative or
+    non-finite rate) was rejected by the RateMatrix constructor; a window
+    past the size bound raises InputFormatError here (see SIZE_BUDGET).
     """
     rows = rm._rows
     return {
@@ -454,6 +452,7 @@ def _generator_entries(rm: RateMatrix) -> _Rows:
     targets to the edges and drop a jump clamped onto its own source.
     """
     n_states = rm.n_states
+    _check_size(n_states, "window states")
     r = rm.rate
     nonzero = r != 0.0
     src, r = rm.src[nonzero], r[nonzero]
@@ -505,11 +504,12 @@ def effective_generator(rm: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
     Returns ``(q, kill)`` where ``q`` is (N, N) with row sums ``-kill``: a
     dense view of the chain's row table (see _generator_entries).  The
     kill vector is nonzero only under the "kill" policy.  Rates that land
-    on one entry are summed in rate-table order.  It raises nothing: the
-    RateMatrix constructor has judged the rates.
+    on one entry are summed in rate-table order.  Only an N x N array past
+    the size bound raises (see SIZE_BUDGET).
     """
-    src, tgt, rate, exit_rate, kill = rm._rows[:5]
     n_states = rm.n_states
+    _check_size(n_states * n_states, "generator entries")
+    src, tgt, rate, exit_rate, kill = rm._rows[:5]
     q = np.zeros((n_states, n_states))
     flat = q.ravel()
     flat[src * n_states + tgt] = rate
@@ -844,7 +844,8 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     first term past which the Poisson mass (scipy's ``pdtrc``) is at most
     tol; since the powers of B have sup-norm at most one, that mass bounds
     the error.  Time steps with lam * t above 64 are halved recursively and
-    the result squared, with a correspondingly tightened series tolerance.
+    the result squared, with a correspondingly tightened series tolerance;
+    every squaring clips its entries at 1, which none of exp(t q) exceeds.
     The series is summed backwards (Horner's rule), one stacked product per
     term: B is held as tiles of TILE_ROWS rows, each with only the columns
     that the widest jump inside the window reaches, and each tile reads
@@ -942,6 +943,7 @@ def _expm_uniformized(
         # local: only this branch needs scipy.sparse, so other commands skip its import
         import scipy.sparse
 
+        _check_size(n_states * n_states, "transition matrix entries")
         # duplicate-free coordinates: the CSR array comes out in sorted order
         diagonal = np.arange(n_states)
         b = scipy.sparse.csr_array(
@@ -963,7 +965,8 @@ def _expm_uniformized(
         spare = np.empty_like(x)
         for _ in range(halvings):
             np.matmul(x, x, out=spare)
-            x, spare = spare, x
+            # clipped at 1: rounding past it would compound until it overflows
+            x, spare = np.minimum(spare, 1.0, out=spare), x
         del spare
     # the Poisson mass beyond term k
     bound = 2.0 ** halvings * float(scipy.special.pdtrc(k, a))
@@ -1018,6 +1021,7 @@ def _horner_tiled(
         ld = r + 2 * half_band
         tail_rows = (rows + half_band - 1) // ld
     else:
+        _check_size(n * n, "transition matrix entries")
         # windows slide at bands up to b_slide: narrower than a row, and at
         # most n // 2 of pad per row
         b_slide = min(half_band, (n // 2 - (rows - n)) // 2, (n - r - 1) // 2)
@@ -1066,6 +1070,7 @@ def _densify(band: np.ndarray) -> np.ndarray:
     """
     n, w = band.shape
     k = w // 2
+    _check_size(n * n, "transition matrix entries")
     buf = np.zeros(n * n + 2 * k)
     item = buf.itemsize
     np.ndarray(band.shape, buf.dtype, buf, 0, ((n + 1) * item, item))[...] = band

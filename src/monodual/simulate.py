@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import InputFormatError, WindowEscape
 from .generator import Lattice, LevyModel, discretize
-from .qmatrix import RateMatrix, _jump_scale, dual_qmatrix
+from .qmatrix import RateMatrix, _check_size, _jump_scale, dual_qmatrix
 
 SALT_SURVIVAL = 1
 SALT_DUAL_X = 2
@@ -253,7 +253,7 @@ def _finish_scalar(
     killed = False
     hit = False
     n = dyn.n_states
-    r = dyn.rates[state]
+    r = float(dyn.rates[state])  # a Python float: a wait past the float range is inf
     while r > 0.0:
         u1 = gen.random()
         u2 = gen.random()
@@ -272,7 +272,7 @@ def _finish_scalar(
             path.append((tnow, state))
         if killed:
             break
-        r = dyn.rates[state]
+        r = float(dyn.rates[state])
     return state, killed, hit
 
 
@@ -302,7 +302,7 @@ def _lockstep(
     for col in range(0, cols - 1, 2):
         if not base.size:
             break
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # a wait past the float range
             now -= np.log(flat.take(base + col)) / dyn.rates[cur]
         jump = now <= t_end
         idx = _jump_targets(dyn, cur, flat.take(base + (col + 1)))
@@ -452,6 +452,7 @@ def _simulate(
     dyn = rm_or_dyn if isinstance(rm_or_dyn, _Dynamics) else _Dynamics(rm_or_dyn)
     if reps <= 0:
         raise InputFormatError(f"need a positive replicate count, got {reps}")
+    _check_size(reps, "replicates")
     if t_end < 0.0 or not math.isfinite(t_end):
         raise InputFormatError(f"bad horizon {t_end!r}")
     if threads < 1:

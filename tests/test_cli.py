@@ -781,7 +781,8 @@ class TestErrorPaths:
     def test_overflowing_row_sum_is_malformed(self, files, argv):
         # every rate is finite but the rows of states 0 and 2 sum to inf:
         # validate exited 3 writing the infinite exit rate, monotone 0 and
-        # dual 2 with numpy's overflow warnings on stderr
+        # dual 2 with numpy's overflow warnings on stderr.  The table's
+        # total is past the headroom 2**1020
         chain = {"lo": 0, "hi": 2, "boundary": "reflect",
                  "rates": [{"n": n, "m": m, "rate": 1e308}
                            for n, m in [(0, 1), (0, 2), (1, 1), (2, -1), (2, -2)]]}
@@ -794,7 +795,7 @@ class TestErrorPaths:
         assert (proc.returncode, err) == (2, "")
         assert json.loads(out)["error"] == {
             "type": "InputFormatError",
-            "message": "the rates out of state 0 sum past the float range"}
+            "message": "the rates sum to inf, past the headroom 2**1020"}
 
     @pytest.mark.parametrize("command", [
         "validate", "dualgen", "monotone", "discretize", "simulate"])

@@ -362,8 +362,18 @@ class TestStructures:
     def test_lattice_points_far_out_that_ascend(self):
         lat = Lattice(h=0.5, lo=2 ** 53 + 1, hi=2 ** 53 + 3)
         assert np.all(np.diff(lat.points()) > 0.0)
-        # below 2**52 nothing is looked at, so no window is built
-        assert Lattice(h=1.0, lo=-(2 ** 52) + 1, hi=2 ** 52 - 1).hi == 2 ** 52 - 1
+        # below 2**52 nothing is looked at, so no window is built: not at
+        # the size bound of 2**27 points, nor one point past it
+        tracemalloc.start()
+        try:
+            assert Lattice(h=1.0, lo=2 ** 52 - 2 ** 27, hi=2 ** 52 - 1).hi == 2 ** 52 - 1
+            with pytest.raises(InputFormatError,
+                               match=f"^{2 ** 27 + 1} lattice points exceed the size bound"):
+                Lattice(h=1.0, lo=2 ** 52 - 2 ** 27 - 1, hi=2 ** 52 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("h, lo, hi", [(1e300, -10 ** 10, 0), (0.5, 10 ** 400, 10 ** 400 + 2)],
                              ids=["product", "edge"])

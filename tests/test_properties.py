@@ -1,14 +1,20 @@
 """Property tests: invariants that must hold on randomly drawn inputs."""
 
+import contextlib
+import io
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from monodual import qmatrix
 from monodual._expr import parse_expression
+from monodual.cli import main
 from monodual.errors import InputFormatError, NegativeRate
 from monodual.generator import (
     BaseMeasure,
@@ -37,25 +43,27 @@ from conftest import random_monotone_ratematrix, random_ratematrix
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
+# the largest rate below the headroom 2**1020 that a table's total stays under
+BELOW_HEADROOM = math.nextafter(2.0 ** 1020, 0.0)
+
 # the rates RateMatrix admits: finite and nonnegative, -0.0 among them
 rate_values = st.one_of(
-    st.floats(min_value=0.0, allow_infinity=False, allow_nan=False),
-    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1e16, 1e22, 0.1, 1.0 / 3.0, 1e300]),
+    st.floats(min_value=0.0, max_value=BELOW_HEADROOM),
+    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1e16, 1e22, 0.1, 1.0 / 3.0, 1e300,
+                     BELOW_HEADROOM]),
 )
 
 
-def _row_sums(table):
-    """The rates out of each state, added in table order."""
-    sums = {}
-    for (n, _), rate in table.items():
-        sums[n] = sums.get(n, 0.0) + rate
-    return sums
+def _total(table):
+    """The rates of the table added as RateMatrix adds them, in one numpy sum."""
+    with np.errstate(over="ignore"):
+        return np.array(list(table.values()), dtype=float).sum()
 
 
 def rate_tables(keys, **size):
-    """The tables RateMatrix admits: the rates out of each state sum finite."""
+    """The tables RateMatrix admits: the rates sum below the headroom 2**1020."""
     return st.dictionaries(keys, rate_values, **size).filter(
-        lambda table: all(map(math.isfinite, _row_sums(table).values())))
+        lambda table: _total(table) < 2.0 ** 1020)
 
 
 bad_rates = st.sampled_from([math.nan, math.inf, -math.inf, -5e-324, -1e-300, -1.0, -1e300])
@@ -93,6 +101,11 @@ def test_bad_rate_raises_at_construction(lo, width, boundary, data):
     spots = data.draw(st.lists(st.integers(0, len(entries) - 1), min_size=1, unique=True))
     for i in spots:
         entries[i] = (entries[i][0], data.draw(bad_rates))
+    # one rate at or past the headroom refuses the table as a whole
+    over = {**table, data.draw(st.sampled_from(sorted(table))):
+            data.draw(st.sampled_from([2.0 ** 1020, 1.7976931348623157e308]))}
+    with pytest.raises(InputFormatError, match=r"past the headroom 2\*\*1020$"):
+        RateMatrix(lo, hi, boundary, over)
     (n, m), rate = entries[min(spots)]
     if math.isnan(rate) or math.isinf(rate):
         error, message = InputFormatError, f"rate at ({n}, {m}) is not finite: {rate!r}"
@@ -113,20 +126,23 @@ def test_bad_rate_raises_at_construction(lo, width, boundary, data):
 @given(lo=st.integers(-60, 60), width=st.integers(0, 6),
        boundary=st.sampled_from(BOUNDARY_POLICIES), data=st.data())
 def test_row_sum_past_the_float_range_raises(lo, width, boundary, data):
-    # rates near the float maximum, so that rows overflow often: the table
-    # is refused exactly when the rates out of some state, added in table
-    # order, are not finite, and the lowest such state is named
+    # rates near the headroom, so that totals pass it often: the table is
+    # refused exactly when its rates, in one numpy sum, total 2**1020 or
+    # more, whether or not some row overflows; below that no exit rate,
+    # kill rate or tail difference does
     hi = lo + width
     keys = st.tuples(st.integers(lo, hi), st.integers(-9, 9).filter(bool))
-    big = st.sampled_from([0.0, 1.0, 1e307, 8.98846567431158e307, 1.7976931348623157e308])
+    big = st.sampled_from([0.0, 1.0, 1e307, 2.0 ** 1018, BELOW_HEADROOM, 2.0 ** 1020,
+                           8.98846567431158e307, 1.7976931348623157e308])
     table = data.draw(st.dictionaries(keys, big, min_size=1, max_size=25))
-    over = sorted(n for n, total in _row_sums(table).items() if not math.isfinite(total))
-    if over:
-        with pytest.raises(InputFormatError, match=f"state {over[0]} sum past"):
+    if not _total(table) < 2.0 ** 1020:
+        with pytest.raises(InputFormatError, match=r"past the headroom 2\*\*1020$"):
             RateMatrix(lo, hi, boundary, table)
     else:
-        rows = RateMatrix(lo, hi, boundary, table)._rows
+        rm = RateMatrix(lo, hi, boundary, table)
+        rows = rm._rows
         assert np.all(np.isfinite(rows.exit)) and np.all(np.isfinite(rows.kill))
+        assert check_monotone(rm).agreement is True
 
 
 @settings(deadline=None, max_examples=300)
@@ -272,3 +288,118 @@ def test_cutoff_intensity_nonincreasing(scale, c1, c2):
 def test_expression_parser_evaluates_polynomials(a, b, c, x):
     expr = parse_expression(f"{a} + {b}*x + {c}*x^2", ("x",))
     assert expr(x) == pytest.approx(a + b * x + c * x * x, rel=1e-12, abs=1e-12)
+
+
+# The admission contract's edges.  SIZE_BUDGET is lowered to 1 KiB, a bound
+# of 128 states, replicates or cells (11 states for an N x N array), so
+# that an example at the bound or past it allocates little; windows of
+# 2**40 and 10**17 states stand for windows far past any bound.
+BOUND = 2 ** 7
+FLOAT_MAX = 1.7976931348623157e308
+
+
+def _edge(ordinary, edges):
+    """Half the time an ordinary value, else one at an edge of the contract."""
+    return st.one_of(st.sampled_from(ordinary), st.sampled_from(edges))
+
+
+EDGE_RATES = _edge([1.0, 0.5], [0.0, -0.0, 5e-324, BELOW_HEADROOM, 2.0 ** 1020, FLOAT_MAX])
+EDGE_OFFSETS = _edge([1, -1], [2, 2 ** 63, -2 ** 63 - 1, 10 ** 30])
+EDGE_SIZES = _edge([2, 3, 5], [1, 11, 12, BOUND, BOUND + 1, 2 ** 40, 10 ** 17])
+EDGE_LO = _edge([0, -3], [2 ** 53, 2 ** 63 - 3, 2 ** 63, -2 ** 63])
+EDGE_MESHES = _edge([0.5, 0.25], [1.0, 1.5, 1e-300, 5e-324])
+EDGE_REPS = _edge([1, 50], [0, BOUND, BOUND + 1, 10 ** 12])
+EDGE_TIMES = _edge([0.5], [0.0, 5e-324, 1.0])
+# models whose rates stay bounded on every window, so Monte Carlo ends
+TAME_MODELS = [
+    {"b": "0", "growth_c": 3.0,
+     "nu": {"case": "decomposable", "a": "1+tanh(x)", "da": "4/(e^(x)+e^(-x))^2",
+            "base": {"density": "e^(-y)", "support_sign": "positive", "tail": "e^(-a)"}}},
+    {"mu": {"case": "decomposable", "a": "1", "base": {"atoms": [{"y": 1.0, "mass": 1.0}]}},
+     "growth_c": 1.0},
+]
+MODELS = TAME_MODELS + [
+    {"G": "1", "b": "x"},
+    {"G": "1e308"},
+    {"nu": {"case": "decomposable", "a": "1e308", "base": {"atoms": [{"y": 1.0, "mass": 2.0}]}}},
+    {"mu": {"case": "decomposable", "a": "1",
+            "base": {"atoms": [{"y": 5e-324, "mass": FLOAT_MAX}]}}},
+    {"support": "halfline", "G": "x", "b": "1",
+     "asymptotics": {"alpha": FLOAT_MAX, "b0": 5e-324, "G_order": 1.0}},
+]
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("edges") / "doc.json"
+
+
+def _edge_chain(data):
+    lo, size = data.draw(EDGE_LO), data.draw(EDGE_SIZES)
+    at = st.sampled_from([0, 1, size - 1])
+    entries = data.draw(st.lists(st.tuples(at, EDGE_OFFSETS, EDGE_RATES), max_size=4,
+                                 unique_by=lambda e: e[:2]))
+    boundary = data.draw(st.sampled_from(BOUNDARY_POLICIES))
+    return {"lo": lo, "hi": lo + size - 1, "boundary": boundary,
+            "rates": [{"n": lo + k, "m": m, "rate": r} for k, m, r in entries]}
+
+
+def _edge_lattice(data):
+    lo = data.draw(_edge([-2, 0], [2 ** 53, 2 ** 63]))
+    size = data.draw(_edge([2, 9], [BOUND, BOUND + 1, 10 ** 17]))
+    return data.draw(EDGE_MESHES), lo, lo + size - 1
+
+
+@settings(deadline=None, max_examples=300)
+@given(command=st.sampled_from(["validate", "monotone", "dual", "discretize", "evolve",
+                                "duality", "simulate", "boundary", "dualgen"]),
+       data=st.data())
+def test_no_command_exits_3_at_the_contract_edges(doc_path, command, data):
+    # every command, in process, on tables, models and windows at the edges
+    # of the admission contract: exit 0, 1 or 2, nothing on stderr on 0 or
+    # 2, and no traceback, with numpy warnings raised as errors
+    argv = [command, "--in", str(doc_path)]
+    t, reps = data.draw(EDGE_TIMES), data.draw(EDGE_REPS)
+    on_chain = command in ("dual", "evolve", "duality") or (
+        command in ("validate", "monotone", "simulate") and data.draw(st.booleans()))
+    if on_chain:
+        doc = _edge_chain(data)
+        argv += ["--t", str(t)] if command in ("evolve", "duality") else []
+        if command == "simulate":
+            # Monte Carlo caps no replicate's jumps, about lambda * t of them,
+            # so a long horizon would not end: it runs where lambda * t < 50
+            # or the table is refused
+            with np.errstate(over="ignore"):
+                total = np.array([e["rate"] for e in doc["rates"]], dtype=float).sum()
+            assume(not total < 2.0 ** 1020 or t * total < 50.0)
+            op = data.draw(st.sampled_from(["survival", "path", "duality"]))
+            x0 = doc["lo"]
+            doc = {"op": op, "t": t, "reps": reps, "x0": x0, "y": x0 + 1,
+                   "pairs": [[x0, x0]], "chain": doc}
+    elif command == "simulate":
+        h, lo, hi = _edge_lattice(data)
+        doc = {"op": "growth", "model": data.draw(st.sampled_from(TAME_MODELS)),
+               "lattice": {"h": h, "lo": lo, "hi": hi}, "x0": (lo + 1) * h, "t": t,
+               "reps": reps}
+    else:
+        # dualgen has a dual only for a model with a compensated kernel; any
+        # other is UnsupportedKernelCase (exit 3) by design
+        doc = data.draw(st.sampled_from([m for m in MODELS if "nu" in m or command != "dualgen"]))
+        if command in ("discretize", "dualgen") or (
+                command in ("validate", "monotone") and data.draw(st.booleans())):
+            h, lo, hi = _edge_lattice(data)
+            argv += ["--h", repr(h), f"--window={lo}:{hi}"]
+    doc_path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(qmatrix, "SIZE_BUDGET", 8 * BOUND), warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    report = f"{argv} on {doc}: exit {code}\n{out[:2000]}\n{err}"
+    assert code in (0, 1, 2), report
+    assert code == 1 or err == "", report
+    assert "Traceback" not in out + err, report

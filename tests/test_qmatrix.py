@@ -170,17 +170,40 @@ class TestRateMatrixStructure:
             assert ratematrix_from_dict(json.loads(ratematrix_to_json(rm))) == rm
 
     def test_row_sum_past_the_float_range_rejected(self):
-        # every rate is finite, yet the exit rate of state 0 and 2 is inf
+        # a table is refused when its rates sum to 2**1020 or more: rows
+        # that overflow, and rows that do not, alike
         big = {(2, -1): 1e308, (2, -2): 1e308, (0, 1): 1e308, (0, 2): 1e308, (1, 1): 1e308}
-        with pytest.raises(InputFormatError, match="rates out of state 0 sum past"):
+        with pytest.raises(InputFormatError, match=r"sum to inf, past the headroom 2\*\*1020"):
             RateMatrix(0, 2, "reflect", big)
-        # only rows are summed, never a whole column or the table
-        rm = RateMatrix(0, 2, "reflect", {(0, 1): 1e308, (1, 1): 1e308, (2, -1): 1e308})
-        assert validate_qmatrix(rm)["max_exit_rate"] == 1e308
-        # the sums span the sources of the table, not the window
-        with pytest.raises(InputFormatError, match=f"state {2 ** 63 - 1} sum past"):
-            RateMatrix(-2 ** 63, 2 ** 63 - 1, "kill",
-                       {(-2 ** 63, 1): 1.0, (2 ** 63 - 1, -1): 1e308, (2 ** 63 - 1, 1): 1e308})
+        quarter = {(0, 1): 2.0 ** 1018, (1, 1): 2.0 ** 1018, (2, -1): 2.0 ** 1018}
+        rm = RateMatrix(0, 2, "reflect", quarter)
+        assert validate_qmatrix(rm)["max_exit_rate"] == 2.0 ** 1018
+        with pytest.raises(InputFormatError, match=r"sum to 1\.1235\d*e\+307, past the headroom"):
+            RateMatrix(0, 2, "reflect", {**quarter, (1, -1): 2.0 ** 1018})
+        # the whole int64 window: the total, not the window, is judged
+        lo, hi, below = -2 ** 63, 2 ** 63 - 1, math.nextafter(2.0 ** 1020, 0.0)
+        assert RateMatrix(lo, hi, "kill", {(lo, 1): below, (hi, 1): 0.0}).rate.sum() == below
+        with pytest.raises(InputFormatError, match="past the headroom"):
+            RateMatrix(lo, hi, "kill", {(lo, 1): below, (hi, -1): 2.0 ** 970})
+
+    def test_window_at_the_size_bound_builds_its_row_table(self, monkeypatch):
+        # the bound lowered to 2**17 states: at the bound the row table is
+        # built (1 MB an array); one state more is refused before any of it
+        monkeypatch.setattr(qmatrix, "SIZE_BUDGET", 2 ** 20)
+        bound = 2 ** 17
+        rm = RateMatrix(0, bound - 1, "reflect", {(0, 1): 1.0, (bound - 1, -1): 2.0})
+        assert validate_qmatrix(rm)["n_states"] == bound
+        past = RateMatrix(0, bound, "reflect", {(0, 1): 1.0, (bound, -1): 2.0})
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputFormatError,
+                               match=f"^{bound + 1} window states exceed the size bound {bound}$"):
+                validate_qmatrix(past)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert ratematrix_to_json(past) == json.dumps(ratematrix_to_dict(past), indent=2)
 
     def test_rates_is_a_read_only_view_in_table_order(self):
         rm = RateMatrix(0, 3, "kill", {(3, 1): 1.0, (0, 1): 0.5, (1, -1): 0.25})
