@@ -76,8 +76,6 @@ from .dualgen import (
     DualGeneratorCoeffs,
     dual_generator_apply,
     dual_levy,
-    dual_levy_case_i,
-    dual_levy_case_ii,
     tabulate_dual,
 )
 from .simulate import (
@@ -138,8 +136,6 @@ __all__ = [
     "discretize",
     "dual_generator_apply",
     "dual_levy",
-    "dual_levy_case_i",
-    "dual_levy_case_ii",
     "dual_qmatrix",
     "effective_generator",
     "from_dense",

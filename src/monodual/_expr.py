@@ -15,7 +15,9 @@ functions ``exp``, ``tanh``, ``cosh``, ``abs``.  Everything compiles down
 to numpy operations on float64 arrays: a compiled expression converts its
 arguments to arrays, a scalar to a 0-d array.  Division is ``np.divide``:
 a zero divisor gives inf or NaN by IEEE rules, where Python's ``/`` would
-raise.
+raise.  Nesting (parentheses, function calls, unary minus, exponents) past
+MAX_NESTING levels is malformed input; a chain of ``+ -`` or ``* /`` is
+flat at any length and evaluates in one loop.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ _FUNCTIONS: Dict[str, Callable] = {
     "cosh": np.cosh,
     "abs": np.abs,
 }
+
+# Each level of nesting takes about seven frames of Python's stack to parse,
+# whose default limit is 1000; Python's own parser stops at 200 nested
+# parentheses.
+MAX_NESTING = 100
 
 _CONSTANTS: Dict[str, float] = {
     "pi": float(np.pi),
@@ -73,6 +80,7 @@ class _Parser:
         self.variables = tuple(variables)
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -108,22 +116,40 @@ class _Parser:
 
     def binary(self, ops: Dict[str, Callable], operand: Callable) -> Callable:
         """``operand (op operand)*``, left-associative, for the operators
-        in ops, each mapped to its numpy function."""
-        left = operand()
+        in ops, each mapped to its numpy function; a chain evaluates in one
+        loop, not in nested calls."""
+        first, rest = operand(), []
         while True:
             tok = self.peek()
             if not (tok and tok[0] == "op" and tok[1] in ops):
-                return left
+                break
             self.take()
-            left = (lambda op, a, b: lambda v: op(a(v), b(v)))(ops[tok[1]], left, operand())
+            rest.append((ops[tok[1]], operand()))
+        if not rest:
+            return first
+
+        def chain(v):
+            acc = first(v)
+            for op, operand_fn in rest:
+                acc = op(acc, operand_fn(v))
+            return acc
+
+        return chain
 
     def unary(self) -> Callable:
+        # every nested construct parses its inside through unary
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise InputFormatError(f"expression nests deeper than MAX_NESTING = {MAX_NESTING}")
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.take()
             inner = self.unary()
-            return lambda v: -inner(v)
-        return self.power()
+            fn = lambda v: -inner(v)
+        else:
+            fn = self.power()
+        self.depth -= 1
+        return fn
 
     def power(self) -> Callable:
         base = self.atom()

@@ -150,16 +150,6 @@ def _dual_drift(m: LevyModel, dG: Optional[Callable]):
     return lambda x: -(0.5 * dG(x) + b(x))
 
 
-def _upward(m: LevyModel, kind, what: str):
-    """m.nu, after checking that it is a ``kind`` with upward jumps only."""
-    kern = m.nu
-    if not isinstance(kern, kind):
-        raise UnsupportedKernelCase(f"{what} dual construction needs a {kind.case} kernel")
-    if kern.support_sign != "positive":
-        raise UnsupportedKernelCase("dual construction needs a kernel with upward jumps only")
-    return kern
-
-
 def _dual_coefficients(m: LevyModel, kern, dG: Optional[Callable]) -> DualGeneratorCoeffs:
     """Dual coefficients of m, whose kernel ``kern`` has upward jumps only,
     from the kernel interface alone.
@@ -205,32 +195,26 @@ def _dual_coefficients(m: LevyModel, kern, dG: Optional[Callable]) -> DualGenera
     )
 
 
-def dual_levy_case_i(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeffs:
-    """Dual coefficients from an explicit density kernel with upward jumps
-    only.  The state derivative of the tail is the tail of the kernel's
-    dx_density when supplied, else a central difference of the tail.
-    """
-    return _dual_coefficients(m, _upward(m, DensityKernel, "explicit-density"), dG)
-
-
-def dual_levy_case_ii(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeffs:
-    """Dual coefficients from a decomposable kernel a(x) * base(dy) with
-    upward jumps only.  Atoms of the base measure reappear in the dual as
-    discrete downward jumps of mass a(x - y) * m at magnitude y; the
-    derivative term stays a density against the base tail.
-    """
-    return _dual_coefficients(m, _upward(m, DecomposableKernel, "factored"), dG)
-
-
 def dual_levy(m: LevyModel, dG: Optional[Callable] = None) -> DualGeneratorCoeffs:
-    """Dispatch on the kernel representation of the model."""
-    if m.nu is None:
+    """Dual coefficients of a model whose jump kernel nu is a DensityKernel
+    or a DecomposableKernel with upward jumps only and which has no
+    uncompensated kernel mu; any other model raises UnsupportedKernelCase.
+
+    The state derivative of a density kernel's tail is the tail of its
+    dx_density when supplied, else a central difference of the tail.  Atoms
+    of a decomposable kernel's base reappear in the dual as discrete
+    downward jumps of mass a(x - y) * m at magnitude y.
+    """
+    kern = m.nu
+    if kern is None:
         raise UnsupportedKernelCase("model has no compensated jump kernel")
-    if isinstance(m.nu, DensityKernel):
-        return dual_levy_case_i(m, dG)
-    if isinstance(m.nu, DecomposableKernel):
-        return dual_levy_case_ii(m, dG)
-    raise UnsupportedKernelCase(f"no dual construction for a {type(m.nu).__name__}")
+    if not isinstance(kern, (DensityKernel, DecomposableKernel)):
+        raise UnsupportedKernelCase(f"no dual construction for a {type(kern).__name__}")
+    if kern.support_sign != "positive":
+        raise UnsupportedKernelCase("dual construction needs a kernel with upward jumps only")
+    if m.mu is not None:
+        raise UnsupportedKernelCase("dual construction takes no uncompensated kernel mu")
+    return _dual_coefficients(m, kern, dG)
 
 
 def dual_generator_apply(

@@ -67,7 +67,9 @@ class TailMassUnresolved(MonodualError):
 
 
 class UnsupportedKernelCase(MonodualError):
-    """Kernel case does not match what the operation requires."""
+    """A model the operation cannot take: its kernel case, sides or parts."""
+
+    exit_code = 2
 
 
 class NegativeDualDensity(MonodualError):

@@ -51,7 +51,7 @@ from .errors import (
     TailMassUnresolved,
 )
 from ._expr import Expression, number, parse_expression
-from .qmatrix import RateMatrix, _check_size, _Columns
+from .qmatrix import RateMatrix, _check_size, _Columns, _nonnegative
 
 SUPPORT_SIGNS = ("both", "positive", "negative")
 
@@ -652,7 +652,6 @@ class LevyKernel(_Measure):
     """
 
     case = "abstract"
-    support_sign = "both"
 
     def tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Masses of {y >= a} (side +1) or {y <= -a} (side -1) at states x,
@@ -687,7 +686,9 @@ class DensityKernel(LevyKernel):
     Optional closed-form tail callables short-circuit the per-bin
     quadratures.  Optional x-derivative densities enable the derivative
     moment checks of validate_model; without them those checks are
-    recorded as unchecked.
+    recorded as unchecked.  The ``support_sign`` argument "positive"
+    ("negative") is shorthand for y_min = 0 (y_max = 0); the attribute of
+    that name is read back from the clipped (y_min, y_max).
     """
 
     case = "density"
@@ -706,7 +707,6 @@ class DensityKernel(LevyKernel):
         if support_sign not in SUPPORT_SIGNS:
             raise InputFormatError(f"unknown support_sign {support_sign!r}")
         self.density = density
-        self.support_sign = support_sign
         lo = 0.0 if support_sign == "positive" else -math.inf
         hi = 0.0 if support_sign == "negative" else math.inf
         self.y_min = lo if y_min is None else max(float(y_min), lo)
@@ -715,6 +715,12 @@ class DensityKernel(LevyKernel):
         self.dx2_density = dx2_density
         self.right_tail_fn = right_tail_fn
         self.left_tail_fn = left_tail_fn
+
+    @property
+    def support_sign(self) -> str:
+        """The sides of the clipped support (y_min, y_max): "positive",
+        "negative" or "both"."""
+        return "positive" if self.y_min >= 0.0 else "negative" if self.y_max <= 0.0 else "both"
 
     def dx_tails(self, side: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """The x-derivative of ``tails`` over broadcast arrays x and a: the
@@ -739,6 +745,7 @@ class DecomposableKernel(LevyKernel):
     Its derivative is taken from the supplied callable or by central
     finite differences.  Tails, bins and moments are a(x) times the base's,
     whose integrals are x-free: each is computed once for all states.
+    ``support_sign`` names the sides on which the base has mass.
     """
 
     case = "decomposable"
@@ -749,22 +756,14 @@ class DecomposableKernel(LevyKernel):
         base: BaseMeasure,
         da: Optional[Callable[[float], float]] = None,
         da2: Optional[Callable[[float], float]] = None,
-        support_sign: Optional[str] = None,
     ):
         self.a = a
         self.base = base
         self.da = da
         self.da2 = da2
-        if support_sign is None:
-            has_right = base.tails(1.0, 0.0) > 0.0
-            has_left = base.tails(-1.0, 0.0) > 0.0
-            support_sign = (
-                "both" if (has_right and has_left)
-                else "negative" if has_left else "positive"
-            )
-        if support_sign not in SUPPORT_SIGNS:
-            raise InputFormatError(f"unknown support_sign {support_sign!r}")
-        self.support_sign = support_sign
+        has_right, has_left = (base.tails(side, 0.0) > 0.0 for side in (1.0, -1.0))
+        self.support_sign = (
+            "both" if has_right and has_left else "negative" if has_left else "positive")
         self.atom_sizes = base.atom_sizes
 
     def factors(self, x: np.ndarray) -> np.ndarray:
@@ -836,21 +835,12 @@ class TabulatedKernel(LevyKernel):
         right_tail_fn: Optional[Callable[[float, float], float]] = None,
         left_tail_fn: Optional[Callable[[float, float], float]] = None,
         small_moment_fn: Optional[Callable[[float], float]] = None,
-        support_sign: Optional[str] = None,
     ):
         if right_tail_fn is None and left_tail_fn is None:
             raise InputFormatError("tabulated kernel needs at least one tail")
         self.right_tail_fn = right_tail_fn
         self.left_tail_fn = left_tail_fn
         self.small_moment_fn = small_moment_fn
-        if support_sign is None:
-            support_sign = (
-                "both" if (right_tail_fn is not None and left_tail_fn is not None)
-                else "negative" if left_tail_fn is not None else "positive"
-            )
-        if support_sign not in SUPPORT_SIGNS:
-            raise InputFormatError(f"unknown support_sign {support_sign!r}")
-        self.support_sign = support_sign
 
     def moments(self, weight: Weight, x, cut: float = 0.0) -> np.ndarray:
         if weight is SMALL_WEIGHT and cut == 0.0 and self.small_moment_fn is not None:
@@ -866,7 +856,6 @@ class CutoffKernel(LevyKernel):
             raise InputFormatError(f"cutoff must be positive, got {cut!r}")
         self.inner = inner
         self.cut = float(cut)
-        self.support_sign = inner.support_sign
         self.case = inner.case
         self._kept = [j for j, y in enumerate(inner.atom_sizes) if abs(y) > self.cut]
         self.atom_sizes = [inner.atom_sizes[j] for j in self._kept]
@@ -1090,8 +1079,10 @@ def check_levy_monotone(
     {y >= a} must not decrease and the mass of {y <= -a} must not increase
     from x to x'.  The same conditions apply to the uncompensated kernel
     when present.  Diffusion and drift impose nothing.  A tail mass that is
-    not finite raises InputFormatError naming its kernel, side, a and x.
+    not finite raises InputFormatError naming its kernel, side, a and x; a
+    non-finite or negative ``tol`` raises it too.
     """
+    tol = _nonnegative(tol, "tolerance")
     grid = np.asarray(list(grid), dtype=float)
     if grid.size < 2:
         raise InputFormatError("need at least two grid points")
@@ -1115,8 +1106,9 @@ def check_levy_monotone(
                 j, i = bad[0]
                 raise InputFormatError(
                     f"{name} {label} tail at a={thresholds[j]} is not finite at x={xs[i]}")
-        drop = right[:, :-1] > right[:, 1:] + tol
-        rise = left[:, 1:] > left[:, :-1] + tol
+        with np.errstate(over="ignore"):  # an infinite slack admits every pair
+            drop = right[:, :-1] > right[:, 1:] + tol
+            rise = left[:, 1:] > left[:, :-1] + tol
         checked += 2 * drop.size
         right, left = right.tolist(), left.tolist()
         for j, i in np.argwhere(drop | rise).tolist():
@@ -1430,14 +1422,12 @@ def kernel_from_dict(obj: dict) -> LevyKernel:
             base=base_measure_from_dict(obj["base"]),
             da=_maybe_expr(obj, "da", ("x",)),
             da2=_maybe_expr(obj, "da2", ("x",)),
-            support_sign=obj.get("support_sign"),
         )
     if case == "tabulated":
         return TabulatedKernel(
             right_tail_fn=_maybe_expr(obj, "right_tail", ("x", "a")),
             left_tail_fn=_maybe_expr(obj, "left_tail", ("x", "a")),
             small_moment_fn=_maybe_expr(obj, "small_moment", ("x",)),
-            support_sign=obj.get("support_sign"),
         )
     raise InputFormatError(
         f"unknown kernel case {case!r}; expected density, decomposable, tabulated"

@@ -585,13 +585,15 @@ class _Breaks(NamedTuple):
 
 
 def _tail_breaks(rm: RateMatrix) -> _Breaks:
-    """The tail sums of adjacent generator rows, in O(nnz) memory; see _Breaks."""
+    """The tail sums of adjacent generator rows; see _Breaks.  The per-row
+    tables hold N x (widest row + 2) values, refused past the size bound."""
     src, tgt, rate, exit_rate, kill, counts, start, _ = rm._rows
     n = rm.n_states
     key = src * n + tgt
     rank = np.arange(src.size) - start[src]
     below = tgt < src
     width = int(counts.max(initial=0)) + 2
+    _check_size(n * width, "tail-sum table entries")
     # Padded per-row tables with a leading 0.0, flat: position
     # row[r] + p of prefix sums the first p entries of row r from the
     # left, and of suffix the last p from the right, the diagonal
@@ -667,10 +669,10 @@ def check_monotone(
 
     A row's tail sums change only at its targets, so each pair is compared
     once per interval of thresholds on which both rows' sums are constant:
-    O(nnz) work and memory, plus the violations found.  A non-finite
-    ``tol`` raises InputFormatError.
+    O(nnz) work and memory, plus the violations found.  A non-finite or
+    negative ``tol`` raises InputFormatError.
     """
-    _finite(tol, "tolerance")
+    _nonnegative(tol, "tolerance")
     if method == "tails":
         return _check_tails(rm, tol)
     if method == "offsets":
@@ -694,7 +696,8 @@ def _pairs(rm: RateMatrix, tol: float):
     """The chain's tail sums, the intervals of rows k >= 1, and the slack of each one's pair."""
     b, exit_rate = rm._breaks, rm._rows.exit
     at = slice(b.first, None)
-    thr = tol * np.maximum(exit_rate[:-1], exit_rate[1:])
+    with np.errstate(over="ignore"):  # an infinite slack admits every pair
+        thr = tol * np.maximum(exit_rate[:-1], exit_rate[1:])
     return b, b.k[at], b.s[at], b.c[at], thr[b.k[at] - 1], at
 
 
@@ -770,10 +773,10 @@ def dual_qmatrix(
     raised on failure; otherwise a genuinely negative dual rate (beyond
     ``tol`` times the exit-rate scale) raises DualRateNegative.  Either way,
     roundoff-scale negatives are clamped to zero.  The table lists the
-    entries row by row, then the leaks.  A non-finite ``tol`` raises
-    InputFormatError.
+    entries row by row, then the leaks.  A non-finite or negative ``tol``
+    raises InputFormatError.
     """
-    _finite(tol, "tolerance")
+    _nonnegative(tol, "tolerance")
     if require_monotone:
         report = _check_tails(rm, tol)
         if not report.ok:
@@ -811,20 +814,12 @@ def dual_qmatrix(
     return RateMatrix(rm.lo, rm.hi, "kill", _Columns(rm.lo + rows, cols - rows, rate))
 
 
-def _finite(value: float, name: str) -> float:
-    """``value`` as a float; a non-finite one is malformed input."""
+def _nonnegative(value: float, name: str) -> float:
+    """``value`` as a float; one that is not finite or is negative is malformed input."""
     value = float(value)
-    if not math.isfinite(value):
-        raise InputFormatError(f"{name} must be finite, got {value!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InputFormatError(f"{name} must be finite and at least 0, got {value!r}")
     return value
-
-
-def _horizon(t: float, tol: float) -> Tuple[float, float]:
-    """``t`` and ``tol`` as floats; a non-finite one, or a negative time, is malformed input."""
-    t, tol = _finite(t, "time"), _finite(tol, "tolerance")
-    if t < 0.0:
-        raise InputFormatError(f"negative time {t!r}")
-    return t, tol
 
 
 def _jump_scale(lam: float, t: float) -> float:
@@ -863,9 +858,7 @@ def transition_matrix(rm: RateMatrix, t: float, tol: float = EXPM_TOL) -> Transi
     it; a dense result is returned as ``P`` itself, read-only.  A
     non-finite ``t`` or ``tol``, or a negative one, raises InputFormatError.
     """
-    t, tol = _horizon(t, tol)
-    if tol < 0.0:
-        raise InputFormatError(f"negative tolerance {tol!r}")
+    t, tol = _nonnegative(t, "time"), _nonnegative(tol, "tolerance")
     p, half_band, terms, halvings, bound = _exponential(rm, t, tol)
     if half_band is not None:
         p = _densify(p)
@@ -1139,9 +1132,9 @@ def verify_duality(
     through the chains' slots (see RateMatrix), so a forward one that
     ``transition_matrix`` made at the same ``t`` and the default tolerance,
     and that its caller still holds, is not computed again.  A non-finite
-    ``t`` or ``tol``, or a negative ``t``, raises InputFormatError.
+    ``t`` or ``tol``, or a negative one, raises InputFormatError.
     """
-    t, tol = _horizon(t, tol)
+    t, tol = _nonnegative(t, "time"), _nonnegative(tol, "tolerance")
     n_states = rm.n_states
     if margin is None:
         margin = math.ceil(n_states / 4)

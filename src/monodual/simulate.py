@@ -67,9 +67,10 @@ _BLOCK_COL_CAP = 256
 # Uniforms held per streamed sub-chunk of the block (4 MB of doubles).
 _BLOCK_BUDGET = 1 << 19
 
-# sample_path keeps every jump, about 100 bytes each: a horizon with more
-# than this many jumps expected (lambda * t) is malformed input.
-_PATH_JUMP_CAP = 1e6
+# A horizon with more than this many jumps expected (lambda * t) is
+# malformed input: a replicate would not end, and sample_path keeps every
+# jump, about 100 bytes each.
+_JUMP_CAP = 1e6
 
 # Cost fields of the Monte Carlo reports, left out of to_dict.
 _COST_FIELDS = ("block_columns", "stragglers")
@@ -177,6 +178,7 @@ class _Dynamics:
         self.lo = rm.lo
         self.n_states = n
         width = 1 + int(counts.max(initial=0))
+        _check_size(n * width, "jump table entries")
         # the flat table position of each entry: its row times the width,
         # plus its rank within its row
         pos = np.arange(src.size)
@@ -230,8 +232,20 @@ def _jump_targets(dyn: _Dynamics, states: np.ndarray, u: np.ndarray) -> np.ndarr
     return dyn.target.ravel()[pos].astype(np.intp)
 
 
-def _block_columns(dyn: _Dynamics, t_end: float) -> int:
+def _expected_jumps(dyn: _Dynamics, t_end: float) -> float:
+    """lambda * t.  A horizon that is negative or not finite, or whose
+    lambda * t passes _JUMP_CAP, is malformed input."""
+    if t_end < 0.0 or not math.isfinite(t_end):
+        raise InputFormatError(f"bad horizon {t_end!r}")
     lam_t = _jump_scale(dyn.max_rate, t_end)
+    if lam_t > _JUMP_CAP:
+        raise InputFormatError(
+            f"a path expects more than {_JUMP_CAP:g} jumps: lambda={dyn.max_rate!r}, t={t_end!r}")
+    return lam_t
+
+
+def _block_columns(dyn: _Dynamics, t_end: float) -> int:
+    lam_t = _expected_jumps(dyn, t_end)
     cols = 2 * int(math.ceil(lam_t + 6.0 * math.sqrt(lam_t + 1.0) + 20.0))
     return min(cols, _BLOCK_COL_CAP)
 
@@ -453,8 +467,6 @@ def _simulate(
     if reps <= 0:
         raise InputFormatError(f"need a positive replicate count, got {reps}")
     _check_size(reps, "replicates")
-    if t_end < 0.0 or not math.isfinite(t_end):
-        raise InputFormatError(f"bad horizon {t_end!r}")
     if threads < 1:
         raise InputFormatError(f"bad thread count {threads}")
     start_index = dyn.index_of(start_state)
@@ -502,13 +514,7 @@ def sample_path(rm: RateMatrix, x0: int, t_end: float, seed: int) -> PathSample:
     """Draw one trajectory of the chain from state x0 up to time t_end."""
     dyn = _Dynamics(rm)
     idx = dyn.index_of(x0)
-    if t_end < 0.0 or not math.isfinite(t_end):
-        raise InputFormatError(f"bad horizon {t_end!r}")
-    if _jump_scale(dyn.max_rate, t_end) > _PATH_JUMP_CAP:
-        raise InputFormatError(
-            f"a path expects more than {_PATH_JUMP_CAP:g} jumps: "
-            f"lambda={dyn.max_rate!r}, t={t_end!r}"
-        )
+    _expected_jumps(dyn, t_end)
     gen = np.random.Generator(np.random.Philox(key=[seed, SALT_PATH]))
     path = [(0.0, idx)]
     _, killed, _ = _finish_scalar(dyn, idx, 0.0, t_end, gen, path)

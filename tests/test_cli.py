@@ -389,6 +389,38 @@ class TestTransforms:
         assert code == 2
         assert doc["error"]["type"] == "InputFormatError"
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["monotone"], None), (["dual"], None), (["duality", "--t", "1"], None),
+        (["monotone"], MODEL_DOC),
+    ], ids=["monotone", "dual", "duality", "monotone-model"])
+    def test_negative_tolerance_is_malformed(self, capsys, files, chain_file, argv, doc):
+        # monotone and dual read every pair as a violation and exited 1
+        path = chain_file if doc is None else files("model.json", doc)
+        code, out = run_json(capsys, [*argv, "--in", path, "--tol", "-1"])
+        assert code == 2
+        assert out["error"] == {"type": "InputFormatError",
+                                "message": "tolerance must be finite and at least 0, got -1.0"}
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"nu": {"case": "decomposable", "a": "1", "support_sign": "positive",
+                 "base": {"density": "e^(-abs(y))"}}},
+         "dual construction needs a kernel with upward jumps only"),
+        (dict(MODEL_DOC, mu={"case": "decomposable", "a": "5",
+                             "base": {"atoms": [{"y": -1.0, "mass": 1.0}]}}),
+         "dual construction takes no uncompensated kernel mu"),
+        (GROWTH_MODEL_DOC, "model has no compensated jump kernel"),
+        ({"nu": {"case": "tabulated", "right_tail": "e^(-a)"}},
+         "no dual construction for a TabulatedKernel"),
+    ], ids=["two-sided-base", "mu", "no-nu", "tabulated"])
+    def test_dualgen_refuses_what_it_cannot_dualize(self, capsys, files, doc, message):
+        # the first two wrote a table without the left jumps, with exit 0;
+        # the last two exited 3
+        code, out = run_json(capsys, ["dualgen", "--in", files("model.json", doc)])
+        assert code == 2
+        assert out["error"] == {"type": "UnsupportedKernelCase", "message": message}
+        assert capsys.readouterr().err == ""
+
     def test_dualgen_default_grid(self, capsys, files):
         path = files("model.json", MODEL_DOC)
         code, doc = run_json(capsys, ["dualgen", "--in", path])
@@ -621,7 +653,7 @@ class TestErrorPaths:
                  for cls in MonodualError.__subclasses__()}
         assert set(codes.values()) <= {1, 2, 3}
         assert {name for name, code in codes.items() if code == 2} == {
-            "InputFormatError", "NegativeRate"}
+            "InputFormatError", "NegativeRate", "UnsupportedKernelCase"}
         assert {name for name, code in codes.items() if code == 1} == {
             "NotMonotone", "DualRateNegative", "NegativeDualDensity",
             "GrowthViolated", "MomentUnbounded", "WindowEscape"}
@@ -931,6 +963,29 @@ class TestErrorPaths:
             proc.kill()
         assert proc.returncode == 2 and err == b""
         assert json.loads(out)["error"] == {"type": "InputFormatError", "message": message}
+
+    def test_survival_horizon_past_the_jump_cap_is_malformed(self, capsys, files):
+        # the replicate jumped until it was stopped (timeout, exit 124)
+        chain = {"lo": 0, "hi": 2, "boundary": "reflect",
+                 "rates": [{"n": 0, "m": 1, "rate": 1e300}, {"n": 1, "m": -1, "rate": 1e300}]}
+        job = {"op": "survival", "x0": 0, "y": 1, "t": 1.0, "reps": 1, "chain": chain}
+        code, doc = run_json(capsys, ["simulate", "--in", files("job.json", job)])
+        assert code == 2
+        assert doc["error"] == {"type": "InputFormatError", "message":
+                                "a path expects more than 1e+06 jumps: lambda=1e+300, t=1.0"}
+
+    @pytest.mark.parametrize("G, code", [
+        ("(" * 1000 + "x" + ")" * 1000, 2),
+        ("+".join(["x"] * 5000), 2),
+        ("+".join(["1"] * 5000), 0),
+    ], ids=["deep", "flat-negative", "flat"])
+    def test_expression_depth(self, capsys, files, G, code):
+        # validate recursed into RecursionError (exit 3) on the first two
+        got, doc = run_json(capsys, ["validate", "--in", files("model.json", {"G": G})])
+        assert got == code and capsys.readouterr().err == ""
+        if G.startswith("("):
+            assert doc["error"] == {"type": "InputFormatError",
+                                    "message": "expression nests deeper than MAX_NESTING = 100"}
 
     def test_error_envelope_written_to_out(self, tmp_path, files, capsys):
         bad = files("bad.json", BAD_CHAIN_DOC)

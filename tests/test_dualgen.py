@@ -8,8 +8,6 @@ from scipy.integrate import quad
 from monodual.dualgen import (
     dual_generator_apply,
     dual_levy,
-    dual_levy_case_i,
-    dual_levy_case_ii,
     tabulate_dual,
 )
 from monodual.errors import (
@@ -153,11 +151,40 @@ class TestDispatch:
     def test_two_sided_rejected(self):
         kern = DensityKernel(density=lambda x, y: math.exp(-abs(y)))
         with pytest.raises(UnsupportedKernelCase):
-            dual_levy_case_i(LevyModel(nu=kern))
+            dual_levy(LevyModel(nu=kern))
         base = BaseMeasure(density=lambda y: math.exp(-abs(y)))
         dk = DecomposableKernel(a=lambda x: 1.0, base=base)
         with pytest.raises(UnsupportedKernelCase):
-            dual_levy_case_ii(LevyModel(nu=dk))
+            dual_levy(LevyModel(nu=dk))
+
+    @pytest.mark.parametrize("label", [None, "positive", "negative", "both"])
+    def test_two_sided_base_rejected_whatever_its_label(self, label):
+        # a decomposable kernel takes its sides from its base: a document's
+        # kernel-level support_sign is not read
+        nu = {"case": "decomposable", "a": "1", "base": {"density": "e^(-abs(y))"}}
+        if label is not None:
+            nu["support_sign"] = label
+        m = model_from_dict({"nu": nu})
+        assert m.nu.support_sign == "both"
+        with pytest.raises(UnsupportedKernelCase, match="upward jumps only"):
+            dual_levy(m)
+
+    def test_model_with_mu_rejected(self):
+        # the construction ignores mu, so a dual of nu alone would drop its jumps
+        m = tanh_exp_model()
+        m.mu = DecomposableKernel(a=lambda x: 5.0, base=BaseMeasure(atoms=[(-1.0, 1.0)]))
+        with pytest.raises(UnsupportedKernelCase, match="mu"):
+            dual_levy(m)
+
+    def test_density_clipped_at_zero_has_a_dual(self):
+        # y_min = 0 with the default support_sign is upward only
+        kern = DensityKernel(density=lambda x, y: math.exp(-y), y_min=0.0)
+        assert kern.support_sign == "positive"
+        ref = dual_levy(LevyModel(nu=DensityKernel(
+            density=lambda x, y: math.exp(-y), support_sign="positive")))
+        coeffs = dual_levy(LevyModel(nu=kern))
+        x, y = np.array([-0.5, 0.3]), np.array([0.25, 2.0])
+        assert np.array_equal(coeffs.nu_tilde(x, y), ref.nu_tilde(x, y))
 
 
 class TestDualDensity:

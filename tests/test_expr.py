@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from monodual._expr import parse_expression
+from monodual._expr import MAX_NESTING, parse_expression
 from monodual.errors import InputFormatError
 
 
@@ -54,13 +54,45 @@ def test_vectorized_evaluation():
     assert np.allclose(out, [1.0, 2.0, 5.0])
 
 
+# nesting past the bound; at 1,000 levels the parse recursed into
+# RecursionError (exit 3)
+DEEP = ["(" * 1000 + "x" + ")" * 1000, "(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
+        "-" * MAX_NESTING + "x", "exp(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
+        "2^" * MAX_NESTING + "x"]
+
+
 @pytest.mark.parametrize(
     "bad",
-    ["x + qq(3)", "x + ", "import os", "x & y", "(x", "x..2", "", ")", "y"],
+    ["x + qq(3)", "x + ", "import os", "x & y", "(x", "x..2", "", ")", "y", *DEEP],
+    ids=lambda bad: bad if len(bad) < 20 else f"{bad[:8]}...{len(bad)}",
 )
 def test_malformed_inputs_rejected(bad):
-    with pytest.raises(InputFormatError):
+    with pytest.raises(InputFormatError,
+                       match=f"MAX_NESTING = {MAX_NESTING}$" if bad in DEEP else None):
         parse_expression(bad)
+
+
+@pytest.mark.parametrize("shallow", [
+    "(" * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1), "-" * (MAX_NESTING - 1) + "x",
+    "abs(" * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1), "1^" * (MAX_NESTING - 1) + "x",
+], ids=["parentheses", "minus", "calls", "powers"])
+def test_nesting_at_the_bound_evaluates(shallow):
+    assert abs(parse_expression(shallow)(0.5)) in (0.5, 1.0)
+
+
+def test_flat_chain_gives_the_bits_of_the_left_fold():
+    # 5,000 terms: the nested closures recursed into RecursionError (exit 3)
+    assert parse_expression("+".join(["x"] * 5000))(2.0) == 10000.0
+    assert parse_expression("/".join(["x"] * 5000))(1.0) == 1.0
+    x = np.random.default_rng(0).uniform(0.95, 1.05, 64)
+    factors = [0.9 + 0.001 * k for k in range(300)]
+    for pair in (("+", np.add), ("-", np.subtract)), (("*", np.multiply), ("/", np.divide)):
+        chosen = [pair[k % 3 == 0] for k in range(300)]
+        src = "x" + "".join(f"{sym}({c!r}*x)" for (sym, _), c in zip(chosen, factors))
+        want = x
+        for (_, op), c in zip(chosen, factors):
+            want = op(want, np.multiply(c, x))
+        assert np.array_equal(parse_expression(src)(x), want)
 
 
 def test_unknown_variable_rejected():

@@ -849,6 +849,19 @@ class TestLevyMonotone:
         with pytest.raises(InputFormatError):
             check_levy_monotone(m, [0.0, 1.0], thresholds=(0.0,))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # with tol = -1 every pair was a violation
+        m = LevyModel(nu=exp_right_kernel())
+        with pytest.raises(InputFormatError, match="tolerance must be finite and at least 0"):
+            check_levy_monotone(m, [0.0, 1.0], tol=tol)
+
+    def test_huge_tolerance_warns_nothing(self):
+        # the absolute slack admits every pair; tails + tol overflows harmlessly
+        m = LevyModel(nu=DecomposableKernel(a=lambda x: 1e308 * (1.0 - x),
+                                            base=BaseMeasure(atoms=[(1.0, 1.0)])))
+        assert check_levy_monotone(m, [0.0, 0.5], tol=1e308).ok
+
 
 class TestValidateModel:
     def test_negative_G_rejected(self):

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monodual import qmatrix
 from monodual._expr import parse_expression
@@ -366,12 +366,6 @@ def test_no_command_exits_3_at_the_contract_edges(doc_path, command, data):
         doc = _edge_chain(data)
         argv += ["--t", str(t)] if command in ("evolve", "duality") else []
         if command == "simulate":
-            # Monte Carlo caps no replicate's jumps, about lambda * t of them,
-            # so a long horizon would not end: it runs where lambda * t < 50
-            # or the table is refused
-            with np.errstate(over="ignore"):
-                total = np.array([e["rate"] for e in doc["rates"]], dtype=float).sum()
-            assume(not total < 2.0 ** 1020 or t * total < 50.0)
             op = data.draw(st.sampled_from(["survival", "path", "duality"]))
             x0 = doc["lo"]
             doc = {"op": op, "t": t, "reps": reps, "x0": x0, "y": x0 + 1,
@@ -382,9 +376,7 @@ def test_no_command_exits_3_at_the_contract_edges(doc_path, command, data):
                "lattice": {"h": h, "lo": lo, "hi": hi}, "x0": (lo + 1) * h, "t": t,
                "reps": reps}
     else:
-        # dualgen has a dual only for a model with a compensated kernel; any
-        # other is UnsupportedKernelCase (exit 3) by design
-        doc = data.draw(st.sampled_from([m for m in MODELS if "nu" in m or command != "dualgen"]))
+        doc = data.draw(st.sampled_from(MODELS))
         if command in ("discretize", "dualgen") or (
                 command in ("validate", "monotone") and data.draw(st.booleans())):
             h, lo, hi = _edge_lattice(data)

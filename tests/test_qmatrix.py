@@ -205,6 +205,24 @@ class TestRateMatrixStructure:
         assert peak < 1 << 20
         assert ratematrix_to_json(past) == json.dumps(ratematrix_to_dict(past), indent=2)
 
+    @pytest.mark.parametrize("build", [check_monotone, dual_qmatrix])
+    def test_tail_tables_past_the_size_bound_are_refused(self, monkeypatch, build):
+        # the prefix and suffix tables are N x (widest row + 2): one state
+        # with 3,000 jumps on a 2**20-state window asked for 23.5 GiB
+        # (MemoryError, exit 3); here the bound is lowered to 2**17 values
+        monkeypatch.setattr(qmatrix, "SIZE_BUDGET", 2 ** 20)
+        n = 2 ** 12
+        rm = RateMatrix(0, n - 1, "reflect", {(0, m): 1.0 for m in range(1, 3001)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputFormatError,
+                               match=f"^{n * 3002} tail-sum table entries exceed the size bound"):
+                build(rm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_rates_is_a_read_only_view_in_table_order(self):
         rm = RateMatrix(0, 3, "kill", {(3, 1): 1.0, (0, 1): 0.5, (1, -1): 0.25})
         with pytest.raises(TypeError):
@@ -466,7 +484,13 @@ NOT_MONOTONE = RateMatrix(0, 3, "reflect", {(0, 2): 5.0, (1, -1): 1.0, (2, -1): 
 
 
 class TestMonotonicity:
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_huge_relative_tolerance_warns_nothing(self):
+        # tol * exit rate overflowed in numpy (a RuntimeWarning, exit 3 under
+        # -W error); an infinite slack admits every pair
+        rm = RateMatrix(0, 2, "reflect", {(0, 1): 1e300, (1, 1): 1e300})
+        assert check_monotone(rm, tol=1e300).ok
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
     @pytest.mark.parametrize("method", ["both", "tails", "offsets"])
     def test_non_finite_tolerance_rejected(self, tol, method):
         # with tol = nan every comparison was false, and this chain read as monotone
@@ -616,7 +640,7 @@ class TestDual:
         with pytest.raises(DualRateNegative):
             dual_qmatrix(rm, require_monotone=False)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
     @pytest.mark.parametrize("require_monotone", [True, False])
     def test_non_finite_tolerance_rejected(self, tol, require_monotone):
         # with tol = nan this chain's negative dual rate was dropped silently
@@ -922,7 +946,7 @@ class TestTransitionMatrix:
 
     @pytest.mark.parametrize("t, tol", [
         (math.nan, 1e-12), (math.inf, 1e-12), (-math.inf, 1e-12),
-        (1.0, math.nan), (1.0, math.inf),
+        (1.0, math.nan), (1.0, math.inf), (1.0, -1.0),
     ])
     def test_non_finite_time_or_tolerance_rejected(self, t, tol):
         # a NaN tolerance used to stop the series at its first term
@@ -935,7 +959,7 @@ class TestTransitionMatrix:
     def test_negative_tolerance_rejected(self):
         # it used to run the series to its term cap and report tol_met False
         rm = RateMatrix(0, 2, "reflect", {(0, 1): 1.0, (1, -1): 1.0, (2, -1): 1.0})
-        with pytest.raises(InputFormatError, match="negative tolerance"):
+        with pytest.raises(InputFormatError, match="tolerance must be finite and at least 0"):
             transition_matrix(rm, 1.0, tol=-1.0)
         assert transition_matrix(rm, 1.0, tol=0.0).terms > 0
 

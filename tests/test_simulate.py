@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from monodual.generator import (
     Lattice,
     LevyModel,
 )
-from monodual import simulate
+from monodual import qmatrix, simulate
 from monodual.qmatrix import RateMatrix, effective_generator, transition_matrix
 from monodual.simulate import (
     _Dynamics,
@@ -225,6 +227,11 @@ class TestGrowthBound:
                             x0=0.3, t=1.0, c=1.0, reps=100, seed=0)
 
 
+# one replicate of each Monte Carlo entry point, from state 0 to t = 1
+ONE_REPLICATE = [lambda rm: mc_survival(rm, 0, 1, t=1.0, reps=1, seed=0),
+                 lambda rm: sample_path(rm, 0, 1.0, seed=0)]
+
+
 class TestPaths:
     def test_structure_and_determinism(self):
         rm = drift_chain()
@@ -245,6 +252,32 @@ class TestPaths:
         d = p.to_dict()
         assert d["states"][0] == 10 and d["seed"] == 3
         assert len(d["times"]) == len(d["states"])
+
+    @pytest.mark.parametrize("run", ONE_REPLICATE, ids=["survival", "path"])
+    def test_horizon_past_the_jump_cap_is_refused(self, run):
+        # a survival replicate jumped until it was stopped: every Monte
+        # Carlo routine shares the cap of sample_path
+        rm = RateMatrix(0, 2, "reflect", {(0, 1): 1e300, (1, -1): 1e300})
+        with pytest.raises(InputFormatError, match="expects more than 1e[+]06 jumps"):
+            run(rm)
+
+    @pytest.mark.parametrize("run", ONE_REPLICATE, ids=["survival", "path"])
+    def test_jump_table_past_the_size_bound_is_refused(self, monkeypatch, run):
+        # the jump table is N x (widest row + 1): one state with 3,000 jumps
+        # on a 2**20-state window asked for 23.5 GiB (MemoryError, exit 3);
+        # here the bound is lowered to 2**17 values
+        monkeypatch.setattr(qmatrix, "SIZE_BUDGET", 2 ** 20)
+        n = 2 ** 12
+        rm = RateMatrix(0, n - 1, "reflect", {(0, m): 1.0 for m in range(1, 3001)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputFormatError,
+                               match=f"^{n * 3001} jump table entries exceed the size bound"):
+                run(rm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_killed_path_flagged(self):
         rm = RateMatrix(0, 3, "kill", {(n, -1): 10.0 for n in range(4)})
