@@ -63,7 +63,10 @@ class GrowthViolated(MonodualError):
 
 
 class TailMassUnresolved(MonodualError):
-    """Kernel cannot supply bin masses at the requested resolution."""
+    """A bin or lump mass of a kernel is not finite or is negative beyond
+    roundoff: the kernel is not a measure."""
+
+    exit_code = 2
 
 
 class UnsupportedKernelCase(MonodualError):

@@ -551,7 +551,8 @@ class _Measure:
         """Continuous masses of the magnitudes side * y in [a, b), on arrays."""
         tail = self.right_tail_fn if side > 0.0 else self.left_tail_fn
         if tail is not None:
-            return _evaluate(tail, *args, a) - _evaluate(tail, *args, b)
+            with np.errstate(invalid="ignore"):  # inf - inf: a NaN, checked later
+                return _evaluate(tail, *args, a) - _evaluate(tail, *args, b)
         lo, hi = (a, b) if side > 0.0 else (-b, -a)
         return _density_masses(
             self.density, args, np.maximum(lo, self.y_min), np.minimum(hi, self.y_max)

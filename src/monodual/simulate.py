@@ -1,16 +1,18 @@
 """Monte Carlo verification of duality identities and growth bounds.
 
-All randomness comes from counter-based Philox streams keyed by
-(seed, purpose salt), so every estimate is a pure function of its seed.
-Replicate r owns row r of a block of uniforms, the stream read row by row
-with ``cols`` columns per row, and each lockstep iteration of the jump
-loop consumes two fixed columns (waiting time and target).  A
+All randomness comes from counter-based Philox streams keyed by (seed,
+key), read through one cursor, ``_Stream``, that moves one generator to
+any double of any stream of a seed.  A seed is an integer in [0, 2**64),
+so every estimate is a pure function of its seed.  Replicate r owns row
+r of a block of uniforms, the stream keyed by the purpose salt read row
+by row with ``cols`` columns per row, and each lockstep iteration of the
+jump loop consumes two fixed columns (waiting time and target).  A
 replicate's trajectory therefore depends only on its own row, which makes
 results bit-identical however the replicates are chunked across threads.
 
-The block is never held whole.  Each thread's chunk of rows starts from
-the Philox counter of its first row and is streamed through one buffer
-of at most ``_BLOCK_BUDGET`` doubles (4 MB), and the stragglers of a
+The block is never held whole.  Each thread's chunk of rows is streamed
+through one buffer of at most ``_BLOCK_BUDGET`` doubles (4 MB), each
+sub-chunk read from the double of its first row, and the stragglers of a
 sub-chunk read their private rows into the first rows of that same
 buffer, so a worker thread holds one such buffer plus the O(reps)
 outputs and the jump table.  The table is padded: row i holds the
@@ -28,9 +30,10 @@ lambda*t near 5 a row of 80 uniforms serves about 12.  A
 replicate that exhausts its row (a straggler) reads on from a private
 stream keyed by (seed, salt + r << 32), in rows of the same width, still
 in lockstep with the other stragglers; its draws are those of a scalar
-loop on that stream, which ``sample_path`` runs on its own stream.
-Salts occupy the low 16 bits and per-start offsets the next 16, so the
-three key ranges never collide.
+loop on that stream, which ``sample_path`` runs on its own stream, keyed
+by (seed, SALT_PATH).  The second key word holds the salt in bits 0-15,
+the rank of a start state in bits 16-31 and the replicate from bit 32
+up, so the key ranges never collide.
 
 Estimates carry 95% confidence half-widths: normal intervals for means,
 with a Wilson fallback for proportions too close to 0 or 1 for the
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import InputFormatError, WindowEscape
 from .generator import Lattice, LevyModel, discretize
-from .qmatrix import RateMatrix, _check_size, _jump_scale, dual_qmatrix
+from .qmatrix import RateMatrix, _check_size, _jump_scale, _nonnegative, dual_qmatrix
 
 SALT_SURVIVAL = 1
 SALT_DUAL_X = 2
@@ -209,6 +212,33 @@ class _Dynamics:
         return idx
 
 
+class _Stream:
+    """One Philox generator that reads from any double of the streams of a seed.
+
+    ``at(key, double)`` moves it to double ``double`` of the stream keyed
+    (seed, key) and returns it: Philox yields four doubles per counter
+    step, so it sets the key and the step, then discards the rest of the
+    step.  A seed is an integer in [0, 2**64), taken whole as the first
+    word of the key.
+    """
+
+    def __init__(self, seed: int):
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+            raise InputFormatError(f"a seed is an integer in [0, 2**64), got {seed!r}")
+        self._bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        self._gen = np.random.Generator(self._bitgen)
+        # a fresh state: counter 0, no buffered doubles
+        self._state = self._bitgen.state
+
+    def at(self, key: int, double: int) -> np.random.Generator:
+        self._state["state"]["key"][1] = key
+        self._state["state"]["counter"][0], skip = divmod(double, 4)
+        self._bitgen.state = self._state
+        if skip:
+            self._gen.random(skip)
+        return self._gen
+
+
 def _jump_targets(dyn: _Dynamics, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The state index each replicate jumps to from states[i] on u[i] in [0, 1).
 
@@ -235,8 +265,7 @@ def _jump_targets(dyn: _Dynamics, states: np.ndarray, u: np.ndarray) -> np.ndarr
 def _expected_jumps(dyn: _Dynamics, t_end: float) -> float:
     """lambda * t.  A horizon that is negative or not finite, or whose
     lambda * t passes _JUMP_CAP, is malformed input."""
-    if t_end < 0.0 or not math.isfinite(t_end):
-        raise InputFormatError(f"bad horizon {t_end!r}")
+    t_end = _nonnegative(t_end, "time")
     lam_t = _jump_scale(dyn.max_rate, t_end)
     if lam_t > _JUMP_CAP:
         raise InputFormatError(
@@ -345,74 +374,6 @@ def _lockstep(
     return live
 
 
-def _run_block(
-    dyn: _Dynamics,
-    start_index: int,
-    t_end: float,
-    block: np.ndarray,
-    row0: int,
-    seed: int,
-    salt: int,
-    states: np.ndarray,
-    killed: np.ndarray,
-    hit: np.ndarray,
-) -> int:
-    """Evolve block rows in lockstep; row i is replicate row0 + i.
-
-    Writes final state indices and kill and edge flags into ``states``,
-    ``killed`` and ``hit`` and returns the number of stragglers.  Each
-    round of the stragglers' private rows overwrites the first rows of
-    ``block``, whose uniforms are spent by then.
-    """
-    n = dyn.n_states
-    m, cols = block.shape
-    states[:] = start_index
-    killed[:] = False
-    hit[:] = start_index == 0 or start_index == n - 1
-    tnow = np.zeros(m)
-    live = _lockstep(dyn, t_end, block, states, tnow, killed, hit)
-    stragglers = int(live.size)
-    if not stragglers:
-        return 0
-    # stragglers read on from private streams, in rows of the same width:
-    # row k of replicate r's stream starts at double k * cols of the
-    # Philox stream keyed by (seed, salt + r << 32).  One generator is
-    # moved there by setting its key and counter, as _row_stream advances.
-    bitgen = np.random.Philox(key=[seed, salt])
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    key, counter = state["state"]["key"], state["state"]["counter"]
-    k = 0
-    while live.size:
-        counter[0], skip = divmod(k * cols, 4)
-        more = block[: live.size]
-        for row, r in zip(more, (row0 + live).tolist()):
-            key[1] = salt + (r << 32)
-            bitgen.state = state
-            if skip:
-                gen.random(skip)
-            gen.random(out=row)
-        sub = states[live], tnow[live], killed[live], hit[live]
-        left = _lockstep(dyn, t_end, more, *sub)
-        states[live], tnow[live], killed[live], hit[live] = sub
-        live = live[left]
-        k += 1
-    return stragglers
-
-
-def _row_stream(seed: int, salt: int, row: int, cols: int) -> np.random.Generator:
-    """The block stream positioned at the start of row ``row``.
-
-    Philox yields four doubles per counter step, so the stream skips
-    whole steps and then discards the remainder.
-    """
-    bitgen = np.random.Philox(key=[seed, salt])
-    bitgen.advance((row * cols) // 4)
-    gen = np.random.Generator(bitgen)
-    gen.random((row * cols) % 4)
-    return gen
-
-
 def _run_rows(
     dyn: _Dynamics,
     start_index: int,
@@ -420,28 +381,48 @@ def _run_rows(
     cols: int,
     r0: int,
     r1: int,
-    seed: int,
+    stream: _Stream,
     salt: int,
-    out_state: np.ndarray,
-    out_killed: np.ndarray,
-    out_hit: np.ndarray,
+    states: np.ndarray,
+    killed: np.ndarray,
+    hit: np.ndarray,
 ) -> int:
-    """Stream block rows r0..r1-1 through the lockstep loop in sub-chunks.
+    """Evolve replicates r0..r1-1 in lockstep, the block streamed in sub-chunks.
 
-    Writes results in place and returns the number of stragglers.
+    Row r of the block is double r * cols of the stream keyed (seed,
+    salt); row k of straggler r's private stream is double k * cols of the
+    stream keyed (seed, salt + r << 32).  Writes final state indices and
+    kill and edge flags into ``states``, ``killed`` and ``hit`` in place and
+    returns the number of stragglers.  Each round of a sub-chunk's private
+    rows overwrites the first rows of its buffer, whose uniforms are spent
+    by then.
     """
-    gen = _row_stream(seed, salt, r0, cols)
+    n = dyn.n_states
     step = max(1, _BLOCK_BUDGET // cols)
     # one buffer holds each sub-chunk in turn
     block = np.empty((min(step, r1 - r0), cols))
     stragglers = 0
     for s0 in range(r0, r1, step):
         s1 = min(s0 + step, r1)
-        rows = gen.random(out=block[: s1 - s0])
-        stragglers += _run_block(
-            dyn, start_index, t_end, rows, s0, seed, salt,
-            out_state[s0:s1], out_killed[s0:s1], out_hit[s0:s1],
-        )
+        # the stragglers of the last sub-chunk moved the stream: put it back
+        rows = stream.at(salt, s0 * cols).random(out=block[: s1 - s0])
+        st, ki, hi = states[s0:s1], killed[s0:s1], hit[s0:s1]
+        st[:] = start_index
+        ki[:] = False
+        hi[:] = start_index == 0 or start_index == n - 1
+        tnow = np.zeros(s1 - s0)
+        live = _lockstep(dyn, t_end, rows, st, tnow, ki, hi)
+        stragglers += live.size
+        k = 0
+        while live.size:
+            more = block[: live.size]
+            for row, r in zip(more, (s0 + live).tolist()):
+                stream.at(salt + (r << 32), k * cols).random(out=row)
+            sub = st[live], tnow[live], ki[live], hi[live]
+            left = _lockstep(dyn, t_end, more, *sub)
+            st[live], tnow[live], ki[live], hi[live] = sub
+            live = live[left]
+            k += 1
     return stragglers
 
 
@@ -454,7 +435,7 @@ class _Run(NamedTuple):
 
 
 def _simulate(
-    rm_or_dyn,
+    dyn: _Dynamics,
     start_state: int,
     t_end: float,
     reps: int,
@@ -463,7 +444,7 @@ def _simulate(
     threads: int = 1,
 ) -> _Run:
     """Final states, kill flags, and edge-visit flags for all replicates."""
-    dyn = rm_or_dyn if isinstance(rm_or_dyn, _Dynamics) else _Dynamics(rm_or_dyn)
+    stream = _Stream(seed)  # a bad seed is refused before anything is drawn
     if reps <= 0:
         raise InputFormatError(f"need a positive replicate count, got {reps}")
     _check_size(reps, "replicates")
@@ -481,15 +462,16 @@ def _simulate(
     edges = [k * size + min(k, extra) for k in range(parts + 1)]
     chunks = list(zip(edges, edges[1:]))
     args = (dyn, start_index, t_end, cols)
-    outs = (seed, salt, out_state, out_killed, out_hit)
+    outs = (salt, out_state, out_killed, out_hit)
     if threads == 1 or len(chunks) == 1:
-        stragglers = sum(_run_rows(*args, r0, r1, *outs) for r0, r1 in chunks)
+        stragglers = sum(_run_rows(*args, r0, r1, stream, *outs) for r0, r1 in chunks)
     else:
         # the chunk split follows `threads`, so results do not depend on how
-        # many of the chunks run at once
+        # many of the chunks run at once; each chunk reads through a stream
+        # of its own
         workers = min(len(chunks), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_rows, *args, r0, r1, *outs)
+            futures = [pool.submit(_run_rows, *args, r0, r1, _Stream(seed), *outs)
                        for r0, r1 in chunks]
             stragglers = sum(fut.result() for fut in futures)
     out_state += dyn.lo
@@ -515,7 +497,7 @@ def sample_path(rm: RateMatrix, x0: int, t_end: float, seed: int) -> PathSample:
     dyn = _Dynamics(rm)
     idx = dyn.index_of(x0)
     _expected_jumps(dyn, t_end)
-    gen = np.random.Generator(np.random.Philox(key=[seed, SALT_PATH]))
+    gen = _Stream(seed).at(SALT_PATH, 0)
     path = [(0.0, idx)]
     _, killed, _ = _finish_scalar(dyn, idx, 0.0, t_end, gen, path)
     times, states = zip(*path)
@@ -648,8 +630,7 @@ def mc_growth_bound(
         raise InputFormatError(
             f"x0={x0} is not a lattice point at mesh {lat.h}"
         )
-    rm = discretize(m, lat)
-    run = _simulate(rm, n0, t, reps, seed, SALT_GROWTH, threads)
+    run = _simulate(_Dynamics(discretize(m, lat)), n0, t, reps, seed, SALT_GROWTH, threads)
     escape = float(np.mean(run.hit | run.killed))
     if escape > ESCAPE_LIMIT:
         raise WindowEscape(escape, ESCAPE_LIMIT)

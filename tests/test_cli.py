@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,19 @@ THREE_STATE_DOC = {
     ],
 }
 OVERFLOW_MESSAGE = "lambda * t overflows: lambda=10.0, t=1e+308"
+
+
+SIM_OPS = ["survival", "duality", "growth", "path"]
+
+
+def sim_job(op, chain_file):
+    """A small job of each simulate op, on the chain file or, for growth,
+    on GROWTH_MODEL_DOC."""
+    if op == "growth":
+        return {"op": op, "model": GROWTH_MODEL_DOC, "lattice": {"h": 1.0, "lo": 0, "hi": 60},
+                "x0": 5.0, "t": 1.0, "reps": 100}
+    return {"op": op, "chain": json.load(open(chain_file)), "x0": 6, "y": 8,
+            "pairs": [[6, 8]], "t": 1.0, "reps": 100}
 
 
 @pytest.fixture
@@ -596,6 +610,24 @@ class TestSimulate:
             outs.append((code, capsys.readouterr().out))
         assert outs[0][0] in (0, 1) and outs[1] == outs[0]
 
+    @pytest.mark.parametrize("op", SIM_OPS)
+    @pytest.mark.parametrize("seed, code", [
+        (-1, 2), (2**64, 2), (2**64 - 1, 0), (2**63 + 1, 0),
+    ])
+    def test_seed_range(self, capsys, files, chain_file, op, seed, code):
+        # -1 wrapped to the key 2**64 - 1, 2**64 raised OverflowError (exit
+        # 3), and 2**64 - 1 replayed seed 0 with a RuntimeWarning
+        path = files("sim.json", sim_job(op, chain_file))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, doc = run_json(capsys, ["simulate", "--in", path, "--seed", str(seed)])
+        assert got == code and capsys.readouterr().err == ""
+        if code:
+            assert doc["error"] == {"type": "InputFormatError", "message":
+                                    f"a seed is an integer in [0, 2**64), got {seed}"}
+        else:
+            assert doc["report"]["seed"] == seed
+
     @pytest.mark.parametrize("op, rate", [("survival", -1.0), ("path", math.nan)])
     def test_bad_rate_is_parse_error(self, capsys, files, op, rate):
         chain = {"lo": 0, "hi": 4, "boundary": "absorb",
@@ -653,7 +685,7 @@ class TestErrorPaths:
                  for cls in MonodualError.__subclasses__()}
         assert set(codes.values()) <= {1, 2, 3}
         assert {name for name, code in codes.items() if code == 2} == {
-            "InputFormatError", "NegativeRate", "UnsupportedKernelCase"}
+            "InputFormatError", "NegativeRate", "TailMassUnresolved", "UnsupportedKernelCase"}
         assert {name for name, code in codes.items() if code == 1} == {
             "NotMonotone", "DualRateNegative", "NegativeDualDensity",
             "GrowthViolated", "MomentUnbounded", "WindowEscape"}
@@ -698,14 +730,23 @@ class TestErrorPaths:
         code, doc = run_json(capsys, ["monotone", "--in", str(p)])
         assert code == 2
 
-    def test_internal_error_unresolved_tail(self, capsys, files):
-        doc_in = {"nu": {"case": "tabulated", "right_tail": "0-1"}}
-        path = files("neg.json", doc_in)
-        code, doc = run_json(
-            capsys, ["discretize", "--in", path, "--h", "0.5", "--window=0:4"]
-        )
-        assert code == 3
+    @pytest.mark.parametrize("nu", [
+        {"case": "decomposable", "a": "1", "base": {"tail": "1/(a-a)", "support_sign": "positive"}},
+        {"case": "tabulated", "right_tail": "0-1"},
+        {"case": "density", "density": "0-e^(-y)", "support_sign": "positive"},
+    ], ids=["infinite-tail", "negative-tail", "negative-density"])
+    def test_unresolved_kernel_mass_is_malformed(self, capsys, files, nu):
+        # a kernel that is not a measure exited 3, the infinite tail with a
+        # numpy warning on inf - inf
+        path = files("neg.json", {"nu": nu})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_json(
+                capsys, ["discretize", "--in", path, "--h", "0.5", "--window=-2:2"]
+            )
+        assert code == 2
         assert doc["error"]["type"] == "TailMassUnresolved"
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv, x", [
         (["discretize", "--h", "0.1", "--window=-5:5"], -0.5),
@@ -939,6 +980,17 @@ class TestErrorPaths:
         code, doc = run_json(capsys, [command, "--in", path, "--t", "1e308"])
         assert code == 2
         assert doc["error"] == {"type": "InputFormatError", "message": OVERFLOW_MESSAGE}
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve"], ["duality"], *(["simulate", op] for op in SIM_OPS),
+    ], ids=lambda argv: "-".join(argv))
+    def test_negative_horizon_is_malformed(self, capsys, files, chain_file, argv):
+        # the simulate ops said "bad horizon -1.0"
+        path = chain_file if len(argv) == 1 else files("sim.json", sim_job(argv[1], chain_file))
+        code, doc = run_json(capsys, [argv[0], "--in", path, "--t", "-1"])
+        assert code == 2
+        assert doc["error"] == {"type": "InputFormatError",
+                                "message": "time must be finite and at least 0, got -1.0"}
 
     def test_overflowing_survival_horizon_is_malformed(self, capsys, files):
         # the block width raised OverflowError (exit 3)

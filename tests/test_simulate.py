@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from monodual.generator import (
 from monodual import qmatrix, simulate
 from monodual.qmatrix import RateMatrix, effective_generator, transition_matrix
 from monodual.simulate import (
+    SALT_SURVIVAL,
     _Dynamics,
+    _Stream,
     _finish_scalar,
     _jump_targets,
-    _row_stream,
-    _run_block,
+    _lockstep,
     _run_rows,
     _simulate,
     mc_duality_check,
@@ -365,11 +367,11 @@ class TestLockstepEngine:
         _, cum = reference_dynamics(rm)
         assert reference_lookup(cum, np.array([10]), np.array([0.0]))[0] == 0
         block = np.array([[0.5, 0.0, 0.0, 0.5]])
-        states = np.empty(1, dtype=np.int64)
-        killed = np.empty(1, dtype=bool)
-        hit = np.empty(1, dtype=bool)
-        left = _run_block(dyn, 10, 100.0, block, 0, 1, 1, states, killed, hit)
-        assert (left, int(states[0]), bool(killed[0]), bool(hit[0])) == (0, 9, False, False)
+        states = np.array([10])
+        killed = np.zeros(1, dtype=bool)
+        hit = np.zeros(1, dtype=bool)
+        left = _lockstep(dyn, 100.0, block, states, np.zeros(1), killed, hit)
+        assert (left.size, int(states[0]), bool(killed[0]), bool(hit[0])) == (0, 9, False, False)
         scalar = _finish_scalar(dyn, 10, 0.0, 100.0, _ScriptedUniforms([0.5, 0.0, 0.0, 0.5]))
         assert scalar == (9, False, False)
 
@@ -381,10 +383,56 @@ class TestLockstepEngine:
         # rows that start inside a Philox counter step are covered
         assert {(r0 * cols) % 4 for r0 in starts} - {0}
         for r0 in starts:
-            gen = _row_stream(5, 3, r0, cols)
+            gen = _Stream(5).at(3, r0 * cols)
             first = gen.random((min(9, reps - r0), cols))
             rest = gen.random((reps - r0 - first.shape[0], cols))
             assert np.array_equal(np.vstack([first, rest]), whole[r0:])
+
+    @pytest.mark.parametrize("seed", [2**63 + 1, 2**63 + 2, 2**64 - 1])
+    def test_seeds_past_int64_are_exact_keys(self, seed):
+        # a key list past int64 was read as float64: 2**64 - 1 replayed
+        # seed 0, with a RuntimeWarning, and 2**63 + 1 and 2**63 + 2 met
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gen = _Stream(seed).at(SALT_SURVIVAL, 0)
+            assert gen.bit_generator.state["state"]["key"].tolist() == [seed, SALT_SURVIVAL]
+            row = gen.random(66)
+            rows = {seed: row.tobytes()}
+            for other in (0, 2**63 + 1, 2**63 + 2, 2**64 - 1):
+                rows[other] = _Stream(other).at(SALT_SURVIVAL, 0).random(66).tobytes()
+        assert len(set(rows.values())) == 4
+        # seeds below 2**63 keep the streams of the key [seed, salt]
+        want = np.random.Generator(np.random.Philox(key=[2**63 - 1, 3])).random(66)
+        assert np.array_equal(_Stream(2**63 - 1).at(3, 0).random(66), want)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, "1"])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        rm = drift_chain()
+        message = r"a seed is an integer in \[0, 2\*\*64\)"
+        for call in (lambda: mc_survival(rm, x0=10, y=12, t=1.0, reps=10, seed=seed),
+                     lambda: sample_path(rm, x0=10, t_end=1.0, seed=seed)):
+            with pytest.raises(InputFormatError, match=message):
+                call()
+
+    def test_stragglers_in_every_sub_chunk(self, monkeypatch):
+        # lambda*t = 200: every replicate straggles.  With sub-chunks of 5
+        # rows each sub-chunk's stragglers move the stream before the next
+        # sub-chunk reads its block rows, which must not shift them
+        dyn = _Dynamics(birth_death(0, 40, up=1.0, down=1.0, boundary="reflect"))
+        seed, salt, reps, t = 5, 1, 60, 100.0
+        whole = _simulate(dyn, 20, t, reps, seed, salt)
+        monkeypatch.setattr(simulate, "_BLOCK_BUDGET", 5 * 256)
+        for threads in (1, 3):
+            run = _simulate(dyn, 20, t, reps, seed, salt, threads)
+            assert (run.block_columns, run.stragglers) == (256, reps)
+            for a, b in zip(whole[:3], run[:3]):
+                assert np.array_equal(a, b), threads
+        block = np.random.Generator(np.random.Philox(key=[seed, salt])).random((reps, 256))
+        for r in (0, 4, 5, 27, 59):
+            private = np.random.Generator(np.random.Philox(key=[seed, salt + (r << 32)]))
+            want = _finish_scalar(dyn, 20, 0.0, t, _ScriptedUniforms(block[r], private))
+            got = (int(run.states[r]) - dyn.lo, bool(run.killed[r]), bool(run.hit[r]))
+            assert got == want, r
 
     def test_chunk_and_subchunk_split_do_not_change_rows(self, monkeypatch):
         dyn = _Dynamics(drift_chain())
@@ -394,7 +442,7 @@ class TestLockstepEngine:
             outs = (np.empty(reps, dtype=np.int64), np.empty(reps, dtype=bool),
                     np.empty(reps, dtype=bool))
             for r0, r1 in ranges:
-                _run_rows(dyn, 10, 1.0, cols, r0, r1, 42, 1, *outs)
+                _run_rows(dyn, 10, 1.0, cols, r0, r1, _Stream(42), 1, *outs)
             return outs
 
         whole = run([(0, reps)])
