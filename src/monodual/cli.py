@@ -6,10 +6,11 @@ monotone, duality, simulate, boundary) emit an envelope
 (dual, discretize, evolve, dualgen) emit the produced artifact as a bare
 document so outputs can feed straight back into --in.  Exit codes:
 0 success, else the ``exit_code`` of the raised error class: 1 a check
-failed, 2 unreadable or malformed input, 3 internal failure (quadrature
-breakdown, unresolved tail mass, bugs).  141 (128 + SIGPIPE, as a shell
-reports a process that SIGPIPE ended) means stdout was closed before the
-output was written, say by ``| head``; nothing more is written then.
+failed, 2 unreadable or malformed input (a kernel that is not a measure
+included), 3 internal failure (quadrature breakdown, bugs).  141 (128 +
+SIGPIPE, as a shell reports a process that SIGPIPE ended) means stdout was
+closed before the output was written, say by ``| head``; nothing more is
+written then.
 
 Input sniffing: a JSON document with a "rates" field is a rate matrix;
 anything else is a model description.  Commands that accept both pick

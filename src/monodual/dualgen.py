@@ -50,15 +50,16 @@ from .errors import (
     UnsupportedKernelCase,
 )
 from .generator import (
-    _GL_RTOL,
     DecomposableKernel,
     DensityKernel,
     LevyModel,
-    _bisect,
+    _checked,
     _coefficient_values,
     _evaluate,
+    _settle,
+    _side_integral,
+    _unresolved,
     central_difference,
-    gauss_panels,
     gauss_rules,
 )
 
@@ -74,14 +75,12 @@ _Y_HARD_CAP = 2.0 ** 20
 # Gauss-Legendre 8/16 panels.
 _APPLY_PANELS = 4
 
-# The correction integral over [0, 1] runs Gauss-Legendre 8/16 on two
-# panels.  Its integrand holds central differences (step FD_SCALE), and so
-# does nu_tilde unless the model gives da or dx_density.  Their rounding of
-# about 2e-11 relative shows in the 8/16 difference and in bisection's end
-# check, so the correction's panels, and the bisected pieces of both the
-# correction and dual_generator_apply, pass at 1e-10 of the integral of
-# |integrand| rather than at 1e-13.
-_UNIT_PANELS = np.linspace(0.0, 1.0, 3)
+# The integrands of the correction and of dual_generator_apply hold
+# central differences (step FD_SCALE): nu_tilde does unless the model gives
+# da or dx_density.  Their rounding of about 2e-11 relative shows in the
+# 8/16 difference and in bisection's end check, so both integrals pass
+# generator._settle at 1e-10 of the integral of |integrand| rather than at
+# 1e-13.
 _DIFFERENCE_RTOL = 1e-10
 
 
@@ -114,28 +113,31 @@ def _coefficient(fn: Optional[Callable]) -> Callable[[np.ndarray], np.ndarray]:
     return functools.partial(_evaluate, fn)
 
 
-def _checked_density(x: np.ndarray, y: np.ndarray, val: np.ndarray) -> np.ndarray:
-    """val with roundoff negatives set to 0.  At the first (x, y) where val
-    is not finite or below -DUAL_DENSITY_TOL, InputFormatError or
-    NegativeDualDensity is raised."""
+def _checked_density(x: np.ndarray, y: np.ndarray, forward: np.ndarray,
+                     val: np.ndarray) -> np.ndarray:
+    """val, the dual density at (x, y) built on the forward density
+    ``forward`` at (x - y, y), with roundoff negatives set to 0.
+
+    At the first (x - y, y) where ``forward`` breaks the mass rule of
+    generator._checked, TailMassUnresolved is raised: the kernel is not a
+    measure.  Then, at the first (x, y) where val is not finite or below
+    -DUAL_DENSITY_TOL, InputFormatError or NegativeDualDensity is raised.
+    """
+    def first(bad, *args):
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        return i, *(float(np.broadcast_to(v, bad.shape)[i]) for v in args)
+
+    bad = _checked(forward)[1]
+    if bad.any():
+        i, u, y = first(bad, x - y, y)
+        raise _unresolved(f"nu density at x={u}, y={y}", float(forward[i]))
     bad = ~np.isfinite(val) | (val < -DUAL_DENSITY_TOL)
     if bad.any():
-        i = np.unravel_index(np.argmax(bad), bad.shape)
-        x, y = (float(np.broadcast_to(v, bad.shape)[i]) for v in (x, y))
+        i, x, y = first(bad, x, y)
         if not np.isfinite(val[i]):
             raise InputFormatError(f"nu_tilde is not finite at x={x}, y={y}")
         raise NegativeDualDensity(x, y, float(val[i]))
     return np.maximum(val, 0.0)
-
-
-def _unit_integrals(integrand, x: np.ndarray) -> np.ndarray:
-    """Integral over [0, 1] of integrand(x, y) dy at every x of an array:
-    gauss_panels on the _UNIT_PANELS."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    lo, hi = (np.broadcast_to(e, (flat.size, 2)) for e in (_UNIT_PANELS[:-1], _UNIT_PANELS[1:]))
-    high = gauss_panels(lambda r, y: integrand(flat[r], y), lo, hi, rtol=_DIFFERENCE_RTOL)
-    return high.sum(axis=-1).reshape(x.shape)
 
 
 def _dual_drift(m: LevyModel, dG: Optional[Callable]):
@@ -157,8 +159,8 @@ def _dual_coefficients(m: LevyModel, kern, dG: Optional[Callable]) -> DualGenera
     The dual density is nu~(x, y) = density_values((x - y,), y) +
     dx_tails(1, x - y, y).  Each positive atom size s is a dual atom of
     mass atom_masses(x - s) in its column.  The correction integrates
-    y (nu - nu~) over (0, 1] and adds s times the change of mass of each
-    atom in (0, 1].
+    y (nu - nu~) over the magnitudes [0, 1] with generator._side_integral
+    and adds s times the change of mass of each atom in (0, 1].
     """
     sizes = np.array(kern.atom_sizes, dtype=float)
     up = sizes > 0.0
@@ -167,8 +169,9 @@ def _dual_coefficients(m: LevyModel, kern, dG: Optional[Callable]) -> DualGenera
     def nu_tilde(x, y) -> np.ndarray:
         u = x - y
         with np.errstate(all="ignore"):  # _checked_density rejects inf and NaN
-            val = kern.density_values((u,), y) + kern.dx_tails(1.0, u, y)
-        return _checked_density(x, y, val)
+            forward = kern.density_values((u,), y)
+            val = forward + kern.dx_tails(1.0, u, y)
+        return _checked_density(x, y, forward, val)
 
     def atom_masses(x) -> np.ndarray:
         # atom i's column of the masses at x - sizes[i]
@@ -176,8 +179,9 @@ def _dual_coefficients(m: LevyModel, kern, dG: Optional[Callable]) -> DualGenera
         return np.diagonal(shifted, axis1=-2, axis2=-1)[..., up]
 
     def correction(x) -> np.ndarray:
-        total = _unit_integrals(
-            lambda x, y: y * (kern.density_values((x,), y) - nu_tilde(x, y)), x
+        total = _side_integral(
+            lambda x, y: y * (kern.density_values((x,), y) - nu_tilde(x, y)),
+            (x,), 1.0, 0.0, 1.0, _DIFFERENCE_RTOL,
         )
         if small.any():
             jumps = sizes[up] * (kern.atom_masses(x)[..., up] - atom_masses(x))
@@ -234,10 +238,11 @@ def dual_generator_apply(
     tolerance; a hard cap guards kernels whose tail never settles.
     y_max (> 0) truncates the integral explicitly instead.  Each segment is
     _APPLY_PANELS Gauss-Legendre 8/16 panels, one nu_tilde call on the
-    nodes of both rules.  A panel whose two values differ by more than
-    1e-13 of the integral of the |integrand| over all segments is bisected
-    by generator._bisect, and its pieces pass at _DIFFERENCE_RTOL of that
-    integral.
+    nodes of both rules.  The panels of all segments then pass the one
+    check-and-bisect rule of the package, generator._settle, at
+    _DIFFERENCE_RTOL of the integral of the |integrand| over all of them,
+    as the correction does: a NaN or infinite integrand raises
+    InputFormatError, and a failing panel is bisected.
     """
     if convention not in COMPENSATOR_CONVENTIONS:
         raise InputFormatError(
@@ -280,12 +285,8 @@ def dual_generator_apply(
                 "dual jump integral did not settle below the hard cap"
             )
 
-    a, b, high, err, size = (np.concatenate(p) for p in zip(*panels))
-    fail = ~(err <= _GL_RTOL * size.sum())
-    if fail.any():
-        bound = np.full(np.count_nonzero(fail), _DIFFERENCE_RTOL * size.sum())
-        high[fail] = _bisect(lambda k, y: integrand(y), a[fail], b[fail], bound)
-    total = high.sum()
+    a, b, high, err, size = (np.concatenate(p)[None] for p in zip(*panels))
+    total = _settle(lambda r, y: integrand(y), a, b, high, err, size, _DIFFERENCE_RTOL).sum()
     for y, mass in zip(coeffs.atom_sizes, coeffs.atom_masses(x)):
         total += (fn(x - y) - fx + fp * comp(y)) * mass
 
@@ -309,10 +310,10 @@ def tabulate_dual(
     coefficient is one array call: G, drift, correction and the atom masses
     over xs, nu_tilde over the (x, y) grid.  A value that is not finite
     raises InputFormatError naming the first x (and y, for nu_tilde).  The
-    correction integral over [0, 1], and the tails of a density-only kernel
-    (see generator.density_tails), run Gauss-Legendre 8/16 on panels, and
-    the panels that fail the 8/16 check are bisected in one array pass per
-    level.
+    correction integral over [0, 1] and the tails of a density-only kernel
+    run through generator._side_integral: Gauss-Legendre 8/16 on panels,
+    and the panels that fail the 8/16 check are bisected in one array pass
+    per level.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     finite = lambda name, v: _coefficient_values(name, xs, v).tolist()

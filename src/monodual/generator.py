@@ -289,24 +289,10 @@ def _bisect(f: Callable, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray) -> n
             totals = (totals + [total])[-3 * _MAX_STRIDE - 1:]
 
 
-def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_RTOL,
-                 pieces: Optional[Callable] = None) -> np.ndarray:
-    """Integrals of f over the panels [lo, hi], rows by panels.
-
-    ``f(rows, v)`` takes an array of row indices broadcast with the nodes
-    v.  The 16-node value of gauss_rules is kept where it is within
-    ``rtol`` of the integral of |f| over all panels of its row from the
-    8-node one.  The panels that fail, (row[k], col[k]), are integrated by
-    _bisect at that bound: over themselves, or over the pieces (g, a, b) =
-    ``pieces(row, col)`` give, g(k, y) over [a[k], b[k]].  A column of
-    panels empty on every row adds 0.0, and f is not evaluated on it.
-    """
-    lo, hi = np.broadcast_arrays(lo, hi)
-    rows = np.arange(lo.shape[0])[:, None, None]
-    live = (hi > lo).any(axis=0)
-    high, err, size = np.zeros((3, *lo.shape))
-    high[:, live], err[:, live], size[:, live], _ = gauss_rules(
-        lambda v: f(rows, v), lo[:, live], hi[:, live])
+def _settle(f: Callable, lo: np.ndarray, hi: np.ndarray, high: np.ndarray, err: np.ndarray,
+            size: np.ndarray, rtol: float, pieces: Optional[Callable] = None) -> np.ndarray:
+    """gauss_panels' check-and-bisect step on the values ``high``, ``err`` and
+    ``size`` of gauss_rules over [lo, hi]: ``high``, bisected in place."""
     if np.isnan(size).any():  # NaN at a node of a panel of nonzero width
         raise InputFormatError("the model's integrand is not a number")
     if np.isinf(size).any():
@@ -315,12 +301,31 @@ def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_
     fail = ~(err <= bound) & (hi > lo)  # an empty panel is exact, whatever its row
     if fail.any():
         row, col = np.nonzero(fail)
-        if pieces is None:
-            g, a, b = (lambda k, v: f(row[k], v)), lo[row, col], hi[row, col]
-        else:
-            g, a, b = pieces(row, col)
+        g, a, b = pieces(row, col) if pieces else (
+            (lambda k, v: f(row[k], v)), lo[row, col], hi[row, col])
         high[row, col] = _bisect(g, a, b, bound[row, col])
     return high
+
+
+def gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rtol: float = _GL_RTOL,
+                 pieces: Optional[Callable] = None) -> np.ndarray:
+    """Integrals of f over the panels [lo, hi], rows by panels.
+
+    ``f(rows, v)`` takes an array of row indices broadcast with the nodes
+    v.  The 16-node value of gauss_rules is kept where it is within
+    ``rtol`` of the integral of |f| over all panels of its row from the
+    8-node one.  _settle integrates the panels that fail, (row[k], col[k]),
+    by _bisect at that bound: over themselves, or over the pieces (g, a, b)
+    = ``pieces(row, col)`` give, g(k, y) over [a[k], b[k]].  A column of
+    panels empty on every row adds 0.0, and f is not evaluated on it.
+    """
+    lo, hi = np.broadcast_arrays(lo, hi)
+    rows = np.arange(lo.shape[0])[:, None, None]
+    live = (hi > lo).any(axis=0)
+    high, err, size = np.zeros((3, *lo.shape))
+    high[:, live], err[:, live], size[:, live], _ = gauss_rules(
+        lambda v: f(rows, v), lo[:, live], hi[:, live])
+    return _settle(f, lo, hi, high, err, size, rtol, pieces)
 
 
 def _density_masses(density, args, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -340,7 +345,8 @@ def _density_masses(density, args, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return out
 
 
-def _side_integral(f: Callable, args, side: float, lo, hi: float) -> np.ndarray:
+def _side_integral(f: Callable, args, side: float, lo, hi: float,
+                   rtol: float = _GL_RTOL) -> np.ndarray:
     """Integral of ``f(*args, y)`` over the magnitudes t = side * y in
     [lo, hi], elementwise.
 
@@ -349,7 +355,7 @@ def _side_integral(f: Callable, args, side: float, lo, hi: float) -> np.ndarray:
     t = lo + (1-s)/s of QUADPACK's qagi turns [lo, hi] into s in
     [1/(1 + hi - lo), 1]: the whole of (0, 1] when hi is infinite.  The
     s-interval is cut at the fixed _TAIL_BREAKS, and every piece is a
-    gauss_panels panel.  A panel that fails its check is bisected over the
+    gauss_panels panel at ``rtol``.  A panel that fails is bisected over the
     y-range it maps to, where floats stay dense at a singular tail start;
     only a panel that reaches t = inf is bisected in s.  Elements are
     handled in chunks of at most _BLOCK_BUDGET doubles per node array.
@@ -387,7 +393,7 @@ def _side_integral(f: Callable, args, side: float, lo, hi: float) -> np.ndarray:
 
         vals[part] = gauss_panels(
             lambda r, s: f(*(x[r] for x in point), side * (t0[r] + (1.0 - s) / s)) / (s * s),
-            edges[:, :-1], edges[:, 1:], pieces=pieces,
+            edges[:, :-1], edges[:, 1:], rtol, pieces,
         ).sum(axis=-1)
     out[live] = vals
     return out
@@ -705,13 +711,8 @@ class DensityKernel(LevyKernel):
         right_tail_fn: Optional[Callable[[float, float], float]] = None,
         left_tail_fn: Optional[Callable[[float, float], float]] = None,
     ):
-        if support_sign not in SUPPORT_SIGNS:
-            raise InputFormatError(f"unknown support_sign {support_sign!r}")
         self.density = density
-        lo = 0.0 if support_sign == "positive" else -math.inf
-        hi = 0.0 if support_sign == "negative" else math.inf
-        self.y_min = lo if y_min is None else max(float(y_min), lo)
-        self.y_max = hi if y_max is None else min(float(y_max), hi)
+        self.y_min, self.y_max = _support_bounds(support_sign, y_min, y_max)
         self.dx_density = dx_density
         self.dx2_density = dx2_density
         self.right_tail_fn = right_tail_fn
@@ -950,13 +951,19 @@ class ValidationReport:
         return asdict(self)
 
 
-def _finite_moments(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _checked_moments(what: str, x: np.ndarray, values: np.ndarray) -> np.ndarray:
     """values, after raising MomentUnbounded at the first x where one is not
-    finite."""
+    finite, then TailMassUnresolved at the first where one is negative
+    beyond roundoff (the rule of _checked): every moment weight is
+    nonnegative."""
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad))
         raise MomentUnbounded(float(x[i]), float(values[i]))
+    bad = _checked(values)[1]
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _unresolved(f"{what} at x={float(x[i])}", float(values[i]))
     return values
 
 
@@ -967,11 +974,12 @@ def validate_model(
 
     Every check is one array pass over the grid.  Raises InputFormatError
     naming the first x where G, b or a decomposable factor is not finite (G
-    and the factor also where negative), MomentUnbounded when a kernel
-    moment comes out non-finite, and GrowthViolated when the declared
-    linear-growth constant fails the drift inequality at a grid point with
-    |x| > 1 (left and right variants carry the overshoot of jumps past the
-    origin).  Derivative-kernel moment bounds are checked when the kernel
+    and the factor also where negative), then MomentUnbounded when a kernel
+    moment comes out non-finite, TailMassUnresolved when one is negative
+    beyond roundoff, and GrowthViolated when the declared linear-growth
+    constant fails the drift inequality at a grid point with |x| > 1 (left
+    and right variants carry the overshoot of jumps past the origin).
+    Derivative-kernel moment bounds are checked when the kernel
     representation supplies x-derivatives and recorded as unchecked
     otherwise.
     """
@@ -989,7 +997,11 @@ def validate_model(
                     "sup_abs_b": float(np.abs(b_vals).max())})
 
     for name, kern in m.kernels():
-        moments = _finite_moments(grid, kern.moments(
+        if isinstance(kern, DecomposableKernel):
+            _coefficient_values(f"decomposable factor of {name}", grid, kern.factors(grid), True)
+
+    for name, kern in m.kernels():
+        moments = _checked_moments(f"{name} moment", grid, kern.moments(
             SMALL_WEIGHT if name == "nu" else ABS_WEIGHT, grid))
         records.append({
             "check": f"{name}_moment", "status": "ok",
@@ -1004,18 +1016,16 @@ def validate_model(
                                 "reason": "kernel supplies no x-derivative"})
             else:
                 records.append({"check": f"{name}_dx{order}_moment", "status": "ok",
-                                "sup": float(_finite_moments(grid, vals).max())})
-
-    for name, kern in m.kernels():
-        if isinstance(kern, DecomposableKernel):
-            _coefficient_values(f"decomposable factor of {name}", grid, kern.factors(grid), True)
+                                "sup": float(_checked_moments(
+                                    f"{name} dx{order} moment", grid, vals).max())})
 
     if m.bounded_coefficients:
         total = g_vals + np.abs(b_vals)
         if m.nu is not None:
             total = total + m.nu.moments(BOUNDED_WEIGHT, grid)
         records.append({"check": "bounded_coefficients", "status": "ok",
-                        "sup": max(0.0, float(_finite_moments(grid, total).max()))})
+                        "sup": max(0.0, float(_checked_moments(
+                            "bounded coefficient sum", grid, total).max()))})
 
     if m.growth_c is not None:
         # lhs = +-b + the mu moment + the nu overshoot past the origin: of
@@ -1079,9 +1089,11 @@ def check_levy_monotone(
     For every threshold a > 0 and adjacent grid pair x < x', the mass of
     {y >= a} must not decrease and the mass of {y <= -a} must not increase
     from x to x'.  The same conditions apply to the uncompensated kernel
-    when present.  Diffusion and drift impose nothing.  A tail mass that is
-    not finite raises InputFormatError naming its kernel, side, a and x; a
-    non-finite or negative ``tol`` raises it too.
+    when present.  Diffusion and drift impose nothing.  The first tail mass,
+    right side first and in (a, x) order, that is not finite or negative
+    beyond roundoff (the rule of _checked) raises TailMassUnresolved naming
+    its kernel, side, a and x.  A non-finite or negative ``tol`` raises
+    InputFormatError.
     """
     tol = _nonnegative(tol, "tolerance")
     grid = np.asarray(list(grid), dtype=float)
@@ -1102,11 +1114,11 @@ def check_levy_monotone(
         right = kern.tails(1.0, grid, column)
         left = kern.tails(-1.0, grid, column)
         for label, tails in (("right", right), ("left", left)):
-            bad = np.argwhere(~np.isfinite(tails))
+            bad = np.argwhere(_checked(tails)[1])
             if bad.size:
                 j, i = bad[0]
-                raise InputFormatError(
-                    f"{name} {label} tail at a={thresholds[j]} is not finite at x={xs[i]}")
+                raise _unresolved(f"{name} {label} tail at a={thresholds[j]}, x={xs[i]}",
+                                  float(tails[j, i]))
         with np.errstate(over="ignore"):  # an infinite slack admits every pair
             drop = right[:, :-1] > right[:, 1:] + tol
             rise = left[:, 1:] > left[:, :-1] + tol
@@ -1364,6 +1376,24 @@ def classify_boundary(
     return BoundaryClass("unknown", "no clause applicable")
 
 
+def _support_bounds(sign: str, y_min: Optional[float] = None,
+                   y_max: Optional[float] = None) -> Tuple[float, float]:
+    """The support (y_min, y_max) of a density kernel or a base measure:
+    ``sign`` "positive" ("negative") clips y_min (y_max) at 0, and an
+    absent end is the clip or infinite."""
+    if sign not in SUPPORT_SIGNS:
+        raise InputFormatError(f"unknown support_sign {sign!r}")
+    lo = 0.0 if sign == "positive" else -math.inf
+    hi = 0.0 if sign == "negative" else math.inf
+    return (lo if y_min is None else max(float(y_min), lo),
+            hi if y_max is None else min(float(y_max), hi))
+
+
+def _support_ends(obj: dict):
+    """The y_min and y_max of a kernel or base document, None when absent."""
+    return (None if obj.get(k) is None else number(obj[k], k) for k in ("y_min", "y_max"))
+
+
 def _maybe_expr(obj: dict, key: str, variables) -> Optional[Callable]:
     if key not in obj or obj[key] is None:
         return None
@@ -1383,11 +1413,7 @@ def base_measure_from_dict(obj: dict) -> BaseMeasure:
             atoms.append((number(entry["y"], "atom y"), number(entry["mass"], "atom mass")))
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"bad atom entry {entry!r}") from exc
-    sign = obj.get("support_sign", "both")
-    if sign not in SUPPORT_SIGNS:
-        raise InputFormatError(f"unknown support_sign {sign!r}")
-    y_min = number(obj.get("y_min", 0.0 if sign == "positive" else -math.inf), "y_min")
-    y_max = number(obj.get("y_max", 0.0 if sign == "negative" else math.inf), "y_max")
+    y_min, y_max = _support_bounds(obj.get("support_sign", "both"), *_support_ends(obj))
     return BaseMeasure(
         density=density,
         y_min=y_min,
@@ -1405,11 +1431,12 @@ def kernel_from_dict(obj: dict) -> LevyKernel:
     if case == "density":
         if "density" not in obj:
             raise InputFormatError("density kernel needs a 'density' expression")
+        y_min, y_max = _support_ends(obj)
         return DensityKernel(
             density=parse_expression(obj["density"], ("x", "y")),
             support_sign=obj.get("support_sign", "both"),
-            y_min=None if obj.get("y_min") is None else number(obj["y_min"], "y_min"),
-            y_max=None if obj.get("y_max") is None else number(obj["y_max"], "y_max"),
+            y_min=y_min,
+            y_max=y_max,
             dx_density=_maybe_expr(obj, "dx_density", ("x", "y")),
             dx2_density=_maybe_expr(obj, "dx2_density", ("x", "y")),
             right_tail_fn=_maybe_expr(obj, "right_tail", ("x", "a")),

@@ -32,6 +32,9 @@ MODEL_DOC = {
     "growth_c": 3.0,
 }
 
+# not a measure: every command refuses it with TailMassUnresolved
+NEGATIVE_DENSITY = {"case": "density", "density": "0-e^(-y)", "support_sign": "positive"}
+
 # a + a' dips below zero where the factor falls fast: no monotone dual
 STEEP_MODEL_DOC = {
     "nu": {
@@ -748,6 +751,44 @@ class TestErrorPaths:
         assert doc["error"]["type"] == "TailMassUnresolved"
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("nu, argv, where, value", [
+        (NEGATIVE_DENSITY, ["validate"], "nu moment at x=-5.0", -0.8963616764856734),
+        (NEGATIVE_DENSITY, ["monotone"], "nu right tail at a=0.25, x=-5.0", -math.exp(-0.25)),
+        (NEGATIVE_DENSITY, ["dualgen", "--h", "0.5", "--window=-2:2"],
+         "nu density at x=-1.5, y=0.5", -math.exp(-0.5)),
+        ({"case": "tabulated", "right_tail": "0-1"}, ["monotone"],
+         "nu right tail at a=0.25, x=-5.0", -1.0),
+    ], ids=["validate", "monotone", "dualgen", "monotone-tail"])
+    def test_every_command_reads_one_mass_rule(self, capsys, files, nu, argv, where, value):
+        # validate and monotone exited 0 and dualgen 1 (NegativeDualDensity)
+        # on kernels that discretize refuses
+        path = files("neg.json", {"nu": nu})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_json(capsys, [*argv, "--in", path])
+        assert code == 2
+        assert doc["error"]["type"] == "TailMassUnresolved"
+        message, got = doc["error"]["message"].rsplit(" is negative: ", 1)
+        assert message == where
+        assert float(got) == pytest.approx(value, rel=1e-12)
+        assert capsys.readouterr().err == ""
+
+    def test_support_sign_clips_a_base_as_a_density(self, capsys, files):
+        # the base kept its mass on (-1, 0): discretize emitted offset -2,
+        # and dualgen refused the kernel (exit 2)
+        base = {"density": "e^(-abs(y))", "support_sign": "positive", "y_min": -1}
+        paths = [files("base.json", {"nu": {"case": "decomposable", "a": "1", "base": base}}),
+                 files("density.json", {"nu": dict(base, case="density")})]
+        for command in ("discretize", "dualgen"):
+            docs = []
+            for path in paths:
+                code, doc = run_json(capsys, [command, "--in", path, "--h", "0.5", "--window=-2:2"])
+                assert code == 0
+                docs.append(dict(doc, case=None))
+            assert docs[0] == docs[1]
+            if command == "discretize":  # the compensation at -1, no left bin
+                assert min(r["m"] for r in docs[0]["rates"]) == -1
+
     @pytest.mark.parametrize("argv, x", [
         (["discretize", "--h", "0.1", "--window=-5:5"], -0.5),
         (["validate"], -5.0),  # the default grid
@@ -927,16 +968,20 @@ class TestErrorPaths:
         assert doc["error"]["type"] == "InputFormatError"
 
     @pytest.mark.parametrize("tail, message", [
-        ("e^(-a)/x", "nu right tail at a=0.25 is not finite at x=0.0"),
-        ("(x-x)/(x-x)", "nu right tail at a=0.25 is not finite at x=-1.0"),
+        # negative at x < 0 before it is infinite at x = 0
+        ("e^(-a)/x", "nu right tail at a=0.25, x=-1.0 is negative: -0.77880078307"),
+        ("e^(-a)/abs(x)", "nu right tail at a=0.25, x=0.0 is not finite"),
+        ("(x-x)/(x-x)", "nu right tail at a=0.25, x=-1.0 is not finite"),
     ])
     def test_monotone_rejects_a_tail_that_is_not_finite(self, capsys, files, tail, message):
         # an infinite tail was a violation written as Infinity (exit 1), and
-        # a NaN one passed the check
+        # a NaN one passed the check; the first tail that breaks the mass
+        # rule of discretize is named
         path = files("model.json", {"nu": {"case": "tabulated", "right_tail": tail}})
         code, doc = run_json(capsys, ["monotone", "--in", path, "--h", "0.25", "--window=-4:4"])
         assert code == 2
-        assert doc["error"] == {"type": "InputFormatError", "message": message}
+        assert doc["error"]["type"] == "TailMassUnresolved"
+        assert doc["error"]["message"].startswith(message)
 
     def test_non_finite_json_is_not_written(self, capsys):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from monodual.dualgen import (
 from monodual.errors import (
     InputFormatError,
     NegativeDualDensity,
+    TailMassUnresolved,
     UnsupportedKernelCase,
 )
 from monodual.generator import (
@@ -246,6 +247,14 @@ class TestDualDensity:
         with pytest.raises(NegativeDualDensity):
             coeffs.nu_tilde(0.5, 0.5)
 
+    def test_negative_forward_density_is_not_a_measure(self):
+        # the dual density came out negative (NegativeDualDensity, exit 1):
+        # the forward kernel is refused as in discretize, at (x - y, y)
+        m = LevyModel(nu=DensityKernel(density=lambda x, y: -math.exp(-y),
+                                       support_sign="positive"))
+        with pytest.raises(TailMassUnresolved, match=r"nu density at x=-0.25, y=0.5 is neg"):
+            dual_levy(m).nu_tilde(np.array([0.25, 0.5]), 0.5)
+
     def test_atom_base_dual_terms(self):
         base = BaseMeasure(atoms=[(1.0, 2.0)])
         m = LevyModel(nu=DecomposableKernel(a=a_fn, base=base, da=da_fn))
@@ -355,6 +364,26 @@ class TestApply:
         forward_mean = 2.0 * a_fn(x)
         want = jump + atom + dbump(x) * forward_mean
         assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("x", [-0.5, 0.3])
+    def test_kinked_jump_panel_is_bisected(self, x, monkeypatch):
+        # nu~(x, y) has a kink at y = 0.37, inside the jump-integral panel
+        # (0.25, 0.5) of the segment (0, 1]
+        m = model_from_dict({"nu": {"case": "density", "support_sign": "positive",
+                                    "density": "(1+0.5*tanh(x))*e^(-abs(y-0.37))"}})
+        coeffs = dual_levy(m)
+        calls = _bisected_panels(monkeypatch)
+        got = dual_generator_apply(coeffs, bump, x, df=dbump, d2f=d2bump)
+        assert (0.25, 0.5) in calls
+
+        def integrand(y):
+            comp = y if y <= 1.0 else 0.0
+            return (bump(x - y) - bump(x) + dbump(x) * comp) * float(coeffs.nu_tilde(x, y))
+
+        jump = sum(quad(integrand, a, b, limit=200)[0]
+                   for a, b in ((0.0, 0.37), (0.37, 1.0), (1.0, 60.0)))
+        want = jump + dbump(x) * float(coeffs.correction(x))
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def fd_tail_model():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from monodual import dualgen, generator
+from monodual import generator
 from monodual.dualgen import dual_levy, tabulate_dual
 from monodual.errors import (
     GrowthViolated,
@@ -570,12 +570,12 @@ def _bisected_panels(monkeypatch):
     """The (lo, hi) of every panel that fails its 8/16 check and is bisected:
     its y-range, or for a qagi panel that reaches t = inf its s-range."""
     calls = []
-    for module in (generator, dualgen):
-        def counting(f, lo, hi, bound, inner=module._bisect):
-            calls.extend(zip(lo.tolist(), hi.tolist()))
-            return inner(f, lo, hi, bound)
 
-        monkeypatch.setattr(module, "_bisect", counting)
+    def counting(f, lo, hi, bound, inner=generator._bisect):
+        calls.extend(zip(lo.tolist(), hi.tolist()))
+        return inner(f, lo, hi, bound)
+
+    monkeypatch.setattr(generator, "_bisect", counting)
     return calls
 
 
@@ -904,6 +904,14 @@ class TestValidateModel:
         m = LevyModel(nu=DecomposableKernel(a=math.tanh, base=base))
         with pytest.raises(InputFormatError):
             validate_model(m, np.linspace(-2.0, 2.0, 5))
+
+    def test_negative_moment_is_not_a_measure(self):
+        # validate passed a density that is negative (exit 0); a moment
+        # that is not finite stays MomentUnbounded
+        m = LevyModel(nu=DensityKernel(density=lambda x, y: -math.exp(-y),
+                                       support_sign="positive"))
+        with pytest.raises(TailMassUnresolved, match=r"nu moment at x=0.0 is negative"):
+            validate_model(m, [0.0, 1.0])
 
     def test_dx_moment_records(self):
         plain = LevyModel(nu=exp_right_kernel())
@@ -1240,6 +1248,19 @@ class TestModelJSON:
         }
         with pytest.raises(InputFormatError):
             kernel_from_dict(doc)
+
+    @pytest.mark.parametrize("sign", generator.SUPPORT_SIGNS)
+    @pytest.mark.parametrize("ends", [{}, {"y_min": -1.0}, {"y_max": 2.0},
+                                      {"y_min": -1.0, "y_max": 2.0}, {"y_min": None}])
+    def test_one_support_rule(self, sign, ends):
+        # a base kept a y_min below 0 under "positive" (and a y_max above 0
+        # under "negative"), which a density kernel clips
+        doc = {"density": "e^(-abs(y))", "support_sign": sign, **ends}
+        kern = kernel_from_dict({**doc, "case": "density"})
+        base = kernel_from_dict({"case": "decomposable", "a": "1", "base": doc}).base
+        assert (base.y_min, base.y_max) == (kern.y_min, kern.y_max)
+        assert kern.y_min >= (0.0 if sign == "positive" else -math.inf)
+        assert kern.y_max <= (0.0 if sign == "negative" else math.inf)
 
     def test_bad_support_sign_rejected(self):
         doc = {
